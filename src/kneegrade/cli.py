@@ -289,7 +289,7 @@ def cmd_evaluate(args, artifacts):
                                 "n_exams": len(kept),
                                 "excluded": {k: v for k, v in excluded.items() if v}},
                           n_bootstrap=cfg.n_bootstrap, seed=cfg.seed,
-                          executor=executor)
+                          executor=executor, ci_level=cfg.ci_level)
     except Exception:
         for name in set(os.listdir(args.out)) - before:
             artifacts.add(os.path.join(args.out, name))

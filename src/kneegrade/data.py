@@ -244,12 +244,6 @@ def epoch_indices(exams, scheme, rng, classes=None):
     return out
 
 
-def index_stream(exams, scheme, rng, classes=None):
-    """Endless index generator, epoch by epoch."""
-    while True:
-        yield from epoch_indices(exams, scheme, rng, classes=classes)
-
-
 # ---------------------------------------------------------------------------
 # synthetic knees
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .tensor import Tensor
-from .training import batch_images, snapshot_model
+# batch_images is not called here; bench/tracing.py times it under this name.
+from .training import batch_images, batched_logits, snapshot_model  # noqa: F401
 
 
 def softmax_probs(logits):
@@ -39,14 +39,7 @@ def ensemble_mean(member_probs):
 
 def predict_probs(model, exams, images, batch_size=32):
     """Per-head class probabilities for one model over ``exams``."""
-    model.eval()
-    chunks = {name: [] for name in model.head_names}
-    for start in range(0, len(exams), batch_size):
-        idxs = range(start, min(start + batch_size, len(exams)))
-        x = Tensor(batch_images(images, exams, idxs))
-        for name, lg in zip(model.head_names, model(x)):
-            chunks[name].append(softmax_probs(lg.data))
-    return {name: np.concatenate(parts) for name, parts in chunks.items()}
+    return batched_logits(model, exams, images, softmax_probs, batch_size)
 
 
 def ensemble_predict(snapshots, exams, images, batch_size=32):

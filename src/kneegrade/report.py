@@ -215,12 +215,6 @@ def write_history_svg(path, history):
 # the report itself
 
 
-def _ci_doc(stat, y_true, y_other, strata, n_bootstrap, seed, executor):
-    res = bootstrap_ci(stat, y_true, y_other, n_iterations=n_bootstrap,
-                       seed=seed, strata=strata, executor=executor)
-    return res.to_dict()
-
-
 def binary_target(name):
     """(column title, positive-grade threshold) for a task's detection view."""
     if name == "KL":
@@ -229,12 +223,13 @@ def binary_target(name):
 
 
 def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
-                n_bootstrap=100, seed=0, executor=None):
+                n_bootstrap=100, seed=0, executor=None, ci_level=0.95):
     """Write metrics.json plus per-task/per-target tables and plots.
 
     ``truths``/``preds`` map head name to grade arrays, ``probs`` to [n, K]
-    probability arrays, all aligned. Returns the report document (identical
-    to what lands in metrics.json).
+    probability arrays, all aligned. Every interval is a ``ci_level``
+    stratified bootstrap over ``n_bootstrap`` resamples. Returns the report
+    document (identical to what lands in metrics.json).
     """
     os.makedirs(out_dir, exist_ok=True)
     n = None
@@ -249,15 +244,17 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
     if not n:
         raise ConfigurationError("empty evaluation sample")
 
+    def ci(stat, y_true, y_other, strata):
+        return bootstrap_ci(stat, y_true, y_other, n_iterations=n_bootstrap, level=ci_level,
+                            seed=seed, strata=strata, executor=executor).to_dict()
+
     tasks_doc = {}
     kappas = []
     for name, k in head_specs:
         y_true = np.asarray(truths[name])
         y_pred = np.asarray(preds[name])
-        kap = _ci_doc(lambda a, b, k=k: cohen_kappa(a, b, k, "quadratic"),
-                      y_true, y_pred, y_true, n_bootstrap, seed, executor)
-        ba = _ci_doc(lambda a, b, k=k: balanced_accuracy(a, b, k),
-                     y_true, y_pred, y_true, n_bootstrap, seed, executor)
+        kap = ci(lambda a, b, k=k: cohen_kappa(a, b, k, "quadratic"), y_true, y_pred, y_true)
+        ba = ci(lambda a, b, k=k: balanced_accuracy(a, b, k), y_true, y_pred, y_true)
         doc = {
             "n_classes": k,
             "kappa_quadratic": kap,
@@ -281,9 +278,8 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
             continue
         fpr, tpr, roc_thr, auc = roc_curve(labels, scores)
         recall, precision, pr_thr, ap = pr_curve(labels, scores)
-        auc_ci = _ci_doc(roc_auc, labels, scores, y_true, n_bootstrap, seed, executor)
-        ap_ci = _ci_doc(average_precision, labels, scores, y_true, n_bootstrap,
-                        seed, executor)
+        auc_ci = ci(roc_auc, labels, scores, y_true)
+        ap_ci = ci(average_precision, labels, scores, y_true)
         binary_doc[target] = {
             "prevalence": float(labels.mean()),
             "roc_auc": auc_ci,

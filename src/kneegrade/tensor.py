@@ -12,9 +12,13 @@ topologically sorts the graph reachable from ``loss`` and runs the closures
 once each. Intermediate gradients live in a scratch dict; only leaf tensors
 (those created by the caller) accumulate into ``.grad``, so calling
 ``backward`` twice without zeroing doubles leaf gradients and nothing else.
+Inside ``with no_grad():`` ops link nothing, which is how inference runs.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -25,6 +29,30 @@ from .errors import ConfigurationError, DataError, NumericsError, UsageError
 FINITE_CHECKS = True
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
+
+
+class _GradMode(threading.local):
+    recording = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block, in the calling thread only.
+
+    Outputs carry no parents and no backward closure, so every intermediate
+    (conv columns, centred batch-norm inputs) is freed as soon as nothing
+    else refers to it. Other threads keep recording: parallel folds each
+    validate under their own ``no_grad`` while the rest train.
+    """
+    previous = _grad_mode.recording
+    _grad_mode.recording = False
+    try:
+        yield
+    finally:
+        _grad_mode.recording = previous
 
 
 def _coerce(data, dtype):
@@ -69,9 +97,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data)
-
     def item(self):
         if self.data.size != 1:
             raise UsageError(f"item() needs a single element, got shape {self.shape}")
@@ -109,13 +134,14 @@ def _wrap(value, like):
 
 
 def _node(data, parents, backward_fn, op):
-    """Create a graph node; drops the tape when no parent wants gradients."""
+    """Create a graph node; drops the tape when no parent wants gradients
+    or the calling thread is inside :func:`no_grad`."""
     if FINITE_CHECKS and not np.all(np.isfinite(data)):
         raise NumericsError(f"{op} produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_mode.recording and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -220,10 +246,10 @@ def scale(a, s):
 
 
 def relu(a):
-    mask = a.data > 0
+    out = np.maximum(a.data, 0)
     def bwd(g, grads):
-        _put(grads, a, g * mask)
-    return _node(a.data * mask, (a,), bwd, "relu")
+        _put(grads, a, g * (out > 0))
+    return _node(out, (a,), bwd, "relu")
 
 
 def sigmoid(a):
@@ -319,6 +345,24 @@ def linear(x, w, b=None):
     return _node(out, parents, bwd, "linear")
 
 
+# conv2d's lowering, chosen from shapes alone. Output maps of at least this
+# many pixels (16x16 and up) get one GEMM per image over [Cin*kH*kW, Ho*Wo]
+# columns, which writes NCHW directly. Smaller maps make GEMMs too narrow for
+# that, so they share one GEMM over the batch's [Cin*kH*kW, N*Ho*Wo] columns
+# and pay a transpose of the output and of its gradient. The cut-over was
+# measured on the default model's 3x3 layers at 64 and 128 px, batch 32, one
+# OpenBLAS thread, forward plus backward: per image was up to 2x faster from
+# 32x32 up and 0-15% faster or within 6% at 16x16; batch-wide was 10-45%
+# faster at 8x8 and below. Its 1x1 stride-2 shortcuts are too cheap for the
+# choice to matter: within 0.3 ms either way at 8x8 and 4x4.
+_PER_IMAGE_MIN_PIXELS = 256
+
+# Per-image columns are gathered a few images at a time into a buffer of
+# about this size, so the GEMM reads them from cache rather than memory;
+# backward gathers them again instead of keeping them.
+_CHUNK_BYTES = 1 << 20
+
+
 def _conv_geometry(x_shape, w_shape, stride, padding, groups):
     n, cin, h, wdt = x_shape
     cout, cper, kh, kw = w_shape
@@ -337,13 +381,130 @@ def _conv_geometry(x_shape, w_shape, stride, padding, groups):
     return ho, wo
 
 
+def _taps(kh, kw, stride, ho, wo):
+    """Yield (ki, kj, index) per kernel offset; ``index`` picks the [.., Ho, Wo]
+    grid of NCHW input pixels that offset (ki, kj) meets."""
+    for ki in range(kh):
+        for kj in range(kw):
+            yield ki, kj, (slice(None), slice(None), slice(ki, ki + stride * ho, stride),
+                           slice(kj, kj + stride * wo, stride))
+
+
+def _zeros_nchw(n, c, h, w, dtype, cnhw):
+    """Zeroed [N, C, H, W] array; stored CNHW when ``cnhw``, else NCHW."""
+    if cnhw:
+        return np.zeros((c, n, h, w), dtype=dtype).swapaxes(0, 1)
+    return np.zeros((n, c, h, w), dtype=dtype)
+
+
+def _padded(a, padding, cnhw):
+    """``a`` [N, C, H, W] zero-padded on H and W (``a`` itself when padding is 0)."""
+    if not padding:
+        return a
+    n, c, h, w = a.shape
+    out = _zeros_nchw(n, c, h + 2 * padding, w + 2 * padding, a.dtype, cnhw)
+    out[:, :, padding:padding + h, padding:padding + w] = a
+    return out
+
+
+def _conv_per_image(xd, wd, stride, padding, groups, ho, wo):
+    """Lowering for large maps: one GEMM per image, NCHW out.
+
+    Returns the output and ``grad(g, need_x) -> (dW, dX or None)``, dW as
+    [groups, Cin/groups*kH*kW, Cout/groups].
+    """
+    n, cin, h, wdt = xd.shape
+    cout, _, kh, kw = wd.shape
+    og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
+    wg = wd.reshape(groups, og, k)
+    xp = _padded(xd, padding, cnhw=False)
+    step = max(1, min(n, _CHUNK_BYTES // (cin * kh * kw * p * xd.itemsize)))
+    buf = np.empty((step, cin, kh, kw, ho, wo), dtype=xd.dtype)
+
+    def columns(start):
+        """Images start.. of the batch as [m, groups, k, Ho*Wo] columns in ``buf``."""
+        part = buf[:min(step, n - start)]
+        src = xp[start:start + len(part)]
+        for ki, kj, idx in _taps(kh, kw, stride, ho, wo):
+            part[:, :, ki, kj] = src[idx]
+        return part.reshape(len(part), groups, k, p)
+
+    out = np.empty((n, groups, og, p), dtype=xd.dtype)
+    for start in range(0, n, step):
+        cols = columns(start)
+        np.matmul(wg, cols, out=out[start:start + len(cols)])
+
+    def grad(g, need_x):
+        gg = g.reshape(n, groups, og, p)
+        dw = np.zeros((groups, k, og), dtype=g.dtype)
+        dxp = np.zeros_like(xp) if need_x else None
+        for start in range(0, n, step):
+            cols = columns(start)
+            gs = gg[start:start + len(cols)]
+            dw += np.matmul(cols, gs.swapaxes(-1, -2)).sum(axis=0)
+            if need_x:
+                dcols = np.matmul(wg.swapaxes(-1, -2), gs, out=cols)
+                dcols = dcols.reshape(len(cols), cin, kh, kw, ho, wo)
+                dst = dxp[start:start + len(cols)]
+                for ki, kj, idx in _taps(kh, kw, stride, ho, wo):
+                    dst[idx] += dcols[:, :, ki, kj]
+        if need_x:
+            dxp = np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + wdt])
+        return dw, dxp
+    return out.reshape(n, cout, ho, wo), grad
+
+
+def _conv_batch_wide(xd, wd, stride, padding, groups, ho, wo):
+    """Lowering for small maps: one GEMM over the batch's CNHW columns.
+
+    Returns the output and ``grad`` as for :func:`_conv_per_image`.
+    """
+    n, cin, h, wdt = xd.shape
+    cout, _, kh, kw = wd.shape
+    og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
+    wg = wd.reshape(groups, og, k)
+    xp = _padded(xd, padding, cnhw=True)
+    cols = np.empty((cin, kh, kw, n, ho, wo), dtype=xd.dtype)
+    colv = cols.transpose(3, 0, 1, 2, 4, 5)               # [N, Cin, kH, kW, Ho, Wo]
+    for ki, kj, idx in _taps(kh, kw, stride, ho, wo):
+        colv[:, :, ki, kj] = xp[idx]
+    cols = cols.reshape(groups, k, n * p)
+    out = np.matmul(wg, cols).reshape(cout, n, ho, wo).swapaxes(0, 1)
+
+    def grad(g, need_x):
+        gg = np.ascontiguousarray(g.swapaxes(0, 1)).reshape(groups, og, n * p)
+        dw = np.matmul(cols, gg.swapaxes(-1, -2))
+        if not need_x:
+            return dw, None
+        dcols = np.matmul(wg.swapaxes(-1, -2), gg).reshape(cin, kh, kw, n, ho, wo)
+        dcols = dcols.transpose(3, 0, 1, 2, 4, 5)
+        dxp = _zeros_nchw(n, cin, h + 2 * padding, wdt + 2 * padding, g.dtype, cnhw=True)
+        for ki, kj, idx in _taps(kh, kw, stride, ho, wo):
+            dxp[idx] += dcols[:, :, ki, kj]
+        return dw, np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + wdt])
+    return np.ascontiguousarray(out), grad
+
+
+def _lowering(ho, wo):
+    if ho * wo >= _PER_IMAGE_MIN_PIXELS:
+        return _conv_per_image
+    return _conv_batch_wide
+
+
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     """2-D cross correlation with optional channel groups.
 
     x: [N, Cin, H, W]; w: [Cout, Cin//groups, kH, kW]; b: [Cout] or None.
-    Forward runs im2col then one batched matmul per call (groups stacked on
-    the leading axis); backward folds the column gradient back with a loop
-    over the kH*kW kernel offsets, which keeps everything vectorized.
+    The input is lowered to columns with one strided copy per kernel offset,
+    then multiplied by each group's [Cout/groups, Cin/groups*kH*kW] weight
+    matrix; the output map size picks the lowering (see
+    ``_PER_IMAGE_MIN_PIXELS``). Backward forms dW from the output gradient
+    and the columns. dX of a stride-1 kH x kH conv is itself a stride-1
+    conv: the full correlation of the output gradient with the flipped
+    kernel, in and out channels swapped. On every stride-1 3x3 layer of the
+    default model (64 and 128 px, batch 32) that made the whole backward
+    9-33% faster than folding. Other convs fold ``W^T @ g`` back over the
+    kernel offsets.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ConfigurationError(
@@ -353,53 +514,39 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     groups = int(groups)
     if stride < 1 or padding < 0 or groups < 1:
         raise ConfigurationError("conv2d: stride >= 1, padding >= 0, groups >= 1 required")
-    n, cin, h, wdt = x.data.shape
-    cout, _, kh, kw = w.data.shape
+    _, cin, h, wdt = x.data.shape
+    cout, cg, kh, kw = w.data.shape
     ho, wo = _conv_geometry(x.data.shape, w.data.shape, stride, padding, groups)
     if b is not None and b.data.shape != (cout,):
         raise ConfigurationError(f"conv2d: bias shape {b.data.shape} should be ({cout},)")
-    cg, og = cin // groups, cout // groups
-
-    if padding:
-        xp = np.zeros((n, cin, h + 2 * padding, wdt + 2 * padding), dtype=x.data.dtype)
-        xp[:, :, padding:padding + h, padding:padding + wdt] = x.data
-    else:
-        xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [N, Cin, Ho, Wo, kh, kw]
-    cols = win.reshape(n, groups, cg, ho, wo, kh, kw)
-    cols = cols.transpose(1, 0, 3, 4, 2, 5, 6).reshape(groups, n * ho * wo, cg * kh * kw)
-    cols = np.ascontiguousarray(cols)
-    wg = w.data.reshape(groups, og, cg * kh * kw)
-
-    out = np.matmul(cols, wg.transpose(0, 2, 1))          # [g, N*Ho*Wo, og]
-    out = out.reshape(groups, n, ho, wo, og).transpose(1, 0, 4, 2, 3)
-    out = np.ascontiguousarray(out).reshape(n, cout, ho, wo)
+    out, grad = _lowering(ho, wo)(x.data, w.data, stride, padding, groups, ho, wo)
     if b is not None:
         out += b.data[None, :, None, None]
 
-    parents = (x, w) if b is None else (x, w, b)
-
     def bwd(g, grads):
-        gg = g.reshape(n, groups, og, ho, wo).transpose(1, 0, 3, 4, 2)
-        gg = np.ascontiguousarray(gg).reshape(groups, n * ho * wo, og)
-        dw = np.matmul(gg.transpose(0, 2, 1), cols).reshape(w.data.shape)
-        _put(grads, w, dw)
         if b is not None:
             _put(grads, b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            dcols = np.matmul(gg, wg)                      # [g, N*Ho*Wo, cg*kh*kw]
-            dcols = dcols.reshape(groups, n, ho, wo, cg, kh, kw)
-            dcols = dcols.transpose(1, 0, 4, 2, 3, 5, 6).reshape(n, cin, ho, wo, kh, kw)
-            dxp = np.zeros_like(xp)
-            for ki in range(kh):
-                for kj in range(kw):
-                    dxp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += \
-                        dcols[:, :, :, :, ki, kj]
-            dx = dxp[:, :, padding:padding + h, padding:padding + wdt] if padding else dxp
-            _put(grads, x, np.ascontiguousarray(dx))
+        transposed = x.requires_grad and stride == 1 and 1 < kh == kw and padding < kh
+        dw, dx = grad(g, x.requires_grad and not transposed)
+        _put(grads, w, dw.swapaxes(-1, -2).reshape(w.data.shape))
+        if transposed:
+            og = cout // groups
+            wt = w.data.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)[..., ::-1, ::-1]
+            dx, _ = _lowering(h, wdt)(g, wt.reshape(cin, og, kh, kw), 1,
+                                      kh - 1 - padding, groups, h, wdt)
+        if dx is not None:
+            _put(grads, x, dx)
 
+    parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, bwd, "conv2d")
+
+
+def _channel_sum(a, b=None):
+    """Per-channel sum over N, H and W of ``a``, or of ``a * b`` without forming it."""
+    n, c = a.shape[:2]
+    if b is None:
+        return np.einsum("ncp->c", a.reshape(n, c, -1))
+    return np.einsum("ncp,ncp->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
 
 
 def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
@@ -422,40 +569,66 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
             from .errors import NormalizationError
             raise NormalizationError(
                 "batch_norm2d: training mode needs at least 2 values per channel")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))  # biased, matches the normalizer
+        mean = _channel_sum(x.data) / m
+        xc = x.data - mean[None, :, None, None]       # centred input, kept for backward
+        var = _channel_sum(xc, xc) / m                # biased, matches the normalizer
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean.astype(running_mean.dtype)
         running_var *= (1.0 - momentum)
         running_var += momentum * var.astype(running_var.dtype)
+        inv = 1.0 / np.sqrt(var + eps)
+        out = xc * (gamma.data * inv)[None, :, None, None]
+        out += beta.data[None, :, None, None]
     else:
         mean = running_mean.astype(x.data.dtype)
-        var = running_var.astype(x.data.dtype)
-
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        inv = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps)
+        scale = gamma.data * inv
+        out = x.data * scale[None, :, None, None]
+        out += (beta.data - mean * scale)[None, :, None, None]
 
     def bwd(g, grads):
-        _put(grads, beta, g.sum(axis=(0, 2, 3)))
-        _put(grads, gamma, (g * xhat).sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
-            return
-        gxhat = g * gamma.data[None, :, None, None]
-        if training:
-            s1 = gxhat.sum(axis=(0, 2, 3))
-            s2 = (gxhat * xhat).sum(axis=(0, 2, 3))
-            dx = (gxhat - (s1[None, :, None, None] + xhat * s2[None, :, None, None]) / m) \
-                * inv[None, :, None, None]
-        else:
-            dx = gxhat * inv[None, :, None, None]
-        _put(grads, x, dx)
+        sum_g = _channel_sum(g)
+        if training or gamma.requires_grad:
+            # sum(g * xhat) = inv * sum(g * xc); eval mode centres only here
+            sum_gxc = _channel_sum(g, xc if training else x.data - mean[None, :, None, None])
+        if x.requires_grad:
+            if training:
+                # gamma * inv * (g - (sum_g + xhat * sum(g * xhat)) / m), in one buffer
+                dx = xc * (-inv * inv * sum_gxc / m)[None, :, None, None]
+                dx += g
+                dx -= (sum_g / m)[None, :, None, None]
+                dx *= (gamma.data * inv)[None, :, None, None]
+            else:
+                dx = g * (gamma.data * inv)[None, :, None, None]
+            _put(grads, x, dx)
+        if gamma.requires_grad:
+            _put(grads, gamma, sum_gxc * inv)
+        _put(grads, beta, sum_g)
 
     return _node(out, (x, gamma, beta), bwd, "batch_norm2d")
 
 
+def _window_sum(a, axis, k, s, count):
+    """Sums of ``count`` windows of ``k`` along ``axis``, ``s`` apart: k - 1 strided adds."""
+    def every(i):
+        idx = [slice(None)] * a.ndim
+        idx[axis] = slice(i, i + s * count, s)
+        return a[tuple(idx)]
+    if k == 1:
+        return every(0).copy()
+    out = np.add(every(0), every(1))
+    for i in range(2, k):
+        out += every(i)
+    return out
+
+
 def avg_pool2d(x, kernel, stride=None):
-    """Non-padded average pooling, window ``kernel`` and step ``stride``."""
+    """Non-padded average pooling, window ``kernel`` and step ``stride``.
+
+    Forward sums each window's rows, then its columns, with strided adds;
+    backward writes the scaled gradient back with one strided add (a plain
+    write where windows do not overlap) per window offset.
+    """
     if x.data.ndim != 4:
         raise ConfigurationError(f"avg_pool2d: expected NCHW input, got {x.data.shape}")
     k = int(kernel)
@@ -467,19 +640,21 @@ def avg_pool2d(x, kernel, stride=None):
         raise ConfigurationError(f"avg_pool2d: window {k} larger than input ({h},{w})")
     ho = (h - k) // s + 1
     wo = (w - k) // s + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(2, 3))
-    out = win[:, :, ::s, ::s].mean(axis=(4, 5))
     inv = 1.0 / (k * k)
+    out = _window_sum(_window_sum(x.data, 2, k, s, ho), 3, k, s, wo)
+    out *= inv
     def bwd(g, grads):
         if not x.requires_grad:
             return
         dx = np.zeros_like(x.data)
         gk = g * inv
-        for ki in range(k):
-            for kj in range(k):
-                dx[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += gk
+        for _, _, idx in _taps(k, k, s, ho, wo):
+            if k <= s:      # windows do not overlap, so no pixel is written twice
+                dx[idx] = gk
+            else:
+                dx[idx] += gk
         _put(grads, x, dx)
-    return _node(np.ascontiguousarray(out), (x,), bwd, "avg_pool2d")
+    return _node(out, (x,), bwd, "avg_pool2d")
 
 
 def global_avg_pool(x):

@@ -238,16 +238,28 @@ def batch_images(images, exams, idxs, rng=None, aug_cfg=None):
     return np.stack(planes)[:, None, :, :]
 
 
-def predict_grades(model, exams, images, batch_size=32):
-    """Argmax grade per head over ``exams``; model is left in eval mode."""
+def batched_logits(model, exams, images, reduce, batch_size=32):
+    """Per-head ``reduce(logits)`` over ``exams``, concatenated in exam order.
+
+    The one inference loop: validation and ensemble prediction both run it.
+    Batches go through the model in eval mode under ``no_grad``, so no graph
+    is recorded and each batch's activations are freed before the next
+    batch starts. The model is left in eval mode.
+    """
     model.eval()
     chunks = {name: [] for name in model.head_names}
-    for start in range(0, len(exams), batch_size):
-        idxs = range(start, min(start + batch_size, len(exams)))
-        x = Tensor(batch_images(images, exams, idxs))
-        for name, lg in zip(model.head_names, model(x)):
-            chunks[name].append(np.argmax(lg.data, axis=1))
+    with T.no_grad():
+        for start in range(0, len(exams), batch_size):
+            idxs = range(start, min(start + batch_size, len(exams)))
+            x = Tensor(batch_images(images, exams, idxs))
+            for name, lg in zip(model.head_names, model(x)):
+                chunks[name].append(reduce(lg.data))
     return {name: np.concatenate(parts) for name, parts in chunks.items()}
+
+
+def predict_grades(model, exams, images, batch_size=32):
+    """Argmax grade per head over ``exams``; model is left in eval mode."""
+    return batched_logits(model, exams, images, lambda z: np.argmax(z, axis=1), batch_size)
 
 
 def validation_metrics(model, exams, images, batch_size=32):

@@ -285,6 +285,32 @@ class TestPredictEvaluate:
         parallel["meta"].pop("generated_at")
         assert serial == parallel
 
+    def test_ci_level_sets_every_interval(self, workdir, predictions, tmp_path):
+        wide = json.loads((workdir / "report" / "metrics.json").read_text())
+        # --force: the predictions carry the hash of the 0.95 config
+        assert run_cli("evaluate", "--config", config_file(tmp_path, ci_level=0.9),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--predictions", str(predictions),
+                       "--out", str(tmp_path / "report"), "--force") == 0
+        narrow = json.loads((tmp_path / "report" / "metrics.json").read_text())
+
+        def intervals(doc):
+            for section in ("tasks", "binary"):
+                for target, entry in sorted(doc[section].items()):
+                    for metric, value in sorted(entry.items()):
+                        if isinstance(value, dict) and "level" in value:
+                            yield (section, target, metric), value
+
+        pairs = list(zip(intervals(wide), intervals(narrow)))
+        assert pairs and all(a[0] == b[0] for a, b in pairs)
+        shrunk = 0
+        for (key, w), (_, n) in pairs:
+            assert w["level"] == 0.95 and n["level"] == 0.9, key
+            assert n["point"] == w["point"], key
+            assert w["lo"] <= n["lo"] <= n["hi"] <= w["hi"], key
+            shrunk += (n["hi"] - n["lo"]) < (w["hi"] - w["lo"])
+        assert shrunk > 0
+
     def test_bad_thread_cap_rejected(self, workdir, predictions, tmp_path,
                                      capsys, monkeypatch):
         for bad in ("abc", "0"):

@@ -5,6 +5,9 @@ inline, naive loop oracles implemented here, and central finite differences
 (tests/gradcheck.py) for every backward rule.
 """
 
+import math
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +46,23 @@ def naive_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def _sides_around_lowering_switch():
+    """Output sides just below and just at conv2d's per-image cut-over."""
+    big = math.isqrt(T._PER_IMAGE_MIN_PIXELS - 1) + 1
+    return big - 1, big
+
+
+# (name, input [N, C, H, W] for output side S, weight, stride, padding, groups)
+_CONV_PATHS = [
+    ("stem_1ch", lambda s: (2, 1, s, s), (4, 1, 3, 3), 1, 1, 1),
+    ("3x3_16to16", lambda s: (2, 16, s, s), (16, 16, 3, 3), 1, 1, 1),
+    ("3x3_stride2", lambda s: (2, 3, 2 * s, 2 * s), (4, 3, 3, 3), 2, 1, 1),
+    ("1x1_stride2_shortcut", lambda s: (2, 3, 2 * s, 2 * s), (4, 3, 1, 1), 2, 0, 1),
+    ("1x1_stride1", lambda s: (2, 3, s, s), (4, 3, 1, 1), 1, 0, 1),
+    ("3x3_groups2", lambda s: (2, 4, s, s), (4, 2, 3, 3), 1, 1, 2),
+]
 
 
 class TestElementwise:
@@ -167,6 +187,59 @@ class TestConv2d:
             [x, w, b])
 
 
+class TestConvLowerings:
+    """Every conv2d lowering, on both sides of the per-image cut-over."""
+
+    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _CONV_PATHS,
+                             ids=[c[0] for c in _CONV_PATHS])
+    def test_matches_naive_oracle(self, rng, name, x_shape, w_shape, stride, padding,
+                                  groups, side):
+        x = rng.normal(size=x_shape(side))
+        w = rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        got = T.conv2d(T.Tensor(x, dtype=np.float64), T.Tensor(w, dtype=np.float64),
+                       T.Tensor(b, dtype=np.float64), stride=stride, padding=padding,
+                       groups=groups).data
+        assert got.shape[2:] == (side, side)
+        want = naive_conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+        assert np.allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _CONV_PATHS,
+                             ids=[c[0] for c in _CONV_PATHS])
+    def test_grads(self, rng, name, x_shape, w_shape, stride, padding, groups, side):
+        x = rng.normal(size=x_shape(side))
+        w = rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        # weight the outputs so every pixel's gradient differs
+        r = T.Tensor(rng.normal(size=(x.shape[0], w.shape[0], side, side)), dtype=np.float64)
+        check_gradients(
+            lambda ts: T.mean_all(T.mul(T.conv2d(ts[0], ts[1], ts[2], stride=stride,
+                                                 padding=padding, groups=groups), r)),
+            [x, w, b], samples=400)
+
+    def test_chunked_columns_match_whole_batch(self, rng, monkeypatch):
+        side = _sides_around_lowering_switch()[1]
+        x = rng.normal(size=(5, 3, side, side))
+        w = rng.normal(size=(4, 3, 3, 3))
+        r = rng.normal(size=(5, 4, side, side))
+
+        def run(chunk_bytes):
+            monkeypatch.setattr(T, "_CHUNK_BYTES", chunk_bytes)
+            tx = T.Tensor(x, requires_grad=True, dtype=np.float64)
+            tw = T.Tensor(w, requires_grad=True, dtype=np.float64)
+            out = T.conv2d(tx, tw, padding=1)
+            T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=np.float64))))
+            return out.data, tx.grad, tw.grad
+
+        image_bytes = 3 * 9 * side * side * 8
+        whole = run(5 * image_bytes)
+        chunked = run(2 * image_bytes)    # chunks of 2, 2 and 1 images
+        for a, b in zip(whole, chunked):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
 class TestBatchNorm:
     def test_train_constant_batch_gives_beta(self):
         x = T.Tensor(np.full((2, 3, 4, 4), 5.0))
@@ -236,6 +309,24 @@ class TestPooling:
         x = rng.normal(size=(2, 3, 4, 5))
         out = T.global_avg_pool(T.Tensor(x, dtype=np.float64)).data
         assert np.allclose(out, x.mean(axis=(2, 3)))
+
+    @pytest.mark.parametrize("kernel,stride,shape", [
+        (2, 2, (2, 3, 8, 8)), (2, 2, (2, 3, 9, 7)), (3, 3, (1, 2, 9, 9)),
+        (2, 3, (2, 3, 9, 9)), (1, 2, (1, 2, 6, 5)), (3, 1, (2, 3, 7, 6)),
+        (3, 2, (2, 3, 9, 9))])
+    def test_strided_windows_match_naive(self, rng, kernel, stride, shape):
+        x = rng.normal(size=shape)
+        out = T.avg_pool2d(T.Tensor(x, dtype=np.float64), kernel, stride).data
+        ho = (shape[2] - kernel) // stride + 1
+        wo = (shape[3] - kernel) // stride + 1
+        assert out.shape == shape[:2] + (ho, wo)
+        for i in range(ho):
+            for j in range(wo):
+                win = x[:, :, i * stride:i * stride + kernel, j * stride:j * stride + kernel]
+                assert np.allclose(out[:, :, i, j], win.mean(axis=(2, 3)), atol=1e-12)
+        r = T.Tensor(rng.normal(size=out.shape), dtype=np.float64)
+        check_gradients(lambda ts: T.mean_all(T.mul(T.avg_pool2d(ts[0], kernel, stride), r)),
+                        [x])
 
     def test_pool_grads(self, rng):
         x = rng.normal(size=(2, 2, 5, 5))
@@ -364,6 +455,55 @@ class TestBackward:
         x = T.Tensor([1.0, 2.0])
         y = T.mul(x, x)
         assert y._parents == () and y._backward is None
+
+
+class TestNoGrad:
+    def _model_and_input(self):
+        from kneegrade.model import ModelConfig, build_model
+        model = build_model(ModelConfig(), seed=3)
+        model.eval()
+        x = np.random.default_rng(5).normal(size=(2, 1, 32, 32)).astype(np.float32)
+        return model, x
+
+    def test_untaped_logits_match_taped_bitwise(self):
+        model, x = self._model_and_input()
+        taped = model(T.Tensor(x))
+        assert all(lg._backward is not None for lg in taped)
+        with T.no_grad():
+            untaped = model(T.Tensor(x))
+        for a, b in zip(taped, untaped):
+            assert b._parents == () and b._backward is None and not b.requires_grad
+            assert np.array_equal(a.data.view(np.uint32), b.data.view(np.uint32))
+
+    def test_restores_recording_after_the_block(self):
+        w = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            assert T.mul(w, w)._backward is None
+        assert T.mul(w, w)._backward is not None
+
+    def test_is_thread_local(self):
+        w = T.Tensor([1.0, 2.0], requires_grad=True)
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def untaped():
+            with T.no_grad():
+                entered.set()
+                release.wait(10)
+                seen.append(T.mul(w, w)._backward)
+
+        worker = threading.Thread(target=untaped)
+        worker.start()
+        try:
+            assert entered.wait(10)
+            loss = T.reduce_sum(T.mul(w, w))    # this thread still records
+            T.backward(loss)
+            assert np.allclose(w.grad, [2.0, 4.0])
+        finally:
+            release.set()
+            worker.join(10)
+        assert not worker.is_alive()
+        assert seen == [None]
 
 
 class TestNumerics:

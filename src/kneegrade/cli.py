@@ -1,12 +1,13 @@
 """Command line entry point: synth, preprocess, pretrain, train, predict, evaluate.
 
 Every command takes an optional JSON config file; flags override single
-fields *inside the document*, so the configuration hash stamped on artifacts
-always reflects what actually ran. Failures print one line to stderr
-(``error: <kind>: <message>``) and remove whatever files the failed
-invocation had already written. Exit codes: 0 success, 2 for configuration,
-usage, or input-data problems, 1 for runtime failures. The environment
-variable OARSI_MT_THREADS caps every worker pool.
+fields *inside the document*, so the hash of the config keys a stage reads
+(``config.STAGE_KEYS``), stamped on its artifacts, always reflects what
+actually ran. Failures print one line to stderr (``error: <kind>: <message>``)
+and remove whatever files the failed invocation had already written. Exit
+codes: 0 success, 2 for configuration, usage, or input-data problems, 1 for
+runtime failures. The environment variable OARSI_MT_THREADS caps every worker
+pool.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ def _resolve(base_dir, rel):
     return rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
 
 
+def _check_config(recorded, expected, what, force):
+    """Refuse ``what`` if it records a config hash other than ``expected``."""
+    if recorded not in (None, expected) and not force:
+        raise UsageError(f"{what} was made under config {recorded!s:.12} but this run "
+                         f"expects {expected!s:.12}; pass --force to use it anyway")
+
+
 def _fold_seed(seed, fold):
     return int(np.random.SeedSequence([int(seed), 7, int(fold)]).generate_state(1)[0])
 
@@ -113,7 +121,7 @@ def cmd_synth(args, artifacts):
     manifest, exams = synth_generate(args.out, args.subjects,
                                      exams_per_subject=args.exams_per_subject,
                                      seed=cfg.seed, cfg=cfg.synth)
-    write_sidecar(manifest, {"config_hash": cfg.hash(), "seed": cfg.seed,
+    write_sidecar(manifest, {"config_hash": cfg.stage_hash("synth"), "seed": cfg.seed,
                              "n_exams": len(exams)})
     _say(f"synth: wrote {len(exams)} exams to {manifest}")
 
@@ -133,7 +141,7 @@ def cmd_preprocess(args, artifacts):
     os.makedirs(args.out, exist_ok=True)
     cache = artifacts.add(os.path.join(args.out, "images.kgw"))
     save_image_cache(cache, images, meta={
-        "config_hash": cfg.hash(),
+        "config_hash": cfg.stage_hash("preprocess"),
         "target_side": cfg.preprocess.target_side,
         "excluded": excluded,
     })
@@ -154,11 +162,8 @@ def _cache_path(path):
 def _load_training_inputs(args, cfg):
     exams = load_manifest(args.manifest)
     images, meta = load_image_cache(_cache_path(args.images))
-    cache_hash = meta.get("config_hash")
-    if cache_hash is not None and cache_hash != cfg.hash() and not args.force:
-        raise UsageError(
-            f"image cache was built from config {cache_hash[:12]} but this run is "
-            f"{cfg.hash()[:12]}; pass --force to use it anyway")
+    _check_config(meta.get("config_hash"), cfg.stage_hash("preprocess"), "image cache",
+                  args.force)
     return exams, images
 
 
@@ -168,7 +173,7 @@ def cmd_pretrain(args, artifacts):
     artifacts.add(args.out)
     pretrain_backbone(exams, images, cfg.model, cfg.pretrain, cfg.seed,
                       args.out, log=_say)
-    write_sidecar(args.out, {"config_hash": cfg.hash(), "seed": cfg.seed,
+    write_sidecar(args.out, {"config_hash": cfg.stage_hash("pretrain"), "seed": cfg.seed,
                              "n_exams": len(exams)})
     _say(f"pretrain: backbone -> {args.out}")
 
@@ -185,7 +190,7 @@ def cmd_train(args, artifacts):
     exams, images = _load_training_inputs(args, cfg)
     assignment = split_cv(exams, n_folds=cfg.n_folds, seed=cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    run_meta = {"config_hash": cfg.hash()}
+    run_meta = {"config_hash": cfg.stage_hash("train")}
 
     def train_fold(fold):
         train_exams, val_exams = assignment.split(exams, fold)
@@ -223,16 +228,11 @@ def _load_snapshots(args, cfg):
     if not paths:
         raise UsageError(f"no snapshots found under {args.snapshots[0]!r}")
     snaps = [Snapshot.load(p) for p in paths]
-    hashes = {s.meta.get("config_hash") for s in snaps}
-    if len(hashes) > 1 and not args.force:
-        raise UsageError(
-            f"snapshots disagree on config hash ({len(hashes)} distinct); "
-            "pass --force to ensemble them anyway")
-    snap_hash = hashes.pop() if len(hashes) == 1 else "mixed"
-    if snap_hash not in (None, "mixed") and snap_hash != cfg.hash() and not args.force:
-        raise UsageError(
-            f"snapshots were trained with config {snap_hash[:12]} but this run is "
-            f"{cfg.hash()[:12]}; pass --force to predict anyway")
+    hashes = [s.meta.get("config_hash") for s in snaps]
+    for path, recorded in zip(paths, hashes):
+        _check_config(recorded, hashes[0], f"snapshot {path}", args.force)
+    snap_hash = hashes[0] if len(set(hashes)) == 1 else "mixed"
+    _check_config(snap_hash, cfg.stage_hash("train"), "the snapshots", args.force)
     return snaps, paths, snap_hash
 
 
@@ -264,10 +264,8 @@ def cmd_evaluate(args, artifacts):
         pred_hash = read_sidecar(args.predictions).get("config_hash")
     except FileNotFoundError:
         pass
-    if pred_hash not in (None, "mixed") and pred_hash != cfg.hash() and not args.force:
-        raise UsageError(
-            f"predictions carry config {pred_hash[:12]} but this run is "
-            f"{cfg.hash()[:12]}; pass --force to evaluate anyway")
+    train_hash = cfg.stage_hash("train")
+    _check_config(pred_hash, train_hash, "predictions", args.force)
     task_names = [name for name, _ in head_specs]
     kept, excluded = load_and_filter(args.manifest, required=task_names)
     if not kept:
@@ -285,7 +283,7 @@ def cmd_evaluate(args, artifacts):
         if workers > 1 and os.environ.get("OARSI_MT_THREADS"):
             executor = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
         doc = emit_report(args.out, head_specs, truths, preds, aligned_probs,
-                          meta={"config_hash": pred_hash or cfg.hash(),
+                          meta={"config_hash": pred_hash or train_hash,
                                 "n_exams": len(kept),
                                 "excluded": {k: v for k, v in excluded.items() if v}},
                           n_bootstrap=cfg.n_bootstrap, seed=cfg.seed,

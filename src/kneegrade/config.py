@@ -1,43 +1,76 @@
 """One JSON document that drives a whole run, with defaults for every field.
 
-The document is hashed (sha256 of its fully-expanded canonical form) and the
-hash is stamped onto every artifact a run produces, so evaluation can refuse
-to mix predictions and reports born from different configurations.
+The document is hashed (sha256 of its fully-expanded canonical form). Each
+artifact a run produces is stamped with the hash of the part of the document
+its stage depends on, so a later stage can refuse inputs born from a
+different configuration without refusing them over keys they never read.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+import json
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .data import SynthConfig
 from .errors import ConfigurationError
 from .model import ModelConfig, config_hash
-from .preprocess import AugmentConfig, PreprocessConfig
+from .preprocess import PreprocessConfig
 from .training import TrainConfig
 
+# Top-level keys each stage reads, its own and its upstream stages'. An
+# artifact carries the hash of its stage's subtree, so a guard fires only on
+# a change the artifact depends on.
+STAGE_KEYS = {
+    "synth": ("seed", "synth"),
+    "preprocess": ("preprocess",),
+    "pretrain": ("seed", "preprocess", "model", "pretrain"),
+    "train": ("seed", "n_folds", "preprocess", "model", "pretrain", "train"),
+}
 
-def _build_dataclass(cls, doc, where):
+
+def from_doc(cls, doc, where):
+    """Build config dataclass ``cls`` from a JSON mapping; absent keys keep defaults.
+
+    Every value is checked against its field's declared type, recursing into
+    nested config dataclasses and tuples. ``where`` is the dotted path of
+    ``doc`` in the run config ("" at the root) and prefixes every error.
+    """
+    label = where or "run config"
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{where} must be a mapping, got {type(doc).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    extra = set(doc) - allowed
-    if extra:
-        raise ConfigurationError(f"{where}: unknown keys {sorted(extra)}")
-    kwargs = dict(doc)
-    for f in fields(cls):
-        if f.name in kwargs and isinstance(kwargs[f.name], list):
-            kwargs[f.name] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in kwargs[f.name])
-    return cls(**kwargs)
+        raise ConfigurationError(f"{label} must be a mapping, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"{label}: unknown keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"{label}: missing keys {missing}")
+    prefix = f"{where}." if where else ""
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _from_json(hints[key], value, prefix + key)
+                  for key, value in doc.items()})
 
 
-def _train_from_dict(doc, where):
-    doc = dict(doc)
-    aug_doc = doc.pop("aug", None)
-    cfg = _build_dataclass(TrainConfig, doc, where)
-    if aug_doc is not None:
-        cfg = replace(cfg, aug=_build_dataclass(AugmentConfig, aug_doc, f"{where}.aug"))
-    return cfg
+def _from_json(tp, value, where):
+    if is_dataclass(tp):
+        return from_doc(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where} must be a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigurationError(f"{where} must have {len(args)} items, got {len(value)}")
+        return tuple(_from_json(t, v, f"{where}[{i}]")
+                     for i, (t, v) in enumerate(zip(args, value)))
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)    # an int is a valid float, stored as one
+    if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigurationError(
+            f"{where} must be {tp.__name__}, got {type(value).__name__} {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,6 +93,7 @@ class RunConfig:
             raise ConfigurationError("n_bootstrap must be >= 1")
         if not 0.5 < self.ci_level < 1.0:
             raise ConfigurationError(f"ci_level {self.ci_level} outside (0.5, 1)")
+        self.synth.validate()
         self.preprocess.validate()
         self.model.validate()
         self.train.validate()
@@ -69,49 +103,19 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        doc = {
-            "seed": self.seed,
-            "n_folds": self.n_folds,
-            "synth": asdict(self.synth),
-            "preprocess": asdict(self.preprocess),
-            "model": self.model.to_dict(),
-            "train": asdict(self.train),
-            "pretrain": asdict(self.pretrain),
-            "n_bootstrap": self.n_bootstrap,
-            "ci_level": self.ci_level,
-        }
-        for key in ("train", "pretrain"):
-            doc[key]["scratch_drops"] = list(doc[key]["scratch_drops"])
-            doc[key]["task_weights"] = [list(p) for p in doc[key]["task_weights"]]
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise ConfigurationError("run config must be a mapping")
-        allowed = {f.name for f in fields(cls)}
-        extra = set(doc) - allowed
-        if extra:
-            raise ConfigurationError(f"run config: unknown keys {sorted(extra)}")
-        kwargs = {}
-        for key in ("seed", "n_folds", "n_bootstrap", "ci_level"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        if "synth" in doc:
-            kwargs["synth"] = _build_dataclass(SynthConfig, doc["synth"], "synth")
-        if "preprocess" in doc:
-            kwargs["preprocess"] = _build_dataclass(
-                PreprocessConfig, doc["preprocess"], "preprocess")
-        if "model" in doc:
-            kwargs["model"] = ModelConfig.from_dict(doc["model"])
-        if "train" in doc:
-            kwargs["train"] = _train_from_dict(doc["train"], "train")
-        if "pretrain" in doc:
-            kwargs["pretrain"] = _train_from_dict(doc["pretrain"], "pretrain")
-        return cls(**kwargs).validate()
+        return from_doc(cls, doc, "").validate()
 
     def hash(self):
         return config_hash(self.to_dict())
+
+    def stage_hash(self, stage):
+        """Hash of the subtree ``stage`` and its upstream stages read."""
+        doc = self.to_dict()
+        return config_hash({key: doc[key] for key in STAGE_KEYS[stage]})
 
 
 def load_run_config(path=None, overrides=None):
@@ -120,7 +124,6 @@ def load_run_config(path=None, overrides=None):
     ``path=None`` starts from the all-defaults document. ``overrides`` wins
     over the file; both go through the same unknown-key checks.
     """
-    import json
     doc = {}
     if path is not None:
         with open(path) as fh:

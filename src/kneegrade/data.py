@@ -257,7 +257,7 @@ class SynthConfig:
     blob_px: float = 0.0             # protrusion radius per osteophyte grade; 0 = side / 20
     noise_sigma: float = 0.015       # additive intensity noise, [0, 1] domain
     max_rotation_deg: float = 12.0
-    grade_probs: tuple = (0.55, 0.22, 0.13, 0.10)
+    grade_probs: tuple[float, ...] = (0.55, 0.22, 0.13, 0.10)
     progression_p: float = 0.15      # chance a follow-up bumps a feature grade
 
     def __post_init__(self):

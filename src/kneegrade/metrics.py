@@ -7,7 +7,7 @@ the sample, rather than returning NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -237,10 +237,7 @@ class MetricWithCI:
         return not (self.lo <= self.point <= self.hi)
 
     def to_dict(self):
-        return {"point": self.point, "lo": self.lo, "hi": self.hi,
-                "n_bootstrap": self.n_bootstrap, "level": self.level,
-                "n_failed": self.n_failed,
-                "point_outside_interval": bool(self.point_outside_interval)}
+        return dict(asdict(self), point_outside_interval=self.point_outside_interval)
 
 
 def _iteration_rng(seed, iteration):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def default_blocks(base_width=16, se_enabled=True, kind="basic", groups=1, group
 @dataclass(frozen=True)
 class ModelConfig:
     stem: StemSpec = field(default_factory=StemSpec)
-    blocks: tuple = field(default_factory=lambda: tuple(default_blocks()))
+    blocks: tuple[BlockSpec, ...] = field(default_factory=lambda: tuple(default_blocks()))
     pooling: PoolingSpec = field(default_factory=PoolingSpec)
     dropout_p: float = 0.5
     include_kl_head: bool = True
@@ -69,38 +69,12 @@ class ModelConfig:
         return self
 
     def to_dict(self):
-        return {
-            "stem": asdict(self.stem),
-            "blocks": [asdict(b) for b in self.blocks],
-            "pooling": asdict(self.pooling),
-            "dropout_p": self.dropout_p,
-            "include_kl_head": self.include_kl_head,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc):
-        if not isinstance(doc, dict):
-            raise ConfigurationError("model config must be a mapping")
-        known = {"stem", "blocks", "pooling", "dropout_p", "include_kl_head"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigurationError(f"unknown model config keys: {sorted(unknown)}")
-        def build(cls, sub, what):
-            sub = dict(sub)
-            extra = set(sub) - set(cls.__dataclass_fields__)
-            if extra:
-                raise ConfigurationError(f"unknown {what} keys: {sorted(extra)}")
-            return cls(**sub)
-        blocks = tuple(build(BlockSpec, b, "block") for b in doc["blocks"]) \
-            if "blocks" in doc else tuple(default_blocks())
-        cfg = ModelConfig(
-            stem=build(StemSpec, doc.get("stem", {}), "stem"),
-            blocks=blocks,
-            pooling=build(PoolingSpec, doc.get("pooling", {}), "pooling"),
-            dropout_p=float(doc.get("dropout_p", 0.5)),
-            include_kl_head=bool(doc.get("include_kl_head", True)),
-        )
-        return cfg.validate()
+        from .config import from_doc
+        return from_doc(ModelConfig, doc, "model").validate()
 
 
 def config_hash(doc):

@@ -9,7 +9,7 @@ which makes same-size resampling the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -354,8 +354,7 @@ def save_image_cache(path, images, meta=None):
     the pre-standardization [0, 1] grid) under sorted names, so identical
     inputs always produce identical bytes. Provenance goes in the sidecar.
     """
-    import json
-
+    from .report import write_sidecar
     from .serialize import save_tensors
 
     named = {}
@@ -370,26 +369,21 @@ def save_image_cache(path, images, meta=None):
     doc = {"n_exams": len(images), "provenance": provenance}
     if meta:
         doc.update(_jsonable(meta))
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_sidecar(path, doc)
     return path
 
 
 def load_image_cache(path):
     """Inverse of save_image_cache: ({exam_id: NormalizedImage}, meta dict)."""
-    import json
-    import os
-
     from .errors import DataError
+    from .report import read_sidecar
     from .serialize import load_tensors
 
     named = load_tensors(path)
-    meta = {}
-    sidecar = str(path) + ".meta.json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            meta = json.load(fh)
+    try:
+        meta = read_sidecar(path)
+    except FileNotFoundError:
+        meta = {}
     provenance = meta.get("provenance", {})
     images = {}
     for name, arr in named.items():

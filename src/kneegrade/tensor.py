@@ -24,10 +24,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericsError, UsageError
 
-# When enabled, every op output is scanned and a NumericsError is raised the
-# moment a NaN/Inf would enter the graph. Costs one pass per op output.
-FINITE_CHECKS = True
-
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
 
@@ -135,8 +131,9 @@ def _wrap(value, like):
 
 def _node(data, parents, backward_fn, op):
     """Create a graph node; drops the tape when no parent wants gradients
-    or the calling thread is inside :func:`no_grad`."""
-    if FINITE_CHECKS and not np.all(np.isfinite(data)):
+    or the calling thread is inside :func:`no_grad`. Every output is scanned,
+    so a NaN/Inf raises NumericsError the moment it would enter the graph."""
+    if not np.all(np.isfinite(data)):
         raise NumericsError(f"{op} produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data

@@ -14,7 +14,6 @@ full state is kept as the fold snapshot.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -27,6 +26,7 @@ from .metrics import balanced_accuracy, cohen_kappa
 from .model import TASK_CLASSES, backbone_checksum, build_model, \
     save_backbone_weights, set_backbone_trainable
 from .preprocess import AugmentConfig, augment
+from .report import read_sidecar, write_sidecar
 from .serialize import load_tensors, save_tensors
 from .tensor import Tensor
 
@@ -49,7 +49,7 @@ class TrainConfig:
     thaw_epochs: int = 1
     # scratch stage
     lr_scratch: float = 1e-4
-    scratch_drops: tuple = (10, 15)
+    scratch_drops: tuple[int, ...] = (10, 15)
     drop_factor: float = 10.0
     # Adam
     beta1: float = 0.9
@@ -60,7 +60,7 @@ class TrainConfig:
     sampler: str = "kl_balanced"
     augment: bool = True
     aug: AugmentConfig = field(default_factory=AugmentConfig)
-    task_weights: tuple = ()   # (head_name, weight) pairs; unlisted heads get 1.0
+    task_weights: tuple[tuple[str, float], ...] = ()   # unlisted heads get 1.0
 
     def validate(self):
         if self.schedule not in SCHEDULES:
@@ -314,18 +314,13 @@ class Snapshot:
     def save(self, path):
         path = str(path)
         save_tensors(path, self.weights)
-        with open(path + ".meta.json", "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_sidecar(path, self.meta)
         return path
 
     @classmethod
     def load(cls, path):
         path = str(path)
-        weights = load_tensors(path)
-        with open(path + ".meta.json") as fh:
-            meta = json.load(fh)
-        return cls(weights=weights, meta=meta)
+        return cls(weights=load_tensors(path), meta=read_sidecar(path))
 
 
 def snapshot_model(snapshot, dtype=np.float32):

@@ -167,7 +167,7 @@ class TestSynthPreprocess:
 
 class TestHashGuards:
     def test_stale_cache_rejected_then_forced(self, workdir, tmp_path, capsys):
-        other = config_file(tmp_path, seed=123)
+        other = config_file(tmp_path, preprocess={"clip_high": 98.0})
         args = ["pretrain", "--config", other,
                 "--manifest", str(workdir / "cache" / "manifest.csv"),
                 "--images", str(workdir / "cache"),
@@ -177,6 +177,40 @@ class TestHashGuards:
         assert err.startswith("error: UsageError:") and "--force" in err
         assert run_cli(*args, "--force") == 0
         assert (tmp_path / "backbone.kgw").exists()
+
+    def test_cache_guard_ignores_keys_preprocessing_never_reads(self, workdir, tmp_path):
+        other = config_file(tmp_path, train={"epochs": 3})
+        assert run_cli("pretrain", "--config", other,
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"),
+                       "--out", str(tmp_path / "backbone.kgw")) == 0
+
+    def test_disagreeing_snapshots_need_force_twice(self, workdir, tmp_path, capsys):
+        folds = tmp_path / "folds"
+        shutil.copytree(workdir / "folds", folds)
+        sidecar = folds / "snapshot_fold1.kgw.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["config_hash"] = "f" * 64
+        sidecar.write_text(json.dumps(meta))
+        cfg = str(workdir / "config.json")
+        args = ["predict", "--config", cfg,
+                "--manifest", str(workdir / "cache" / "manifest.csv"),
+                "--images", str(workdir / "cache"),
+                "--snapshots", str(folds), "--out", str(tmp_path / "preds.csv")]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert "snapshot_fold1.kgw" in err and "ffffffffffff" in err and "--force" in err
+        assert run_cli(*args, "--force") == 0
+        sidecar = json.loads((tmp_path / "preds.csv.meta.json").read_text())
+        assert sidecar["config_hash"] == "mixed"
+        # predictions from mixed snapshots match no config
+        args = ["evaluate", "--config", cfg,
+                "--manifest", str(workdir / "cache" / "manifest.csv"),
+                "--predictions", str(tmp_path / "preds.csv"),
+                "--out", str(tmp_path / "report")]
+        assert run_cli(*args) == 2
+        assert "--force" in capsys.readouterr().err
+        assert run_cli(*args, "--force") == 0
 
     def test_predict_rejects_foreign_snapshots(self, workdir, tmp_path, capsys):
         other = config_file(tmp_path, seed=123)
@@ -208,11 +242,11 @@ class TestTrain:
         assert "--pretrained" in capsys.readouterr().err
 
     def test_no_kl_head_drops_the_head(self, workdir, tmp_path):
-        # dropping the head changes the effective config, hence --force
+        # the cache guard reads only the preprocess subtree, so no --force
         assert run_cli("train", "--config", str(workdir / "config.json"),
                        "--manifest", str(workdir / "cache" / "manifest.csv"),
                        "--images", str(workdir / "cache"),
-                       "--no-kl-head", "--force",
+                       "--no-kl-head",
                        "--out", str(tmp_path / "folds")) == 0
         snap = Snapshot.load(str(tmp_path / "folds" / "snapshot_fold0.kgw"))
         names = [name for name, _ in snap.meta["heads"]]
@@ -287,11 +321,11 @@ class TestPredictEvaluate:
 
     def test_ci_level_sets_every_interval(self, workdir, predictions, tmp_path):
         wide = json.loads((workdir / "report" / "metrics.json").read_text())
-        # --force: the predictions carry the hash of the 0.95 config
+        # ci_level is read by evaluate alone, so the predictions still match
         assert run_cli("evaluate", "--config", config_file(tmp_path, ci_level=0.9),
                        "--manifest", str(workdir / "cache" / "manifest.csv"),
                        "--predictions", str(predictions),
-                       "--out", str(tmp_path / "report"), "--force") == 0
+                       "--out", str(tmp_path / "report")) == 0
         narrow = json.loads((tmp_path / "report" / "metrics.json").read_text())
 
         def intervals(doc):

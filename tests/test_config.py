@@ -1,0 +1,112 @@
+"""Run config: one typed loader, its error paths, and the per-stage hashes."""
+
+import json
+
+import pytest
+
+from kneegrade import cli
+from kneegrade.config import STAGE_KEYS, RunConfig, load_run_config
+from kneegrade.errors import ConfigurationError
+from kneegrade.model import ModelConfig, config_hash
+
+BLOCK = {"kind": "basic", "in_channels": 16, "out_channels": 16}
+
+BAD_DOCS = [
+    ({"train": {"epochs": "20"}}, r"^train\.epochs must be int, got str '20'$"),
+    ({"n_folds": "3"}, r"^n_folds must be int, got str"),
+    ({"model": {"blocks": 3}}, r"^model\.blocks must be a list, got int$"),
+    ({"preprocess": {"target_side": None}},
+     r"^preprocess\.target_side must be int, got NoneType"),
+    ({"model": {"blocks": [dict(BLOCK, sride=2)]}},
+     r"^model\.blocks\[0\]: unknown keys \['sride'\]$"),
+    ({"model": {"blocks": [{"kind": "basic", "in_channels": 16}]}},
+     r"^model\.blocks\[0\]: missing keys \['out_channels'\]$"),
+    ({"seed": True}, r"^seed must be int, got bool"),
+    ({"train": {"augment": 1}}, r"^train\.augment must be bool, got int"),
+    ({"train": {"task_weights": [["KL"]]}},
+     r"^train\.task_weights\[0\] must have 2 items, got 1$"),
+    ({"train": {"task_weights": [["KL", "2"]]}},
+     r"^train\.task_weights\[0\]\[1\] must be float, got str"),
+    ({"pretrain": {"aug": {"bogus": 1}}}, r"^pretrain\.aug: unknown keys \['bogus'\]$"),
+    ({"synth": {"image_side": 8, "grade_probs": [0.5, 0.5, 0.5, 0.5]}},
+     r"image_side >= 32"),
+    ({"synth": {"grade_probs": [0.5, 0.5, 0.5, 0.5]}}, r"grade_probs"),
+    ({"bogus": 1}, r"^run config: unknown keys \['bogus'\]$"),
+    ({"model": []}, r"^model must be a mapping, got list$"),
+]
+
+
+@pytest.mark.parametrize("doc,message", BAD_DOCS, ids=[json.dumps(d) for d, _ in BAD_DOCS])
+def test_bad_document_is_a_configuration_error(tmp_path, doc, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match=message):
+        load_run_config(str(path))
+
+
+def test_bad_document_exits_two_with_one_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"train": {"epochs": "20"}}))
+    code = cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "d"),
+                     "--subjects", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: ConfigurationError: train.epochs must be int, got str '20'\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_int_is_stored_as_float():
+    cfg = RunConfig.from_dict({"model": {"dropout_p": 0}, "train": {"lr_heads": 1},
+                               "synth": {"grade_probs": [1, 0, 0, 0]}})
+    assert type(cfg.model.dropout_p) is float and cfg.model.dropout_p == 0.0
+    assert type(cfg.train.lr_heads) is float
+    assert all(type(p) is float for p in cfg.synth.grade_probs)
+    assert cfg == RunConfig.from_dict({"model": {"dropout_p": 0.0}, "train": {"lr_heads": 1.0},
+                                       "synth": {"grade_probs": [1.0, 0.0, 0.0, 0.0]}})
+
+
+def test_round_trip_through_json_and_through_memory():
+    doc = {"seed": 3,
+           "model": {"blocks": [BLOCK, dict(BLOCK, out_channels=32, stride=2)],
+                     "pooling": {"kind": "gwap"}},
+           "train": {"task_weights": [["KL", 2.0], ["JSN_M", 0.5]], "scratch_drops": [3, 4],
+                     "aug": {"noise_sigma": 0.0}}}
+    cfg = RunConfig.from_dict(doc)
+    assert cfg.train.task_weights == (("KL", 2.0), ("JSN_M", 0.5))
+    assert cfg.model.blocks[1].out_channels == 32
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert ModelConfig.from_dict(cfg.model.to_dict()) == cfg.model
+
+
+def test_default_hashes_are_stable():
+    # The hash of a config moves only when the config does: these digests of
+    # the all-defaults document and of an int dropout_p predate the typed loader.
+    assert RunConfig().hash() == \
+        "a97e1e28f1e7543c22256e1ed8f7f2cef0d1556e66e9fcb0cbdba15ee5355de6"
+    assert config_hash(ModelConfig().to_dict()) == config_hash(RunConfig().to_dict()["model"])
+    assert RunConfig.from_dict({"model": {"dropout_p": 0}}).hash() == \
+        "2b60cdb9894116fd8f3f20626220f8b4695d1a8c896524fc602d709eb25816a9"
+
+
+def _stage_hashes(doc):
+    cfg = RunConfig.from_dict(doc)
+    return {stage: cfg.stage_hash(stage) for stage in STAGE_KEYS}
+
+
+@pytest.mark.parametrize("change,moved", [
+    ({"train": {"epochs": 7}}, {"train"}),
+    ({"n_bootstrap": 7}, set()),
+    ({"ci_level": 0.9}, set()),
+    ({"n_folds": 3}, {"train"}),
+    ({"pretrain": {"schedule": "scratch", "epochs": 2}}, {"pretrain", "train"}),
+    ({"model": {"dropout_p": 0.1}}, {"pretrain", "train"}),
+    ({"preprocess": {"clip_high": 98.0}}, {"preprocess", "pretrain", "train"}),
+    ({"seed": 1}, {"synth", "pretrain", "train"}),
+    ({"synth": {"noise_sigma": 0.0}}, {"synth"}),
+])
+def test_stage_hash_moves_only_with_the_keys_it_reads(change, moved):
+    before = _stage_hashes({})
+    after = _stage_hashes(change)
+    assert {stage for stage in STAGE_KEYS if before[stage] != after[stage]} == moved
+    assert RunConfig.from_dict(change).hash() != RunConfig().hash()

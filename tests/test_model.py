@@ -97,13 +97,14 @@ class TestConfigRoundTrip:
     def test_unknown_keys_rejected(self):
         doc = tiny_config().to_dict()
         doc["extra"] = 1
-        with pytest.raises(ConfigurationError, match="unknown model config"):
+        with pytest.raises(ConfigurationError, match=r"^model: unknown keys \['extra'\]"):
             ModelConfig.from_dict(doc)
 
     def test_unknown_block_keys_rejected(self):
         doc = tiny_config().to_dict()
         doc["blocks"][0]["bogus"] = 2
-        with pytest.raises(ConfigurationError, match="unknown block"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^model\.blocks\[0\]: unknown keys \['bogus'\]"):
             ModelConfig.from_dict(doc)
 
     def test_default_blocks_chain(self):

@@ -106,6 +106,14 @@ def _check_config(recorded, expected, what, force):
                          f"expects {expected!s:.12}; pass --force to use it anyway")
 
 
+def _recorded_hash(artifact_path):
+    """The config hash in an artifact's sidecar, None if it has no sidecar."""
+    try:
+        return read_sidecar(artifact_path).get("config_hash")
+    except FileNotFoundError:
+        return None
+
+
 def _fold_seed(seed, fold):
     return int(np.random.SeedSequence([int(seed), 7, int(fold)]).generate_state(1)[0])
 
@@ -159,7 +167,7 @@ def _cache_path(path):
     return os.path.join(path, "images.kgw") if os.path.isdir(path) else path
 
 
-def _load_training_inputs(args, cfg):
+def _load_inputs(args, cfg):
     exams = load_manifest(args.manifest)
     images, meta = load_image_cache(_cache_path(args.images))
     _check_config(meta.get("config_hash"), cfg.stage_hash("preprocess"), "image cache",
@@ -169,7 +177,7 @@ def _load_training_inputs(args, cfg):
 
 def cmd_pretrain(args, artifacts):
     cfg = _config_from_args(args)
-    exams, images = _load_training_inputs(args, cfg)
+    exams, images = _load_inputs(args, cfg)
     artifacts.add(args.out)
     pretrain_backbone(exams, images, cfg.model, cfg.pretrain, cfg.seed,
                       args.out, log=_say)
@@ -187,7 +195,10 @@ def cmd_train(args, artifacts):
     cfg = _config_from_args(args, overrides)
     if cfg.train.schedule == "transfer" and not args.pretrained:
         raise UsageError("transfer schedule needs --pretrained BACKBONE")
-    exams, images = _load_training_inputs(args, cfg)
+    exams, images = _load_inputs(args, cfg)
+    if args.pretrained:
+        _check_config(_recorded_hash(args.pretrained), cfg.stage_hash("pretrain"),
+                      "backbone", args.force)
     assignment = split_cv(exams, n_folds=cfg.n_folds, seed=cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     run_meta = {"config_hash": cfg.stage_hash("train")}
@@ -239,8 +250,7 @@ def _load_snapshots(args, cfg):
 def cmd_predict(args, artifacts):
     cfg = _config_from_args(args)
     snaps, paths, snap_hash = _load_snapshots(args, cfg)
-    exams = load_manifest(args.manifest)
-    images, _ = load_image_cache(_cache_path(args.images))
+    exams, images = _load_inputs(args, cfg)
     probs, grades = ensemble_predict(snaps, exams, images,
                                      batch_size=cfg.train.batch_size)
     head_specs = [tuple(h) for h in snaps[0].meta["heads"]]
@@ -259,11 +269,7 @@ def cmd_predict(args, artifacts):
 def cmd_evaluate(args, artifacts):
     cfg = _config_from_args(args)
     exam_ids, head_specs, probs, grades = read_predictions_csv(args.predictions)
-    pred_hash = None
-    try:
-        pred_hash = read_sidecar(args.predictions).get("config_hash")
-    except FileNotFoundError:
-        pass
+    pred_hash = _recorded_hash(args.predictions)
     train_hash = cfg.stage_hash("train")
     _check_config(pred_hash, train_hash, "predictions", args.force)
     task_names = [name for name, _ in head_specs]
@@ -275,7 +281,7 @@ def cmd_evaluate(args, artifacts):
               for name in task_names}
     preds = {name: grades[name][order] for name in task_names}
     aligned_probs = {name: probs[name][order] for name in task_names}
-    workers = max_workers(cfg.n_bootstrap)
+    workers = max_workers(len(head_specs))
     executor = None
     os.makedirs(args.out, exist_ok=True)
     before = set(os.listdir(args.out))

@@ -29,16 +29,21 @@ STAGE_KEYS = {
 }
 
 
-def from_doc(cls, doc, where):
+def from_doc(cls, doc, where, defaults=None):
     """Build config dataclass ``cls`` from a JSON mapping; absent keys keep defaults.
 
-    Every value is checked against its field's declared type, recursing into
-    nested config dataclasses and tuples. ``where`` is the dotted path of
-    ``doc`` in the run config ("" at the root) and prefixes every error.
+    ``defaults`` is a partial document that fills keys ``doc`` leaves out
+    before the class defaults do; a nested block takes it from its field's
+    ``metadata["defaults"]``, so a partial block keeps its field's own
+    default rather than the class's. Every value is checked against its
+    field's declared type, recursing into nested config dataclasses and
+    tuples. ``where`` is the dotted path of ``doc`` in the run config ("" at
+    the root) and prefixes every error.
     """
     label = where or "run config"
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{label} must be a mapping, got {type(doc).__name__}")
+    doc = {**(defaults or {}), **doc}
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(f"{label}: unknown keys {unknown}")
@@ -48,13 +53,14 @@ def from_doc(cls, doc, where):
         raise ConfigurationError(f"{label}: missing keys {missing}")
     prefix = f"{where}." if where else ""
     hints = typing.get_type_hints(cls)
-    return cls(**{key: _from_json(hints[key], value, prefix + key)
+    nested = {f.name: f.metadata.get("defaults") for f in fields(cls)}
+    return cls(**{key: _from_json(hints[key], value, prefix + key, nested[key])
                   for key, value in doc.items()})
 
 
-def _from_json(tp, value, where):
+def _from_json(tp, value, where, defaults=None):
     if is_dataclass(tp):
-        return from_doc(tp, value, where)
+        return from_doc(tp, value, where, defaults)
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if not isinstance(value, (list, tuple)):
@@ -72,6 +78,9 @@ def _from_json(tp, value, where):
             f"{where} must be {tp.__name__}, got {type(value).__name__} {value!r}")
     return value
 
+# Where the pretrain block differs from TrainConfig's defaults.
+PRETRAIN_DEFAULTS = {"schedule": "scratch", "epochs": 5}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -81,8 +90,8 @@ class RunConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(
-        schedule="scratch", epochs=5))
+    pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(**PRETRAIN_DEFAULTS),
+                                  metadata={"defaults": PRETRAIN_DEFAULTS})
     n_bootstrap: int = 100
     ci_level: float = 0.95
 
@@ -115,6 +124,10 @@ class RunConfig:
     def stage_hash(self, stage):
         """Hash of the subtree ``stage`` and its upstream stages read."""
         doc = self.to_dict()
+        if stage == "pretrain":
+            # pretraining swaps in its own head, so the backbone never sees
+            # which grading heads the model will carry
+            del doc["model"]["include_kl_head"]
         return config_hash({key: doc[key] for key in STAGE_KEYS[stage]})
 
 

@@ -16,18 +16,22 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .metrics import (
-    average_precision,
+    average_precision_rows,
     balanced_accuracy,
+    balanced_accuracy_rows,
     binarize_probs,
-    bootstrap_ci,
+    bootstrap_rows,
     cohen_kappa,
     confusion_matrix,
     f1_macro,
+    kappa_rows,
     mse_grades,
     pr_curve,
-    roc_auc,
+    roc_auc_rows,
     roc_curve,
 )
+# bootstrap_ci is not called here; bench/tracing.py times it under this name.
+from .metrics import bootstrap_ci  # noqa: F401
 
 KL_POSITIVE_GRADE = 2    # KL >= 2 is the accepted definition of radiographic disease
 OARSI_POSITIVE_GRADE = 1
@@ -228,8 +232,11 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
 
     ``truths``/``preds`` map head name to grade arrays, ``probs`` to [n, K]
     probability arrays, all aligned. Every interval is a ``ci_level``
-    stratified bootstrap over ``n_bootstrap`` resamples. Returns the report
-    document (identical to what lands in metrics.json).
+    stratified bootstrap over ``n_bootstrap`` resamples; each head draws its
+    resamples once and scores all its statistics on them. An ``executor``
+    scores the heads concurrently, with identical results. metrics.json is
+    replaced whole or not at all. Returns the report document (identical to
+    what lands in metrics.json).
     """
     os.makedirs(out_dir, exist_ok=True)
     n = None
@@ -244,46 +251,54 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
     if not n:
         raise ConfigurationError("empty evaluation sample")
 
-    def ci(stat, y_true, y_other, strata):
-        return bootstrap_ci(stat, y_true, y_other, n_iterations=n_bootstrap, level=ci_level,
-                            seed=seed, strata=strata, executor=executor).to_dict()
-
-    tasks_doc = {}
-    kappas = []
-    for name, k in head_specs:
+    def score_head(spec):
+        """(intervals by statistic, binary labels, ROC and PR curves or None)."""
+        name, k = spec
         y_true = np.asarray(truths[name])
         y_pred = np.asarray(preds[name])
-        kap = ci(lambda a, b, k=k: cohen_kappa(a, b, k, "quadratic"), y_true, y_pred, y_true)
-        ba = ci(lambda a, b, k=k: balanced_accuracy(a, b, k), y_true, y_pred, y_true)
-        doc = {
+        stats = {
+            "kappa_quadratic": (cohen_kappa(y_true, y_pred, k, "quadratic"),
+                                lambda idx: kappa_rows(y_true, y_pred, idx, k, "quadratic")),
+            "balanced_accuracy": (balanced_accuracy(y_true, y_pred, k),
+                                  lambda idx: balanced_accuracy_rows(y_true, y_pred, idx, k)),
+        }
+        labels, scores = binarize_probs(y_true, probs[name], binary_target(name)[1])
+        curves = None
+        if labels.min() != labels.max():
+            curves = roc_curve(labels, scores), pr_curve(labels, scores)
+            stats["roc_auc"] = (curves[0][3], lambda idx: roc_auc_rows(labels, scores, idx))
+            stats["average_precision"] = (
+                curves[1][3], lambda idx: average_precision_rows(labels, scores, idx))
+        cis = bootstrap_rows(stats, y_true, n_iterations=n_bootstrap, level=ci_level,
+                             seed=seed)
+        return {key: ci.to_dict() for key, ci in cis.items()}, labels, curves
+
+    scored = list((executor.map if executor is not None else map)(score_head, head_specs))
+
+    tasks_doc = {}
+    binary_doc = {}
+    for (name, k), (cis, labels, curves) in zip(head_specs, scored):
+        y_true = np.asarray(truths[name])
+        y_pred = np.asarray(preds[name])
+        tasks_doc[name] = {
             "n_classes": k,
-            "kappa_quadratic": kap,
-            "balanced_accuracy": ba,
+            "kappa_quadratic": cis["kappa_quadratic"],
+            "balanced_accuracy": cis["balanced_accuracy"],
             "f1_harmonic": f1_macro(y_true, y_pred, k),
             "f1_geometric": f1_macro(y_true, y_pred, k, variant="geometric"),
             "mse": mse_grades(y_true, y_pred, k),
         }
-        tasks_doc[name] = doc
-        kappas.append(kap["point"])
         write_confusion_csv(os.path.join(out_dir, f"confusion_{name}.csv"),
                             y_true, y_pred, k)
-
-    binary_doc = {}
-    for name, k in head_specs:
-        y_true = np.asarray(truths[name])
-        target, threshold = binary_target(name)
-        labels, scores = binarize_probs(y_true, probs[name], threshold)
-        if labels.min() == labels.max():
+        target, _ = binary_target(name)
+        if curves is None:
             binary_doc[target] = {"skipped": "single class in truth"}
             continue
-        fpr, tpr, roc_thr, auc = roc_curve(labels, scores)
-        recall, precision, pr_thr, ap = pr_curve(labels, scores)
-        auc_ci = ci(roc_auc, labels, scores, y_true)
-        ap_ci = ci(average_precision, labels, scores, y_true)
+        (fpr, tpr, roc_thr, auc), (recall, precision, pr_thr, ap) = curves
         binary_doc[target] = {
             "prevalence": float(labels.mean()),
-            "roc_auc": auc_ci,
-            "average_precision": ap_ci,
+            "roc_auc": cis["roc_auc"],
+            "average_precision": cis["average_precision"],
         }
         write_curve_csv(os.path.join(out_dir, f"roc_{target}.csv"),
                         ["fpr", "tpr", "threshold"], [fpr, tpr, roc_thr])
@@ -300,13 +315,21 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
         "meta": dict(meta or {}),
         "tasks": tasks_doc,
         "binary": binary_doc,
-        "mean_kappa": float(np.mean(kappas)),
+        "mean_kappa": float(np.mean([tasks_doc[name]["kappa_quadratic"]["point"]
+                                     for name, _ in head_specs])),
     }
     doc["meta"].setdefault("n_exams", int(n))
     doc["meta"]["n_bootstrap"] = int(n_bootstrap)
     doc["meta"]["bootstrap_seed"] = int(seed)
     doc["meta"]["generated_at"] = iso_now()
-    with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = os.path.join(out_dir, "metrics.json")
+    partial = os.path.join(out_dir, f".metrics.json.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
     return doc

@@ -63,6 +63,15 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def backbone(workdir):
+    path = workdir / "backbone.kgw"
+    assert run_cli("pretrain", "--config", str(workdir / "config.json"),
+                   "--manifest", str(workdir / "cache" / "manifest.csv"),
+                   "--images", str(workdir / "cache"), "--out", str(path)) == 0
+    return path
+
+
 def config_file(tmp_path, **changes):
     doc = json.loads(json.dumps(CONFIG))
     for key, value in changes.items():
@@ -211,6 +220,43 @@ class TestHashGuards:
         assert run_cli(*args) == 2
         assert "--force" in capsys.readouterr().err
         assert run_cli(*args, "--force") == 0
+
+    def test_train_refuses_a_backbone_from_another_config(self, workdir, backbone,
+                                                           tmp_path, capsys):
+        other = config_file(tmp_path, pretrain={"epochs": 2})
+        args = ["train", "--config", other,
+                "--manifest", str(workdir / "cache" / "manifest.csv"),
+                "--images", str(workdir / "cache"), "--pretrained", str(backbone),
+                "--out", str(tmp_path / "folds")]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: UsageError: backbone") and "--force" in err
+        assert not (tmp_path / "folds" / "snapshot_fold0.kgw").exists()
+        assert run_cli(*args, "--force") == 0
+        assert (tmp_path / "folds" / "snapshot_fold1.kgw").exists()
+
+    def test_backbone_guard_ignores_the_grading_heads(self, workdir, backbone, tmp_path):
+        # pretraining never builds the grading heads, so dropping KL keeps the backbone
+        assert run_cli("train", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"), "--pretrained", str(backbone),
+                       "--no-kl-head", "--out", str(tmp_path / "folds")) == 0
+
+    def test_predict_refuses_a_cache_from_another_config(self, workdir, tmp_path, capsys):
+        other = config_file(tmp_path, preprocess={"clip_high": 98.0})
+        assert run_cli("preprocess", "--config", other,
+                       "--manifest", str(workdir / "data" / "manifest.csv"),
+                       "--out", str(tmp_path / "cache")) == 0
+        args = ["predict", "--config", str(workdir / "config.json"),
+                "--manifest", str(workdir / "cache" / "manifest.csv"),
+                "--images", str(tmp_path / "cache"), "--snapshots", str(workdir / "folds"),
+                "--out", str(tmp_path / "preds.csv")]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: UsageError: image cache") and "--force" in err
+        assert not (tmp_path / "preds.csv").exists()
+        assert run_cli(*args, "--force") == 0
+        assert (tmp_path / "preds.csv").exists()
 
     def test_predict_rejects_foreign_snapshots(self, workdir, tmp_path, capsys):
         other = config_file(tmp_path, seed=123)

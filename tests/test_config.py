@@ -1,11 +1,13 @@
 """Run config: one typed loader, its error paths, and the per-stage hashes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from kneegrade import cli
 from kneegrade.config import STAGE_KEYS, RunConfig, load_run_config
+from kneegrade.data import SynthConfig
 from kneegrade.errors import ConfigurationError
 from kneegrade.model import ModelConfig, config_hash
 
@@ -104,9 +106,20 @@ def _stage_hashes(doc):
     ({"preprocess": {"clip_high": 98.0}}, {"preprocess", "pretrain", "train"}),
     ({"seed": 1}, {"synth", "pretrain", "train"}),
     ({"synth": {"noise_sigma": 0.0}}, {"synth"}),
+    ({"model": {"include_kl_head": False}}, {"train"}),
 ])
 def test_stage_hash_moves_only_with_the_keys_it_reads(change, moved):
     before = _stage_hashes({})
     after = _stage_hashes(change)
     assert {stage for stage in STAGE_KEYS if before[stage] != after[stage]} == moved
     assert RunConfig.from_dict(change).hash() != RunConfig().hash()
+
+
+def test_partial_pretrain_block_overlays_its_own_default():
+    # the pretrain default is a scratch schedule; a partial block keeps it
+    cfg = RunConfig.from_dict({"pretrain": {"epochs": 2}})
+    assert cfg.pretrain == replace(RunConfig().pretrain, epochs=2)
+    assert cfg.pretrain.schedule == "scratch"
+    assert RunConfig.from_dict({"pretrain": {}}).pretrain == RunConfig().pretrain
+    # other blocks are built from their class, so derived fields follow the block
+    assert RunConfig.from_dict({"synth": {"image_side": 32}}).synth == SynthConfig(image_side=32)

@@ -7,21 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kneegrade import metrics
 from kneegrade.errors import BootstrapError, ConfigurationError, MetricUndefinedError
 from kneegrade.metrics import (
     MetricWithCI,
     average_precision,
+    average_precision_rows,
     balanced_accuracy,
+    balanced_accuracy_rows,
     binarize_probs,
     bootstrap_ci,
+    bootstrap_rows,
     cohen_kappa,
     confusion_matrix,
     f1_macro,
+    kappa_rows,
     kappa_weights,
     mse_grades,
     pr_curve,
     resample_indices,
+    resample_matrix,
     roc_auc,
+    roc_auc_rows,
     roc_curve,
 )
 
@@ -365,6 +372,136 @@ class TestBootstrap:
     def test_empty_sample(self):
         with pytest.raises(MetricUndefinedError):
             bootstrap_ci(lambda a, b: 0.0, [], [], seed=0)
+
+
+def scalar_rows(statistic, a, b, idx):
+    """``statistic`` on each resample row, NaN where it is undefined."""
+    out = []
+    for row in idx:
+        try:
+            out.append(statistic(a[row], b[row]))
+        except MetricUndefinedError:
+            out.append(np.nan)
+    return np.array(out)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+labelled = st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=40),
+    st.integers(0, 2**31 - 1)))
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("seed", [0, 1, 9, 12345])
+    def test_matrix_rows_are_resample_indices(self, seed):
+        # the stratum of label 7 holds a single sample
+        strata = np.array([3, 0, 3, 7, 0, 0, 3, 5, 5, 3, 0, 5])
+        idx = resample_matrix(strata, seed, 40)
+        assert idx.shape == (40, strata.size)
+        for it in range(40):
+            assert idx[it].tolist() == resample_indices(strata, seed, it).tolist()
+        tail = resample_matrix(strata, seed, 5, start=35)
+        assert tail.tolist() == idx[35:].tolist()
+
+    def test_matrix_of_singleton_strata_is_identity(self):
+        strata = np.array([4, 1, 3, 0])
+        assert resample_matrix(strata, 2, 3).tolist() == [[3, 1, 2, 0]] * 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(labelled)
+    def test_kappa_and_balanced_accuracy_rows_bit_for_bit(self, case):
+        k, pairs, seed = case
+        t = np.array([a for a, _ in pairs])
+        p = np.array([b for _, b in pairs])
+        idx = np.random.default_rng(seed).integers(0, t.size, size=(25, t.size))
+        for weighting in ("none", "linear", "quadratic"):
+            want = scalar_rows(lambda a, b: cohen_kappa(a, b, k, weighting), t, p, idx)
+            assert same_bits(kappa_rows(t, p, idx, k, weighting), want)
+        want = scalar_rows(lambda a, b: balanced_accuracy(a, b, k), t, p, idx)
+        assert same_bits(balanced_accuracy_rows(t, p, idx, k), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5)), min_size=1, max_size=40),
+           st.integers(0, 2**31 - 1))
+    def test_auc_and_ap_rows_match_scalar_with_ties(self, pairs, seed):
+        t = np.array([a for a, _ in pairs])
+        s = np.array([b for _, b in pairs], dtype=float) / 5.0   # a coarse grid: ties
+        idx = np.random.default_rng(seed).integers(0, t.size, size=(25, t.size))
+        for rows, scalar in ((roc_auc_rows, roc_auc), (average_precision_rows, average_precision)):
+            got = rows(t, s, idx)
+            want = scalar_rows(scalar, t, s, idx)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12, equal_nan=True)
+
+    def test_rows_of_the_whole_sample_are_the_point_values(self):
+        rng = np.random.default_rng(6)
+        t = rng.integers(0, 4, size=50)
+        p = np.clip(t + rng.integers(-1, 2, size=50), 0, 3)
+        s = rng.integers(0, 7, size=50) / 6.0
+        whole = np.arange(50)[None]
+        assert kappa_rows(t, p, whole, 4)[0] == cohen_kappa(t, p, 4)
+        assert balanced_accuracy_rows(t, p, whole, 4)[0] == balanced_accuracy(t, p, 4)
+        b = (t >= 2).astype(int)
+        assert roc_auc_rows(b, s, whole)[0] == roc_auc(b, s)
+        assert average_precision_rows(b, s, whole)[0] == average_precision(b, s)
+
+    def test_undefined_kappa_fails_as_in_bootstrap_ci(self):
+        # one stratum over a sample that is mostly one label: some resamples
+        # hold that label alone, where kappa has no value
+        t = np.array([0, 0, 0, 0, 0, 1])
+        p = t.copy()
+        strata = np.zeros(t.size, dtype=int)
+        stat = lambda a, b: cohen_kappa(a, b, 2)
+        want = bootstrap_ci(stat, t, p, n_iterations=200, seed=3, strata=strata,
+                            max_failure_fraction=0.9)
+        got = bootstrap_rows({"kappa": (stat(t, p), lambda idx: kappa_rows(t, p, idx, 2))},
+                             strata, n_iterations=200, seed=3, max_failure_fraction=0.9)
+        assert 0 < want.n_failed < 200
+        assert got["kappa"] == want
+        with pytest.raises(BootstrapError, match=f"{want.n_failed}/200"):
+            bootstrap_rows({"kappa": (1.0, lambda idx: kappa_rows(t, p, idx, 2))},
+                           strata, n_iterations=200, seed=3)
+
+    def test_intervals_match_bootstrap_ci(self):
+        rng = np.random.default_rng(10)
+        t = rng.integers(0, 5, size=90)
+        p = np.clip(t + rng.integers(-1, 2, size=90), 0, 4)
+        b = (t >= 2).astype(int)
+        s = np.round(rng.random(90) * 0.5 + 0.5 * b, 2)
+        kappa = lambda x, y: cohen_kappa(x, y, 5)
+        ba = lambda x, y: balanced_accuracy(x, y, 5)
+        got = bootstrap_rows({
+            "kappa": (kappa(t, p), lambda idx: kappa_rows(t, p, idx, 5)),
+            "ba": (ba(t, p), lambda idx: balanced_accuracy_rows(t, p, idx, 5)),
+            "auc": (roc_auc(b, s), lambda idx: roc_auc_rows(b, s, idx)),
+            "ap": (average_precision(b, s), lambda idx: average_precision_rows(b, s, idx)),
+        }, t, n_iterations=150, level=0.9, seed=8)
+        for name, stat, x, y in (("kappa", kappa, t, p), ("ba", ba, t, p)):
+            assert got[name] == bootstrap_ci(stat, x, y, n_iterations=150, level=0.9,
+                                             seed=8, strata=t)
+        for name, stat in (("auc", roc_auc), ("ap", average_precision)):
+            want = bootstrap_ci(stat, b, s, n_iterations=150, level=0.9, seed=8, strata=t)
+            assert got[name].point == want.point
+            assert got[name].n_failed == want.n_failed == 0
+            assert got[name].lo == pytest.approx(want.lo, abs=1e-12)
+            assert got[name].hi == pytest.approx(want.hi, abs=1e-12)
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        t = rng.integers(0, 3, size=40)
+        p = rng.integers(0, 3, size=40)
+        stats = {"kappa": (cohen_kappa(t, p, 3), lambda idx: kappa_rows(t, p, idx, 3))}
+        whole = bootstrap_rows(stats, t, n_iterations=50, seed=1)
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 40 * 7)   # blocks of 7 rows
+        assert bootstrap_rows(stats, t, n_iterations=50, seed=1) == whole
+
+    def test_binary_labels_checked(self):
+        with pytest.raises(ConfigurationError):
+            roc_auc_rows([0, 2, 1], [0.1, 0.2, 0.3], np.zeros((1, 3), dtype=int))
 
 
 class TestConfusion:

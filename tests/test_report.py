@@ -1,11 +1,13 @@
 """Report emission: file layout, content, and byte-level determinism."""
 
+import concurrent.futures
 import json
 import os
 
 import numpy as np
 import pytest
 
+from kneegrade import report
 from kneegrade.errors import ConfigurationError, DataError
 from kneegrade.metrics import cohen_kappa
 from kneegrade.report import (
@@ -168,6 +170,41 @@ class TestEmitReport:
         with pytest.raises(ConfigurationError):
             emit_report(str(tmp_path / "r"), specs, truths, preds, probs,
                         n_bootstrap=5, seed=0)
+
+    def test_failed_dump_leaves_no_partial_metrics(self, tmp_path, monkeypatch):
+        specs, truths, preds, probs = sample(seed=6, n=40)
+        out = tmp_path / "r"
+        real_dump = json.dump
+
+        def broken_dump(doc, fh, **kwargs):
+            fh.write('{"meta": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(report.json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(str(out), specs, truths, preds, probs, n_bootstrap=5, seed=0)
+        assert "metrics.json" not in os.listdir(out)
+        assert not [name for name in os.listdir(out) if name.startswith(".")]
+
+        monkeypatch.setattr(report.json, "dump", real_dump)
+        emit_report(str(out), specs, truths, preds, probs, n_bootstrap=5, seed=0)
+        before = (out / "metrics.json").read_bytes()
+        monkeypatch.setattr(report.json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(str(out), specs, truths, preds, probs, n_bootstrap=5, seed=1)
+        assert (out / "metrics.json").read_bytes() == before
+        assert not [name for name in os.listdir(out) if name.startswith(".")]
+
+    def test_executor_scores_heads_identically(self, tmp_path):
+        specs, truths, preds, probs = sample(seed=7)
+        serial = emit_report(str(tmp_path / "a"), specs, truths, preds, probs,
+                             n_bootstrap=40, seed=3)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = emit_report(str(tmp_path / "b"), specs, truths, preds, probs,
+                                   n_bootstrap=40, seed=3, executor=pool)
+        serial["meta"].pop("generated_at")
+        threaded["meta"].pop("generated_at")
+        assert serial == threaded
 
     def test_binary_target_names(self):
         assert binary_target("KL") == ("KL_ge2", 2)

@@ -12,6 +12,26 @@ bootstrap intervals (`metrics`), report emission (`report`), and a CLI
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+
+def _cap_blas_threads():
+    """Let OARSI_MT_THREADS also size BLAS's own pool, which is fixed when numpy loads.
+
+    Sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to the cap
+    unless the user set them. Once numpy is imported it is too late, so
+    nothing is changed then.
+    """
+    cap = _os.environ.get("OARSI_MT_THREADS", "").strip()
+    if "numpy" in _sys.modules or not cap.isdecimal() or int(cap) < 1:
+        return
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(var, str(int(cap)))
+
+
+_cap_blas_threads()
+
 from .config import RunConfig, load_run_config
 from .data import (
     GradedExam,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError
-from .nn import BatchNorm2d, Conv2d, Linear, Module
+from .nn import BatchNorm2d, Conv2d, Linear, Module, conv_bn
 
 BOTTLENECK_EXPANSION = 4
 
@@ -139,16 +139,17 @@ class ResidualBlock(Module):
         self.se = SEGate(cout, spec.se_reduction, rng, dtype=dtype) if spec.se_enabled else None
 
     def forward(self, x):
-        y = T.relu(self.bn1(self.conv1(x)))
+        y = conv_bn(self.conv1, self.bn1, x)
         if self.conv3 is None:
-            y = self.bn2(self.conv2(y))
+            y = conv_bn(self.conv2, self.bn2, y, act=None)
         else:
-            y = T.relu(self.bn2(self.conv2(y)))
-            y = self.bn3(self.conv3(y))
+            y = conv_bn(self.conv2, self.bn2, y)
+            y = conv_bn(self.conv3, self.bn3, y, act=None)
         if self.se is not None:
             y = self.se(y)
-        shortcut = x if self.short_conv is None else self.short_bn(self.short_conv(x))
-        return T.relu(T.add(y, shortcut))
+        if self.short_conv is None:
+            return T.relu(T.add(y, x))
+        return T.relu(T.add(y, conv_bn(self.short_conv, self.short_bn, x, act=None)))
 
 
 class PoolHead(Module):
@@ -214,7 +215,7 @@ class Backbone(Module):
         self.out_channels = prev
 
     def forward(self, x):
-        y = T.relu(self.bn(self.conv(x)))
+        y = conv_bn(self.conv, self.bn, x)
         if self.stem_spec.pool:
             y = T.avg_pool2d(y, self.stem_spec.pool, self.stem_spec.pool)
         for block in self.blocks:

@@ -7,7 +7,7 @@ actually ran. Failures print one line to stderr (``error: <kind>: <message>``)
 and remove whatever files the failed invocation had already written. Exit
 codes: 0 success, 2 for configuration, usage, or input-data problems, 1 for
 runtime failures. The environment variable OARSI_MT_THREADS caps every worker
-pool.
+pool, and BLAS's threads too (the package sets them before numpy loads).
 """
 
 from __future__ import annotations

@@ -106,12 +106,17 @@ def write_predictions_csv(path, exam_ids, head_specs, probs, grades):
 
 
 def read_predictions_csv(path):
-    """Inverse of write_predictions_csv: (exam_ids, head_specs, probs, grades)."""
+    """Inverse of write_predictions_csv: (exam_ids, head_specs, probs, grades).
+
+    A cell that is not a number, or a probability that is not finite, is a
+    DataError naming the file and line.
+    """
     with open(path) as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        rows = [(n, line.rstrip("\n").split(","))
+                for n, line in enumerate(fh, start=1) if line.strip()]
     if not rows:
         raise DataError(f"{path}: empty predictions file")
-    header = rows[0]
+    header = rows[0][1]
     if header[:1] != ["exam_id"]:
         raise DataError(f"{path}: missing exam_id column")
     head_specs = []
@@ -132,15 +137,24 @@ def read_predictions_csv(path):
     exam_ids = []
     grades = {name: [] for name, _ in head_specs}
     probs = {name: [] for name, _ in head_specs}
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(f"{path} line {r}: {len(row)} cells, expected {len(header)}")
         exam_ids.append(row[0])
         j = 1
         for name, k in head_specs:
-            grades[name].append(int(row[j]))
-            probs[name].append([np.float32(row[j + 1 + c]) for c in range(k)])
+            try:
+                grade = int(row[j])
+                p = [np.float32(row[j + 1 + c]) for c in range(k)]
+            except ValueError:
+                raise DataError(f"{path} line {r}: head {name!r} has a non-numeric "
+                                f"cell in {row[j:j + 1 + k]}") from None
+            if not np.isfinite(p).all():
+                raise DataError(f"{path} line {r}: head {name!r} has a non-finite probability")
+            grades[name].append(grade)
+            probs[name].append(p)
             j += 1 + k
     grades = {n: np.array(v, dtype=np.int64) for n, v in grades.items()}
-    probs = {n: np.array(v, dtype=np.float32) for n, v in probs.items()}
+    probs = {n: np.array(probs[n], dtype=np.float32).reshape(len(exam_ids), k)
+             for n, k in head_specs}
     return exam_ids, head_specs, probs, grades

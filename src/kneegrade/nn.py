@@ -151,11 +151,29 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
+    @property
+    def batch_stats(self):
+        """True when forward normalizes by, and updates from, batch statistics."""
+        return self.training and not self.stats_frozen
+
     def forward(self, x):
-        training = self.training and not self.stats_frozen
         return T.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, training=training,
+                              self.running_var, training=self.batch_stats,
                               momentum=self.momentum, eps=self.eps)
+
+
+def conv_bn(conv, bn, x, act="relu"):
+    """``act(bn(conv(x)))`` as one :func:`~kneegrade.tensor.conv_bn_act` node.
+
+    ``conv`` must be bias-free (batch norm cancels a bias); ``act`` is
+    "relu" or None.
+    """
+    if conv.bias is not None:
+        raise ConfigurationError("conv_bn: the conv feeding batch norm must have no bias")
+    return T.conv_bn_act(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
+                         bn.running_var, training=bn.batch_stats, act=act,
+                         stride=conv.stride, padding=conv.padding, groups=conv.groups,
+                         momentum=bn.momentum, eps=bn.eps)
 
 
 class Linear(Module):

@@ -51,8 +51,16 @@ def write_sidecar(artifact_path, doc):
 
 
 def read_sidecar(artifact_path):
-    with open(str(artifact_path) + ".meta.json") as fh:
-        return json.load(fh)
+    """The JSON object beside ``artifact_path``; DataError if it is not one."""
+    path = str(artifact_path) + ".meta.json"
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:       # undecodable bytes or malformed JSON
+            raise DataError(f"{path}: not a JSON sidecar: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def align_predictions(truth_ids, pred_ids):

@@ -49,7 +49,9 @@ def load_tensors(path):
     """Read a container written by :func:`save_tensors`.
 
     Returns a dict of name -> float32 ndarray in file order. Raises
-    WeightLoadError on a bad magic, version, or truncated payload.
+    WeightLoadError on a bad magic, version, or truncated payload, and on
+    extents whose product overflows or exceeds the bytes left, checked on
+    the header before any array is made.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -68,12 +70,17 @@ def load_tensors(path):
             off += name_len
             (rank,) = struct.unpack_from("<I", buf, off)
             off += 4
-            shape = struct.unpack_from(f"<{rank}Q", buf, off) if rank else ()
+            if 8 * rank > len(buf) - off:
+                raise struct.error(f"rank {rank} runs past end of file")
+            shape = struct.unpack_from(f"<{rank}Q", buf, off)
             off += 8 * rank
-            n = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            n = 1
+            for extent in shape:        # Python ints: a huge product cannot wrap
+                n *= extent
+            if 4 * n > len(buf) - off:
+                raise struct.error(f"extents {shape} need {4 * n} bytes, "
+                                   f"{len(buf) - off} left")
             end = off + 4 * n
-            if end > len(buf):
-                raise struct.error("payload past end of file")
             data = np.frombuffer(buf[off:end], dtype="<f4").reshape(shape).copy()
             off = end
         except (struct.error, UnicodeDecodeError) as exc:

@@ -13,6 +13,12 @@ once each. Intermediate gradients live in a scratch dict; only leaf tensors
 (those created by the caller) accumulate into ``.grad``, so calling
 ``backward`` twice without zeroing doubles leaf gradients and nothing else.
 Inside ``with no_grad():`` ops link nothing, which is how inference runs.
+
+Every output is scanned for non-finite values, so the graph is kept small:
+``conv_bn_act`` runs a conv, its batch norm and an optional ReLU as one node,
+one output buffer and one scan. In training mode it equals the three-op
+chain bit for bit; in eval mode it folds the running statistics into the
+conv's weight and bias on every call (nothing is cached or written back).
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericsError, UsageError
+from .errors import (ConfigurationError, DataError, NormalizationError, NumericsError,
+                     UsageError)
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
@@ -488,6 +495,43 @@ def _lowering(ho, wo):
     return _conv_batch_wide
 
 
+def _conv_setup(x, w, stride, padding, groups, op):
+    """Validated (stride, padding, groups, Ho, Wo) of a conv of ``x`` by ``w``."""
+    if x.data.ndim != 4 or w.data.ndim != 4:
+        raise ConfigurationError(
+            f"{op}: expected NCHW input and OIHW weight, got {x.data.shape} and {w.data.shape}")
+    stride = int(stride)
+    padding = int(padding)
+    groups = int(groups)
+    if stride < 1 or padding < 0 or groups < 1:
+        raise ConfigurationError(f"{op}: stride >= 1, padding >= 0, groups >= 1 required")
+    ho, wo = _conv_geometry(x.data.shape, w.data.shape, stride, padding, groups)
+    return stride, padding, groups, ho, wo
+
+
+def _conv_grads(g, grad, x, wd, stride, padding, groups):
+    """(dW, dX or None) of a conv that ran with weights ``wd`` and whose
+    lowering returned ``grad``; dX only when ``x`` wants it.
+
+    dX of a stride-1 kH x kH conv is itself a stride-1 conv: the full
+    correlation of the output gradient with the flipped kernel, in and out
+    channels swapped. On every stride-1 3x3 layer of the default model (64
+    and 128 px, batch 32) that made the whole backward 9-33% faster than
+    folding. Other convs fold ``W^T @ g`` back over the kernel offsets.
+    """
+    _, cin, h, wdt = x.data.shape
+    cout, cg, kh, kw = wd.shape
+    transposed = x.requires_grad and stride == 1 and 1 < kh == kw and padding < kh
+    dw, dx = grad(g, x.requires_grad and not transposed)
+    dw = dw.swapaxes(-1, -2).reshape(wd.shape)
+    if transposed:
+        og = cout // groups
+        wt = wd.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)[..., ::-1, ::-1]
+        dx, _ = _lowering(h, wdt)(g, wt.reshape(cin, og, kh, kw), 1,
+                                  kh - 1 - padding, groups, h, wdt)
+    return dw, dx
+
+
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     """2-D cross correlation with optional channel groups.
 
@@ -496,24 +540,10 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     then multiplied by each group's [Cout/groups, Cin/groups*kH*kW] weight
     matrix; the output map size picks the lowering (see
     ``_PER_IMAGE_MIN_PIXELS``). Backward forms dW from the output gradient
-    and the columns. dX of a stride-1 kH x kH conv is itself a stride-1
-    conv: the full correlation of the output gradient with the flipped
-    kernel, in and out channels swapped. On every stride-1 3x3 layer of the
-    default model (64 and 128 px, batch 32) that made the whole backward
-    9-33% faster than folding. Other convs fold ``W^T @ g`` back over the
-    kernel offsets.
+    and the columns, and dX as :func:`_conv_grads` describes.
     """
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ConfigurationError(
-            f"conv2d: expected NCHW input and OIHW weight, got {x.data.shape} and {w.data.shape}")
-    stride = int(stride)
-    padding = int(padding)
-    groups = int(groups)
-    if stride < 1 or padding < 0 or groups < 1:
-        raise ConfigurationError("conv2d: stride >= 1, padding >= 0, groups >= 1 required")
-    _, cin, h, wdt = x.data.shape
-    cout, cg, kh, kw = w.data.shape
-    ho, wo = _conv_geometry(x.data.shape, w.data.shape, stride, padding, groups)
+    stride, padding, groups, ho, wo = _conv_setup(x, w, stride, padding, groups, "conv2d")
+    cout = w.data.shape[0]
     if b is not None and b.data.shape != (cout,):
         raise ConfigurationError(f"conv2d: bias shape {b.data.shape} should be ({cout},)")
     out, grad = _lowering(ho, wo)(x.data, w.data, stride, padding, groups, ho, wo)
@@ -523,14 +553,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     def bwd(g, grads):
         if b is not None:
             _put(grads, b, g.sum(axis=(0, 2, 3)))
-        transposed = x.requires_grad and stride == 1 and 1 < kh == kw and padding < kh
-        dw, dx = grad(g, x.requires_grad and not transposed)
-        _put(grads, w, dw.swapaxes(-1, -2).reshape(w.data.shape))
-        if transposed:
-            og = cout // groups
-            wt = w.data.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)[..., ::-1, ::-1]
-            dx, _ = _lowering(h, wdt)(g, wt.reshape(cin, og, kh, kw), 1,
-                                      kh - 1 - padding, groups, h, wdt)
+        dw, dx = _conv_grads(g, grad, x, w.data, stride, padding, groups)
+        _put(grads, w, dw)
         if dx is not None:
             _put(grads, x, dx)
 
@@ -546,6 +570,63 @@ def _channel_sum(a, b=None):
     return np.einsum("ncp,ncp->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
 
 
+def _bn_train(y, gamma, beta, running_mean, running_var, momentum, eps, in_place):
+    """Training-mode batch norm of the array ``y`` [N, C, H, W] on its batch statistics.
+
+    Updates the running statistics in place with the biased batch variance
+    (``new = (1 - momentum) * old + momentum * batch``). Returns the
+    normalized output, the centred input backward keeps (``y`` itself,
+    overwritten, when ``in_place``) and the per-channel ``1 / std``.
+    """
+    n, c, h, w = y.shape
+    m = n * h * w
+    if m < 2:
+        raise NormalizationError("batch norm: training mode needs at least 2 values per channel")
+    mean = _channel_sum(y) / m
+    xc = np.subtract(y, mean[None, :, None, None], out=y if in_place else None)
+    var = _channel_sum(xc, xc) / m                # biased, matches the normalizer
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mean.astype(running_mean.dtype)
+    running_var *= (1.0 - momentum)
+    running_var += momentum * var.astype(running_var.dtype)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = xc * (gamma * inv)[None, :, None, None]
+    out += beta[None, :, None, None]
+    return out, xc, inv
+
+
+def _bn_train_grads(g, xc, inv, gamma, need_x):
+    """Backward of :func:`_bn_train`: (dX or None, dgamma, dbeta)."""
+    m = g.size // g.shape[1]
+    sum_g = _channel_sum(g)
+    sum_gxc = _channel_sum(g, xc)                 # sum(g * xhat) = inv * sum(g * xc)
+    dx = None
+    if need_x:
+        # gamma * inv * (g - (sum_g + xhat * sum(g * xhat)) / m), in one buffer
+        dx = xc * (-inv * inv * sum_gxc / m)[None, :, None, None]
+        dx += g
+        dx -= (sum_g / m)[None, :, None, None]
+        dx *= (gamma * inv)[None, :, None, None]
+    return dx, sum_gxc * inv, sum_g
+
+
+def _bn_fold(gamma, beta, running_mean, running_var, eps, dtype):
+    """Eval-mode batch norm as a per-channel affine map ``y * scale + shift``.
+
+    Returns (scale, shift, inv) with ``inv = 1 / sqrt(running_var + eps)``;
+    new arrays, nothing written back into the parameters or buffers.
+    """
+    inv = 1.0 / np.sqrt(running_var.astype(dtype) + eps)
+    scale = gamma * inv
+    return scale, beta - running_mean.astype(dtype) * scale, inv
+
+
+def _check_bn_params(c, gamma, beta, op):
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ConfigurationError(
+            f"{op}: gamma/beta must have shape ({c},), got {gamma.data.shape}/{beta.data.shape}")
+
+
 def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
                  momentum=0.1, eps=1e-5):
     """Per-channel batch normalization over [N, C, H, W].
@@ -556,53 +637,97 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
     """
     if x.data.ndim != 4:
         raise ConfigurationError(f"batch_norm2d: expected NCHW input, got {x.data.shape}")
-    n, c, h, w = x.data.shape
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ConfigurationError(
-            f"batch_norm2d: gamma/beta must have shape ({c},), got {gamma.data.shape}/{beta.data.shape}")
-    m = n * h * w
+    _check_bn_params(x.data.shape[1], gamma, beta, "batch_norm2d")
     if training:
-        if m < 2:
-            from .errors import NormalizationError
-            raise NormalizationError(
-                "batch_norm2d: training mode needs at least 2 values per channel")
-        mean = _channel_sum(x.data) / m
-        xc = x.data - mean[None, :, None, None]       # centred input, kept for backward
-        var = _channel_sum(xc, xc) / m                # biased, matches the normalizer
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean.astype(running_mean.dtype)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.astype(running_var.dtype)
-        inv = 1.0 / np.sqrt(var + eps)
-        out = xc * (gamma.data * inv)[None, :, None, None]
-        out += beta.data[None, :, None, None]
+        out, xc, inv = _bn_train(x.data, gamma.data, beta.data, running_mean, running_var,
+                                 momentum, eps, in_place=False)
     else:
-        mean = running_mean.astype(x.data.dtype)
-        inv = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps)
-        scale = gamma.data * inv
+        scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
+                                     eps, x.data.dtype)
         out = x.data * scale[None, :, None, None]
-        out += (beta.data - mean * scale)[None, :, None, None]
+        out += shift[None, :, None, None]
 
     def bwd(g, grads):
-        sum_g = _channel_sum(g)
-        if training or gamma.requires_grad:
-            # sum(g * xhat) = inv * sum(g * xc); eval mode centres only here
-            sum_gxc = _channel_sum(g, xc if training else x.data - mean[None, :, None, None])
-        if x.requires_grad:
-            if training:
-                # gamma * inv * (g - (sum_g + xhat * sum(g * xhat)) / m), in one buffer
-                dx = xc * (-inv * inv * sum_gxc / m)[None, :, None, None]
-                dx += g
-                dx -= (sum_g / m)[None, :, None, None]
-                dx *= (gamma.data * inv)[None, :, None, None]
-            else:
-                dx = g * (gamma.data * inv)[None, :, None, None]
+        if training:
+            dx, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data, x.requires_grad)
+        else:
+            dx = g * scale[None, :, None, None] if x.requires_grad else None
+            dbeta = _channel_sum(g)
+            dgamma = None
+            if gamma.requires_grad:
+                mean = running_mean.astype(x.data.dtype)
+                dgamma = _channel_sum(g, x.data - mean[None, :, None, None]) * inv
+        if dx is not None:
             _put(grads, x, dx)
-        if gamma.requires_grad:
-            _put(grads, gamma, sum_gxc * inv)
-        _put(grads, beta, sum_g)
+        if dgamma is not None:
+            _put(grads, gamma, dgamma)
+        _put(grads, beta, dbeta)
 
     return _node(out, (x, gamma, beta), bwd, "batch_norm2d")
+
+
+def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="relu",
+                stride=1, padding=0, groups=1, momentum=0.1, eps=1e-5):
+    """``act(batch_norm2d(conv2d(x, w)))`` as one graph node; ``act`` is "relu" or None.
+
+    Arguments mean what they mean for :func:`conv2d` (no bias: batch norm
+    cancels it) and :func:`batch_norm2d`. The result equals the three-op
+    chain, but only the unit's output is allocated, scanned and recorded.
+
+    Training mode centres the conv output in place (that buffer is the one
+    backward keeps), scales it into the output buffer and applies the ReLU
+    there. Its values, gradients and running statistics are those of the
+    chain bit for bit. Eval mode folds the running statistics into the conv
+    each call: ``W' = W * s`` and ``b' = beta - mean * s`` with ``s = gamma /
+    sqrt(var + eps)``, then runs one conv, adds ``b'`` and applies the ReLU
+    in place. That rounds differently from the chain, at float32 precision.
+    The folded arrays are new; parameters and buffers are never written.
+    """
+    if act not in ("relu", None):
+        raise ConfigurationError(f"conv_bn_act: act must be 'relu' or None, got {act!r}")
+    stride, padding, groups, ho, wo = _conv_setup(x, w, stride, padding, groups, "conv_bn_act")
+    cout = w.data.shape[0]
+    _check_bn_params(cout, gamma, beta, "conv_bn_act")
+    lower = _lowering(ho, wo)
+    if training:
+        y, grad = lower(x.data, w.data, stride, padding, groups, ho, wo)
+        out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var,
+                                 momentum, eps, in_place=True)
+        wd = w.data
+    else:
+        scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
+                                     eps, x.data.dtype)
+        wd = w.data * scale[:, None, None, None]
+        if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
+            raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
+        out, grad = lower(x.data, wd, stride, padding, groups, ho, wo)
+        out += shift[None, :, None, None]
+    if act == "relu":
+        np.maximum(out, 0, out=out)
+
+    def bwd(g, grads):
+        if act == "relu":
+            g = g * (out > 0)
+        if training:        # g becomes the conv output's gradient, None if unwanted
+            g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data,
+                                               x.requires_grad or w.requires_grad)
+        else:
+            dbeta = _channel_sum(g)
+        if g is not None:
+            dw, dx = _conv_grads(g, grad, x, wd, stride, padding, groups)
+            if not training:
+                # y = conv(x, W * s) + beta - mean * s, with s = gamma * inv
+                ds = np.einsum("ok,ok->o", dw.reshape(cout, -1), w.data.reshape(cout, -1))
+                ds -= running_mean.astype(ds.dtype) * dbeta
+                dgamma = ds * inv
+                dw *= scale[:, None, None, None]
+            _put(grads, w, dw)
+            if dx is not None:
+                _put(grads, x, dx)
+        _put(grads, gamma, dgamma)
+        _put(grads, beta, dbeta)
+
+    return _node(out, (x, w, gamma, beta), bwd, "conv_bn_act")
 
 
 def _window_sum(a, axis, k, s, count):

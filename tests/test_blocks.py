@@ -23,6 +23,46 @@ def se_oracle(x, w1, w2):
     return x * gate[:, :, None, None]
 
 
+def unit_oracle(x, w, gamma, beta, running_mean, running_var, training, act, stride=1,
+                padding=0, groups=1, momentum=0.1, eps=1e-5):
+    """Independent float64 conv -> batch norm -> optional ReLU.
+
+    The conv accumulates shifted input windows over kernel offsets (no
+    columns), the batch norm loops over channels. Returns the output and the
+    updated running mean and variance; the inputs are not written.
+    """
+    n, _, h, wd = x.shape
+    cout, cg, kh, kw = w.shape
+    og = cout // groups
+    xp = np.pad(np.asarray(x, dtype=np.float64),
+                ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    y = np.zeros((n, cout, ho, wo))
+    for gi in range(groups):
+        for i in range(kh):
+            for j in range(kw):
+                window = xp[:, gi * cg:(gi + 1) * cg, i:i + stride * (ho - 1) + 1:stride,
+                            j:j + stride * (wo - 1) + 1:stride]
+                y[:, gi * og:(gi + 1) * og] += np.einsum(
+                    "nchw,oc->nohw", window, w[gi * og:(gi + 1) * og, :, i, j])
+    out = np.empty_like(y)
+    rm = np.array(running_mean, dtype=np.float64)
+    rv = np.array(running_var, dtype=np.float64)
+    for c in range(cout):
+        v = y[:, c]
+        if training:
+            mu, var = v.mean(), ((v - v.mean()) ** 2).mean()
+            rm[c] = (1 - momentum) * rm[c] + momentum * mu
+            rv[c] = (1 - momentum) * rv[c] + momentum * var
+        else:
+            mu, var = float(running_mean[c]), float(running_var[c])
+        out[:, c] = gamma[c] * (v - mu) / np.sqrt(var + eps) + beta[c]
+    if act == "relu":
+        out = np.maximum(out, 0.0)
+    return out, rm, rv
+
+
 class TestSEGate:
     def test_zero_weights_halve_input(self, rng):
         se = SEGate(8, 4, rng)
@@ -113,6 +153,145 @@ class TestResidualBlock:
         block = ResidualBlock(spec, rng, dtype=np.float64)
         x = T.Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True, dtype=np.float64)
         check_param_gradients(lambda: T.mean_all(block(x)), [x] + block.parameters())
+
+
+class TestUnits:
+    """Blocks run each conv/BN pair as one conv_bn_act node."""
+
+    @staticmethod
+    def _chain(block, x):
+        """A basic block with a projection shortcut and no SE gate, spelled as
+        separate conv, batch-norm and ReLU ops."""
+        y = T.relu(block.bn1(block.conv1(x)))
+        y = block.bn2(block.conv2(y))
+        shortcut = block.short_bn(block.short_conv(x))
+        return T.relu(T.add(y, shortcut))
+
+    @staticmethod
+    def _randomize_stats(module, rng):
+        for name, b in module.named_buffers():
+            b[...] = rng.uniform(0.5, 2.0, b.shape) if name.endswith("var") else \
+                rng.normal(size=b.shape)
+
+    def test_training_block_equals_chain_bitwise(self, rng):
+        spec = BlockSpec("basic", 4, 8, stride=2)
+        fused, chain = ResidualBlock(spec, np.random.default_rng(1)), \
+            ResidualBlock(spec, np.random.default_rng(1))
+        x = rng.normal(size=(3, 4, 8, 8)).astype(np.float32)
+        outs = []
+        for block, run in ((fused, lambda b, t: b(t)), (chain, self._chain)):
+            t = T.Tensor(x, requires_grad=True)
+            out = run(block, t)
+            T.backward(T.mean_all(out))
+            outs.append([out.data, t.grad] + [p.grad for p in block.parameters()]
+                        + [b for _, b in block.named_buffers()])
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
+
+    def test_eval_block_folds_within_float32_rounding(self, rng):
+        spec = BlockSpec("basic", 4, 8, stride=2)
+        block = ResidualBlock(spec, rng).eval()
+        self._randomize_stats(block, rng)
+        state = {k: v.tobytes() for k, v in block.state_arrays().items()}
+        x = T.Tensor(rng.normal(size=(3, 4, 8, 8)))
+        got, want = block(x).data, self._chain(block, x).data
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+        assert {k: v.tobytes() for k, v in block.state_arrays().items()} == state
+
+    def test_eval_bottleneck_grads(self, rng):
+        spec = BlockSpec("bottleneck", 4, 8, groups=2, group_width=2, stride=2)
+        block = ResidualBlock(spec, rng, dtype=np.float64).eval()
+        self._randomize_stats(block, rng)
+        x = T.Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True, dtype=np.float64)
+        check_param_gradients(lambda: T.mean_all(block(x)), [x] + block.parameters())
+
+    def test_frozen_stats_take_the_eval_fold(self, rng):
+        block = ResidualBlock(BlockSpec("basic", 4, 4), rng).set_trainable(False)
+        self._randomize_stats(block, rng)
+        buffers = {k: v.copy() for k, v in block.named_buffers()}
+        x = T.Tensor(rng.normal(size=(2, 4, 5, 5)))
+        assert block.training
+        train_mode = block(x).data
+        assert np.array_equal(train_mode, block.eval()(x).data)
+        for k, v in block.named_buffers():
+            assert np.array_equal(v, buffers[k])
+
+    @pytest.mark.parametrize("side", [64, 128])
+    def test_every_default_model_unit_matches_a_float64_reference(self, monkeypatch, side):
+        """Forward, running statistics and gradients of every conv/BN unit the
+        default model meets, in training and eval mode, against
+        :func:`unit_oracle`."""
+        from kneegrade.model import ModelConfig, build_model
+        units, fused_op = [], T.conv_bn_act
+
+        def record(x, w, *args, **kwargs):
+            key = (x.shape[1:], w.shape, kwargs["stride"], kwargs["padding"],
+                   kwargs["groups"], kwargs["act"])
+            if key not in units:
+                units.append(key)
+            return fused_op(x, w, *args, **kwargs)
+        monkeypatch.setattr(T, "conv_bn_act", record)
+        build_model(ModelConfig(), seed=0).eval()(T.Tensor(np.zeros((1, 1, side, side))))
+        monkeypatch.undo()
+        assert len(units) == 12       # stem, 2 units in block 0, 3 in blocks 1-3
+
+        g = np.random.default_rng(side)
+        for xs, ws, stride, padding, groups, act in units:
+            c = ws[0]
+            arrays = [g.normal(size=(2,) + xs), g.normal(size=ws) * 0.3,
+                      g.uniform(0.5, 1.5, c), g.normal(size=c)]
+            rm0, rv0 = 0.1 * g.normal(size=c), g.uniform(0.5, 2.0, c)
+            geometry = dict(stride=stride, padding=padding, groups=groups)
+            where = (xs, ws, stride, act)
+            for training in (True, False):
+                want, want_rm, want_rv = unit_oracle(*arrays, rm0, rv0, training, act,
+                                                     **geometry)
+                for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-4)):
+                    rm, rv = rm0.astype(dtype), rv0.astype(dtype)
+                    got = T.conv_bn_act(*[T.Tensor(a, dtype=dtype) for a in arrays], rm, rv,
+                                        training, act=act, **geometry)
+                    for a, b in ((got.data, want), (rm, want_rm), (rv, want_rv)):
+                        gap = np.abs(a.astype(np.float64) - b).max() / (1 + np.abs(b).max())
+                        assert gap <= tol, (where, training, np.dtype(dtype).name, gap)
+
+                # d/dh of sum(out * r) along a random direction of each input; the
+                # ReLU's mask is taken at the base point, the oracle runs without it
+                r = g.normal(size=want.shape)
+                ts = [T.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+                out = T.conv_bn_act(*ts, rm0.copy(), rv0.copy(), training, act=act,
+                                    **geometry)
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=np.float64))))
+                if act == "relu":
+                    r = r * (want > 0)
+
+                def loss(values):
+                    return float((unit_oracle(*values, rm0, rv0, training, None,
+                                              **geometry)[0] * r).sum())
+                h = 1e-6
+                for i, t in enumerate(ts):
+                    v = g.normal(size=arrays[i].shape)
+                    numeric = (loss([a + h * v if j == i else a for j, a in enumerate(arrays)])
+                               - loss([a - h * v if j == i else a
+                                       for j, a in enumerate(arrays)])) / (2 * h)
+                    analytic = float((t.grad * v).sum())
+                    assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(numeric)), \
+                        (where, training, i, analytic, numeric)
+
+    def test_training_step_graph_size(self):
+        from kneegrade.model import ModelConfig, build_model
+        from kneegrade.training import multi_task_loss
+        model = build_model(ModelConfig(), seed=0).train()
+        g = np.random.default_rng(0)
+        logits = model(T.Tensor(g.normal(size=(4, 1, 64, 64))))
+        loss = multi_task_loss(logits, [g.integers(0, lg.shape[1], 4) for lg in logits])
+        seen, stack = set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                stack.extend(t._parents)
+        # 157 as separate conv, BN and ReLU ops
+        assert len(seen) <= 140
 
 
 class TestPoolHead:

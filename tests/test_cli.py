@@ -401,3 +401,93 @@ class TestPredictEvaluate:
                            "--out", str(tmp_path / "report"))
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ConfigurationError:")
+
+
+def _kgwb(extents, payload=b""):
+    """A one-tensor weight container with the given extents and raw payload."""
+    import struct
+    body = struct.pack("<I", 1) + b"w" + struct.pack("<I", len(extents))
+    body += struct.pack(f"<{len(extents)}Q", *extents)
+    return b"KGWB" + struct.pack("<IQ", 1, 1) + body + payload
+
+
+class TestCorruptInputs:
+    """A reader meets a corrupt file: one typed error line, exit 2."""
+
+    def _expect(self, capsys, code, kind, *fragments):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {kind}:") and err.count("\n") == 1, err
+        for fragment in fragments:
+            assert fragment in err
+
+    @pytest.mark.parametrize("extents", [(2 ** 40, 2 ** 40), (2 ** 32, 2 ** 32, 2 ** 32),
+                                         (1000, 1000)], ids=["wraps_int64", "huge", "past_end"])
+    def test_weight_container_extents(self, workdir, tmp_path, capsys, extents):
+        snap = tmp_path / "snapshot_fold0.kgw"
+        snap.write_bytes(_kgwb(extents, payload=b"\0" * 64))
+        code = run_cli("predict", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"),
+                       "--snapshots", str(snap), "--out", str(tmp_path / "preds.csv"))
+        self._expect(capsys, code, "WeightLoadError", str(snap), "tensor 0")
+        assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("column,bad", [(1, "two"), (2, "abc"), (3, "nan"), (4, "inf"),
+                                            (2, "1e39")])
+    def test_predictions_cell(self, workdir, predictions, tmp_path, capsys, column, bad):
+        lines = predictions.read_text().split("\n")
+        cells = lines[3].split(",")
+        cells[column] = bad
+        lines[3] = ",".join(cells)
+        lines.insert(2, "")     # a blank line is skipped but still counted
+        path = tmp_path / "preds.csv"
+        path.write_text("\n".join(lines))
+        code = run_cli("evaluate", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--predictions", str(path), "--out", str(tmp_path / "report"))
+        self._expect(capsys, code, "DataError", f"{path} line 5:", "KL")
+
+    @pytest.mark.parametrize("sidecar", [b"{not json", b"\xff\xfe\x00", b"[1, 2]"],
+                             ids=["malformed", "undecodable", "not_an_object"])
+    def test_sidecar(self, workdir, predictions, tmp_path, capsys, sidecar):
+        path = tmp_path / "preds.csv"
+        path.write_bytes(predictions.read_bytes())
+        (tmp_path / "preds.csv.meta.json").write_bytes(sidecar)
+        code = run_cli("evaluate", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--predictions", str(path), "--out", str(tmp_path / "report"))
+        self._expect(capsys, code, "DataError", f"{path}.meta.json")
+
+
+class TestThreadCap:
+    """OARSI_MT_THREADS sizes BLAS's pool when kneegrade is imported before numpy."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _blas_env(self, cap, preset=None, numpy_first=False):
+        import kneegrade
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kneegrade.__file__))
+        env["OARSI_MT_THREADS"] = cap
+        env.update(preset or {})
+        code = ("import numpy\n" if numpy_first else "") + (
+            "import os, kneegrade\n"
+            f"print(','.join(os.environ.get(v, '-') for v in {self.VARS!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        return proc.stdout.strip().split(",")
+
+    def test_cap_sets_every_blas_variable(self):
+        assert self._blas_env("3") == ["3", "3", "3"]
+
+    def test_user_settings_win(self):
+        assert self._blas_env("3", {"OMP_NUM_THREADS": "2"}) == ["3", "2", "3"]
+
+    def test_too_late_once_numpy_is_loaded(self):
+        assert self._blas_env("3", numpy_first=True) == ["-", "-", "-"]
+
+    def test_invalid_cap_left_to_the_cli(self):
+        assert self._blas_env("0") == ["-", "-", "-"]
+        assert self._blas_env("abc") == ["-", "-", "-"]

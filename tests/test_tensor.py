@@ -291,6 +291,144 @@ class TestBatchNorm:
             [x, gamma, beta])
 
 
+# (name, input for output side S, weight, stride, padding, groups): the
+# unit's conv shapes, on both sides of the per-image cut-over
+_UNIT_PATHS = [c for c in _CONV_PATHS
+               if c[0] in ("stem_1ch", "3x3_stride2", "1x1_stride2_shortcut", "3x3_groups2")]
+
+
+def _bn_state(rng, c):
+    """gamma, beta, running mean and running variance away from the defaults."""
+    return (rng.uniform(0.5, 1.5, size=c), rng.normal(size=c),
+            rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+
+
+def _unit(fused, x, w, gamma, beta, rm, rv, training, act, stride, padding, groups):
+    if fused:
+        return T.conv_bn_act(x, w, gamma, beta, rm, rv, training, act=act, stride=stride,
+                             padding=padding, groups=groups)
+    y = T.batch_norm2d(T.conv2d(x, w, stride=stride, padding=padding, groups=groups),
+                       gamma, beta, rm, rv, training)
+    return T.relu(y) if act == "relu" else y
+
+
+def _unit_run(fused, arrays, training, act, geometry, dtype=np.float32):
+    """Output, input/weight/gamma/beta gradients and running stats of one unit."""
+    x, w, gamma, beta, rm, rv = arrays
+    ts = [T.Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, gamma, beta)]
+    rm, rv = rm.astype(dtype, copy=False), rv.astype(dtype, copy=False)
+    out = _unit(fused, *ts, rm, rv, training, act, *geometry)
+    r = np.random.default_rng(3).normal(size=out.shape).astype(dtype)
+    T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=dtype))))
+    return [out.data] + [t.grad for t in ts] + [rm, rv]
+
+
+class TestConvBnAct:
+    """The fused conv -> batch norm -> ReLU unit against the three-op chain."""
+
+    @pytest.mark.parametrize("act", ["relu", None])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _UNIT_PATHS,
+                             ids=[c[0] for c in _UNIT_PATHS])
+    def test_grads(self, rng, name, x_shape, w_shape, stride, padding, groups, side,
+                   training, act):
+        x = rng.normal(size=x_shape(side))
+        w = rng.normal(size=w_shape)
+        gamma, beta, rm, rv = _bn_state(rng, w_shape[0])
+        r = T.Tensor(rng.normal(size=(x.shape[0], w.shape[0], side, side)), dtype=np.float64)
+        check_gradients(
+            lambda ts: T.mean_all(T.mul(T.conv_bn_act(
+                ts[0], ts[1], ts[2], ts[3], rm.copy(), rv.copy(), training, act=act,
+                stride=stride, padding=padding, groups=groups), r)),
+            [x, w, gamma, beta], samples=200)
+
+    @pytest.mark.parametrize("act", ["relu", None])
+    @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _CONV_PATHS,
+                             ids=[c[0] for c in _CONV_PATHS])
+    def test_training_equals_chain_bitwise(self, rng, name, x_shape, w_shape, stride,
+                                           padding, groups, act):
+        side = _sides_around_lowering_switch()[1]
+        arrays = [rng.normal(size=x_shape(side)), rng.normal(size=w_shape),
+                  *_bn_state(rng, w_shape[0])]
+        geometry = (stride, padding, groups)
+        fused = _unit_run(True, arrays, True, act, geometry)
+        chain = _unit_run(False, arrays, True, act, geometry)
+        for a, b in zip(fused, chain):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("act", ["relu", None])
+    @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _CONV_PATHS,
+                             ids=[c[0] for c in _CONV_PATHS])
+    def test_eval_folds_within_float32_rounding(self, rng, name, x_shape, w_shape, stride,
+                                                padding, groups, act):
+        side = _sides_around_lowering_switch()[0]
+        arrays = [a.astype(np.float32) for a in
+                  (rng.normal(size=x_shape(side)), rng.normal(size=w_shape),
+                   *_bn_state(rng, w_shape[0]))]
+        before = [a.copy() for a in arrays]
+        geometry = (stride, padding, groups)
+        fused = _unit_run(True, arrays, False, act, geometry)
+        chain = _unit_run(False, arrays, False, act, geometry)
+        for a, b in zip(fused, chain):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(b).max()))
+        # the fold builds new arrays: inputs, weights and statistics keep their bytes
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_eval_leaves_module_state_byte_identical(self, rng):
+        from kneegrade.nn import BatchNorm2d, Conv2d, conv_bn
+        conv = Conv2d(3, 4, 3, rng, padding=1, bias=False)
+        bn = BatchNorm2d(4).eval()
+        bn.running_mean[...] = rng.normal(size=4)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=4)
+        state = {k: v.tobytes() for k, v in {**conv.state_arrays(), **bn.state_arrays()}.items()}
+        x = T.Tensor(rng.normal(size=(2, 3, 6, 6)))
+        T.backward(T.mean_all(conv_bn(conv, bn, x)))
+        assert conv.weight.grad is not None and bn.gamma.grad is not None
+        after = {k: v.tobytes() for k, v in {**conv.state_arrays(), **bn.state_arrays()}.items()}
+        assert after == state
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_no_grad_records_nothing(self, rng, training):
+        ts = [T.Tensor(a, requires_grad=True) for a in
+              (rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3)),
+               np.ones(4), np.zeros(4))]
+        with T.no_grad():
+            out = T.conv_bn_act(*ts, np.zeros(4, np.float32), np.ones(4, np.float32),
+                                training, padding=1)
+        assert out._parents == () and out._backward is None and not out.requires_grad
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("training", [True, False])
+    def test_inf_weight_raises(self, rng, training):
+        w = rng.normal(size=(4, 3, 3, 3))
+        w[1, 0, 1, 1] = np.inf
+        with pytest.raises(NumericsError):
+            T.conv_bn_act(T.Tensor(rng.normal(size=(2, 3, 6, 6))), T.Tensor(w),
+                          T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)),
+                          np.zeros(4, np.float32), np.ones(4, np.float32), training, padding=1)
+
+    def test_non_finite_running_mean_raises_in_eval(self, rng):
+        # +inf folded into the bias would read 0 after the ReLU
+        with pytest.raises(NumericsError):
+            T.conv_bn_act(T.Tensor(rng.normal(size=(2, 3, 6, 6))),
+                          T.Tensor(rng.normal(size=(4, 3, 3, 3))),
+                          T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)),
+                          np.full(4, np.inf, np.float32), np.ones(4, np.float32), False,
+                          padding=1)
+
+    def test_bad_act_and_shapes_rejected(self, rng):
+        x = T.Tensor(rng.normal(size=(2, 3, 6, 6)))
+        w = T.Tensor(rng.normal(size=(4, 3, 3, 3)))
+        stats = (np.zeros(4, np.float32), np.ones(4, np.float32))
+        with pytest.raises(ConfigurationError):
+            T.conv_bn_act(x, w, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)), *stats, True,
+                          act="sigmoid")
+        with pytest.raises(ConfigurationError):
+            T.conv_bn_act(x, w, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), *stats, True)
+
+
 class TestPooling:
     def test_avg_pool_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)

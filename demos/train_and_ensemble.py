@@ -12,9 +12,9 @@ from kneegrade.data import load_and_filter, load_landmarks, synth_generate
 from kneegrade.ensemble import ensemble_predict
 from kneegrade.imageio import read_pgm16
 from kneegrade.metrics import balanced_accuracy, cohen_kappa
-from kneegrade.model import BlockSpec, ModelConfig, StemSpec, build_model
+from kneegrade.model import TASK_CLASSES, BlockSpec, ModelConfig, StemSpec, build_model
 from kneegrade.preprocess import PreprocessConfig, RawImage, preprocess_exam
-from kneegrade.training import TASK_CLASSES, TrainConfig, run_fold
+from kneegrade.training import TrainConfig, run_fold
 
 if __name__ == "__main__":
     t0 = time.time()

@@ -72,9 +72,7 @@ from .model import (
     build_model,
     config_hash,
     load_backbone_weights,
-    load_model_weights,
     save_backbone_weights,
-    save_model_weights,
 )
 from .preprocess import (
     AugmentConfig,

@@ -6,8 +6,9 @@ fields *inside the document*, so the hash of the config keys a stage reads
 actually ran. Failures print one line to stderr (``error: <kind>: <message>``)
 and remove whatever files the failed invocation had already written. Exit
 codes: 0 success, 2 for configuration, usage, or input-data problems, 1 for
-runtime failures. The environment variable OARSI_MT_THREADS caps every worker
-pool, and BLAS's threads too (the package sets them before numpy loads).
+runtime failures. The environment variable OARSI_MT_THREADS sizes the
+``train --parallel-folds`` pool and BLAS's threads (the package sets them
+before numpy loads); ``evaluate`` runs serially.
 """
 
 from __future__ import annotations
@@ -281,26 +282,18 @@ def cmd_evaluate(args, artifacts):
               for name in task_names}
     preds = {name: grades[name][order] for name in task_names}
     aligned_probs = {name: probs[name][order] for name in task_names}
-    workers = max_workers(len(head_specs))
-    executor = None
     os.makedirs(args.out, exist_ok=True)
     before = set(os.listdir(args.out))
     try:
-        if workers > 1 and os.environ.get("OARSI_MT_THREADS"):
-            executor = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
         doc = emit_report(args.out, head_specs, truths, preds, aligned_probs,
                           meta={"config_hash": pred_hash or train_hash,
                                 "n_exams": len(kept),
                                 "excluded": {k: v for k, v in excluded.items() if v}},
-                          n_bootstrap=cfg.n_bootstrap, seed=cfg.seed,
-                          executor=executor, ci_level=cfg.ci_level)
+                          n_bootstrap=cfg.n_bootstrap, seed=cfg.seed, ci_level=cfg.ci_level)
     except Exception:
         for name in set(os.listdir(args.out)) - before:
             artifacts.add(os.path.join(args.out, name))
         raise
-    finally:
-        if executor is not None:
-            executor.shutdown()
     _say(f"evaluate: mean kappa {doc['mean_kappa']:.4f} over {len(kept)} exams "
          f"-> {os.path.join(args.out, 'metrics.json')}")
 

@@ -50,18 +50,19 @@ class GradedExam:
         return self.grades.get(task)
 
 
-def _parse_row(row, line_no):
-    if set(row) != set(MANIFEST_COLUMNS):
-        raise DataError(f"manifest line {line_no}: wrong columns {sorted(row)}")
+def _parse_row(row, where):
+    # DictReader files surplus cells under the key None and fills short rows with None
+    if None in row or None in row.values():
+        raise DataError(f"{where}: expected {len(MANIFEST_COLUMNS)} cells")
     try:
         follow_up = int(row["follow_up_months"])
         spacing = float(row["spacing_mm"])
     except ValueError as exc:
-        raise DataError(f"manifest line {line_no}: {exc}") from None
+        raise DataError(f"{where}: {exc}") from None
     if row["side"] not in ("L", "R"):
-        raise DataError(f"manifest line {line_no}: side must be L or R, got {row['side']!r}")
+        raise DataError(f"{where}: side must be L or R, got {row['side']!r}")
     if spacing <= 0:
-        raise DataError(f"manifest line {line_no}: spacing_mm must be positive")
+        raise DataError(f"{where}: spacing_mm must be positive")
     grades = {}
     for col in GRADE_COLUMNS:
         cell = row[col].strip()
@@ -70,12 +71,10 @@ def _parse_row(row, line_no):
         try:
             value = int(cell)
         except ValueError:
-            raise DataError(f"manifest line {line_no}: {col} value {cell!r} is not an integer") \
-                from None
+            raise DataError(f"{where}: {col} value {cell!r} is not an integer") from None
         lo, hi = GRADE_RANGES[col]
         if not lo <= value <= hi:
-            raise DataError(
-                f"manifest line {line_no}: {col}={value} outside [{lo}, {hi}]")
+            raise DataError(f"{where}: {col}={value} outside [{lo}, {hi}]")
         grades[col] = value
     return GradedExam(exam_id=row["exam_id"], subject_id=row["subject_id"], side=row["side"],
                       follow_up_months=follow_up, image_path=row["image_path"],
@@ -92,16 +91,16 @@ def load_manifest(path):
         if reader.fieldnames != MANIFEST_COLUMNS:
             raise DataError(f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}")
         for line_no, row in enumerate(reader, start=2):
-            exam = _parse_row(row, line_no)
+            exam = _parse_row(row, f"{path} line {line_no}")
             if exam.exam_id in seen_ids:
                 raise DataError(
-                    f"manifest line {line_no}: duplicate exam_id {exam.exam_id!r} "
+                    f"{path} line {line_no}: duplicate exam_id {exam.exam_id!r} "
                     f"(first seen on line {seen_ids[exam.exam_id]})")
             seen_ids[exam.exam_id] = line_no
             key = (exam.subject_id, exam.side, exam.follow_up_months)
             if key in seen_keys:
                 raise DataError(
-                    f"manifest line {line_no}: duplicate (subject, side, follow_up) {key} "
+                    f"{path} line {line_no}: duplicate (subject, side, follow_up) {key} "
                     f"(first seen on line {seen_keys[key]})")
             seen_keys[key] = line_no
             exams.append(exam)
@@ -149,12 +148,13 @@ def save_landmarks(path, exam_id, landmarks: LandmarkSet):
 def load_landmarks(path):
     try:
         doc = json.loads(Path(path).read_text())
-        return doc["exam_id"], LandmarkSet(
-            knee_center=tuple(doc["knee_center"]),
-            plateau_left=tuple(doc["plateau_left"]),
-            plateau_right=tuple(doc["plateau_right"]),
-            side=doc["side"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        points = {key: tuple(doc[key]) for key in ("knee_center", "plateau_left",
+                                                   "plateau_right")}
+        for key, point in points.items():
+            if len(point) != 2 or not all(isinstance(v, (int, float)) for v in point):
+                raise ValueError(f"{key} must be an [x, y] pair of numbers, got {doc[key]}")
+        return doc["exam_id"], LandmarkSet(side=doc["side"], **points)
+    except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed landmark document: {exc}") from None
 
 

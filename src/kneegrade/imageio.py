@@ -56,6 +56,8 @@ def read_pgm16(path):
         raise DataError(f"{path}: malformed PGM header tokens {tokens}") from None
     if maxval != MAXVAL:
         raise DataError(f"{path}: expected 16-bit PGM (maxval {MAXVAL}), got {maxval}")
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: PGM extents {w}x{h} are not positive")
     need = w * h * 2
     raw = buf[pos:pos + need]
     if len(raw) != need:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Backbone, BlockSpec, PoolingSpec, StemSpec
-from .errors import ConfigurationError, DataError, WeightLoadError
+from .errors import ConfigurationError, DataError
 from .nn import Dropout, Linear, Module
 from .serialize import load_tensors, save_tensors
 
@@ -147,26 +147,7 @@ def save_backbone_weights(model, path):
 
 def load_backbone_weights(model, path):
     """Load a backbone container; names and shapes must match exactly."""
-    arrays = load_tensors(path)
-    expected = model.backbone.state_arrays(BACKBONE_PREFIX)
-    extra = sorted(set(arrays) - set(expected))
-    if extra:
-        raise WeightLoadError(f"{path}: unexpected tensor {extra[0]!r}")
-    model.backbone.load_state_arrays(arrays, BACKBONE_PREFIX)
-    return model
-
-
-def save_model_weights(model, path):
-    save_tensors(path, model.state_arrays())
-
-
-def load_model_weights(model, path):
-    arrays = load_tensors(path)
-    expected = model.state_arrays()
-    extra = sorted(set(arrays) - set(expected))
-    if extra:
-        raise WeightLoadError(f"{path}: unexpected tensor {extra[0]!r}")
-    model.load_state_arrays(arrays)
+    model.backbone.load_state_arrays(load_tensors(path), BACKBONE_PREFIX)
     return model
 
 
@@ -179,7 +160,3 @@ def backbone_checksum(model):
         h.update(np.ascontiguousarray(arrays[name]).tobytes())
     return h.hexdigest()
 
-
-def set_backbone_trainable(model, flag):
-    model.backbone.set_trainable(flag)
-    return model

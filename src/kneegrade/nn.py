@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError
+from .errors import ConfigurationError, WeightLoadError
 from .tensor import Tensor
 
 
@@ -65,24 +65,23 @@ class Module:
         return out
 
     def load_state_arrays(self, arrays, prefix=""):
-        """Copy values into existing parameters/buffers; shapes must match."""
-        from .errors import WeightLoadError
-        for name, p in self.named_parameters(prefix):
-            if name not in arrays:
-                raise WeightLoadError(f"missing tensor {name!r}")
-            src = arrays[name]
-            if tuple(src.shape) != tuple(p.data.shape):
-                raise WeightLoadError(
-                    f"shape mismatch for {name!r}: file {tuple(src.shape)}, model {tuple(p.data.shape)}")
-            p.data[...] = src.astype(p.data.dtype)
-        for name, b in self.named_buffers(prefix):
-            if name not in arrays:
-                raise WeightLoadError(f"missing tensor {name!r}")
-            src = arrays[name]
-            if tuple(src.shape) != tuple(b.shape):
-                raise WeightLoadError(
-                    f"shape mismatch for {name!r}: file {tuple(src.shape)}, model {tuple(b.shape)}")
-            b[...] = src.astype(b.dtype)
+        """Copy ``arrays`` into the parameters and buffers, in place.
+
+        The one weight loader: names must match ``state_arrays(prefix)``
+        exactly and every shape must agree, else WeightLoadError and the
+        module is left as it was.
+        """
+        targets = self.state_arrays(prefix)
+        odd = sorted(set(targets) ^ set(arrays))
+        if odd:
+            kind = "missing" if odd[0] in targets else "unexpected"
+            raise WeightLoadError(f"{kind} tensor {odd[0]!r}")
+        for name, dst in targets.items():
+            if tuple(arrays[name].shape) != dst.shape:
+                raise WeightLoadError(f"shape mismatch for {name!r}: "
+                                      f"file {tuple(arrays[name].shape)}, model {dst.shape}")
+        for name, dst in targets.items():
+            dst[...] = arrays[name]
 
     def modules(self):
         yield self

@@ -68,10 +68,6 @@ class NormalizedImage:
     grid01: np.ndarray          # same grid before standardization, in [0, 1]
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def side_px(self):
-        return self.values.shape[0]
-
 
 def bilinear_sample(grid, ys, xs, fill=0.0):
     """Sample ``grid`` (float, [H, W]) at fractional coordinates.

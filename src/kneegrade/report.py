@@ -235,14 +235,13 @@ def binary_target(name):
 
 
 def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
-                n_bootstrap=100, seed=0, executor=None, ci_level=0.95):
+                n_bootstrap=100, seed=0, ci_level=0.95):
     """Write metrics.json plus per-task/per-target tables and plots.
 
     ``truths``/``preds`` map head name to grade arrays, ``probs`` to [n, K]
     probability arrays, all aligned. Every interval is a ``ci_level``
     stratified bootstrap over ``n_bootstrap`` resamples; each head draws its
-    resamples once and scores all its statistics on them. An ``executor``
-    scores the heads concurrently, with identical results. metrics.json is
+    resamples once and scores all its statistics on them. metrics.json is
     replaced whole or not at all. Returns the report document (identical to
     what lands in metrics.json).
     """
@@ -259,9 +258,9 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
     if not n:
         raise ConfigurationError("empty evaluation sample")
 
-    def score_head(spec):
-        """(intervals by statistic, binary labels, ROC and PR curves or None)."""
-        name, k = spec
+    tasks_doc = {}
+    binary_doc = {}
+    for name, k in head_specs:
         y_true = np.asarray(truths[name])
         y_pred = np.asarray(preds[name])
         stats = {
@@ -270,24 +269,16 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
             "balanced_accuracy": (balanced_accuracy(y_true, y_pred, k),
                                   lambda idx: balanced_accuracy_rows(y_true, y_pred, idx, k)),
         }
-        labels, scores = binarize_probs(y_true, probs[name], binary_target(name)[1])
+        target, threshold = binary_target(name)
+        labels, scores = binarize_probs(y_true, probs[name], threshold)
         curves = None
         if labels.min() != labels.max():
             curves = roc_curve(labels, scores), pr_curve(labels, scores)
             stats["roc_auc"] = (curves[0][3], lambda idx: roc_auc_rows(labels, scores, idx))
             stats["average_precision"] = (
                 curves[1][3], lambda idx: average_precision_rows(labels, scores, idx))
-        cis = bootstrap_rows(stats, y_true, n_iterations=n_bootstrap, level=ci_level,
-                             seed=seed)
-        return {key: ci.to_dict() for key, ci in cis.items()}, labels, curves
-
-    scored = list((executor.map if executor is not None else map)(score_head, head_specs))
-
-    tasks_doc = {}
-    binary_doc = {}
-    for (name, k), (cis, labels, curves) in zip(head_specs, scored):
-        y_true = np.asarray(truths[name])
-        y_pred = np.asarray(preds[name])
+        cis = {key: ci.to_dict() for key, ci in bootstrap_rows(
+            stats, y_true, n_iterations=n_bootstrap, level=ci_level, seed=seed).items()}
         tasks_doc[name] = {
             "n_classes": k,
             "kappa_quadratic": cis["kappa_quadratic"],
@@ -298,7 +289,6 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
         }
         write_confusion_csv(os.path.join(out_dir, f"confusion_{name}.csv"),
                             y_true, y_pred, k)
-        target, _ = binary_target(name)
         if curves is None:
             binary_doc[target] = {"skipped": "single class in truth"}
             continue

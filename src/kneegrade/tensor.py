@@ -108,32 +108,8 @@ class Tensor:
     def backward(self):
         backward(self)
 
-    # Small operator surface for tests and loss arithmetic. Shapes must
-    # match exactly; use broadcast_to for anything fancier.
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other, self), -1.0))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
-
-def _wrap(value, like):
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.full_like(like.data, float(value)))
 
 
 def _node(data, parents, backward_fn, op):

@@ -23,8 +23,7 @@ from . import tensor as T
 from .data import epoch_indices
 from .errors import ConfigurationError, MetricUndefinedError, TrainingError
 from .metrics import balanced_accuracy, cohen_kappa
-from .model import TASK_CLASSES, backbone_checksum, build_model, \
-    save_backbone_weights, set_backbone_trainable
+from .model import OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
 from .preprocess import AugmentConfig, augment
 from .report import read_sidecar, write_sidecar
 from .serialize import load_tensors, save_tensors
@@ -33,7 +32,6 @@ from .tensor import Tensor
 SCHEDULES = ("transfer", "scratch")
 AUX_HEAD = "aux"
 AUX_CLASSES = 4
-OARSI_TASKS = tuple(n for n in TASK_CLASSES if n != "KL")
 
 
 @dataclass(frozen=True)
@@ -209,10 +207,6 @@ def severity_bucket(exam):
     return 3
 
 
-def head_classes(name):
-    return TASK_CLASSES.get(name, AUX_CLASSES)
-
-
 def targets_for(exams, head_names):
     """Per-head int label arrays aligned with ``exams``."""
     out = []
@@ -272,8 +266,7 @@ def validation_metrics(model, exams, images, batch_size=32):
     truths = targets_for(exams, model.head_names)
     out = {}
     kappas = []
-    for name, y_true in zip(model.head_names, truths):
-        k = head_classes(name)
+    for (name, k), y_true in zip(model.head_specs(), truths):
         y_pred = preds[name]
         try:
             kap = cohen_kappa(y_true, y_pred, k, "quadratic")
@@ -420,7 +413,7 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
     for epoch in range(1, cfg.epochs + 1):
         lr, trainable = schedule_lr(cfg, epoch)
         if cfg.schedule == "transfer":
-            set_backbone_trainable(model, trainable)
+            model.backbone.set_trainable(trainable)
         opt.lr = lr
         rng_sampler, rng_aug = _epoch_rngs(seed, fold, epoch)
         train_loss = _train_one_epoch(model, opt, train_exams, images,

@@ -352,19 +352,6 @@ class TestPredictEvaluate:
                                      "JSN_L", "JSN_M"}
         assert (out / "confusion_KL.csv").exists()
 
-    def test_evaluate_thread_pool_matches_serial(self, workdir, predictions,
-                                                 tmp_path, monkeypatch):
-        serial = json.loads((workdir / "report" / "metrics.json").read_text())
-        monkeypatch.setenv("OARSI_MT_THREADS", "3")
-        assert run_cli("evaluate", "--config", str(workdir / "config.json"),
-                       "--manifest", str(workdir / "cache" / "manifest.csv"),
-                       "--predictions", str(predictions),
-                       "--out", str(tmp_path / "report")) == 0
-        parallel = json.loads((tmp_path / "report" / "metrics.json").read_text())
-        serial["meta"].pop("generated_at")
-        parallel["meta"].pop("generated_at")
-        assert serial == parallel
-
     def test_ci_level_sets_every_interval(self, workdir, predictions, tmp_path):
         wide = json.loads((workdir / "report" / "metrics.json").read_text())
         # ci_level is read by evaluate alone, so the predictions still match
@@ -391,16 +378,17 @@ class TestPredictEvaluate:
             shrunk += (n["hi"] - n["lo"]) < (w["hi"] - w["lo"])
         assert shrunk > 0
 
-    def test_bad_thread_cap_rejected(self, workdir, predictions, tmp_path,
-                                     capsys, monkeypatch):
+    def test_bad_thread_cap_rejected(self, workdir, tmp_path, capsys, monkeypatch):
+        # train --parallel-folds is the one command that sizes a pool from the cap
         for bad in ("abc", "0"):
             monkeypatch.setenv("OARSI_MT_THREADS", bad)
-            code = run_cli("evaluate", "--config", str(workdir / "config.json"),
+            code = run_cli("train", "--config", str(workdir / "config.json"),
                            "--manifest", str(workdir / "cache" / "manifest.csv"),
-                           "--predictions", str(predictions),
-                           "--out", str(tmp_path / "report"))
+                           "--images", str(workdir / "cache"),
+                           "--parallel-folds", "--out", str(tmp_path / "folds"))
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ConfigurationError:")
+            assert not list((tmp_path / "folds").glob("snapshot_fold*.kgw"))
 
 
 def _kgwb(extents, payload=b""):
@@ -459,6 +447,57 @@ class TestCorruptInputs:
                        "--manifest", str(workdir / "cache" / "manifest.csv"),
                        "--predictions", str(path), "--out", str(tmp_path / "report"))
         self._expect(capsys, code, "DataError", f"{path}.meta.json")
+
+    def _preprocess_corrupt(self, workdir, tmp_path, capsys, corrupt):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        bad = corrupt(data)
+        code = run_cli("preprocess", "--config", str(workdir / "config.json"),
+                       "--manifest", str(data / "manifest.csv"),
+                       "--out", str(tmp_path / "cache"))
+        self._expect(capsys, code, "DataError", str(bad))
+        assert not (tmp_path / "cache" / "images.kgw").exists()
+
+    def test_manifest_row_missing_cells(self, workdir, tmp_path, capsys):
+        def corrupt(data):
+            path = data / "manifest.csv"
+            lines = path.read_text().split("\n")
+            lines[3] = ",".join(lines[3].split(",")[:5])
+            path.write_text("\n".join(lines))
+            return f"{path} line 4:"
+        self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
+
+    def test_landmark_point_not_a_pair(self, workdir, tmp_path, capsys):
+        def corrupt(data):
+            path = sorted((data / "landmarks").glob("*.json"))[0]
+            doc = json.loads(path.read_text())
+            doc["knee_center"] = [5]
+            path.write_text(json.dumps(doc))
+            return path
+        self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
+
+    def test_pgm_negative_extents(self, workdir, tmp_path, capsys):
+        def corrupt(data):
+            path = sorted((data / "images").glob("*.pgm"))[0]
+            path.write_bytes(b"P5\n-2 -2\n65535\n" + b"\0" * 8)
+            return path
+        self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
+
+    def test_snapshot_with_extra_tensor(self, workdir, tmp_path, capsys):
+        from kneegrade.serialize import load_tensors, save_tensors
+        snap = tmp_path / "snapshot_fold0.kgw"
+        shutil.copy(workdir / "folds" / "snapshot_fold0.kgw", snap)
+        shutil.copy(workdir / "folds" / "snapshot_fold0.kgw.meta.json",
+                    tmp_path / "snapshot_fold0.kgw.meta.json")
+        arrays = load_tensors(snap)
+        arrays["backbone.rogue"] = np.zeros(3, dtype=np.float32)
+        save_tensors(snap, arrays)
+        code = run_cli("predict", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"),
+                       "--snapshots", str(snap), "--out", str(tmp_path / "preds.csv"))
+        self._expect(capsys, code, "WeightLoadError", "backbone.rogue")
+        assert not (tmp_path / "preds.csv").exists()
 
 
 class TestThreadCap:

@@ -6,10 +6,10 @@ import pytest
 from kneegrade import tensor as T
 from kneegrade.blocks import BlockSpec, PoolingSpec, StemSpec
 from kneegrade.errors import ConfigurationError, DataError, WeightLoadError
-from kneegrade.model import (ModelConfig, backbone_checksum, build_model, config_hash,
-                             default_blocks, load_backbone_weights, load_model_weights,
-                             save_backbone_weights, save_model_weights,
-                             set_backbone_trainable, task_names)
+from kneegrade.model import (BACKBONE_PREFIX, ModelConfig, backbone_checksum, build_model,
+                             config_hash, default_blocks, load_backbone_weights,
+                             save_backbone_weights, task_names)
+from kneegrade.serialize import load_tensors, save_tensors
 
 from gradcheck import check_param_gradients
 
@@ -146,9 +146,9 @@ class TestSerialization:
     def test_model_weights_round_trip(self, tmp_path):
         m = build_model(tiny_config(), seed=9)
         path = tmp_path / "model.kgw"
-        save_model_weights(m, path)
+        save_tensors(path, m.state_arrays())
         m2 = build_model(tiny_config(), seed=10)
-        load_model_weights(m2, path)
+        m2.load_state_arrays(load_tensors(path))
         for (na, pa), (_, pb) in zip(m.named_parameters(), m2.named_parameters()):
             assert np.array_equal(pa.data, pb.data), na
 
@@ -184,7 +184,6 @@ class TestSerialization:
             load_backbone_weights(m3, path)
 
     def test_extra_tensor_rejected(self, tmp_path):
-        from kneegrade.serialize import load_tensors, save_tensors
         m = build_model(tiny_config(), seed=9)
         path = tmp_path / "bb.kgw"
         save_backbone_weights(m, path)
@@ -194,11 +193,46 @@ class TestSerialization:
         with pytest.raises(WeightLoadError, match="rogue"):
             load_backbone_weights(m, path)
 
+    FAULTS = {"unexpected": "unexpected tensor", "missing": "missing tensor",
+              "shape": "shape mismatch"}
+
+    @staticmethod
+    def _corrupt(arrays, fault):
+        name = sorted(arrays)[-1]
+        if fault == "unexpected":
+            arrays[name + "_rogue"] = arrays[name].copy()
+        elif fault == "missing":
+            del arrays[name]
+        else:
+            arrays[name] = arrays[name][..., None]
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_backbone_load_rejects(self, tmp_path, fault):
+        arrays = build_model(tiny_config(), seed=9).backbone.state_arrays(BACKBONE_PREFIX)
+        self._corrupt(arrays, fault)
+        path = tmp_path / "bb.kgw"
+        save_tensors(path, arrays)
+        m = build_model(tiny_config(), seed=11)
+        before = backbone_checksum(m)
+        with pytest.raises(WeightLoadError, match=self.FAULTS[fault]):
+            load_backbone_weights(m, path)
+        assert backbone_checksum(m) == before
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_model_load_rejects(self, fault):
+        arrays = build_model(tiny_config(), seed=9).state_arrays()
+        self._corrupt(arrays, fault)
+        m = build_model(tiny_config(), seed=11)
+        before = {k: v.copy() for k, v in m.state_arrays().items()}
+        with pytest.raises(WeightLoadError, match=self.FAULTS[fault]):
+            m.load_state_arrays(arrays)
+        assert all(np.array_equal(v, before[k]) for k, v in m.state_arrays().items())
+
 
 class TestFreezing:
     def test_frozen_backbone_builds_no_tape(self):
         m = build_model(tiny_config(), seed=4)
-        set_backbone_trainable(m, False)
+        m.backbone.set_trainable(False)
         outs = m(batch())
         loss = T.cross_entropy(outs[0], np.zeros(2, dtype=np.int64))
         T.backward(loss)
@@ -208,7 +242,7 @@ class TestFreezing:
 
     def test_freeze_also_pins_bn_stats(self):
         m = build_model(tiny_config(), seed=4)
-        set_backbone_trainable(m, False)
+        m.backbone.set_trainable(False)
         before = backbone_checksum(m)
         m.train()
         for _ in range(3):
@@ -217,8 +251,8 @@ class TestFreezing:
 
     def test_unfreeze_restores_gradients(self):
         m = build_model(tiny_config(), seed=4)
-        set_backbone_trainable(m, False)
-        set_backbone_trainable(m, True)
+        m.backbone.set_trainable(False)
+        m.backbone.set_trainable(True)
         outs = m.eval()(batch())
         T.backward(T.cross_entropy(outs[0], np.zeros(2, dtype=np.int64)))
         grads = [p.grad is not None for n, p in m.named_parameters()

@@ -1,6 +1,5 @@
 """Report emission: file layout, content, and byte-level determinism."""
 
-import concurrent.futures
 import json
 import os
 
@@ -194,17 +193,6 @@ class TestEmitReport:
             emit_report(str(out), specs, truths, preds, probs, n_bootstrap=5, seed=1)
         assert (out / "metrics.json").read_bytes() == before
         assert not [name for name in os.listdir(out) if name.startswith(".")]
-
-    def test_executor_scores_heads_identically(self, tmp_path):
-        specs, truths, preds, probs = sample(seed=7)
-        serial = emit_report(str(tmp_path / "a"), specs, truths, preds, probs,
-                             n_bootstrap=40, seed=3)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = emit_report(str(tmp_path / "b"), specs, truths, preds, probs,
-                                   n_bootstrap=40, seed=3, executor=pool)
-        serial["meta"].pop("generated_at")
-        threaded["meta"].pop("generated_at")
-        assert serial == threaded
 
     def test_binary_target_names(self):
         assert binary_target("KL") == ("KL_ge2", 2)

@@ -84,10 +84,11 @@ class StemSpec:
 
 
 class SEGate(Module):
-    """Channel gate: sigmoid(W2 relu(W1 globalavg(x))) scaled onto x.
+    """Channel gate values sigmoid(W2 relu(W1 globalavg(x))), [N, C].
 
-    The two projections carry no bias, so all-zero weights gate every channel
-    at exactly 0.5.
+    The block scales its residual branch by them in its join
+    (:func:`~kneegrade.tensor.gate_add_relu`). The two projections carry no
+    bias, so all-zero weights gate every channel at exactly 0.5.
     """
 
     def __init__(self, channels, reduction, rng, dtype=np.float32):
@@ -98,14 +99,9 @@ class SEGate(Module):
         self.squeeze = Linear(channels, channels // reduction, rng, bias=False, dtype=dtype)
         self.excite = Linear(channels // reduction, channels, rng, bias=False, dtype=dtype)
 
-    def gate_values(self, x):
+    def forward(self, x):
         z = T.global_avg_pool(x)
         return T.sigmoid(self.excite(T.relu(self.squeeze(z))))
-
-    def forward(self, x):
-        n, c, h, w = x.shape
-        gate = T.reshape(self.gate_values(x), (n, c, 1, 1))
-        return T.mul(x, T.broadcast_to(gate, x.shape))
 
 
 class ResidualBlock(Module):
@@ -145,11 +141,10 @@ class ResidualBlock(Module):
         else:
             y = conv_bn(self.conv2, self.bn2, y)
             y = conv_bn(self.conv3, self.bn3, y, act=None)
-        if self.se is not None:
-            y = self.se(y)
-        if self.short_conv is None:
-            return T.relu(T.add(y, x))
-        return T.relu(T.add(y, conv_bn(self.short_conv, self.short_bn, x, act=None)))
+        gate = None if self.se is None else self.se(y)
+        short = x if self.short_conv is None else \
+            conv_bn(self.short_conv, self.short_bn, x, act=None)
+        return T.gate_add_relu(y, gate, short)
 
 
 class PoolHead(Module):
@@ -213,6 +208,12 @@ class Backbone(Module):
             self.blocks.append(block)
             prev = spec.out_channels
         self.out_channels = prev
+
+    def stem_bytes(self, h, w):
+        """Bytes of the stem conv's output for one h x w input image."""
+        s = self.stem_spec.stride
+        return (self.stem_spec.out_channels * -(-h // s) * -(-w // s)
+                * self.conv.weight.data.itemsize)
 
     def forward(self, x):
         y = conv_bn(self.conv, self.bn, x)

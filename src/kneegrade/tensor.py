@@ -19,6 +19,14 @@ Every output is scanned for non-finite values, so the graph is kept small:
 one output buffer and one scan. In training mode it equals the three-op
 chain bit for bit; in eval mode it folds the running statistics into the
 conv's weight and bias on every call (nothing is cached or written back).
+``gate_add_relu`` joins a residual block (SE scaling, shortcut add, ReLU) in
+one node, bit for bit the five-op chain it replaced.
+
+The wide early layers are bound by memory traffic, so no full-size array is
+made that a cache-sized chunk can do without: conv columns are gathered from
+the unpadded input into a buffer whose padding places stay zero, the eval
+unit adds its folded bias and applies its ReLU to each chunk as it leaves the
+GEMM, and ``avg_pool2d`` sums its windows a chunk of images at a time.
 """
 
 from __future__ import annotations
@@ -361,95 +369,111 @@ def _conv_geometry(x_shape, w_shape, stride, padding, groups):
     return ho, wo
 
 
-def _taps(kh, kw, stride, ho, wo):
-    """Yield (ki, kj, index) per kernel offset; ``index`` picks the [.., Ho, Wo]
-    grid of NCHW input pixels that offset (ki, kj) meets."""
-    for ki in range(kh):
-        for kj in range(kw):
-            yield ki, kj, (slice(None), slice(None), slice(ki, ki + stride * ho, stride),
-                           slice(kj, kj + stride * wo, stride))
+def _window(i, stride, padding, size, count):
+    """(output slice, input slice) along one axis for kernel offset ``i``: the
+    outputs among ``count`` whose input pixel ``o * stride + i - padding``
+    lies inside ``size``, and those input pixels."""
+    lo = max(0, -((i - padding) // stride))
+    hi = max(lo, min(count, (size - 1 + padding - i) // stride + 1))
+    first = lo * stride + i - padding
+    return slice(lo, hi), slice(first, first + stride * (hi - lo), stride)
 
 
-def _zeros_nchw(n, c, h, w, dtype, cnhw):
-    """Zeroed [N, C, H, W] array; stored CNHW when ``cnhw``, else NCHW."""
-    if cnhw:
-        return np.zeros((c, n, h, w), dtype=dtype).swapaxes(0, 1)
-    return np.zeros((n, c, h, w), dtype=dtype)
+def _taps(kh, kw, stride, padding, h, w, ho, wo):
+    """Yield (ki, kj, out, src) per kernel offset of a conv over an [.., H, W]
+    input zero-padded by ``padding``: ``src`` picks the input pixels offset
+    (ki, kj) meets inside the image and ``out`` their places on the
+    [.., Ho, Wo] output grid. Every other place meets padding, a zero."""
+    rows = [_window(ki, stride, padding, h, ho) for ki in range(kh)]
+    cols = [_window(kj, stride, padding, w, wo) for kj in range(kw)]
+    for ki, (ro, ri) in enumerate(rows):
+        for kj, (co, ci) in enumerate(cols):
+            yield ki, kj, (Ellipsis, ro, co), (Ellipsis, ri, ci)
 
 
-def _padded(a, padding, cnhw):
-    """``a`` [N, C, H, W] zero-padded on H and W (``a`` itself when padding is 0)."""
-    if not padding:
-        return a
-    n, c, h, w = a.shape
-    out = _zeros_nchw(n, c, h + 2 * padding, w + 2 * padding, a.dtype, cnhw)
-    out[:, :, padding:padding + h, padding:padding + w] = a
-    return out
-
-
-def _conv_per_image(xd, wd, stride, padding, groups, ho, wo):
+def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
     """Lowering for large maps: one GEMM per image, NCHW out.
 
-    Returns the output and ``grad(g, need_x) -> (dW, dX or None)``, dW as
+    ``bias`` [Cout] (or None) is added and the ReLU applied to each chunk of
+    images right after its GEMM, while the chunk is still in cache. Returns
+    the output and ``grad(g, need_x) -> (dW, dX or None)``, dW as
     [groups, Cin/groups*kH*kW, Cout/groups].
     """
     n, cin, h, wdt = xd.shape
     cout, _, kh, kw = wd.shape
     og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
     wg = wd.reshape(groups, og, k)
-    xp = _padded(xd, padding, cnhw=False)
+    taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo))
     step = max(1, min(n, _CHUNK_BYTES // (cin * kh * kw * p * xd.itemsize)))
-    buf = np.empty((step, cin, kh, kw, ho, wo), dtype=xd.dtype)
+    # Zeroed once: every chunk rewrites the same in-image windows, so the
+    # places that stand for padding stay zero and no padded input is made.
+    buf = np.zeros((step, cin, kh, kw, ho, wo), dtype=xd.dtype)
 
     def columns(start):
         """Images start.. of the batch as [m, groups, k, Ho*Wo] columns in ``buf``."""
         part = buf[:min(step, n - start)]
-        src = xp[start:start + len(part)]
-        for ki, kj, idx in _taps(kh, kw, stride, ho, wo):
-            part[:, :, ki, kj] = src[idx]
+        src = xd[start:start + len(part)]
+        for ki, kj, o, s in taps:
+            part[:, :, ki, kj][o] = src[s]
         return part.reshape(len(part), groups, k, p)
 
     out = np.empty((n, groups, og, p), dtype=xd.dtype)
+    if bias is not None:
+        bias = bias.reshape(groups, og, 1)
     for start in range(0, n, step):
         cols = columns(start)
-        np.matmul(wg, cols, out=out[start:start + len(cols)])
+        part = out[start:start + len(cols)]
+        np.matmul(wg, cols, out=part)
+        if bias is not None:
+            part += bias
+        if relu:
+            np.maximum(part, 0, out=part)
 
     def grad(g, need_x):
         gg = g.reshape(n, groups, og, p)
         dw = np.zeros((groups, k, og), dtype=g.dtype)
-        dxp = np.zeros_like(xp) if need_x else None
+        dx = np.zeros(xd.shape, dtype=g.dtype) if need_x else None
+        # not ``buf``: writing there would dirty its zero padding places
+        dbuf = np.empty_like(buf) if need_x else None
         for start in range(0, n, step):
             cols = columns(start)
             gs = gg[start:start + len(cols)]
             dw += np.matmul(cols, gs.swapaxes(-1, -2)).sum(axis=0)
             if need_x:
-                dcols = np.matmul(wg.swapaxes(-1, -2), gs, out=cols)
+                dcols = np.matmul(wg.swapaxes(-1, -2), gs,
+                                  out=dbuf[:len(cols)].reshape(cols.shape))
                 dcols = dcols.reshape(len(cols), cin, kh, kw, ho, wo)
-                dst = dxp[start:start + len(cols)]
-                for ki, kj, idx in _taps(kh, kw, stride, ho, wo):
-                    dst[idx] += dcols[:, :, ki, kj]
-        if need_x:
-            dxp = np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + wdt])
-        return dw, dxp
+                dst = dx[start:start + len(cols)]
+                for ki, kj, o, s in taps:
+                    dst[s] += dcols[:, :, ki, kj][o]
+        return dw, dx
     return out.reshape(n, cout, ho, wo), grad
 
 
-def _conv_batch_wide(xd, wd, stride, padding, groups, ho, wo):
+def _conv_batch_wide(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
     """Lowering for small maps: one GEMM over the batch's CNHW columns.
 
+    ``bias`` is added as the output is copied to NCHW, then the ReLU applied.
     Returns the output and ``grad`` as for :func:`_conv_per_image`.
     """
     n, cin, h, wdt = xd.shape
     cout, _, kh, kw = wd.shape
     og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
     wg = wd.reshape(groups, og, k)
-    xp = _padded(xd, padding, cnhw=True)
-    cols = np.empty((cin, kh, kw, n, ho, wo), dtype=xd.dtype)
+    taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo))
+    cols = np.zeros((cin, kh, kw, n, ho, wo), dtype=xd.dtype)
     colv = cols.transpose(3, 0, 1, 2, 4, 5)               # [N, Cin, kH, kW, Ho, Wo]
-    for ki, kj, idx in _taps(kh, kw, stride, ho, wo):
-        colv[:, :, ki, kj] = xp[idx]
+    for ki, kj, o, s in taps:
+        colv[:, :, ki, kj][o] = xd[s]
     cols = cols.reshape(groups, k, n * p)
-    out = np.matmul(wg, cols).reshape(cout, n, ho, wo).swapaxes(0, 1)
+    y = np.matmul(wg, cols).reshape(cout, n, ho, wo).swapaxes(0, 1)
+    out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
+    if bias is None:
+        out[...] = y
+    else:
+        np.add(y, bias[None, :, None, None], out=out)
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def grad(g, need_x):
         gg = np.ascontiguousarray(g.swapaxes(0, 1)).reshape(groups, og, n * p)
@@ -458,11 +482,11 @@ def _conv_batch_wide(xd, wd, stride, padding, groups, ho, wo):
             return dw, None
         dcols = np.matmul(wg.swapaxes(-1, -2), gg).reshape(cin, kh, kw, n, ho, wo)
         dcols = dcols.transpose(3, 0, 1, 2, 4, 5)
-        dxp = _zeros_nchw(n, cin, h + 2 * padding, wdt + 2 * padding, g.dtype, cnhw=True)
-        for ki, kj, idx in _taps(kh, kw, stride, ho, wo):
-            dxp[idx] += dcols[:, :, ki, kj]
-        return dw, np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + wdt])
-    return np.ascontiguousarray(out), grad
+        dx = np.zeros((cin, n, h, wdt), dtype=g.dtype).swapaxes(0, 1)   # stored CNHW
+        for ki, kj, o, s in taps:
+            dx[s] += dcols[:, :, ki, kj][o]
+        return dw, np.ascontiguousarray(dx)
+    return out, grad
 
 
 def _lowering(ho, wo):
@@ -522,9 +546,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     cout = w.data.shape[0]
     if b is not None and b.data.shape != (cout,):
         raise ConfigurationError(f"conv2d: bias shape {b.data.shape} should be ({cout},)")
-    out, grad = _lowering(ho, wo)(x.data, w.data, stride, padding, groups, ho, wo)
-    if b is not None:
-        out += b.data[None, :, None, None]
+    out, grad = _lowering(ho, wo)(x.data, w.data, stride, padding, groups, ho, wo,
+                                  bias=None if b is None else b.data)
 
     def bwd(g, grads):
         if b is not None:
@@ -655,8 +678,9 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     there. Its values, gradients and running statistics are those of the
     chain bit for bit. Eval mode folds the running statistics into the conv
     each call: ``W' = W * s`` and ``b' = beta - mean * s`` with ``s = gamma /
-    sqrt(var + eps)``, then runs one conv, adds ``b'`` and applies the ReLU
-    in place. That rounds differently from the chain, at float32 precision.
+    sqrt(var + eps)``, then runs one conv whose lowering adds ``b'`` and
+    applies the ReLU to each chunk as it leaves the GEMM. That rounds
+    differently from the chain, at float32 precision.
     The folded arrays are new; parameters and buffers are never written.
     """
     if act not in ("relu", None):
@@ -676,9 +700,9 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
         wd = w.data * scale[:, None, None, None]
         if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
             raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
-        out, grad = lower(x.data, wd, stride, padding, groups, ho, wo)
-        out += shift[None, :, None, None]
-    if act == "relu":
+        out, grad = lower(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
+                          relu=(act == "relu"))
+    if training and act == "relu":
         np.maximum(out, 0, out=out)
 
     def bwd(g, grads):
@@ -706,16 +730,53 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     return _node(out, (x, w, gamma, beta), bwd, "conv_bn_act")
 
 
-def _window_sum(a, axis, k, s, count):
-    """Sums of ``count`` windows of ``k`` along ``axis``, ``s`` apart: k - 1 strided adds."""
+def gate_add_relu(y, gate, short):
+    """``relu(y * gate + short)`` as one graph node: a residual block's join.
+
+    ``y`` and ``short`` are [N, C, H, W]; ``gate`` is [N, C] and scales each
+    channel of ``y`` (an SE gate), or None. Values and gradients equal the
+    chain ``relu(add(mul(y, broadcast_to(reshape(gate)))), short))`` bit for
+    bit: the same products, sums and reductions in the same order.
+    """
+    if y.data.ndim != 4:
+        raise ConfigurationError(f"gate_add_relu: expected NCHW input, got {y.data.shape}")
+    _check_same_shape(y, short, "gate_add_relu")
+    if gate is None:
+        out = y.data + short.data
+    else:
+        if gate.data.shape != y.data.shape[:2]:
+            raise ConfigurationError(
+                f"gate_add_relu: gate shape {gate.data.shape} should be {y.data.shape[:2]}")
+        out = y.data * gate.data[:, :, None, None]
+        out += short.data
+    np.maximum(out, 0, out=out)
+
+    def bwd(g, grads):
+        g = g * (out > 0)
+        if gate is None:
+            _put(grads, y, g.copy())
+        else:
+            if gate.requires_grad:
+                _put(grads, gate, (g * y.data).sum(axis=(2, 3)))
+            _put(grads, y, g * gate.data[:, :, None, None])
+        _put(grads, short, g)
+
+    parents = (y, short) if gate is None else (y, gate, short)
+    return _node(out, parents, bwd, "gate_add_relu")
+
+
+def _window_sum(a, axis, k, s, count, out=None):
+    """Sums of ``count`` windows of ``k`` along ``axis``, ``s`` apart: k - 1
+    strided adds, into ``out`` when given."""
     def every(i):
         idx = [slice(None)] * a.ndim
         idx[axis] = slice(i, i + s * count, s)
         return a[tuple(idx)]
-    if k == 1:
-        return every(0).copy()
-    out = np.add(every(0), every(1))
-    for i in range(2, k):
+    if out is None:
+        out = every(0).copy()
+    else:
+        out[...] = every(0)
+    for i in range(1, k):
         out += every(i)
     return out
 
@@ -723,9 +784,10 @@ def _window_sum(a, axis, k, s, count):
 def avg_pool2d(x, kernel, stride=None):
     """Non-padded average pooling, window ``kernel`` and step ``stride``.
 
-    Forward sums each window's rows, then its columns, with strided adds;
-    backward writes the scaled gradient back with one strided add (a plain
-    write where windows do not overlap) per window offset.
+    Forward sums each window's rows, then its columns, with strided adds,
+    about ``_CHUNK_BYTES`` of input images at a time so the row sums stay in
+    cache; backward writes the scaled gradient back with one strided add (a
+    plain write where windows do not overlap) per window offset.
     """
     if x.data.ndim != 4:
         raise ConfigurationError(f"avg_pool2d: expected NCHW input, got {x.data.shape}")
@@ -739,14 +801,18 @@ def avg_pool2d(x, kernel, stride=None):
     ho = (h - k) // s + 1
     wo = (w - k) // s + 1
     inv = 1.0 / (k * k)
-    out = _window_sum(_window_sum(x.data, 2, k, s, ho), 3, k, s, wo)
-    out *= inv
+    out = np.empty((n, c, ho, wo), dtype=x.data.dtype)
+    step = max(1, _CHUNK_BYTES // max(1, c * h * w * x.data.itemsize))
+    for start in range(0, n, step):
+        part = out[start:start + step]
+        _window_sum(_window_sum(x.data[start:start + step], 2, k, s, ho), 3, k, s, wo, out=part)
+        part *= inv
     def bwd(g, grads):
         if not x.requires_grad:
             return
         dx = np.zeros_like(x.data)
         gk = g * inv
-        for _, _, idx in _taps(k, k, s, ho, wo):
+        for _, _, _, idx in _taps(k, k, s, 0, h, w, ho, wo):
             if k <= s:      # windows do not overlap, so no pixel is written twice
                 dx[idx] = gk
             else:

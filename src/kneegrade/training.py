@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import epoch_indices
-from .errors import ConfigurationError, MetricUndefinedError, TrainingError
+from .errors import ConfigurationError, MetricUndefinedError, TrainingError, WeightLoadError
 from .metrics import balanced_accuracy, cohen_kappa
 from .model import OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
 from .preprocess import AugmentConfig, augment
@@ -232,19 +232,32 @@ def batch_images(images, exams, idxs, rng=None, aug_cfg=None):
     return np.stack(planes)[:, None, :, :]
 
 
+# Inference runs at most this many bytes of stem output at a time: 8 images
+# at 128 px, a whole 32-image batch at 64 px. The stem output is the widest
+# activation, so a batch's arrays stay a few times this size instead of
+# growing with the batch. No eval-mode op mixes images, and the logits equal
+# those of one whole-batch forward bit for bit.
+_INFER_STEM_BYTES = 8 << 20
+
+
 def batched_logits(model, exams, images, reduce, batch_size=32):
     """Per-head ``reduce(logits)`` over ``exams``, concatenated in exam order.
 
     The one inference loop: validation and ensemble prediction both run it.
-    Batches go through the model in eval mode under ``no_grad``, so no graph
-    is recorded and each batch's activations are freed before the next
-    batch starts. The model is left in eval mode.
+    Batches of at most ``batch_size`` images, fewer when their stem output
+    would pass ``_INFER_STEM_BYTES``, go through the model in eval mode under
+    ``no_grad``, so no graph is recorded and each batch's activations are
+    freed before the next batch starts. The model is left in eval mode.
     """
     model.eval()
+    step = batch_size
+    if exams:
+        h, w = images[exams[0].exam_id].values.shape
+        step = max(1, min(batch_size, _INFER_STEM_BYTES // model.backbone.stem_bytes(h, w)))
     chunks = {name: [] for name in model.head_names}
     with T.no_grad():
-        for start in range(0, len(exams), batch_size):
-            idxs = range(start, min(start + batch_size, len(exams)))
+        for start in range(0, len(exams), step):
+            idxs = range(start, min(start + step, len(exams)))
             x = Tensor(batch_images(images, exams, idxs))
             for name, lg in zip(model.head_names, model(x)):
                 chunks[name].append(reduce(lg.data))
@@ -300,9 +313,13 @@ def select_snapshot(mean_kappas):
 
 @dataclass
 class Snapshot:
-    """One trained fold: full model state plus the context to rebuild it."""
+    """One trained fold: full model state plus the context to rebuild it.
+
+    ``path`` is the file it was loaded from, None for one held in memory.
+    """
     weights: dict
     meta: dict
+    path: str | None = field(default=None, compare=False)
 
     def save(self, path):
         path = str(path)
@@ -313,17 +330,26 @@ class Snapshot:
     @classmethod
     def load(cls, path):
         path = str(path)
-        return cls(weights=load_tensors(path), meta=read_sidecar(path))
+        return cls(weights=load_tensors(path), meta=read_sidecar(path), path=path)
 
 
 def snapshot_model(snapshot, dtype=np.float32):
-    """Rebuild the trained model a snapshot was taken from."""
+    """Rebuild the trained model a snapshot was taken from.
+
+    Weights that do not fit the model are a WeightLoadError naming the
+    snapshot's file, when it came from one.
+    """
     from .model import ModelConfig
     cfg = ModelConfig.from_dict(snapshot.meta["model_config"])
     heads = [tuple(h) for h in snapshot.meta["heads"]]
     model = build_model(cfg, int(snapshot.meta["seed"]), dtype=dtype,
                         heads_override=heads)
-    model.load_state_arrays(snapshot.weights)
+    try:
+        model.load_state_arrays(snapshot.weights)
+    except WeightLoadError as exc:
+        if snapshot.path is None:
+            raise
+        raise WeightLoadError(f"{snapshot.path}: {exc}") from None
     return model
 
 

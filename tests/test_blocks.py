@@ -63,31 +63,36 @@ def unit_oracle(x, w, gamma, beta, running_mean, running_var, training, act, str
     return out, rm, rv
 
 
+def gated(se, x):
+    """``x`` scaled by its SE gate values, as a block's join applies them."""
+    return se(x).data[:, :, None, None] * x.data
+
+
 class TestSEGate:
     def test_zero_weights_halve_input(self, rng):
         se = SEGate(8, 4, rng)
         se.squeeze.weight.data[...] = 0.0
         se.excite.weight.data[...] = 0.0
         x = T.Tensor(rng.normal(size=(2, 8, 3, 3)))
-        out = se(x)
-        assert np.array_equal(out.data, 0.5 * x.data)
+        assert se(x).shape == (2, 8)
+        assert np.array_equal(gated(se, x), 0.5 * x.data)
 
     def test_zero_input_stays_zero(self, rng):
         se = SEGate(8, 2, rng)
-        out = se(T.Tensor(np.zeros((1, 8, 4, 4))))
-        assert np.array_equal(out.data, np.zeros((1, 8, 4, 4), dtype=np.float32))
+        out = gated(se, T.Tensor(np.zeros((1, 8, 4, 4))))
+        assert np.array_equal(out, np.zeros((1, 8, 4, 4), dtype=np.float32))
 
     def test_matches_numpy_oracle(self, rng):
         se = SEGate(6, 3, rng, dtype=np.float64)
         x = rng.normal(size=(3, 6, 4, 5))
-        got = se(T.Tensor(x, dtype=np.float64)).data
+        got = gated(se, T.Tensor(x, dtype=np.float64))
         want = se_oracle(x, se.squeeze.weight.data, se.excite.weight.data)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_gate_never_amplifies(self, rng):
         se = SEGate(4, 2, rng, dtype=np.float64)
         x = rng.normal(size=(2, 4, 5, 5))
-        out = se(T.Tensor(x, dtype=np.float64)).data
+        out = gated(se, T.Tensor(x, dtype=np.float64))
         assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
 
     def test_reduction_must_divide(self, rng):
@@ -97,7 +102,10 @@ class TestSEGate:
     def test_grads(self, rng):
         se = SEGate(4, 2, rng, dtype=np.float64)
         x = T.Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True, dtype=np.float64)
-        check_param_gradients(lambda: T.mean_all(se(x)), [x] + se.parameters())
+        # a shortcut of 10 keeps the join's ReLU open, so this is d mean(x * gate)
+        lift = T.Tensor(np.full(x.shape, 10.0), dtype=np.float64)
+        check_param_gradients(lambda: T.mean_all(T.gate_add_relu(x, se(x), lift)),
+                              [x] + se.parameters())
 
 
 class TestResidualBlock:
@@ -290,8 +298,9 @@ class TestUnits:
             if id(t) not in seen:
                 seen.add(id(t))
                 stack.extend(t._parents)
-        # 157 as separate conv, BN and ReLU ops
-        assert len(seen) <= 140
+        # 157 as separate conv, BN and ReLU ops, 140 with each residual join as
+        # reshape, broadcast_to, mul, add and relu
+        assert len(seen) <= 124
 
 
 class TestPoolHead:

@@ -496,7 +496,7 @@ class TestCorruptInputs:
                        "--manifest", str(workdir / "cache" / "manifest.csv"),
                        "--images", str(workdir / "cache"),
                        "--snapshots", str(snap), "--out", str(tmp_path / "preds.csv"))
-        self._expect(capsys, code, "WeightLoadError", "backbone.rogue")
+        self._expect(capsys, code, "WeightLoadError", f"{snap}: ", "backbone.rogue")
         assert not (tmp_path / "preds.csv").exists()
 
 

@@ -240,6 +240,188 @@ class TestConvLowerings:
             assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
+def padded_lowering(per_image, xd, wd, stride, padding, groups, ho, wo, g):
+    """Output, dW and folded dX of a conv lowering gathered from a zero-padded
+    copy of the input: the formulation the pad-free gathers replaced, with the
+    same chunks, GEMMs and reductions, so results must agree bit for bit."""
+    n, cin, h, w = xd.shape
+    cout, _, kh, kw = wd.shape
+    og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
+    wg = wd.reshape(groups, og, k)
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+
+    def gather(src, cols):
+        for ki in range(kh):
+            for kj in range(kw):
+                cols[:, :, ki, kj] = src[:, :, ki:ki + stride * ho:stride,
+                                         kj:kj + stride * wo:stride]
+
+    def fold(dst, dcols):
+        for ki in range(kh):
+            for kj in range(kw):
+                dst[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += \
+                    dcols[:, :, ki, kj]
+
+    if per_image:
+        step = max(1, min(n, T._CHUNK_BYTES // (cin * kh * kw * p * xd.itemsize)))
+        out = np.empty((n, groups, og, p), dtype=xd.dtype)
+        dw = np.zeros((groups, k, og), dtype=xd.dtype)
+        gg = g.reshape(n, groups, og, p)
+        for start in range(0, n, step):
+            src = xp[start:start + step]
+            cols = np.empty((len(src), cin, kh, kw, ho, wo), dtype=xd.dtype)
+            gather(src, cols)
+            cols = cols.reshape(len(src), groups, k, p)
+            np.matmul(wg, cols, out=out[start:start + len(src)])
+            gs = gg[start:start + len(src)]
+            dw += np.matmul(cols, gs.swapaxes(-1, -2)).sum(axis=0)
+            dcols = np.matmul(wg.swapaxes(-1, -2), gs)
+            fold(dxp[start:start + len(src)], dcols.reshape(len(src), cin, kh, kw, ho, wo))
+        out = out.reshape(n, cout, ho, wo)
+    else:
+        cols = np.empty((cin, kh, kw, n, ho, wo), dtype=xd.dtype)
+        gather(xp, cols.transpose(3, 0, 1, 2, 4, 5))
+        cols = cols.reshape(groups, k, n * p)
+        out = np.ascontiguousarray(
+            np.matmul(wg, cols).reshape(cout, n, ho, wo).swapaxes(0, 1))
+        gg = np.ascontiguousarray(g.swapaxes(0, 1)).reshape(groups, og, n * p)
+        dw = np.matmul(cols, gg.swapaxes(-1, -2))
+        dcols = np.matmul(wg.swapaxes(-1, -2), gg).reshape(cin, kh, kw, n, ho, wo)
+        fold(dxp, dcols.transpose(3, 0, 1, 2, 4, 5))
+    return out, dw, dxp[:, :, padding:padding + h, padding:padding + w]
+
+
+def default_model_convs():
+    """(Cin, Cout, k, groups, side, stride, padding) of every conv the default
+    model runs per image (its output has at least _PER_IMAGE_MIN_PIXELS) at
+    64 and 128 px."""
+    from kneegrade.model import ModelConfig, build_model
+    seen, fused = [], T.conv_bn_act
+
+    def record(x, w, *args, **kw):
+        ho = (x.shape[2] + 2 * kw["padding"] - w.shape[2]) // kw["stride"] + 1
+        key = (x.shape[1], w.shape[0], w.shape[2], kw["groups"], x.shape[2],
+               kw["stride"], kw["padding"])
+        if ho * ho >= T._PER_IMAGE_MIN_PIXELS and key not in seen:
+            seen.append(key)
+        return fused(x, w, *args, **kw)
+    model = build_model(ModelConfig(), seed=0).eval()
+    T.conv_bn_act = record
+    try:
+        for side in (64, 128):
+            model(T.Tensor(np.zeros((1, 1, side, side))))
+    finally:
+        T.conv_bn_act = fused
+    return seen
+
+
+class TestPadFreeColumns:
+    """Columns gathered from the unpadded input equal those of a padded copy."""
+
+    @pytest.mark.parametrize("lowering", ["_conv_per_image", "_conv_batch_wide"])
+    def test_match_padded_columns_bitwise(self, rng, monkeypatch, lowering):
+        convs = default_model_convs()
+        assert len(convs) == 13
+        cases = list(convs)
+        for cin, cout, k, groups in dict.fromkeys(c[:4] for c in convs):
+            cases += [(cin, cout, k, groups, 17, stride, padding)
+                      for stride in (1, 2) for padding in (0, 1, 2)]
+        for cin, cout, k, groups, side, stride, padding in cases:
+            x = rng.normal(size=(3, cin, side, side)).astype(np.float32)
+            w = rng.normal(size=(cout, cin // groups, k, k)).astype(np.float32)
+            ho = (side + 2 * padding - k) // stride + 1
+            g = rng.normal(size=(3, cout, ho, ho)).astype(np.float32)
+            # chunks of 2 and 1 images: the column buffer is reused, partly
+            monkeypatch.setattr(T, "_CHUNK_BYTES", 2 * cin * k * k * ho * ho * 4)
+            out, grad = getattr(T, lowering)(x, w, stride, padding, groups, ho, ho)
+            got = (out,) + grad(g, True)
+            want = padded_lowering(lowering == "_conv_per_image", x, w, stride, padding,
+                                   groups, ho, ho, g)
+            for name, a, b in zip(("out", "dW", "dX"), got, want):
+                assert a.flags.c_contiguous and np.array_equal(a, b), \
+                    (lowering, cin, cout, k, side, stride, padding, name)
+
+
+class TestChunkedEpilogues:
+    """The eval unit's bias and ReLU per chunk, and pooling in image chunks,
+    against their whole-batch forms."""
+
+    @pytest.mark.parametrize("lowering,side", [("_conv_per_image", 17),
+                                               ("_conv_batch_wide", 7)])
+    def test_bias_relu_in_the_lowering(self, rng, monkeypatch, lowering, side):
+        x = rng.normal(size=(5, 4, side, side)).astype(np.float32)
+        w = rng.normal(size=(6, 4, 3, 3)).astype(np.float32)
+        b = rng.normal(size=6).astype(np.float32)
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 2 * 4 * 9 * side * side * 4)
+        lower = getattr(T, lowering)
+        want, _ = lower(x, w, 1, 1, 1, side, side)
+        want += b[None, :, None, None]
+        np.maximum(want, 0, out=want)
+        got, _ = lower(x, w, 1, 1, 1, side, side, bias=b, relu=True)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (3, 1), (1, 1)])
+    def test_avg_pool_chunks_match_whole_batch(self, rng, monkeypatch, kernel, stride):
+        x = rng.normal(size=(5, 3, 11, 9)).astype(np.float32)
+        r = rng.normal(size=(5, 3, (11 - kernel) // stride + 1,
+                             (9 - kernel) // stride + 1)).astype(np.float32)
+
+        def run(chunk_bytes):
+            monkeypatch.setattr(T, "_CHUNK_BYTES", chunk_bytes)
+            t = T.Tensor(x, requires_grad=True)
+            out = T.avg_pool2d(t, kernel, stride)
+            T.backward(T.reduce_sum(T.mul(out, T.Tensor(r))))
+            return out.data, t.grad
+        whole = run(x.nbytes)
+        chunked = run(x[:2].nbytes)           # chunks of 2, 2 and 1 images
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
+
+
+def _join_chain(y, gate, short):
+    """The residual join as it was spelled before gate_add_relu."""
+    if gate is not None:
+        n, c = gate.shape
+        y = T.mul(y, T.broadcast_to(T.reshape(gate, (n, c, 1, 1)), y.shape))
+    return T.relu(T.add(y, short))
+
+
+class TestGateAddRelu:
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_equals_chain_bitwise(self, rng, gated):
+        arrays = [rng.normal(size=(3, 4, 5, 6)), rng.uniform(size=(3, 4)),
+                  rng.normal(size=(3, 4, 5, 6))]
+        r = T.Tensor(rng.normal(size=(3, 4, 5, 6)))
+        results = []
+        for op in (T.gate_add_relu, _join_chain):
+            y, gate, short = [T.Tensor(a, requires_grad=True) for a in arrays]
+            gate = gate if gated else None
+            out = op(y, gate, short)
+            T.backward(T.reduce_sum(T.mul(out, r)))
+            results.append([out.data, y.grad, short.grad] + ([gate.grad] if gated else []))
+        for a, b in zip(*results):
+            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_grads(self, rng, gated):
+        arrays = [rng.normal(size=(2, 3, 4, 5)), rng.uniform(size=(2, 3)),
+                  rng.normal(size=(2, 3, 4, 5))]
+        r = T.Tensor(rng.normal(size=(2, 3, 4, 5)), dtype=np.float64)
+        if not gated:
+            del arrays[1]
+        check_gradients(
+            lambda ts: T.mean_all(T.mul(T.gate_add_relu(ts[0], ts[1] if gated else None,
+                                                        ts[-1]), r)), arrays)
+
+    def test_shapes_checked(self, rng):
+        y = T.Tensor(rng.normal(size=(2, 3, 4, 4)))
+        with pytest.raises(ConfigurationError):
+            T.gate_add_relu(y, T.Tensor(np.ones((2, 4))), y)
+        with pytest.raises(ConfigurationError):
+            T.gate_add_relu(y, None, T.Tensor(np.ones((2, 3, 4, 5))))
+
+
 class TestBatchNorm:
     def test_train_constant_batch_gives_beta(self):
         x = T.Tensor(np.full((2, 3, 4, 4), 5.0))

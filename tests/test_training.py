@@ -24,6 +24,7 @@ from kneegrade.training import (
     Snapshot,
     TrainConfig,
     adam_update,
+    batched_logits,
     multi_task_loss,
     pretrain_backbone,
     run_fold,
@@ -233,6 +234,34 @@ class TestSelectSnapshot:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             select_snapshot([])
+
+
+class TestBatchedLogits:
+    """The one inference loop at 128 px, where a batch's stem output passes
+    its budget and the loop streams 8-image batches."""
+
+    def test_streamed_batches_equal_one_whole_batch_forward(self):
+        exams, images = fake_dataset(10, side=128)
+        model = build_model(ModelConfig(), seed=0)
+        got = batched_logits(model, exams, images, lambda z: z, batch_size=32)
+        x = np.stack([images[e.exam_id].values for e in exams])[:, None]
+        with T.no_grad():
+            want = model(Tensor(x))
+        for name, lg in zip(model.head_names, want):
+            assert np.array_equal(got[name], lg.data)
+
+    def test_peak_memory_of_a_32_image_batch(self):
+        import tracemalloc
+        exams, images = fake_dataset(32, side=128)
+        model = build_model(ModelConfig(), seed=0)
+        tracemalloc.start()
+        try:
+            batched_logits(model, exams, images, lambda z: z, batch_size=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 58 MB when the 32 images went through as one batch
+        assert peak <= 16 << 20, peak
 
 
 class TestRunFold:

@@ -211,7 +211,7 @@ def split_cv(exams, n_folds=5, seed=0):
 # sampling
 
 
-def epoch_indices(exams, scheme, rng, classes=None):
+def epoch_indices(exams, scheme, rng):
     """One epoch worth of training indices.
 
     ``none`` returns a uniform permutation. ``kl_balanced`` draws with
@@ -227,19 +227,13 @@ def epoch_indices(exams, scheme, rng, classes=None):
         raise ConfigurationError(f"unknown sampling scheme {scheme!r}")
     labels = np.array([-1 if e.grade("KL") is None else e.grade("KL") for e in exams])
     present = sorted(set(labels.tolist()))
-    wanted = sorted(classes) if classes is not None else present
-    buckets = {}
-    for cls in wanted:
-        idx = np.nonzero(labels == cls)[0]
-        if idx.size == 0:
-            raise ConfigurationError(f"kl_balanced sampling: class {cls} has no exams")
-        buckets[cls] = idx
-    if len(buckets) == 1:
+    if len(present) == 1:
         return rng.permutation(n)
-    picks = rng.integers(0, len(wanted), size=n)
+    buckets = [np.nonzero(labels == cls)[0] for cls in present]
+    picks = rng.integers(0, len(present), size=n)
     out = np.empty(n, dtype=np.int64)
     for i, cls_pos in enumerate(picks):
-        bucket = buckets[wanted[cls_pos]]
+        bucket = buckets[cls_pos]
         out[i] = bucket[rng.integers(0, bucket.size)]
     return out
 

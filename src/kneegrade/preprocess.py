@@ -1,10 +1,11 @@
 """Radiograph preprocessing: plateau alignment, ROI crop, normalization.
 
 The pipeline runs rotate -> mirror (left knees) -> crop -> resize ->
-normalize, so the cached image is exactly standardized at the target side.
-All resampling is bilinear. Sampling is corner-aligned: output corner pixels
-map onto input corner pixels, i.e. src = dst * (S_in - 1) / (S_out - 1),
-which makes same-size resampling the identity.
+percentile clip, so the cached image is a [0, 1] grid at the target side;
+``training.batch_images`` standardizes it. All resampling is bilinear.
+Sampling is corner-aligned: output corner pixels map onto input corner
+pixels, i.e. src = dst * (S_in - 1) / (S_out - 1), which makes same-size
+resampling the identity.
 """
 
 from __future__ import annotations
@@ -64,9 +65,13 @@ class LandmarkSet:
 
 @dataclass
 class NormalizedImage:
-    values: np.ndarray          # float32 [S, S], mean 0 / std 1
-    grid01: np.ndarray          # same grid before standardization, in [0, 1]
+    grid01: np.ndarray          # float32 [S, S], percentile-clipped to [0, 1]
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def values(self):
+        """The model's input plane: ``standardize(grid01)``."""
+        return standardize(self.grid01)
 
 
 def bilinear_sample(grid, ys, xs, fill=0.0):
@@ -220,23 +225,20 @@ def _percentile_clip01(grid, clip_low, clip_high):
 
 
 def standardize(grid01):
-    std = grid01.std()
+    """Shift and scale a grid to mean 0 / std 1, in float64; returns float32."""
+    grid = np.asarray(grid01, dtype=np.float64)
+    std = grid.std()
     if std < 1e-12:
         raise NormalizationError("image is constant after clipping; cannot standardize")
-    return (grid01 - grid01.mean()) / std
+    return ((grid - grid.mean()) / std).astype(np.float32)
 
 
 def normalize(image: RawImage, clip_low=1.0, clip_high=99.0):
-    """Percentile clip, rescale to [0, 1], then standardize to mean 0 / std 1."""
+    """Percentile clip and rescale to [0, 1]."""
     if not (0 <= clip_low < clip_high <= 100):
         raise ConfigurationError(f"bad clip percentiles [{clip_low}, {clip_high}]")
-    grid = image.pixels.astype(np.float64)
-    if np.all(grid == grid.flat[0]):
-        raise NormalizationError("constant image cannot be normalized")
-    grid01 = _percentile_clip01(grid, clip_low, clip_high)
-    values = standardize(grid01)
-    return NormalizedImage(values=values.astype(np.float32),
-                           grid01=grid01.astype(np.float32),
+    grid01 = _percentile_clip01(image.pixels.astype(np.float64), clip_low, clip_high)
+    return NormalizedImage(grid01=grid01.astype(np.float32),
                            provenance={"clip_pct": [float(clip_low), float(clip_high)]})
 
 
@@ -296,16 +298,15 @@ class AugmentConfig:
         return self
 
 
-def augment(norm: NormalizedImage, rng, cfg: AugmentConfig = AugmentConfig()):
-    """Random crop, additive noise, gamma jitter; re-standardized at the end.
+def augment(grid01, rng, cfg: AugmentConfig = AugmentConfig()):
+    """Random crop, additive noise, gamma jitter: a [0, 1] grid to a float64 one.
 
-    Noise and gamma act on the pre-standardization [0, 1] grid (gamma on a
-    negative value is undefined, so the noisy grid is clamped back to [0, 1]
-    first). With a full-size crop, zero sigma, and a unit gamma range the
-    output equals the input.
+    Gamma on a negative value is undefined, so the noisy grid is clamped back
+    to [0, 1] first. With a full-size crop, zero sigma, and a unit gamma range
+    the output equals the input.
     """
     cfg.validate()
-    src = norm.grid01.astype(np.float64)
+    src = np.asarray(grid01, dtype=np.float64)
     side = src.shape[0]
     crop = max(1, int(round(side * cfg.crop_ratio)))
     max_off = side - crop
@@ -318,11 +319,7 @@ def augment(norm: NormalizedImage, rng, cfg: AugmentConfig = AugmentConfig()):
     gamma = float(rng.uniform(cfg.gamma_low, cfg.gamma_high))
     if gamma != 1.0:
         out = np.power(out, gamma)
-    values = standardize(out)
-    prov = dict(norm.provenance)
-    prov["augment"] = {"offset": [oy, ox], "crop_px": crop, "gamma": gamma}
-    return NormalizedImage(values=values.astype(np.float32),
-                           grid01=out.astype(np.float32), provenance=prov)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +343,9 @@ def _jsonable(value):
 def save_image_cache(path, images, meta=None):
     """Write preprocessed images to one container plus a JSON sidecar.
 
-    The container holds two float32 planes per exam (standardized values and
-    the pre-standardization [0, 1] grid) under sorted names, so identical
-    inputs always produce identical bytes. Provenance goes in the sidecar.
+    The container holds one float32 plane per exam, its [0, 1] grid, named
+    ``{exam_id}/grid01`` and stored in sorted order, so identical inputs
+    always produce identical bytes. Provenance goes in the sidecar.
     """
     from .report import write_sidecar
     from .serialize import save_tensors
@@ -358,7 +355,6 @@ def save_image_cache(path, images, meta=None):
     for exam_id, norm in images.items():
         if "/" in exam_id:
             raise ConfigurationError(f"exam id {exam_id!r} cannot contain '/'")
-        named[f"{exam_id}/values"] = norm.values
         named[f"{exam_id}/grid01"] = norm.grid01
         provenance[exam_id] = _jsonable(norm.provenance)
     save_tensors(path, named)
@@ -381,17 +377,11 @@ def load_image_cache(path):
     except FileNotFoundError:
         meta = {}
     provenance = meta.get("provenance", {})
-    images = {}
+    out = {}
     for name, arr in named.items():
         exam_id, _, kind = name.partition("/")
-        if kind not in ("values", "grid01"):
+        if kind == "grid01":
+            out[exam_id] = NormalizedImage(grid01=arr, provenance=provenance.get(exam_id, {}))
+        elif kind != "values":      # older caches also stored standardize(grid01)
             raise DataError(f"{path}: unexpected cache entry {name!r}")
-        slot = images.setdefault(exam_id, {})
-        slot[kind] = arr
-    out = {}
-    for exam_id, slot in sorted(images.items()):
-        if set(slot) != {"values", "grid01"}:
-            raise DataError(f"{path}: exam {exam_id!r} is missing a plane")
-        out[exam_id] = NormalizedImage(values=slot["values"], grid01=slot["grid01"],
-                                       provenance=provenance.get(exam_id, {}))
-    return out, meta
+    return dict(sorted(out.items())), meta

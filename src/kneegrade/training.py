@@ -24,7 +24,7 @@ from .data import epoch_indices
 from .errors import ConfigurationError, MetricUndefinedError, TrainingError, WeightLoadError
 from .metrics import balanced_accuracy, cohen_kappa
 from .model import OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
-from .preprocess import AugmentConfig, augment
+from .preprocess import AugmentConfig, augment, standardize
 from .report import read_sidecar, write_sidecar
 from .serialize import load_tensors, save_tensors
 from .tensor import Tensor
@@ -223,12 +223,17 @@ def targets_for(exams, head_names):
 
 
 def batch_images(images, exams, idxs, rng=None, aug_cfg=None):
+    """Float32 model inputs [N, 1, S, S] for ``exams[idxs]``.
+
+    Each cached [0, 1] grid is augmented when ``aug_cfg`` is given, then
+    standardized here, so training and evaluation inputs share one path.
+    """
     planes = []
     for i in idxs:
-        norm = images[exams[i].exam_id]
+        grid = images[exams[i].exam_id].grid01
         if aug_cfg is not None:
-            norm = augment(norm, rng, aug_cfg)
-        planes.append(norm.values)
+            grid = augment(grid, rng, aug_cfg)
+        planes.append(standardize(grid))
     return np.stack(planes)[:, None, :, :]
 
 
@@ -252,7 +257,7 @@ def batched_logits(model, exams, images, reduce, batch_size=32):
     model.eval()
     step = batch_size
     if exams:
-        h, w = images[exams[0].exam_id].values.shape
+        h, w = images[exams[0].exam_id].grid01.shape
         step = max(1, min(batch_size, _INFER_STEM_BYTES // model.backbone.stem_bytes(h, w)))
     chunks = {name: [] for name in model.head_names}
     with T.no_grad():

@@ -483,6 +483,20 @@ class TestCorruptInputs:
             return path
         self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
 
+    def test_image_cache_foreign_entry(self, workdir, tmp_path, capsys):
+        from kneegrade.serialize import load_tensors, save_tensors
+        cache = tmp_path / "cache"
+        shutil.copytree(workdir / "cache", cache)
+        path = cache / "images.kgw"
+        arrays = load_tensors(path)
+        arrays[next(iter(arrays)).replace("/grid01", "/mask")] = np.zeros(3, dtype=np.float32)
+        save_tensors(path, arrays)
+        code = run_cli("train", "--config", str(workdir / "config.json"),
+                       "--manifest", str(cache / "manifest.csv"),
+                       "--images", str(cache), "--out", str(tmp_path / "folds"))
+        self._expect(capsys, code, "DataError", str(path), "/mask")
+        assert not (tmp_path / "folds").exists()
+
     def test_snapshot_with_extra_tensor(self, workdir, tmp_path, capsys):
         from kneegrade.serialize import load_tensors, save_tensors
         snap = tmp_path / "snapshot_fold0.kgw"

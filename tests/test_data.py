@@ -148,11 +148,6 @@ class TestSampling:
         idx = epoch_indices(exams, "kl_balanced", np.random.default_rng(3))
         assert sorted(idx.tolist()) == list(range(15))
 
-    def test_requested_empty_class_rejected(self):
-        exams = [exam(i, kl=0) for i in range(5)]
-        with pytest.raises(ConfigurationError, match="class 3"):
-            epoch_indices(exams, "kl_balanced", np.random.default_rng(0), classes=[0, 3])
-
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
             epoch_indices([exam(0)], "fancy", np.random.default_rng(0))

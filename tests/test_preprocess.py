@@ -1,14 +1,18 @@
 """Geometry and intensity preprocessing."""
 
+import re
+
 import numpy as np
 import pytest
 
-from kneegrade.errors import ConfigurationError, GeometryError, NormalizationError
+from kneegrade.errors import ConfigurationError, DataError, GeometryError, NormalizationError
 from kneegrade.imageio import read_pgm16, write_pgm16
 from kneegrade.preprocess import (AugmentConfig, LandmarkSet, PreprocessConfig, RawImage,
-                                  augment, crop_roi, mirror_horizontal, normalize,
-                                  preprocess_exam, resize_bilinear, resize_bilinear_grid,
-                                  rotate_align, rotate_image, standardize)
+                                  augment, crop_roi, load_image_cache, mirror_horizontal,
+                                  normalize, preprocess_exam, resize_bilinear,
+                                  resize_bilinear_grid, rotate_align, rotate_image,
+                                  save_image_cache, standardize)
+from kneegrade.serialize import load_tensors, save_tensors
 
 
 def make_image(pixels, spacing=0.2):
@@ -204,38 +208,78 @@ class TestAugment:
     def grid(self, seed=0, side=32):
         rng = np.random.default_rng(seed)
         img = make_image(rng.integers(0, 65536, size=(side, side)).astype(np.uint16))
-        return normalize(img)
+        return normalize(img).grid01
 
     def test_degenerate_settings_are_identity(self):
-        norm = self.grid()
+        grid = self.grid()
         cfg = AugmentConfig(crop_ratio=1.0, noise_sigma=0.0, gamma_low=1.0, gamma_high=1.0)
-        out = augment(norm, np.random.default_rng(0), cfg)
-        assert np.array_equal(out.grid01, norm.grid01)
-        # values are re-standardized from the float32 grid; equal to 1e-6
-        assert np.allclose(out.values, norm.values, atol=1e-5)
+        out = augment(grid, np.random.default_rng(0), cfg)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, grid)
 
     def test_crop_shrinks_by_ratio(self):
-        norm = self.grid(side=62)
-        out = augment(norm, np.random.default_rng(1), AugmentConfig(crop_ratio=300 / 310))
-        assert out.values.shape == (60, 60)
+        grid = self.grid(side=62)
+        out = augment(grid, np.random.default_rng(1), AugmentConfig(crop_ratio=300 / 310))
+        assert out.shape == (60, 60)
 
     def test_same_seed_same_output(self):
-        norm = self.grid()
-        a = augment(norm, np.random.default_rng(9))
-        b = augment(norm, np.random.default_rng(9))
-        assert np.array_equal(a.values, b.values)
-
-    def test_output_standardized(self):
-        norm = self.grid()
-        out = augment(norm, np.random.default_rng(2))
-        assert abs(out.values.mean()) < 1e-5
-        assert abs(out.values.std() - 1.0) < 1e-3
+        grid = self.grid()
+        a = augment(grid, np.random.default_rng(9))
+        b = augment(grid, np.random.default_rng(9))
+        assert np.array_equal(a, b)
+        assert a.min() >= 0.0 and a.max() <= 1.0
 
     def test_gamma_applied_in_01_domain(self):
-        norm = self.grid()
+        grid = self.grid()
         cfg = AugmentConfig(crop_ratio=1.0, noise_sigma=0.0, gamma_low=2.0, gamma_high=2.0)
-        out = augment(norm, np.random.default_rng(0), cfg)
-        assert np.allclose(out.grid01, norm.grid01.astype(np.float64) ** 2, atol=1e-6)
+        out = augment(grid, np.random.default_rng(0), cfg)
+        assert np.allclose(out, grid.astype(np.float64) ** 2, atol=1e-6)
+
+
+class TestImageCache:
+    def images(self, n=3, side=8):
+        rng = np.random.default_rng(4)
+        out = {}
+        for i in range(n):
+            img = make_image(rng.integers(0, 65536, size=(side, side)).astype(np.uint16))
+            norm = normalize(img)
+            norm.provenance["index"] = i
+            out[f"e{i}"] = norm
+        return out
+
+    def test_one_grid01_entry_per_exam(self, tmp_path):
+        images = self.images()
+        path = tmp_path / "images.kgw"
+        save_image_cache(path, images)
+        assert list(load_tensors(path)) == ["e0/grid01", "e1/grid01", "e2/grid01"]
+        loaded, meta = load_image_cache(path)
+        assert meta["n_exams"] == 3
+        for exam_id, norm in images.items():
+            assert np.array_equal(loaded[exam_id].grid01, norm.grid01)
+            assert loaded[exam_id].provenance == norm.provenance
+
+    def test_two_plane_layout_loads(self, tmp_path):
+        # caches once stored the standardized plane beside each grid
+        images = self.images()
+        path = tmp_path / "images.kgw"
+        named = {}
+        for exam_id, norm in images.items():
+            named[f"{exam_id}/values"] = norm.values
+            named[f"{exam_id}/grid01"] = norm.grid01
+        save_tensors(path, named)
+        loaded, _ = load_image_cache(path)
+        assert sorted(loaded) == sorted(images)
+        for exam_id, norm in images.items():
+            assert np.array_equal(loaded[exam_id].grid01, norm.grid01)
+
+    @pytest.mark.parametrize("name", ["e1/mask", "e1"], ids=["foreign_kind", "no_kind"])
+    def test_foreign_entry_names_the_file(self, tmp_path, name):
+        path = tmp_path / "images.kgw"
+        named = {f"{k}/grid01": v.grid01 for k, v in self.images().items()}
+        named[name] = np.zeros((8, 8), dtype=np.float32)
+        save_tensors(path, named)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_image_cache(path)
 
 
 class TestPipeline:

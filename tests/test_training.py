@@ -14,7 +14,7 @@ from kneegrade.model import (
     load_backbone_weights,
 )
 from kneegrade.nn import Parameter
-from kneegrade.preprocess import AugmentConfig, NormalizedImage, standardize
+from kneegrade.preprocess import AugmentConfig, NormalizedImage
 from kneegrade.tensor import Tensor
 from kneegrade.training import (
     AUX_CLASSES,
@@ -24,6 +24,7 @@ from kneegrade.training import (
     Snapshot,
     TrainConfig,
     adam_update,
+    batch_images,
     batched_logits,
     multi_task_loss,
     pretrain_backbone,
@@ -58,8 +59,7 @@ def fake_dataset(n, side=16, seed=0, prefix="e"):
                                 follow_up_months=0, image_path="", landmark_path="",
                                 spacing_mm=1.0, grades=grades))
         grid = rng.random((side, side)).astype(np.float32)
-        images[eid] = NormalizedImage(values=standardize(grid).astype(np.float32),
-                                      grid01=grid, provenance={})
+        images[eid] = NormalizedImage(grid01=grid)
     return exams, images
 
 
@@ -234,6 +234,29 @@ class TestSelectSnapshot:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             select_snapshot([])
+
+
+class TestBatchImages:
+    """Training and evaluation inputs are standardized in one place."""
+
+    def test_identity_augment_equals_evaluation_batch(self):
+        exams, images = fake_dataset(6, side=16)
+        cfg = AugmentConfig(crop_ratio=1.0, noise_sigma=0.0, gamma_low=1.0, gamma_high=1.0)
+        idxs = [4, 0, 2]
+        train = batch_images(images, exams, idxs, np.random.default_rng(0), cfg)
+        evaluation = batch_images(images, exams, idxs)
+        assert evaluation.dtype == np.float32 and evaluation.shape == (3, 1, 16, 16)
+        assert np.array_equal(train, evaluation)
+
+    def test_output_standardized(self):
+        exams, images = fake_dataset(6, side=32)
+        idxs = range(6)
+        for batch in (batch_images(images, exams, idxs),
+                      batch_images(images, exams, idxs, np.random.default_rng(2),
+                                   AugmentConfig())):
+            planes = batch[:, 0].astype(np.float64)
+            assert np.allclose(planes.mean(axis=(1, 2)), 0.0, atol=1e-6)
+            assert np.allclose(planes.std(axis=(1, 2)), 1.0, atol=1e-6)
 
 
 class TestBatchedLogits:

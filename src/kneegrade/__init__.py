@@ -15,6 +15,18 @@ __version__ = "0.1.0"
 import os as _os
 import sys as _sys
 
+from .errors import ConfigurationError
+
+
+def thread_cap():
+    """OARSI_MT_THREADS as an int >= 1, None when unset; malformed is a ConfigurationError."""
+    cap = _os.environ.get("OARSI_MT_THREADS", "").strip()
+    if not cap:
+        return None
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ConfigurationError(f"OARSI_MT_THREADS={cap!r} is not an integer >= 1")
+    return int(cap)
+
 
 def _cap_blas_threads():
     """Let OARSI_MT_THREADS also size BLAS's own pool, which is fixed when numpy loads.
@@ -23,11 +35,13 @@ def _cap_blas_threads():
     unless the user set them. Once numpy is imported it is too late, so
     nothing is changed then.
     """
-    cap = _os.environ.get("OARSI_MT_THREADS", "").strip()
-    if "numpy" in _sys.modules or not cap.isdecimal() or int(cap) < 1:
-        return
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(var, str(int(cap)))
+    try:
+        cap = thread_cap()
+    except ConfigurationError:
+        return      # changes nothing; every command refuses it (cli.main)
+    if cap is not None and "numpy" not in _sys.modules:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            _os.environ.setdefault(var, str(cap))
 
 
 _cap_blas_threads()
@@ -46,7 +60,6 @@ from .ensemble import ensemble_mean, ensemble_predict, read_predictions_csv, \
     write_predictions_csv
 from .errors import (
     BootstrapError,
-    ConfigurationError,
     DataError,
     GeometryError,
     KneeGradeError,

@@ -28,7 +28,7 @@ class BlockSpec:
     se_enabled: bool = False
     se_reduction: int = 16
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ("basic", "bottleneck"):
             raise ConfigurationError(f"block kind {self.kind!r} unknown")
         if self.stride not in (1, 2):
@@ -47,7 +47,6 @@ class BlockSpec:
             if self.se_reduction < 1 or self.out_channels % self.se_reduction:
                 raise ConfigurationError(
                     f"se_reduction={self.se_reduction} must divide out_channels={self.out_channels}")
-        return self
 
     def mid_channels(self):
         if self.kind != "bottleneck":
@@ -62,12 +61,11 @@ class PoolingSpec:
     kind: str = "avg"         # "avg" | "gwap" | "gwap_hidden"
     hidden_width: int = 0     # only for gwap_hidden
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ("avg", "gwap", "gwap_hidden"):
             raise ConfigurationError(f"pooling kind {self.kind!r} unknown")
         if self.kind == "gwap_hidden" and self.hidden_width < 1:
             raise ConfigurationError("gwap_hidden needs hidden_width >= 1")
-        return self
 
 
 @dataclass(frozen=True)
@@ -77,10 +75,9 @@ class StemSpec:
     stride: int = 1
     pool: int = 2             # avg-pool window after the stem conv; 0 disables
 
-    def validate(self):
+    def __post_init__(self):
         if self.out_channels < 1 or self.kernel < 1 or self.stride < 1 or self.pool < 0:
             raise ConfigurationError(f"invalid stem geometry {asdict(self)}")
-        return self
 
 
 class SEGate(Module):
@@ -109,7 +106,6 @@ class ResidualBlock(Module):
 
     def __init__(self, spec: BlockSpec, rng, dtype=np.float32):
         super().__init__()
-        spec.validate()
         self.spec = spec
         cin, cout, s = spec.in_channels, spec.out_channels, spec.stride
         if spec.kind == "basic":
@@ -158,7 +154,6 @@ class PoolHead(Module):
 
     def __init__(self, channels, spec: PoolingSpec, rng, dtype=np.float32):
         super().__init__()
-        spec.validate()
         self.spec = spec
         if spec.kind == "gwap":
             self.score = Conv2d(channels, 1, 1, rng, bias=False, dtype=dtype)
@@ -190,7 +185,6 @@ class Backbone(Module):
 
     def __init__(self, stem: StemSpec, blocks, rng, in_channels=1, dtype=np.float32):
         super().__init__()
-        stem.validate()
         self.stem_spec = stem
         self.conv = Conv2d(in_channels, stem.out_channels, stem.kernel, rng,
                            stride=stem.stride, padding=stem.kernel // 2,
@@ -199,7 +193,6 @@ class Backbone(Module):
         prev = stem.out_channels
         self.blocks = []
         for i, spec in enumerate(blocks):
-            spec.validate()
             if spec.in_channels != prev:
                 raise ConfigurationError(
                     f"block {i}: in_channels={spec.in_channels} but upstream provides {prev}")

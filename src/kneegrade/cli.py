@@ -8,7 +8,8 @@ and remove whatever files the failed invocation had already written. Exit
 codes: 0 success, 2 for configuration, usage, or input-data problems, 1 for
 runtime failures. The environment variable OARSI_MT_THREADS sizes the
 ``train --parallel-folds`` pool and BLAS's threads (the package sets them
-before numpy loads); ``evaluate`` runs serially.
+before numpy loads); ``evaluate`` runs serially. Every command refuses a
+malformed cap with exit 2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, thread_cap
 from .config import load_run_config
 from .data import (
     load_and_filter,
@@ -51,17 +52,7 @@ _USER_FAULT = (UsageError, ConfigurationError, DataError, WeightLoadError)
 
 def max_workers(n_tasks):
     """Pool size for ``n_tasks``: cpu count, capped by OARSI_MT_THREADS."""
-    env = os.environ.get("OARSI_MT_THREADS", "").strip()
-    if env:
-        try:
-            limit = int(env)
-        except ValueError:
-            raise ConfigurationError(f"OARSI_MT_THREADS={env!r} is not an integer")
-        if limit < 1:
-            raise ConfigurationError("OARSI_MT_THREADS must be >= 1")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(int(n_tasks), limit))
+    return max(1, min(int(n_tasks), thread_cap() or os.cpu_count() or 1))
 
 
 class Artifacts:
@@ -375,6 +366,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     artifacts = Artifacts()
     try:
+        thread_cap()    # a malformed cap fails every command, not only a pool's
         args.func(args, artifacts)
     except KneeGradeError as exc:
         artifacts.discard_all()

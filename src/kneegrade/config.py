@@ -38,7 +38,8 @@ def from_doc(cls, doc, where, defaults=None):
     default rather than the class's. Every value is checked against its
     field's declared type, recursing into nested config dataclasses and
     tuples. ``where`` is the dotted path of ``doc`` in the run config ("" at
-    the root) and prefixes every error.
+    the root) and prefixes every error, the range checks ``cls`` makes on
+    construction included.
     """
     label = where or "run config"
     if not isinstance(doc, dict):
@@ -54,8 +55,14 @@ def from_doc(cls, doc, where, defaults=None):
     prefix = f"{where}." if where else ""
     hints = typing.get_type_hints(cls)
     nested = {f.name: f.metadata.get("defaults") for f in fields(cls)}
-    return cls(**{key: _from_json(hints[key], value, prefix + key, nested[key])
-                  for key, value in doc.items()})
+    values = {key: _from_json(hints[key], value, prefix + key, nested[key])
+              for key, value in doc.items()}
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        if not where:
+            raise
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def _from_json(tp, value, where, defaults=None):
@@ -95,31 +102,18 @@ class RunConfig:
     n_bootstrap: int = 100
     ci_level: float = 0.95
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_folds < 2:
             raise ConfigurationError("n_folds must be >= 2")
         if self.n_bootstrap < 1:
             raise ConfigurationError("n_bootstrap must be >= 1")
         if not 0.5 < self.ci_level < 1.0:
             raise ConfigurationError(f"ci_level {self.ci_level} outside (0.5, 1)")
-        self.synth.validate()
-        self.preprocess.validate()
-        self.model.validate()
-        self.train.validate()
-        self.pretrain.validate()
         if self.pretrain.schedule != "scratch":
             raise ConfigurationError("pretrain.schedule must be scratch")
-        return self
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc):
-        return from_doc(cls, doc, "").validate()
-
-    def hash(self):
-        return config_hash(self.to_dict())
 
     def stage_hash(self, stage):
         """Hash of the subtree ``stage`` and its upstream stages read."""
@@ -146,7 +140,7 @@ def load_run_config(path=None, overrides=None):
                 raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
     if overrides:
         doc = _merge(doc, overrides)
-    return RunConfig.from_dict(doc)
+    return from_doc(RunConfig, doc, "")
 
 
 def _merge(base, extra):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .imageio import write_pgm16
-from .preprocess import LandmarkSet, RawImage, rotate_image
+from .preprocess import LandmarkSet, RawImage, rotate_image, rotate_point
 
 MANIFEST_COLUMNS = ["exam_id", "subject_id", "side", "follow_up_months", "image_path",
                     "landmark_path", "spacing_mm", "KL", "FO_L", "FO_M", "TO_L", "TO_M",
@@ -255,6 +255,8 @@ class SynthConfig:
     progression_p: float = 0.15      # chance a follow-up bumps a feature grade
 
     def __post_init__(self):
+        if self.image_side < 32:
+            raise ConfigurationError("synthetic images need image_side >= 32")
         # Geometry defaults scale with the rendered side so a 140 mm ROI crop
         # around the knee center recovers the full frame at any resolution.
         if self.spacing_mm <= 0:
@@ -265,17 +267,12 @@ class SynthConfig:
             object.__setattr__(self, "band_px", max(2, round(self.image_side / 21)))
         if self.blob_px <= 0:
             object.__setattr__(self, "blob_px", self.image_side / 20.0)
-
-    def validate(self):
-        if self.image_side < 32:
-            raise ConfigurationError("synthetic images need image_side >= 32")
         if abs(sum(self.grade_probs) - 1.0) > 1e-9 or len(self.grade_probs) != 4:
             raise ConfigurationError("grade_probs must be 4 values summing to 1")
         if self.gap_base_px < 4:
             raise ConfigurationError("gap_base_px must be >= 4 to stay measurable")
         if not 0 <= self.progression_p <= 1:
             raise ConfigurationError("progression_p must lie in [0, 1]")
-        return self
 
 
 def derive_kl(grades):
@@ -358,15 +355,8 @@ def _rotate_exam(img01, landmarks, angle, side, cfg):
     s = cfg.image_side
     center = (s / 2.0, s / 2.0)
     rotated = rotate_image(img01, center, angle, fill=0.08)
-
-    def move(p):
-        rad = np.deg2rad(angle)
-        c, si = np.cos(rad), np.sin(rad)
-        dx, dy = p[0] - center[0], p[1] - center[1]
-        return (center[0] + c * dx - si * dy, center[1] + si * dx + c * dy)
-
-    pl, pr = move(landmarks.plateau_left), move(landmarks.plateau_right)
-    kc = move(landmarks.knee_center)
+    pl, pr, kc = (rotate_point(p, center, angle) for p in (
+        landmarks.plateau_left, landmarks.plateau_right, landmarks.knee_center))
     if side == "L":
         rotated = rotated[:, ::-1]
         pl = (s - 1 - pl[0], pl[1])
@@ -401,7 +391,6 @@ def synth_generate(out_dir, n_subjects, exams_per_subject=2, seed=0,
     only progress at follow-ups; the KL grade is always derived. Everything
     is reproducible from (seed, subject index, exam index).
     """
-    cfg.validate()
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "landmarks").mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import tensor as T
-from .blocks import Backbone, BlockSpec, PoolingSpec, StemSpec
+from .blocks import Backbone, BlockSpec, PoolHead, PoolingSpec, StemSpec
 from .errors import ConfigurationError, DataError
 from .nn import Dropout, Linear, Module
 from .serialize import load_tensors, save_tensors
@@ -57,24 +56,14 @@ class ModelConfig:
     def heads(self):
         return [(name, TASK_CLASSES[name]) for name in task_names(self.include_kl_head)]
 
-    def validate(self):
-        self.stem.validate()
+    def __post_init__(self):
         if not self.blocks:
             raise ConfigurationError("model needs at least one residual block")
-        for b in self.blocks:
-            b.validate()
-        self.pooling.validate()
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigurationError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
-        return self
 
     def to_dict(self):
         return asdict(self)
-
-    @staticmethod
-    def from_dict(doc):
-        from .config import from_doc
-        return from_doc(ModelConfig, doc, "model").validate()
 
 
 def config_hash(doc):
@@ -86,10 +75,8 @@ def config_hash(doc):
 class MultiTaskModel(Module):
     def __init__(self, config: ModelConfig, rng, dtype=np.float32, heads_override=None):
         super().__init__()
-        config.validate()
         self.config = config
         self.backbone = Backbone(config.stem, list(config.blocks), rng, dtype=dtype)
-        from .blocks import PoolHead
         self.pool = PoolHead(self.backbone.out_channels, config.pooling, rng, dtype=dtype)
         self.head_names = []
         self._heads = []

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError, NormalizationError
+from . import serialize    # called as serialize.*, so bench/tracing.py's patches see cache I/O
+from .errors import ConfigurationError, DataError, GeometryError, NormalizationError
+from .report import read_sidecar, write_sidecar
 
 INTENSITY_MAX = 65535.0
 
@@ -100,7 +102,8 @@ def bilinear_sample(grid, ys, xs, fill=0.0):
     return top * (1 - fy) + bot * fy
 
 
-def _rotate_point(point, center, degrees):
+def rotate_point(point, center, degrees):
+    """``point`` rotated by ``degrees`` about ``center``, as rotate_image turns the grid."""
     rad = np.deg2rad(degrees)
     c, s = np.cos(rad), np.sin(rad)
     dx, dy = point[0] - center[0], point[1] - center[1]
@@ -136,8 +139,8 @@ def rotate_align(image: RawImage, landmarks: LandmarkSet):
                    image.spacing_mm)
     moved = LandmarkSet(
         knee_center=landmarks.knee_center,  # rotation fixes its own center
-        plateau_left=_rotate_point(landmarks.plateau_left, landmarks.knee_center, -angle),
-        plateau_right=_rotate_point(landmarks.plateau_right, landmarks.knee_center, -angle),
+        plateau_left=rotate_point(landmarks.plateau_left, landmarks.knee_center, -angle),
+        plateau_right=rotate_point(landmarks.plateau_right, landmarks.knee_center, -angle),
         side=landmarks.side)
     dy = abs(moved.plateau_left[1] - moved.plateau_right[1])
     if dy >= 0.5:
@@ -249,7 +252,7 @@ class PreprocessConfig:
     clip_low: float = 1.0
     clip_high: float = 99.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.target_side < 2:
             raise ConfigurationError("target_side must be >= 2")
         if self.roi_mm <= 0:
@@ -257,12 +260,10 @@ class PreprocessConfig:
         if not (0 <= self.clip_low < self.clip_high <= 100):
             raise ConfigurationError(
                 f"bad clip percentiles [{self.clip_low}, {self.clip_high}]")
-        return self
 
 
 def preprocess_exam(image: RawImage, landmarks: LandmarkSet, cfg: PreprocessConfig):
     """Full pipeline for one knee; returns the cached NormalizedImage."""
-    cfg.validate()
     aligned, angle, lm = rotate_align(image, landmarks)
     mirrored = landmarks.side == "L"
     if mirrored:
@@ -287,7 +288,7 @@ class AugmentConfig:
     gamma_low: float = 0.9
     gamma_high: float = 1.1
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.crop_ratio <= 1:
             raise ConfigurationError(f"crop_ratio must lie in (0, 1], got {self.crop_ratio}")
         if self.noise_sigma < 0:
@@ -295,7 +296,6 @@ class AugmentConfig:
         if not 0 < self.gamma_low <= self.gamma_high:
             raise ConfigurationError(
                 f"gamma range [{self.gamma_low}, {self.gamma_high}] invalid")
-        return self
 
 
 def augment(grid01, rng, cfg: AugmentConfig = AugmentConfig()):
@@ -305,7 +305,6 @@ def augment(grid01, rng, cfg: AugmentConfig = AugmentConfig()):
     to [0, 1] first. With a full-size crop, zero sigma, and a unit gamma range
     the output equals the input.
     """
-    cfg.validate()
     src = np.asarray(grid01, dtype=np.float64)
     side = src.shape[0]
     crop = max(1, int(round(side * cfg.crop_ratio)))
@@ -347,9 +346,6 @@ def save_image_cache(path, images, meta=None):
     ``{exam_id}/grid01`` and stored in sorted order, so identical inputs
     always produce identical bytes. Provenance goes in the sidecar.
     """
-    from .report import write_sidecar
-    from .serialize import save_tensors
-
     named = {}
     provenance = {}
     for exam_id, norm in images.items():
@@ -357,7 +353,7 @@ def save_image_cache(path, images, meta=None):
             raise ConfigurationError(f"exam id {exam_id!r} cannot contain '/'")
         named[f"{exam_id}/grid01"] = norm.grid01
         provenance[exam_id] = _jsonable(norm.provenance)
-    save_tensors(path, named)
+    serialize.save_tensors(path, named)
     doc = {"n_exams": len(images), "provenance": provenance}
     if meta:
         doc.update(_jsonable(meta))
@@ -367,11 +363,7 @@ def save_image_cache(path, images, meta=None):
 
 def load_image_cache(path):
     """Inverse of save_image_cache: ({exam_id: NormalizedImage}, meta dict)."""
-    from .errors import DataError
-    from .report import read_sidecar
-    from .serialize import load_tensors
-
-    named = load_tensors(path)
+    named = serialize.load_tensors(path)
     try:
         meta = read_sidecar(path)
     except FileNotFoundError:

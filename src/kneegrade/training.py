@@ -23,7 +23,7 @@ from . import tensor as T
 from .data import epoch_indices
 from .errors import ConfigurationError, MetricUndefinedError, TrainingError, WeightLoadError
 from .metrics import balanced_accuracy, cohen_kappa
-from .model import OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
+from .model import ModelConfig, OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
 from .preprocess import AugmentConfig, augment, standardize
 from .report import read_sidecar, write_sidecar
 from .serialize import load_tensors, save_tensors
@@ -60,7 +60,7 @@ class TrainConfig:
     aug: AugmentConfig = field(default_factory=AugmentConfig)
     task_weights: tuple[tuple[str, float], ...] = ()   # unlisted heads get 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.schedule not in SCHEDULES:
             raise ConfigurationError(f"schedule must be one of {SCHEDULES}")
         if self.epochs < 1:
@@ -78,12 +78,9 @@ class TrainConfig:
             raise ConfigurationError("Adam betas must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigurationError("weight_decay must be >= 0")
-        if self.augment:
-            self.aug.validate()
         for name, w in self.task_weights:
             if w < 0:
                 raise ConfigurationError(f"task weight for {name!r} must be >= 0")
-        return self
 
     def weight_for(self, head_name):
         for name, w in self.task_weights:
@@ -341,20 +338,20 @@ class Snapshot:
 def snapshot_model(snapshot, dtype=np.float32):
     """Rebuild the trained model a snapshot was taken from.
 
-    Weights that do not fit the model are a WeightLoadError naming the
+    A model config or weights the model refuses are an error naming the
     snapshot's file, when it came from one.
     """
-    from .model import ModelConfig
-    cfg = ModelConfig.from_dict(snapshot.meta["model_config"])
+    from .config import from_doc    # config imports this module
     heads = [tuple(h) for h in snapshot.meta["heads"]]
-    model = build_model(cfg, int(snapshot.meta["seed"]), dtype=dtype,
-                        heads_override=heads)
     try:
+        cfg = from_doc(ModelConfig, snapshot.meta["model_config"], "model")
+        model = build_model(cfg, int(snapshot.meta["seed"]), dtype=dtype,
+                            heads_override=heads)
         model.load_state_arrays(snapshot.weights)
-    except WeightLoadError as exc:
+    except (ConfigurationError, WeightLoadError) as exc:
         if snapshot.path is None:
             raise
-        raise WeightLoadError(f"{snapshot.path}: {exc}") from None
+        raise type(exc)(f"{snapshot.path}: {exc}") from None
     return model
 
 
@@ -421,7 +418,6 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
     carried into the snapshot sidecar. ``log`` is an optional callable taking
     one line of text per epoch.
     """
-    cfg.validate()
     if not train_exams or not val_exams:
         raise ConfigurationError("run_fold needs non-empty train and val sets")
     missing = [e.exam_id for e in list(train_exams) + list(val_exams)
@@ -495,7 +491,6 @@ def pretrain_backbone(exams, images, model_config, cfg, seed, out_path,
     backbone learns joint-space and margin texture before the real heads
     exist. Always runs the scratch schedule.
     """
-    cfg.validate()
     if cfg.schedule != "scratch":
         raise ConfigurationError("pretraining uses the scratch schedule")
     if not exams:

@@ -150,11 +150,11 @@ class TestResidualBlock:
 
     def test_grouped_requires_bottleneck(self):
         with pytest.raises(ConfigurationError):
-            BlockSpec("basic", 8, 8, groups=2).validate()
+            BlockSpec("basic", 8, 8, groups=2)
 
     def test_bottleneck_expansion_enforced(self):
         with pytest.raises(ConfigurationError):
-            BlockSpec("bottleneck", 8, 10).validate()
+            BlockSpec("bottleneck", 8, 10)
 
     def test_se_block_grads(self, rng):
         spec = BlockSpec("basic", 4, 4, se_enabled=True, se_reduction=2)

@@ -379,16 +379,24 @@ class TestPredictEvaluate:
         assert shrunk > 0
 
     def test_bad_thread_cap_rejected(self, workdir, tmp_path, capsys, monkeypatch):
-        # train --parallel-folds is the one command that sizes a pool from the cap
-        for bad in ("abc", "0"):
+        # every command refuses the cap, not only the one that sizes a pool from it
+        commands = [
+            ["synth", "--out", str(tmp_path / "data"), "--subjects", "2"],
+            ["preprocess", "--config", str(workdir / "config.json"),
+             "--manifest", str(workdir / "data" / "manifest.csv"),
+             "--out", str(tmp_path / "cache")],
+            ["train", "--config", str(workdir / "config.json"),
+             "--manifest", str(workdir / "cache" / "manifest.csv"),
+             "--images", str(workdir / "cache"),
+             "--parallel-folds", "--out", str(tmp_path / "folds")],
+        ]
+        for bad in ("abc", "0", "-3"):
             monkeypatch.setenv("OARSI_MT_THREADS", bad)
-            code = run_cli("train", "--config", str(workdir / "config.json"),
-                           "--manifest", str(workdir / "cache" / "manifest.csv"),
-                           "--images", str(workdir / "cache"),
-                           "--parallel-folds", "--out", str(tmp_path / "folds"))
-            assert code == 2
-            assert capsys.readouterr().err.startswith("error: ConfigurationError:")
-            assert not list((tmp_path / "folds").glob("snapshot_fold*.kgw"))
+            for argv in commands:
+                assert run_cli(*argv) == 2
+                assert capsys.readouterr().err == \
+                    f"error: ConfigurationError: OARSI_MT_THREADS={bad!r} is not an integer >= 1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def _kgwb(extents, payload=b""):
@@ -511,6 +519,19 @@ class TestCorruptInputs:
                        "--images", str(workdir / "cache"),
                        "--snapshots", str(snap), "--out", str(tmp_path / "preds.csv"))
         self._expect(capsys, code, "WeightLoadError", f"{snap}: ", "backbone.rogue")
+        assert not (tmp_path / "preds.csv").exists()
+
+    def test_snapshot_with_refused_model_config(self, workdir, tmp_path, capsys):
+        snap = tmp_path / "snapshot_fold0.kgw"
+        shutil.copy(workdir / "folds" / "snapshot_fold0.kgw", snap)
+        meta = json.loads((workdir / "folds" / "snapshot_fold0.kgw.meta.json").read_text())
+        meta["model_config"]["dropout_p"] = 1.5
+        (tmp_path / "snapshot_fold0.kgw.meta.json").write_text(json.dumps(meta))
+        code = run_cli("predict", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"),
+                       "--snapshots", str(snap), "--out", str(tmp_path / "preds.csv"))
+        self._expect(capsys, code, "ConfigurationError", f"{snap}: model: ", "dropout_p")
         assert not (tmp_path / "preds.csv").exists()
 
 

@@ -6,10 +6,11 @@ from dataclasses import replace
 import pytest
 
 from kneegrade import cli
-from kneegrade.config import STAGE_KEYS, RunConfig, load_run_config
+from kneegrade.config import STAGE_KEYS, RunConfig, from_doc, load_run_config
 from kneegrade.data import SynthConfig
 from kneegrade.errors import ConfigurationError
 from kneegrade.model import ModelConfig, config_hash
+from kneegrade.training import TrainConfig
 
 BLOCK = {"kind": "basic", "in_channels": 16, "out_channels": 16}
 
@@ -35,6 +36,12 @@ BAD_DOCS = [
     ({"synth": {"grade_probs": [0.5, 0.5, 0.5, 0.5]}}, r"grade_probs"),
     ({"bogus": 1}, r"^run config: unknown keys \['bogus'\]$"),
     ({"model": []}, r"^model must be a mapping, got list$"),
+    # range checks run on construction and carry the path of their block
+    ({"train": {"epochs": 0}}, r"^train: epochs must be >= 1$"),
+    ({"model": {"blocks": [dict(BLOCK, stride=3)]}},
+     r"^model\.blocks\[0\]: block stride must be 1 or 2, got 3$"),
+    ({"train": {"augment": False, "aug": {"crop_ratio": 2.0}}},
+     r"^train\.aug: crop_ratio must lie in \(0, 1\], got 2\.0$"),
 ]
 
 
@@ -57,14 +64,21 @@ def test_bad_document_exits_two_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_invalid_config_cannot_be_built():
+    with pytest.raises(ConfigurationError, match=r"^epochs must be >= 1$"):
+        TrainConfig(epochs=0)
+    with pytest.raises(ConfigurationError, match=r"^n_folds must be >= 2$"):
+        replace(RunConfig(), n_folds=1)
+
+
 def test_int_is_stored_as_float():
-    cfg = RunConfig.from_dict({"model": {"dropout_p": 0}, "train": {"lr_heads": 1},
-                               "synth": {"grade_probs": [1, 0, 0, 0]}})
+    cfg = from_doc(RunConfig, {"model": {"dropout_p": 0}, "train": {"lr_heads": 1},
+                               "synth": {"grade_probs": [1, 0, 0, 0]}}, "")
     assert type(cfg.model.dropout_p) is float and cfg.model.dropout_p == 0.0
     assert type(cfg.train.lr_heads) is float
     assert all(type(p) is float for p in cfg.synth.grade_probs)
-    assert cfg == RunConfig.from_dict({"model": {"dropout_p": 0.0}, "train": {"lr_heads": 1.0},
-                                       "synth": {"grade_probs": [1.0, 0.0, 0.0, 0.0]}})
+    assert cfg == from_doc(RunConfig, {"model": {"dropout_p": 0.0}, "train": {"lr_heads": 1.0},
+                                       "synth": {"grade_probs": [1.0, 0.0, 0.0, 0.0]}}, "")
 
 
 def test_round_trip_through_json_and_through_memory():
@@ -73,26 +87,26 @@ def test_round_trip_through_json_and_through_memory():
                      "pooling": {"kind": "gwap"}},
            "train": {"task_weights": [["KL", 2.0], ["JSN_M", 0.5]], "scratch_drops": [3, 4],
                      "aug": {"noise_sigma": 0.0}}}
-    cfg = RunConfig.from_dict(doc)
+    cfg = from_doc(RunConfig, doc, "")
     assert cfg.train.task_weights == (("KL", 2.0), ("JSN_M", 0.5))
     assert cfg.model.blocks[1].out_channels == 32
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
-    assert ModelConfig.from_dict(cfg.model.to_dict()) == cfg.model
+    assert from_doc(RunConfig, cfg.to_dict(), "") == cfg
+    assert from_doc(RunConfig, json.loads(json.dumps(cfg.to_dict())), "") == cfg
+    assert from_doc(ModelConfig, cfg.model.to_dict(), "model") == cfg.model
 
 
 def test_default_hashes_are_stable():
     # The hash of a config moves only when the config does: these digests of
     # the all-defaults document and of an int dropout_p predate the typed loader.
-    assert RunConfig().hash() == \
+    assert config_hash(RunConfig().to_dict()) == \
         "a97e1e28f1e7543c22256e1ed8f7f2cef0d1556e66e9fcb0cbdba15ee5355de6"
     assert config_hash(ModelConfig().to_dict()) == config_hash(RunConfig().to_dict()["model"])
-    assert RunConfig.from_dict({"model": {"dropout_p": 0}}).hash() == \
+    assert config_hash(from_doc(RunConfig, {"model": {"dropout_p": 0}}, "").to_dict()) == \
         "2b60cdb9894116fd8f3f20626220f8b4695d1a8c896524fc602d709eb25816a9"
 
 
 def _stage_hashes(doc):
-    cfg = RunConfig.from_dict(doc)
+    cfg = from_doc(RunConfig, doc, "")
     return {stage: cfg.stage_hash(stage) for stage in STAGE_KEYS}
 
 
@@ -112,14 +126,16 @@ def test_stage_hash_moves_only_with_the_keys_it_reads(change, moved):
     before = _stage_hashes({})
     after = _stage_hashes(change)
     assert {stage for stage in STAGE_KEYS if before[stage] != after[stage]} == moved
-    assert RunConfig.from_dict(change).hash() != RunConfig().hash()
+    assert config_hash(from_doc(RunConfig, change, "").to_dict()) != \
+        config_hash(RunConfig().to_dict())
 
 
 def test_partial_pretrain_block_overlays_its_own_default():
     # the pretrain default is a scratch schedule; a partial block keeps it
-    cfg = RunConfig.from_dict({"pretrain": {"epochs": 2}})
+    cfg = from_doc(RunConfig, {"pretrain": {"epochs": 2}}, "")
     assert cfg.pretrain == replace(RunConfig().pretrain, epochs=2)
     assert cfg.pretrain.schedule == "scratch"
-    assert RunConfig.from_dict({"pretrain": {}}).pretrain == RunConfig().pretrain
+    assert from_doc(RunConfig, {"pretrain": {}}, "").pretrain == RunConfig().pretrain
     # other blocks are built from their class, so derived fields follow the block
-    assert RunConfig.from_dict({"synth": {"image_side": 32}}).synth == SynthConfig(image_side=32)
+    assert from_doc(RunConfig, {"synth": {"image_side": 32}}, "").synth == \
+        SynthConfig(image_side=32)

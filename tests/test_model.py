@@ -5,6 +5,7 @@ import pytest
 
 from kneegrade import tensor as T
 from kneegrade.blocks import BlockSpec, PoolingSpec, StemSpec
+from kneegrade.config import from_doc
 from kneegrade.errors import ConfigurationError, DataError, WeightLoadError
 from kneegrade.model import (BACKBONE_PREFIX, ModelConfig, backbone_checksum, build_model,
                              config_hash, default_blocks, load_backbone_weights,
@@ -90,7 +91,7 @@ class TestConstruction:
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = tiny_config()
-        again = ModelConfig.from_dict(cfg.to_dict())
+        again = from_doc(ModelConfig, cfg.to_dict(), "model")
         assert again == cfg
         assert config_hash(cfg.to_dict()) == config_hash(again.to_dict())
 
@@ -98,18 +99,17 @@ class TestConfigRoundTrip:
         doc = tiny_config().to_dict()
         doc["extra"] = 1
         with pytest.raises(ConfigurationError, match=r"^model: unknown keys \['extra'\]"):
-            ModelConfig.from_dict(doc)
+            from_doc(ModelConfig, doc, "model")
 
     def test_unknown_block_keys_rejected(self):
         doc = tiny_config().to_dict()
         doc["blocks"][0]["bogus"] = 2
         with pytest.raises(ConfigurationError,
                            match=r"^model\.blocks\[0\]: unknown keys \['bogus'\]"):
-            ModelConfig.from_dict(doc)
+            from_doc(ModelConfig, doc, "model")
 
     def test_default_blocks_chain(self):
         cfg = ModelConfig()
-        cfg.validate()
         assert len(cfg.blocks) == 4
         assert cfg.blocks[0].in_channels == cfg.stem.out_channels
 

@@ -94,11 +94,11 @@ class TestSchedule:
 
     def test_transfer_needs_room_for_thaw(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(schedule="transfer", epochs=2).validate()
+            TrainConfig(schedule="transfer", epochs=2)
 
     def test_bad_schedule_name(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(schedule="cosine").validate()
+            TrainConfig(schedule="cosine")
 
 
 class TestAdam:

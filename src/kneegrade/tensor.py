@@ -12,6 +12,9 @@ topologically sorts the graph reachable from ``loss`` and runs the closures
 once each. Intermediate gradients live in a scratch dict; only leaf tensors
 (those created by the caller) accumulate into ``.grad``, so calling
 ``backward`` twice without zeroing doubles leaf gradients and nothing else.
+Each gradient array in that dict has one owner and shares memory with no
+other: a closure owns the array it is handed and may overwrite it (see
+:func:`_put`).
 Inside ``with no_grad():`` ops link nothing, which is how inference runs.
 
 Every output is scanned for non-finite values, so the graph is kept small:
@@ -26,7 +29,11 @@ The wide early layers are bound by memory traffic, so no full-size array is
 made that a cache-sized chunk can do without: conv columns are gathered from
 the unpadded input into a buffer whose padding places stay zero, the eval
 unit adds its folded bias and applies its ReLU to each chunk as it leaves the
-GEMM, and ``avg_pool2d`` sums its windows a chunk of images at a time.
+GEMM, the training unit scales, shifts and rectifies a chunk at a time, and
+``avg_pool2d`` sums its windows a chunk of images at a time. The unit's
+training backward makes no full-size temporary: it applies the ReLU mask and
+forms the batch norm's dX over the gradient it owns, a chunk of images at a
+time, so the conv's dX is the one full-size array it allocates.
 """
 
 from __future__ import annotations
@@ -142,9 +149,13 @@ def _node(data, parents, backward_fn, op):
 def _put(grads, t, g):
     """Accumulate a gradient contribution for tensor ``t`` in the scratch dict.
 
-    Closures may hand the incoming output gradient to at most one parent
-    without copying; every other contribution must be a fresh array, because
-    accumulation mutates the stored buffer in place.
+    Ownership: ``backward`` pops a node's gradient and hands it to the node's
+    closure, which then owns that array and may overwrite it. A closure may
+    pass the array it owns on to at most one parent without copying, and
+    writes it no more after that; every other contribution must be a fresh,
+    writable array that shares memory with nothing else, because
+    accumulation (``+=``) and the parent's closure write into the stored
+    buffer.
     """
     if not t.requires_grad:
         return
@@ -349,6 +360,20 @@ _PER_IMAGE_MIN_PIXELS = 256
 # about this size, so the GEMM reads them from cache rather than memory;
 # backward gathers them again instead of keeping them.
 _CHUNK_BYTES = 1 << 20
+
+
+def _image_chunks(a):
+    """Slices along the batch axis of ``a``, each about ``_CHUNK_BYTES`` of
+    whole images (at least one)."""
+    n = a.shape[0]
+    step = max(1, _CHUNK_BYTES // max(1, a.itemsize * int(np.prod(a.shape[1:]))))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _relu_mask(g, out):
+    """Zero ``g`` in place wherever the ReLU output ``out`` is not positive."""
+    for chunk in _image_chunks(g):
+        g[chunk] *= out[chunk] > 0
 
 
 def _conv_geometry(x_shape, w_shape, stride, padding, groups):
@@ -569,13 +594,16 @@ def _channel_sum(a, b=None):
     return np.einsum("ncp,ncp->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
 
 
-def _bn_train(y, gamma, beta, running_mean, running_var, momentum, eps, in_place):
+def _bn_train(y, gamma, beta, running_mean, running_var, momentum, eps, in_place,
+              relu=False):
     """Training-mode batch norm of the array ``y`` [N, C, H, W] on its batch statistics.
 
     Updates the running statistics in place with the biased batch variance
     (``new = (1 - momentum) * old + momentum * batch``). Returns the
-    normalized output, the centred input backward keeps (``y`` itself,
-    overwritten, when ``in_place``) and the per-channel ``1 / std``.
+    normalized output (ReLU applied when ``relu``), the centred input
+    backward keeps (``y`` itself, overwritten, when ``in_place``) and the
+    per-channel ``1 / std``. The output is scaled, shifted and rectified one
+    chunk of images at a time.
     """
     n, c, h, w = y.shape
     m = n * h * w
@@ -589,24 +617,42 @@ def _bn_train(y, gamma, beta, running_mean, running_var, momentum, eps, in_place
     running_var *= (1.0 - momentum)
     running_var += momentum * var.astype(running_var.dtype)
     inv = 1.0 / np.sqrt(var + eps)
-    out = xc * (gamma * inv)[None, :, None, None]
-    out += beta[None, :, None, None]
+    k = (gamma * inv)[None, :, None, None]
+    shift = beta[None, :, None, None]
+    out = np.empty(xc.shape, dtype=np.result_type(xc, k))
+    for chunk in _image_chunks(xc):
+        part = np.multiply(xc[chunk], k, out=out[chunk])
+        part += shift
+        if relu:
+            np.maximum(part, 0, out=part)
     return out, xc, inv
 
 
 def _bn_train_grads(g, xc, inv, gamma, need_x):
-    """Backward of :func:`_bn_train`: (dX or None, dgamma, dbeta)."""
+    """Backward of :func:`_bn_train`: (dX or None, dgamma, dbeta).
+
+    dX is written over ``g``, which the calling closure owns, one chunk of
+    images at a time; the channel sums are taken over the whole of ``g``
+    first.
+    """
     m = g.size // g.shape[1]
     sum_g = _channel_sum(g)
     sum_gxc = _channel_sum(g, xc)                 # sum(g * xhat) = inv * sum(g * xc)
-    dx = None
-    if need_x:
-        # gamma * inv * (g - (sum_g + xhat * sum(g * xhat)) / m), in one buffer
-        dx = xc * (-inv * inv * sum_gxc / m)[None, :, None, None]
-        dx += g
-        dx -= (sum_g / m)[None, :, None, None]
-        dx *= (gamma * inv)[None, :, None, None]
-    return dx, sum_gxc * inv, sum_g
+    if not need_x:
+        return None, sum_gxc * inv, sum_g
+    # gamma * inv * (g - (sum_g + xhat * sum(g * xhat)) / m), per element in
+    # the order xc * k1, + g, - k2, * k3
+    k1 = (-inv * inv * sum_gxc / m)[None, :, None, None]
+    k2 = (sum_g / m)[None, :, None, None]
+    k3 = (gamma * inv)[None, :, None, None]
+    chunks = _image_chunks(g)
+    buf = np.empty((chunks[0].stop,) + g.shape[1:], dtype=np.result_type(xc, k1))
+    for chunk in chunks:
+        part = g[chunk]
+        part += np.multiply(xc[chunk], k1, out=buf[:len(part)])
+        part -= k2
+        part *= k3
+    return g, sum_gxc * inv, sum_g
 
 
 def _bn_fold(gamma, beta, running_mean, running_var, eps, dtype):
@@ -675,11 +721,12 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
 
     Training mode centres the conv output in place (that buffer is the one
     backward keeps), scales it into the output buffer and applies the ReLU
-    there. Its values, gradients and running statistics are those of the
-    chain bit for bit. Eval mode folds the running statistics into the conv
-    each call: ``W' = W * s`` and ``b' = beta - mean * s`` with ``s = gamma /
-    sqrt(var + eps)``, then runs one conv whose lowering adds ``b'`` and
-    applies the ReLU to each chunk as it leaves the GEMM. That rounds
+    there; backward turns the gradient it owns into the conv output's
+    gradient in place. Its values, gradients and running statistics are
+    those of the chain bit for bit. Eval mode folds the running statistics
+    into the conv each call: ``W' = W * s`` and ``b' = beta - mean * s`` with
+    ``s = gamma / sqrt(var + eps)``, then runs one conv whose lowering adds
+    ``b'`` and applies the ReLU to each chunk as it leaves the GEMM. That rounds
     differently from the chain, at float32 precision.
     The folded arrays are new; parameters and buffers are never written.
     """
@@ -692,7 +739,7 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     if training:
         y, grad = lower(x.data, w.data, stride, padding, groups, ho, wo)
         out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var,
-                                 momentum, eps, in_place=True)
+                                 momentum, eps, in_place=True, relu=(act == "relu"))
         wd = w.data
     else:
         scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
@@ -702,12 +749,10 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
         out, grad = lower(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
                           relu=(act == "relu"))
-    if training and act == "relu":
-        np.maximum(out, 0, out=out)
 
     def bwd(g, grads):
         if act == "relu":
-            g = g * (out > 0)
+            _relu_mask(g, out)
         if training:        # g becomes the conv output's gradient, None if unwanted
             g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data,
                                                x.requires_grad or w.requires_grad)
@@ -752,7 +797,7 @@ def gate_add_relu(y, gate, short):
     np.maximum(out, 0, out=out)
 
     def bwd(g, grads):
-        g = g * (out > 0)
+        _relu_mask(g, out)
         if gate is None:
             _put(grads, y, g.copy())
         else:
@@ -810,11 +855,13 @@ def avg_pool2d(x, kernel, stride=None):
     def bwd(g, grads):
         if not x.requires_grad:
             return
-        dx = np.zeros_like(x.data)
-        gk = g * inv
+        # windows that tile the input write every pixel, so dx needs no zeros
+        tiled = k == s and ho * k == h and wo * k == w
+        dx = np.empty_like(x.data) if tiled else np.zeros_like(x.data)
+        gk = None if k <= s else g * inv
         for _, _, _, idx in _taps(k, k, s, 0, h, w, ho, wo):
             if k <= s:      # windows do not overlap, so no pixel is written twice
-                dx[idx] = gk
+                np.multiply(g, inv, out=dx[idx])
             else:
                 dx[idx] += gk
         _put(grads, x, dx)

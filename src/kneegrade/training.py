@@ -21,7 +21,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import epoch_indices
-from .errors import ConfigurationError, MetricUndefinedError, TrainingError, WeightLoadError
+from .errors import (ConfigurationError, DataError, MetricUndefinedError, TrainingError,
+                     WeightLoadError)
 from .metrics import balanced_accuracy, cohen_kappa
 from .model import ModelConfig, OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
 from .preprocess import AugmentConfig, augment, standardize
@@ -331,8 +332,22 @@ class Snapshot:
 
     @classmethod
     def load(cls, path):
+        """The snapshot at ``path``; DataError naming its sidecar when that
+        lacks a key the readers index, or holds one of the wrong type."""
         path = str(path)
-        return cls(weights=load_tensors(path), meta=read_sidecar(path), path=path)
+        weights, meta = load_tensors(path), read_sidecar(path)
+        where = f"{path}.meta.json"
+        heads = meta.get("heads")
+        if not (isinstance(heads, list) and all(
+                isinstance(h, list) and len(h) == 2 and isinstance(h[0], str)
+                and type(h[1]) is int for h in heads)):
+            raise DataError(f"{where}: 'heads' must be a list of [str, int] pairs, got {heads!r}")
+        if not isinstance(meta.get("model_config"), dict):
+            raise DataError(f"{where}: 'model_config' must be an object, "
+                            f"got {meta.get('model_config')!r}")
+        if type(meta.get("seed")) is not int:
+            raise DataError(f"{where}: 'seed' must be an int, got {meta.get('seed')!r}")
+        return cls(weights=weights, meta=meta, path=path)
 
 
 def snapshot_model(snapshot, dtype=np.float32):
@@ -374,6 +389,20 @@ def _epoch_rngs(seed, fold, epoch, stream=5):
     return sampler, aug
 
 
+def _train_step(model, opt, x, targets, weights):
+    """One optimizer step on the batch ``x``; returns the loss as a float.
+
+    This frame is the only owner of the step's graph (every node output and
+    the arrays its backward closures keep), so the graph is freed when the
+    step returns, before the next batch's forward starts.
+    """
+    loss = multi_task_loss(model(x), targets, weights)
+    model.zero_grad()
+    T.backward(loss)
+    opt.step()
+    return float(loss.data)
+
+
 def _train_one_epoch(model, opt, exams, images, targets, cfg, rng_sampler, rng_aug):
     model.train()
     idxs = epoch_indices(exams, cfg.sampler, rng_sampler)
@@ -384,13 +413,8 @@ def _train_one_epoch(model, opt, exams, images, targets, cfg, rng_sampler, rng_a
     for start in range(0, len(idxs), cfg.batch_size):
         batch = idxs[start:start + cfg.batch_size]
         x = Tensor(batch_images(images, exams, batch, rng_aug, aug_cfg))
-        batch_targets = [t[batch] for t in targets]
-        logits = model(x)
-        loss = multi_task_loss(logits, batch_targets, weights)
-        model.zero_grad()
-        T.backward(loss)
-        opt.step()
-        total += float(loss.data) * len(batch)
+        loss = _train_step(model, opt, x, [t[batch] for t in targets], weights)
+        total += loss * len(batch)
         seen += len(batch)
     return total / seen
 

@@ -534,6 +534,27 @@ class TestCorruptInputs:
         self._expect(capsys, code, "ConfigurationError", f"{snap}: model: ", "dropout_p")
         assert not (tmp_path / "preds.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [("heads", None), ("heads", [["KL", "5"]]),
+                                           ("heads", [["KL", True]]), ("model_config", None),
+                                           ("model_config", []), ("seed", "7")],
+                             ids=["no_heads", "str_classes", "bool_classes", "no_model_config",
+                                  "list_model_config", "str_seed"])
+    def test_snapshot_sidecar_keys(self, workdir, tmp_path, capsys, key, value):
+        snap = tmp_path / "snapshot_fold0.kgw"
+        shutil.copy(workdir / "folds" / "snapshot_fold0.kgw", snap)
+        meta = json.loads((workdir / "folds" / "snapshot_fold0.kgw.meta.json").read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        (tmp_path / "snapshot_fold0.kgw.meta.json").write_text(json.dumps(meta))
+        code = run_cli("predict", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"),
+                       "--snapshots", str(snap), "--out", str(tmp_path / "preds.csv"))
+        self._expect(capsys, code, "DataError", f"{snap}.meta.json: '{key}'")
+        assert not (tmp_path / "preds.csv").exists()
+
 
 class TestThreadCap:
     """OARSI_MT_THREADS sizes BLAS's pool when kneegrade is imported before numpy."""

@@ -777,6 +777,77 @@ class TestBackward:
         assert y._parents == () and y._backward is None
 
 
+def _training_unit(rng, shape):
+    """A training-mode 3x3 conv_bn_act, as many channels out as in, over a
+    random ``shape`` input; every argument wants gradients. Returns the
+    output node and its four parents."""
+    c = shape[1]
+    x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+    weight = T.Tensor(rng.normal(size=(c, c, 3, 3)) * 0.2, requires_grad=True)
+    gamma = T.Tensor(rng.uniform(0.5, 1.5, size=c), requires_grad=True)
+    beta = T.Tensor(rng.normal(size=c), requires_grad=True)
+    out = T.conv_bn_act(x, weight, gamma, beta, np.zeros(c, np.float32),
+                        np.ones(c, np.float32), training=True, padding=1)
+    return out, (x, weight, gamma, beta)
+
+
+class TestGradientOwnership:
+    """A closure owns the gradient array it is handed and may write over it.
+    An alias between two pending gradients, or a read-only one, would make
+    those writes a silent wrong gradient."""
+
+    def test_pending_gradients_are_disjoint_and_writable(self, monkeypatch):
+        from kneegrade.model import ModelConfig, build_model
+        from kneegrade.training import Adam, _train_step
+        rng = np.random.default_rng(0)
+        model = build_model(ModelConfig(), seed=0).train()
+        x = T.Tensor(rng.normal(size=(32, 1, 64, 64)))
+        targets = [rng.integers(0, k, 32) for _, k in model.head_specs()]
+        put, handed = T._put, []
+
+        def checked_put(grads, t, g):
+            # 0-d results are numpy scalars, immutable, so nothing can alias them
+            if t.requires_grad and np.ndim(g):
+                assert g.flags.writeable, t
+                for pending in grads.values():
+                    assert not np.shares_memory(g, pending), t
+                handed.append(g.nbytes)
+            put(grads, t, g)
+
+        monkeypatch.setattr(T, "_put", checked_put)
+        _train_step(model, Adam(model.named_parameters(), lr=1e-3), x, targets,
+                    [1.0] * len(targets))
+        assert max(handed) == 32 * 16 * 64 * 64 * 4     # the stem's own gradient
+        assert len(handed) > 100
+
+    def test_unit_backward_allocates_only_its_dx(self, rng):
+        import tracemalloc
+        out, (x, *_) = _training_unit(rng, (32, 16, 64, 64))
+        g = rng.normal(size=out.shape).astype(np.float32)
+        grads = {}
+        tracemalloc.start()
+        try:
+            out._backward(g, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads[id(x)].shape == x.shape
+        # 18 MiB when the masked gradient and the batch norm's dX were each a
+        # new full-size array
+        assert peak <= x.data.nbytes + (4 << 20), peak
+
+    def test_repeated_unit_backward_doubles_every_gradient(self, rng):
+        # the in-place writes land on the gradient, never on what the graph keeps
+        out, params = _training_unit(rng, (4, 3, 8, 8))
+        r = T.Tensor(rng.normal(size=out.shape))
+        loss = T.reduce_sum(T.mul(out, r))
+        T.backward(loss)
+        once = [p.grad.copy() for p in params]
+        T.backward(loss)
+        for p, g in zip(params, once):
+            assert np.array_equal(p.grad, 2 * g)
+
+
 class TestNoGrad:
     def _model_and_input(self):
         from kneegrade.model import ModelConfig, build_model

@@ -1,9 +1,13 @@
 """Optimizer maths, schedules, and the fold training loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from kneegrade import tensor as T
+from kneegrade import training
 from kneegrade.blocks import BlockSpec, PoolingSpec, StemSpec
 from kneegrade.data import GradedExam
 from kneegrade.errors import ConfigurationError, TrainingError
@@ -23,6 +27,7 @@ from kneegrade.training import (
     FoldResult,
     Snapshot,
     TrainConfig,
+    _train_one_epoch,
     adam_update,
     batch_images,
     batched_logits,
@@ -285,6 +290,64 @@ class TestBatchedLogits:
             tracemalloc.stop()
         # 58 MB when the 32 images went through as one batch
         assert peak <= 16 << 20, peak
+
+
+class TestTrainStep:
+    """A training step's graph lives only while its step runs."""
+
+    @staticmethod
+    def _epoch_runner(model, n, side):
+        exams, images = fake_dataset(n, side=side)
+        cfg = TrainConfig(batch_size=32, sampler="none", augment=False)
+        opt = Adam(model.named_parameters(), lr=1e-3)
+        targets = targets_for(exams, model.head_names)
+        rngs = np.random.default_rng(0), np.random.default_rng(1)
+        return lambda: _train_one_epoch(model, opt, exams, images, targets, cfg, *rngs)
+
+    def test_graph_is_freed_before_the_next_forward(self, monkeypatch):
+        model = build_model(tiny_config(), seed=0)
+        graphs = []     # per step, weak references to every node's backward closure
+        alive_at_forward = []
+
+        def loss_spy(*args, **kwargs):
+            loss = multi_task_loss(*args, **kwargs)
+            refs, seen, stack = [], set(), [loss]
+            while stack:
+                t = stack.pop()
+                if id(t) not in seen and t._backward is not None:
+                    seen.add(id(t))
+                    refs.append(weakref.ref(t._backward))
+                    stack.extend(t._parents)
+            graphs.append(refs)
+            return loss
+
+        def forward_spy(x):
+            alive_at_forward.append([sum(r() is not None for r in refs) for refs in graphs])
+            return type(model).forward(model, x)
+
+        monkeypatch.setattr(training, "multi_task_loss", loss_spy)
+        monkeypatch.setattr(model, "forward", forward_spy)
+        run = self._epoch_runner(model, 96, 16)
+        gc.disable()        # freed by reference counting alone, no cycle collection
+        try:
+            run()
+        finally:
+            gc.enable()
+        assert len(graphs) == 3 and all(len(refs) > 20 for refs in graphs)
+        assert alive_at_forward == [[], [0], [0, 0]]
+
+    def test_peak_memory_of_two_steps(self):
+        import tracemalloc
+        run = self._epoch_runner(build_model(ModelConfig(), seed=0), 64, 64)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 113 MB while step 1's graph stayed alive beside step 2's, and the
+        # unit's backward made full-size temporaries
+        assert peak <= 80 << 20, peak
 
 
 class TestRunFold:

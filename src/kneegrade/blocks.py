@@ -109,22 +109,22 @@ class ResidualBlock(Module):
         self.spec = spec
         cin, cout, s = spec.in_channels, spec.out_channels, spec.stride
         if spec.kind == "basic":
-            self.conv1 = Conv2d(cin, cout, 3, rng, stride=s, padding=1, bias=False, dtype=dtype)
+            self.conv1 = Conv2d(cin, cout, 3, rng, stride=s, padding=1, dtype=dtype)
             self.bn1 = BatchNorm2d(cout, dtype=dtype)
-            self.conv2 = Conv2d(cout, cout, 3, rng, padding=1, bias=False, dtype=dtype)
+            self.conv2 = Conv2d(cout, cout, 3, rng, padding=1, dtype=dtype)
             self.bn2 = BatchNorm2d(cout, dtype=dtype)
             self.conv3 = None
         else:
             mid = spec.mid_channels()
-            self.conv1 = Conv2d(cin, mid, 1, rng, bias=False, dtype=dtype)
+            self.conv1 = Conv2d(cin, mid, 1, rng, dtype=dtype)
             self.bn1 = BatchNorm2d(mid, dtype=dtype)
             self.conv2 = Conv2d(mid, mid, 3, rng, stride=s, padding=1,
-                                groups=spec.groups, bias=False, dtype=dtype)
+                                groups=spec.groups, dtype=dtype)
             self.bn2 = BatchNorm2d(mid, dtype=dtype)
-            self.conv3 = Conv2d(mid, cout, 1, rng, bias=False, dtype=dtype)
+            self.conv3 = Conv2d(mid, cout, 1, rng, dtype=dtype)
             self.bn3 = BatchNorm2d(cout, dtype=dtype)
         if cin != cout or s != 1:
-            self.short_conv = Conv2d(cin, cout, 1, rng, stride=s, bias=False, dtype=dtype)
+            self.short_conv = Conv2d(cin, cout, 1, rng, stride=s, dtype=dtype)
             self.short_bn = BatchNorm2d(cout, dtype=dtype)
         else:
             self.short_conv = None
@@ -156,10 +156,10 @@ class PoolHead(Module):
         super().__init__()
         self.spec = spec
         if spec.kind == "gwap":
-            self.score = Conv2d(channels, 1, 1, rng, bias=False, dtype=dtype)
+            self.score = Conv2d(channels, 1, 1, rng, dtype=dtype)
         elif spec.kind == "gwap_hidden":
-            self.hidden = Conv2d(channels, spec.hidden_width, 1, rng, bias=False, dtype=dtype)
-            self.score = Conv2d(spec.hidden_width, 1, 1, rng, bias=False, dtype=dtype)
+            self.hidden = Conv2d(channels, spec.hidden_width, 1, rng, dtype=dtype)
+            self.score = Conv2d(spec.hidden_width, 1, 1, rng, dtype=dtype)
 
     def spatial_weights(self, x):
         n, c, h, w = x.shape
@@ -183,12 +183,11 @@ class PoolHead(Module):
 class Backbone(Module):
     """Stem conv (+ optional pool) followed by the configured residual blocks."""
 
-    def __init__(self, stem: StemSpec, blocks, rng, in_channels=1, dtype=np.float32):
+    def __init__(self, stem: StemSpec, blocks, rng, dtype=np.float32):
         super().__init__()
         self.stem_spec = stem
-        self.conv = Conv2d(in_channels, stem.out_channels, stem.kernel, rng,
-                           stride=stem.stride, padding=stem.kernel // 2,
-                           bias=False, dtype=dtype)
+        self.conv = Conv2d(1, stem.out_channels, stem.kernel, rng, stride=stem.stride,
+                           padding=stem.kernel // 2, dtype=dtype)
         self.bn = BatchNorm2d(stem.out_channels, dtype=dtype)
         prev = stem.out_channels
         self.blocks = []

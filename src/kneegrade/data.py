@@ -25,14 +25,13 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .imageio import write_pgm16
+from .model import TASK_CLASSES, task_names
 from .preprocess import LandmarkSet, RawImage, rotate_image, rotate_point
 
+GRADE_COLUMNS = list(task_names())
+GRADE_RANGES = {name: (0, TASK_CLASSES[name] - 1) for name in GRADE_COLUMNS}
 MANIFEST_COLUMNS = ["exam_id", "subject_id", "side", "follow_up_months", "image_path",
-                    "landmark_path", "spacing_mm", "KL", "FO_L", "FO_M", "TO_L", "TO_M",
-                    "JSN_L", "JSN_M"]
-GRADE_COLUMNS = MANIFEST_COLUMNS[7:]
-GRADE_RANGES = {"KL": (0, 4), "FO_L": (0, 3), "FO_M": (0, 3), "TO_L": (0, 3),
-                "TO_M": (0, 3), "JSN_L": (0, 3), "JSN_M": (0, 3)}
+                    "landmark_path", "spacing_mm"] + GRADE_COLUMNS
 
 
 @dataclass

@@ -28,21 +28,12 @@ def task_names(include_kl=True):
     return ((KL_TASK,) if include_kl else ()) + OARSI_TASKS
 
 
-def default_blocks(base_width=16, se_enabled=True, kind="basic", groups=1, group_width=0,
-                   se_reduction=16):
-    """Four stages of one block each, channel doubling, stride 2 from stage 2."""
-    widths = [base_width * (2 ** i) for i in range(4)]
-    if kind == "bottleneck":
-        widths = [w * 4 for w in widths]
-    blocks = []
-    prev = base_width
-    for i, w in enumerate(widths):
-        blocks.append(BlockSpec(kind=kind, in_channels=prev, out_channels=w,
-                                stride=1 if i == 0 else 2, groups=groups,
-                                group_width=group_width, se_enabled=se_enabled,
-                                se_reduction=se_reduction))
-        prev = w
-    return blocks
+def default_blocks():
+    """Four basic SE stages of one block each, 16/32/64/128 channels, stride 2 from stage 2."""
+    widths = (16, 32, 64, 128)
+    return [BlockSpec(kind="basic", in_channels=cin, out_channels=cout,
+                      stride=1 if i == 0 else 2, se_enabled=True)
+            for i, (cin, cout) in enumerate(zip((16,) + widths, widths))]
 
 
 @dataclass(frozen=True)

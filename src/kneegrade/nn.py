@@ -122,8 +122,10 @@ def he_normal(rng, shape, fan_in, dtype):
 
 
 class Conv2d(Module):
+    """Bias-free, like every conv in the model; batch norm would cancel a bias."""
+
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1,
-                 padding=0, groups=1, bias=True, dtype=np.float32):
+                 padding=0, groups=1, dtype=np.float32):
         super().__init__()
         if in_channels % groups or out_channels % groups:
             raise ConfigurationError(
@@ -133,17 +135,15 @@ class Conv2d(Module):
         self.weight = Parameter(
             he_normal(rng, (out_channels, in_channels // groups, kernel, kernel), fan_in, dtype),
             dtype=dtype)
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype), dtype=dtype) if bias else None
 
     def forward(self, x):
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride,
+        return T.conv2d(x, self.weight, stride=self.stride,
                         padding=self.padding, groups=self.groups)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
-        self.momentum, self.eps = momentum, eps
         self.stats_frozen = False
         self.gamma = Parameter(np.ones(channels, dtype=dtype), dtype=dtype)
         self.beta = Parameter(np.zeros(channels, dtype=dtype), dtype=dtype)
@@ -157,22 +157,15 @@ class BatchNorm2d(Module):
 
     def forward(self, x):
         return T.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, training=self.batch_stats,
-                              momentum=self.momentum, eps=self.eps)
+                              self.running_var, training=self.batch_stats)
 
 
 def conv_bn(conv, bn, x, act="relu"):
-    """``act(bn(conv(x)))`` as one :func:`~kneegrade.tensor.conv_bn_act` node.
-
-    ``conv`` must be bias-free (batch norm cancels a bias); ``act`` is
-    "relu" or None.
-    """
-    if conv.bias is not None:
-        raise ConfigurationError("conv_bn: the conv feeding batch norm must have no bias")
+    """``act(bn(conv(x)))`` as one :func:`~kneegrade.tensor.conv_bn_act` node;
+    ``act`` is "relu" or None."""
     return T.conv_bn_act(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
                          bn.running_var, training=bn.batch_stats, act=act,
-                         stride=conv.stride, padding=conv.padding, groups=conv.groups,
-                         momentum=bn.momentum, eps=bn.eps)
+                         stride=conv.stride, padding=conv.padding, groups=conv.groups)
 
 
 class Linear(Module):
@@ -187,15 +180,12 @@ class Linear(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout driven by an owned, reseedable generator."""
+    """Inverted dropout driven by an owned generator; replace ``rng`` to reseed."""
 
-    def __init__(self, p, seed=0):
+    def __init__(self, p):
         super().__init__()
         self.p = float(p)
-        self.reseed(seed)
-
-    def reseed(self, seed):
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(0)
 
     def forward(self, x):
         return T.dropout(x, self.p, training=self.training, rng=self.rng)

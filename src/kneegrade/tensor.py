@@ -48,6 +48,11 @@ from .errors import (ConfigurationError, DataError, NormalizationError, Numerics
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
+# Batch norm's running-statistics momentum and its variance epsilon; see
+# :func:`batch_norm2d`.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 class _GradMode(threading.local):
     recording = True
@@ -112,9 +117,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self):
         if self.data.size != 1:
             raise UsageError(f"item() needs a single element, got shape {self.shape}")
@@ -130,7 +132,9 @@ class Tensor:
 def _node(data, parents, backward_fn, op):
     """Create a graph node; drops the tape when no parent wants gradients
     or the calling thread is inside :func:`no_grad`. Every output is scanned,
-    so a NaN/Inf raises NumericsError the moment it would enter the graph."""
+    so a NaN/Inf raises NumericsError the moment it would enter the graph.
+    A 0-d result (numpy hands back scalars for those) is stored as an array."""
+    data = np.asarray(data)
     if not np.all(np.isfinite(data)):
         raise NumericsError(f"{op} produced non-finite values")
     out = Tensor.__new__(Tensor)
@@ -240,7 +244,8 @@ def mul(a, b):
 def scale(a, s):
     s = float(s)
     def bwd(g, grads):
-        _put(grads, a, g * s)
+        g *= s
+        _put(grads, a, g)
     return _node(a.data * s, (a,), bwd, "scale")
 
 
@@ -594,16 +599,14 @@ def _channel_sum(a, b=None):
     return np.einsum("ncp,ncp->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
 
 
-def _bn_train(y, gamma, beta, running_mean, running_var, momentum, eps, in_place,
-              relu=False):
+def _bn_train(y, gamma, beta, running_mean, running_var, in_place, relu=False):
     """Training-mode batch norm of the array ``y`` [N, C, H, W] on its batch statistics.
 
     Updates the running statistics in place with the biased batch variance
-    (``new = (1 - momentum) * old + momentum * batch``). Returns the
-    normalized output (ReLU applied when ``relu``), the centred input
-    backward keeps (``y`` itself, overwritten, when ``in_place``) and the
-    per-channel ``1 / std``. The output is scaled, shifted and rectified one
-    chunk of images at a time.
+    (see ``BN_MOMENTUM``). Returns the normalized output (ReLU applied when
+    ``relu``), the centred input backward keeps (``y`` itself, overwritten,
+    when ``in_place``) and the per-channel ``1 / std``. The output is scaled,
+    shifted and rectified one chunk of images at a time.
     """
     n, c, h, w = y.shape
     m = n * h * w
@@ -612,11 +615,11 @@ def _bn_train(y, gamma, beta, running_mean, running_var, momentum, eps, in_place
     mean = _channel_sum(y) / m
     xc = np.subtract(y, mean[None, :, None, None], out=y if in_place else None)
     var = _channel_sum(xc, xc) / m                # biased, matches the normalizer
-    running_mean *= (1.0 - momentum)
-    running_mean += momentum * mean.astype(running_mean.dtype)
-    running_var *= (1.0 - momentum)
-    running_var += momentum * var.astype(running_var.dtype)
-    inv = 1.0 / np.sqrt(var + eps)
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * var.astype(running_var.dtype)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     k = (gamma * inv)[None, :, None, None]
     shift = beta[None, :, None, None]
     out = np.empty(xc.shape, dtype=np.result_type(xc, k))
@@ -655,13 +658,13 @@ def _bn_train_grads(g, xc, inv, gamma, need_x):
     return g, sum_gxc * inv, sum_g
 
 
-def _bn_fold(gamma, beta, running_mean, running_var, eps, dtype):
+def _bn_fold(gamma, beta, running_mean, running_var, dtype):
     """Eval-mode batch norm as a per-channel affine map ``y * scale + shift``.
 
-    Returns (scale, shift, inv) with ``inv = 1 / sqrt(running_var + eps)``;
+    Returns (scale, shift, inv) with ``inv = 1 / sqrt(running_var + BN_EPS)``;
     new arrays, nothing written back into the parameters or buffers.
     """
-    inv = 1.0 / np.sqrt(running_var.astype(dtype) + eps)
+    inv = 1.0 / np.sqrt(running_var.astype(dtype) + BN_EPS)
     scale = gamma * inv
     return scale, beta - running_mean.astype(dtype) * scale, inv
 
@@ -672,23 +675,22 @@ def _check_bn_params(c, gamma, beta, op):
             f"{op}: gamma/beta must have shape ({c},), got {gamma.data.shape}/{beta.data.shape}")
 
 
-def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
-                 momentum=0.1, eps=1e-5):
+def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
     """Per-channel batch normalization over [N, C, H, W].
 
     ``running_mean``/``running_var`` are plain float arrays owned by the
     caller; in training mode they are updated in place with the biased batch
-    statistics (``new = (1 - momentum) * old + momentum * batch``).
+    statistics (``new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch``).
     """
     if x.data.ndim != 4:
         raise ConfigurationError(f"batch_norm2d: expected NCHW input, got {x.data.shape}")
     _check_bn_params(x.data.shape[1], gamma, beta, "batch_norm2d")
     if training:
         out, xc, inv = _bn_train(x.data, gamma.data, beta.data, running_mean, running_var,
-                                 momentum, eps, in_place=False)
+                                 in_place=False)
     else:
         scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
-                                     eps, x.data.dtype)
+                                     x.data.dtype)
         out = x.data * scale[None, :, None, None]
         out += shift[None, :, None, None]
 
@@ -712,7 +714,7 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training,
 
 
 def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="relu",
-                stride=1, padding=0, groups=1, momentum=0.1, eps=1e-5):
+                stride=1, padding=0, groups=1):
     """``act(batch_norm2d(conv2d(x, w)))`` as one graph node; ``act`` is "relu" or None.
 
     Arguments mean what they mean for :func:`conv2d` (no bias: batch norm
@@ -725,7 +727,7 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     gradient in place. Its values, gradients and running statistics are
     those of the chain bit for bit. Eval mode folds the running statistics
     into the conv each call: ``W' = W * s`` and ``b' = beta - mean * s`` with
-    ``s = gamma / sqrt(var + eps)``, then runs one conv whose lowering adds
+    ``s = gamma / sqrt(var + BN_EPS)``, then runs one conv whose lowering adds
     ``b'`` and applies the ReLU to each chunk as it leaves the GEMM. That rounds
     differently from the chain, at float32 precision.
     The folded arrays are new; parameters and buffers are never written.
@@ -739,11 +741,11 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     if training:
         y, grad = lower(x.data, w.data, stride, padding, groups, ho, wo)
         out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var,
-                                 momentum, eps, in_place=True, relu=(act == "relu"))
+                                 in_place=True, relu=(act == "relu"))
         wd = w.data
     else:
         scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
-                                     eps, x.data.dtype)
+                                     x.data.dtype)
         wd = w.data * scale[:, None, None, None]
         if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
             raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
@@ -933,10 +935,11 @@ def cross_entropy(logits, targets):
         raise DataError(
             f"cross_entropy: target {int(t[bad[0]])} at row {int(bad[0])} outside [0, {k - 1}]")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    nll = lse - z[np.arange(n), t]
+    sm = np.exp(z)
+    total = sm.sum(axis=1, keepdims=True)
+    nll = np.log(total[:, 0]) - z[np.arange(n), t]
     out = np.asarray(nll.mean(), dtype=logits.data.dtype)
-    sm = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    sm /= total
     def bwd(g, grads):
         d = sm.copy()
         d[np.arange(n), t] -= 1.0

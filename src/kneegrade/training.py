@@ -108,25 +108,14 @@ def schedule_lr(cfg, epoch):
 # optimizer
 
 
-def adam_update(theta, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam step; returns (new_theta, new_m, new_v) without mutation.
-
-    With fresh state (t=1, m=v=0) the step size is lr * g / (|g| + eps), so
-    the very first update moves each coordinate by almost exactly lr.
-    """
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
-
-
 class Adam(object):
     """Adam with coupled L2 decay (decay added into the gradient).
 
     Bias-correction steps are counted per parameter, so a tensor that thaws
     mid-run takes a clean full-size first step. Frozen parameters are skipped
-    entirely: no update and no state advance.
+    entirely: no update and no state advance. With fresh state the step size
+    is lr * g / (|g| + eps), so the first update moves each coordinate by
+    almost exactly lr.
     """
 
     def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -158,10 +147,20 @@ class Adam(object):
                 st = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
                 self.state[name] = st
             st[2] += 1
-            new_theta, st[0], st[1] = adam_update(
-                p.data, g, st[0], st[1], st[2],
-                self.lr, self.beta1, self.beta2, self.eps)
-            p.data[...] = new_theta.astype(p.data.dtype)
+            # in place, the operations of theta - lr * m_hat / (sqrt(v_hat) + eps) in order
+            m, v, t = st
+            tmp = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += tmp
+            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            tmp *= g
+            v *= self.beta2
+            v += tmp
+            denom = np.sqrt(np.divide(v, 1.0 - self.beta2 ** t, out=tmp), out=tmp)
+            denom += self.eps
+            upd = m / (1.0 - self.beta1 ** t)
+            upd *= self.lr
+            p.data -= np.divide(upd, denom, out=upd)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +266,14 @@ def batched_logits(model, exams, images, reduce, batch_size=32):
     return {name: np.concatenate(parts) for name, parts in chunks.items()}
 
 
-def predict_grades(model, exams, images, batch_size=32):
-    """Argmax grade per head over ``exams``; model is left in eval mode."""
-    return batched_logits(model, exams, images, lambda z: np.argmax(z, axis=1), batch_size)
-
-
 def validation_metrics(model, exams, images, batch_size=32):
     """Quadratic kappa and balanced accuracy per head, plus their kappa mean.
 
     A head whose metric is undefined on this sample (validation folds can be
-    tiny) scores 0.0 rather than aborting the run.
+    tiny) scores 0.0 rather than aborting the run. The model is left in eval
+    mode.
     """
-    preds = predict_grades(model, exams, images, batch_size)
+    preds = batched_logits(model, exams, images, lambda z: np.argmax(z, axis=1), batch_size)
     truths = targets_for(exams, model.head_names)
     out = {}
     kappas = []
@@ -350,7 +345,7 @@ class Snapshot:
         return cls(weights=weights, meta=meta, path=path)
 
 
-def snapshot_model(snapshot, dtype=np.float32):
+def snapshot_model(snapshot):
     """Rebuild the trained model a snapshot was taken from.
 
     A model config or weights the model refuses are an error naming the
@@ -360,8 +355,7 @@ def snapshot_model(snapshot, dtype=np.float32):
     heads = [tuple(h) for h in snapshot.meta["heads"]]
     try:
         cfg = from_doc(ModelConfig, snapshot.meta["model_config"], "model")
-        model = build_model(cfg, int(snapshot.meta["seed"]), dtype=dtype,
-                            heads_override=heads)
+        model = build_model(cfg, int(snapshot.meta["seed"]), heads_override=heads)
         model.load_state_arrays(snapshot.weights)
     except (ConfigurationError, WeightLoadError) as exc:
         if snapshot.path is None:
@@ -380,7 +374,6 @@ class FoldResult:
     history: list
     lr_by_epoch: list
     backbone_checksums: list
-    log_path: str
 
 
 def _epoch_rngs(seed, fold, epoch, stream=5):
@@ -496,15 +489,13 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
         snap_meta.update(meta)
     snapshot = Snapshot(weights=best_weights, meta=snap_meta)
 
-    log_path = ""
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        log_path = os.path.join(out_dir, f"train_log_fold{fold}.csv")
-        _log_rows_to_csv(log_path, model.head_names, history)
+        _log_rows_to_csv(os.path.join(out_dir, f"train_log_fold{fold}.csv"),
+                         model.head_names, history)
         snapshot.save(os.path.join(out_dir, f"snapshot_fold{fold}.kgw"))
     return FoldResult(snapshot=snapshot, history=history,
-                      lr_by_epoch=lr_by_epoch, backbone_checksums=checksums,
-                      log_path=log_path)
+                      lr_by_epoch=lr_by_epoch, backbone_checksums=checksums)
 
 
 def pretrain_backbone(exams, images, model_config, cfg, seed, out_path,

@@ -1,16 +1,22 @@
 """Model construction, head wiring, serialization, and freezing."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from kneegrade import tensor as T
-from kneegrade.blocks import BlockSpec, PoolingSpec, StemSpec
+from kneegrade import training
+from kneegrade.blocks import Backbone, BlockSpec, PoolingSpec, StemSpec
 from kneegrade.config import from_doc
 from kneegrade.errors import ConfigurationError, DataError, WeightLoadError
 from kneegrade.model import (BACKBONE_PREFIX, ModelConfig, backbone_checksum, build_model,
                              config_hash, default_blocks, load_backbone_weights,
                              save_backbone_weights, task_names)
+from kneegrade.nn import BatchNorm2d, Conv2d, Dropout
 from kneegrade.serialize import load_tensors, save_tensors
+from kneegrade.training import Snapshot, snapshot_model
 
 from gradcheck import check_param_gradients
 
@@ -112,6 +118,60 @@ class TestConfigRoundTrip:
         cfg = ModelConfig()
         assert len(cfg.blocks) == 4
         assert cfg.blocks[0].in_channels == cfg.stem.out_channels
+
+    def test_default_model_initial_state_is_pinned(self):
+        """Names, shapes and bytes of the default model's initial weights and
+        buffers. A zero-initialized tensor gained or lost (an SE projection
+        that grows a bias, say) moves this digest even though it leaves every
+        output equal."""
+        arrays = build_model(ModelConfig(), 0).state_arrays()
+        h = hashlib.sha256()
+        for name in sorted(arrays):
+            h.update(name.encode())
+            h.update(repr(arrays[name].shape).encode())
+            h.update(np.ascontiguousarray(arrays[name]).tobytes())
+        assert len(arrays) == 82
+        assert h.hexdigest() == \
+            "471b693089d2f98ea8e7acba798ccfb9facb71c6bd7d74c0ddbee10fb7f825f1"
+
+
+def _knob_calls():
+    """One call per parameter that was removed because no caller set it."""
+    rng = np.random.default_rng(0)
+    x = T.Tensor(np.zeros((2, 1, 4, 4)))
+    w = T.Tensor(np.zeros((1, 1, 3, 3)))
+    bn_args = (T.Tensor(np.ones(1)), T.Tensor(np.zeros(1)), np.zeros(1), np.ones(1), True)
+    snap = Snapshot(weights={}, meta={})
+    calls = [(f"default_blocks({k})", lambda k=k: default_blocks(**{k: v}))
+             for k, v in (("base_width", 16), ("se_enabled", True), ("kind", "basic"),
+                          ("groups", 1), ("group_width", 0), ("se_reduction", 16))]
+    for k, v in (("momentum", 0.1), ("eps", 1e-5)):
+        calls += [(f"BatchNorm2d({k})", lambda k=k, v=v: BatchNorm2d(1, **{k: v})),
+                  (f"batch_norm2d({k})", lambda k=k, v=v: T.batch_norm2d(x, *bn_args, **{k: v})),
+                  (f"conv_bn_act({k})",
+                   lambda k=k, v=v: T.conv_bn_act(x, w, *bn_args, padding=1, **{k: v}))]
+    return calls + [
+        ("Conv2d(bias)", lambda: Conv2d(1, 1, 3, rng, bias=False)),
+        ("Backbone(in_channels)", lambda: Backbone(StemSpec(), [], rng, in_channels=1)),
+        ("Dropout(seed)", lambda: Dropout(0.5, seed=0)),
+        ("snapshot_model(dtype)", lambda: snapshot_model(snap, dtype=np.float32)),
+    ]
+
+
+class TestNoDeadKnobs:
+    @pytest.mark.parametrize("call", _knob_calls(), ids=lambda c: c[0])
+    def test_removed_parameter_is_refused(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call[1]()
+
+    @pytest.mark.parametrize("owner, attr", [
+        (T.Tensor, "zero_grad"), (Dropout, "reseed"), (training, "predict_grades"),
+        (training, "adam_update")])
+    def test_removed_name_is_gone(self, owner, attr):
+        assert not hasattr(owner, attr)
+
+    def test_fold_result_has_no_log_path(self):
+        assert "log_path" not in {f.name for f in dataclasses.fields(training.FoldResult)}
 
 
 class TestHeadIsolation:

@@ -437,11 +437,9 @@ class TestBatchNorm:
         beta = rng.normal(size=3)
         rm = rng.normal(size=3)
         rv = rng.uniform(0.5, 2.0, size=3)
-        eps = 1e-5
         out = T.batch_norm2d(T.Tensor(x, dtype=np.float64), T.Tensor(gamma, dtype=np.float64),
-                             T.Tensor(beta, dtype=np.float64), rm, rv,
-                             training=False, eps=eps).data
-        want = (x - rm[None, :, None, None]) / np.sqrt(rv + eps)[None, :, None, None]
+                             T.Tensor(beta, dtype=np.float64), rm, rv, training=False).data
+        want = (x - rm[None, :, None, None]) / np.sqrt(rv + 1e-5)[None, :, None, None]
         want = want * gamma[None, :, None, None] + beta[None, :, None, None]
         assert np.allclose(out, want, atol=1e-12)
 
@@ -449,7 +447,7 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 2, 3, 3))
         rm, rv = np.zeros(2), np.ones(2)
         T.batch_norm2d(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)),
-                       rm, rv, training=True, momentum=0.1)
+                       rm, rv, training=True)
         assert np.allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), atol=1e-6)
         assert np.allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3)), atol=1e-6)
 
@@ -560,7 +558,7 @@ class TestConvBnAct:
 
     def test_eval_leaves_module_state_byte_identical(self, rng):
         from kneegrade.nn import BatchNorm2d, Conv2d, conv_bn
-        conv = Conv2d(3, 4, 3, rng, padding=1, bias=False)
+        conv = Conv2d(3, 4, 3, rng, padding=1)
         bn = BatchNorm2d(4).eval()
         bn.running_mean[...] = rng.normal(size=4)
         bn.running_var[...] = rng.uniform(0.5, 2.0, size=4)
@@ -806,8 +804,7 @@ class TestGradientOwnership:
         put, handed = T._put, []
 
         def checked_put(grads, t, g):
-            # 0-d results are numpy scalars, immutable, so nothing can alias them
-            if t.requires_grad and np.ndim(g):
+            if t.requires_grad:
                 assert g.flags.writeable, t
                 for pending in grads.values():
                     assert not np.shares_memory(g, pending), t
@@ -819,6 +816,24 @@ class TestGradientOwnership:
                     [1.0] * len(targets))
         assert max(handed) == 32 * 16 * 64 * 64 * 4     # the stem's own gradient
         assert len(handed) > 100
+
+    def test_scalar_nodes_hold_arrays(self, monkeypatch):
+        """numpy turns 0-d results into scalars; nodes and the gradients
+        handed to closures stay 0-d arrays all the same."""
+        from kneegrade.training import multi_task_loss
+        logits = [T.Tensor(np.zeros((2, 3)), requires_grad=True) for _ in range(2)]
+        loss = multi_task_loss(logits, [np.array([0, 1])] * 2, weights=[0.5, 2.0])
+        assert type(loss.data) is np.ndarray and loss.data.shape == ()
+        put, handed = T._put, []
+
+        def spy(grads, t, g):
+            handed.append(g)
+            put(grads, t, g)
+
+        monkeypatch.setattr(T, "_put", spy)
+        T.backward(loss)
+        assert handed and all(type(g) is np.ndarray and g.flags.writeable for g in handed)
+        assert np.allclose(logits[1].grad, 2.0 * logits[0].grad / 0.5)
 
     def test_unit_backward_allocates_only_its_dx(self, rng):
         import tracemalloc

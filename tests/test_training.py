@@ -28,7 +28,6 @@ from kneegrade.training import (
     Snapshot,
     TrainConfig,
     _train_one_epoch,
-    adam_update,
     batch_images,
     batched_logits,
     multi_task_loss,
@@ -107,11 +106,18 @@ class TestSchedule:
 
 
 class TestAdam:
+    @staticmethod
+    def one_parameter(theta, grad, lr):
+        p = Parameter(theta.copy(), dtype=np.float64)
+        p.grad = grad
+        return p, Adam([("p", p)], lr=lr)
+
     def test_first_step_magnitude_is_lr(self):
         theta = np.array([1.0, -2.0, 0.5])
         grad = np.array([0.3, -0.7, 2.0])
-        new, _, _ = adam_update(theta, grad, np.zeros(3), np.zeros(3), 1, lr=1e-2)
-        step = new - theta
+        p, opt = self.one_parameter(theta, grad, lr=1e-2)
+        opt.step()
+        step = p.data - theta
         assert np.abs(step) == pytest.approx([1e-2] * 3, rel=1e-6)
         assert np.sign(step).tolist() == (-np.sign(grad)).tolist()
 
@@ -122,7 +128,10 @@ class TestAdam:
         v = rng.random(5) * 0.01
         g = rng.normal(size=5)
         t = 7
-        new, m2, v2 = adam_update(theta, g, m, v, t, lr=1e-3)
+        p, opt = self.one_parameter(theta, g, lr=1e-3)
+        opt.state["p"] = [m.copy(), v.copy(), t - 1]
+        opt.step()
+        new, (m2, v2, _) = p.data, opt.state["p"]
         em = 0.9 * m + 0.1 * g
         ev = 0.999 * v + 0.001 * g * g
         expect = theta - 1e-3 * (em / (1 - 0.9 ** t)) / (np.sqrt(ev / (1 - 0.999 ** t)) + 1e-8)

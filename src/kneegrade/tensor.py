@@ -20,10 +20,11 @@ Inside ``with no_grad():`` ops link nothing, which is how inference runs.
 Every output is scanned for non-finite values, so the graph is kept small:
 ``conv_bn_act`` runs a conv, its batch norm and an optional ReLU as one node,
 one output buffer and one scan. In training mode it equals the three-op
-chain bit for bit; in eval mode it folds the running statistics into the
-conv's weight and bias on every call (nothing is cached or written back).
-``gate_add_relu`` joins a residual block (SE scaling, shortcut add, ReLU) in
-one node, bit for bit the five-op chain it replaced.
+chain bit for bit, except on the moment path below; in eval mode it folds the
+running statistics into the conv's weight and bias on every call (nothing is
+cached or written back). ``gate_add_relu`` joins a residual block (SE
+scaling, shortcut add, ReLU) in one node, bit for bit the five-op chain it
+replaced.
 
 The wide early layers are bound by memory traffic, so no full-size array is
 made that a cache-sized chunk can do without: conv columns are gathered from
@@ -34,6 +35,14 @@ GEMM, the training unit scales, shifts and rectifies a chunk at a time, and
 training backward makes no full-size temporary: it applies the ReLU mask and
 forms the batch norm's dX over the gradient it owns, a chunk of images at a
 time, so the conv's dX is the one full-size array it allocates.
+
+A training step keeps nothing its backward can cheaply rebuild. No conv
+lowering keeps its columns; backward gathers them again. A training unit
+keeps its centred conv output for the batch norm's backward, except on the
+moment path (see :func:`conv_bn_act`): when its input wants no gradient and
+its columns are no deeper than its output channels, as for the stem, the
+batch statistics come from the columns' float64 moments and are folded into
+the conv, and the unit keeps only its output.
 """
 
 from __future__ import annotations
@@ -421,13 +430,35 @@ def _taps(kh, kw, stride, padding, h, w, ho, wo):
             yield ki, kj, (Ellipsis, ro, co), (Ellipsis, ri, ci)
 
 
+def _fold(dcols, taps, stride, dst):
+    """Fold column gradients ``dcols`` [A, B, kH, kW, Ho, Wo] back onto ``dst``
+    [A, B, H, W] one input phase (row % stride, column % stride) at a time: the
+    taps that meet a phase are summed, in row-major order, in one contiguous
+    zeroed buffer, which is then written once into the phase's strided places."""
+    for r in range(stride):
+        for c in range(stride):
+            phase = dst[..., r::stride, c::stride]
+            meet = [(ki, kj, ro, co, ri.start // stride, ci.start // stride)
+                    for ki, kj, (_, ro, co), (_, ri, ci) in taps
+                    if ri.start % stride == r and ci.start % stride == c]
+            if not meet:        # e.g. three phases in four of a 1x1 stride-2 conv
+                phase[...] = 0
+                continue
+            acc = np.zeros(dcols.shape[:2] + phase.shape[-2:], dtype=dcols.dtype)
+            for ki, kj, ro, co, i, j in meet:
+                acc[..., i:i + ro.stop - ro.start, j:j + co.stop - co.start] += \
+                    dcols[:, :, ki, kj, ro, co]
+            phase[...] = acc
+
+
 def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
     """Lowering for large maps: one GEMM per image, NCHW out.
 
     ``bias`` [Cout] (or None) is added and the ReLU applied to each chunk of
     images right after its GEMM, while the chunk is still in cache. Returns
     the output and ``grad(g, need_x) -> (dW, dX or None)``, dW as
-    [groups, Cin/groups*kH*kW, Cout/groups].
+    [groups, Cin/groups*kH*kW, Cout/groups]. ``grad`` keeps no buffer of the
+    forward's: it gathers the columns again into one of its own.
     """
     n, cin, h, wdt = xd.shape
     cout, _, kh, kw = wd.shape
@@ -435,12 +466,13 @@ def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fal
     wg = wd.reshape(groups, og, k)
     taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo))
     step = max(1, min(n, _CHUNK_BYTES // (cin * kh * kw * p * xd.itemsize)))
-    # Zeroed once: every chunk rewrites the same in-image windows, so the
-    # places that stand for padding stay zero and no padded input is made.
-    buf = np.zeros((step, cin, kh, kw, ho, wo), dtype=xd.dtype)
+    shape = (step, cin, kh, kw, ho, wo)
 
-    def columns(start):
-        """Images start.. of the batch as [m, groups, k, Ho*Wo] columns in ``buf``."""
+    def columns(buf, start):
+        """Images start.. of the batch as [m, groups, k, Ho*Wo] columns in
+        ``buf``, zeroed once by its maker: every chunk rewrites the same
+        in-image windows, so the places that stand for padding stay zero and
+        no padded input is made."""
         part = buf[:min(step, n - start)]
         src = xd[start:start + len(part)]
         for ki, kj, o, s in taps:
@@ -450,8 +482,9 @@ def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fal
     out = np.empty((n, groups, og, p), dtype=xd.dtype)
     if bias is not None:
         bias = bias.reshape(groups, og, 1)
+    buf = np.zeros(shape, dtype=xd.dtype)
     for start in range(0, n, step):
-        cols = columns(start)
+        cols = columns(buf, start)
         part = out[start:start + len(cols)]
         np.matmul(wg, cols, out=part)
         if bias is not None:
@@ -462,20 +495,19 @@ def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fal
     def grad(g, need_x):
         gg = g.reshape(n, groups, og, p)
         dw = np.zeros((groups, k, og), dtype=g.dtype)
-        dx = np.zeros(xd.shape, dtype=g.dtype) if need_x else None
+        dx = np.empty(xd.shape, dtype=g.dtype) if need_x else None
+        buf = np.zeros(shape, dtype=xd.dtype)      # forward's is not kept
         # not ``buf``: writing there would dirty its zero padding places
-        dbuf = np.empty_like(buf) if need_x else None
+        dbuf = np.empty(shape, dtype=g.dtype) if need_x else None
         for start in range(0, n, step):
-            cols = columns(start)
+            cols = columns(buf, start)
             gs = gg[start:start + len(cols)]
             dw += np.matmul(cols, gs.swapaxes(-1, -2)).sum(axis=0)
             if need_x:
                 dcols = np.matmul(wg.swapaxes(-1, -2), gs,
                                   out=dbuf[:len(cols)].reshape(cols.shape))
-                dcols = dcols.reshape(len(cols), cin, kh, kw, ho, wo)
-                dst = dx[start:start + len(cols)]
-                for ki, kj, o, s in taps:
-                    dst[s] += dcols[:, :, ki, kj][o]
+                _fold(dcols.reshape(len(cols), cin, kh, kw, ho, wo), taps, stride,
+                      dx[start:start + len(cols)])
         return dw, dx
     return out.reshape(n, cout, ho, wo), grad
 
@@ -484,19 +516,24 @@ def _conv_batch_wide(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fa
     """Lowering for small maps: one GEMM over the batch's CNHW columns.
 
     ``bias`` is added as the output is copied to NCHW, then the ReLU applied.
-    Returns the output and ``grad`` as for :func:`_conv_per_image`.
+    Returns the output and ``grad`` as for :func:`_conv_per_image`. Backward
+    gathers the columns again rather than keeping them, and folds dX straight
+    into NCHW storage.
     """
     n, cin, h, wdt = xd.shape
     cout, _, kh, kw = wd.shape
     og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
     wg = wd.reshape(groups, og, k)
     taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo))
-    cols = np.zeros((cin, kh, kw, n, ho, wo), dtype=xd.dtype)
-    colv = cols.transpose(3, 0, 1, 2, 4, 5)               # [N, Cin, kH, kW, Ho, Wo]
-    for ki, kj, o, s in taps:
-        colv[:, :, ki, kj][o] = xd[s]
-    cols = cols.reshape(groups, k, n * p)
-    y = np.matmul(wg, cols).reshape(cout, n, ho, wo).swapaxes(0, 1)
+
+    def columns():
+        cols = np.zeros((cin, kh, kw, n, ho, wo), dtype=xd.dtype)
+        colv = cols.transpose(3, 0, 1, 2, 4, 5)           # [N, Cin, kH, kW, Ho, Wo]
+        for ki, kj, o, s in taps:
+            colv[:, :, ki, kj][o] = xd[s]
+        return cols.reshape(groups, k, n * p)
+
+    y = np.matmul(wg, columns()).reshape(cout, n, ho, wo).swapaxes(0, 1)
     out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
     if bias is None:
         out[...] = y
@@ -507,15 +544,13 @@ def _conv_batch_wide(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fa
 
     def grad(g, need_x):
         gg = np.ascontiguousarray(g.swapaxes(0, 1)).reshape(groups, og, n * p)
-        dw = np.matmul(cols, gg.swapaxes(-1, -2))
+        dw = np.matmul(columns(), gg.swapaxes(-1, -2))
         if not need_x:
             return dw, None
         dcols = np.matmul(wg.swapaxes(-1, -2), gg).reshape(cin, kh, kw, n, ho, wo)
-        dcols = dcols.transpose(3, 0, 1, 2, 4, 5)
-        dx = np.zeros((cin, n, h, wdt), dtype=g.dtype).swapaxes(0, 1)   # stored CNHW
-        for ki, kj, o, s in taps:
-            dx[s] += dcols[:, :, ki, kj][o]
-        return dw, np.ascontiguousarray(dx)
+        dx = np.empty((n, cin, h, wdt), dtype=g.dtype)
+        _fold(dcols.transpose(0, 3, 1, 2, 4, 5), taps, stride, dx.swapaxes(0, 1))
+        return dw, dx
     return out, grad
 
 
@@ -599,6 +634,15 @@ def _channel_sum(a, b=None):
     return np.einsum("ncp,ncp->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
 
 
+def _update_running(running_mean, running_var, mean, var):
+    """Move the running statistics, in place, ``BN_MOMENTUM`` of the way to
+    the batch's ``mean`` and biased ``var``."""
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * var.astype(running_var.dtype)
+
+
 def _bn_train(y, gamma, beta, running_mean, running_var, in_place, relu=False):
     """Training-mode batch norm of the array ``y`` [N, C, H, W] on its batch statistics.
 
@@ -615,10 +659,7 @@ def _bn_train(y, gamma, beta, running_mean, running_var, in_place, relu=False):
     mean = _channel_sum(y) / m
     xc = np.subtract(y, mean[None, :, None, None], out=y if in_place else None)
     var = _channel_sum(xc, xc) / m                # biased, matches the normalizer
-    running_mean *= (1.0 - BN_MOMENTUM)
-    running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
-    running_var *= (1.0 - BN_MOMENTUM)
-    running_var += BN_MOMENTUM * var.astype(running_var.dtype)
+    _update_running(running_mean, running_var, mean, var)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     k = (gamma * inv)[None, :, None, None]
     shift = beta[None, :, None, None]
@@ -656,6 +697,35 @@ def _bn_train_grads(g, xc, inv, gamma, need_x):
         part -= k2
         part *= k3
     return g, sum_gxc * inv, sum_g
+
+
+def _column_moments(xd, kh, kw, stride, padding, ho, wo):
+    """Float64 mean [k] and covariance [k, k] over all Ho*Wo places of all
+    images of a groups=1 conv's input columns, k = Cin*kH*kW.
+
+    The columns are gathered a cache-sized chunk of images at a time, so
+    nothing full-size is made. Products of float32 values are exact in
+    float64 and their sums keep ~29 bits more than the inputs carry, so
+    ``E[cc^T] - mu mu^T`` keeps a float32 input's small variance around a
+    large mean (std 1e-2 around 100) to float32 precision.
+    """
+    n, cin, h, w = xd.shape
+    k, m = cin * kh * kw, n * ho * wo
+    if m < 2:
+        raise NormalizationError("batch norm: training mode needs at least 2 values per channel")
+    step = max(1, min(n, _CHUNK_BYTES // (k * ho * wo * 8)))
+    buf = np.zeros((step, cin, kh, kw, ho, wo))      # padding places stay zero
+    total, products = np.zeros(k), np.zeros((k, k))
+    for start in range(0, n, step):
+        part = buf[:min(step, n - start)]
+        src = xd[start:start + len(part)]
+        for ki, kj, o, s in _taps(kh, kw, stride, padding, h, w, ho, wo):
+            part[:, :, ki, kj][o] = src[s]
+        cols = part.reshape(len(part), k, ho * wo)
+        total += cols.sum(axis=(0, 2))
+        products += np.matmul(cols, cols.swapaxes(1, 2)).sum(axis=0)
+    mu = total / m
+    return mu, products / m - np.outer(mu, mu)
 
 
 def _bn_fold(gamma, beta, running_mean, running_var, dtype):
@@ -721,16 +791,31 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     cancels it) and :func:`batch_norm2d`. The result equals the three-op
     chain, but only the unit's output is allocated, scanned and recorded.
 
-    Training mode centres the conv output in place (that buffer is the one
-    backward keeps), scales it into the output buffer and applies the ReLU
-    there; backward turns the gradient it owns into the conv output's
-    gradient in place. Its values, gradients and running statistics are
+    Off the moment path below, training mode centres the conv output in
+    place (that buffer is the one backward keeps), scales it into the output
+    buffer and applies the ReLU there; backward turns the gradient it owns
+    into the conv output's gradient in place. Its values, gradients and running statistics are
     those of the chain bit for bit. Eval mode folds the running statistics
     into the conv each call: ``W' = W * s`` and ``b' = beta - mean * s`` with
     ``s = gamma / sqrt(var + BN_EPS)``, then runs one conv whose lowering adds
     ``b'`` and applies the ReLU to each chunk as it leaves the GEMM. That rounds
     differently from the chain, at float32 precision.
     The folded arrays are new; parameters and buffers are never written.
+
+    The moment path: in training mode, with ``groups == 1``, column depth
+    ``k = Cin * kH * kW <= Cout`` and an input that wants no gradient (the
+    stem over the image), the batch statistics come from the float64 mean
+    ``mu`` and covariance ``C`` of the conv's [k, N*Ho*Wo] columns: per
+    channel ``mean = W mu`` and biased ``var = W C W^T``, clamped at 0. They
+    update the running statistics and are folded into the conv as in eval
+    mode, so no centred copy is made and backward keeps only the output.
+    Backward masks the gradient ``g`` it owns, gathers the columns again for
+    ``a = sum(g c^T)`` and ``s = sum(g)``, and forms ``dbeta = s``,
+    ``dgamma = inv * W (a - s mu)`` and
+    ``dW = gamma * inv * (a - s mu - dgamma * inv * C W)``. This path is the
+    chain's arithmetic in another order, not its bits: at batch 32 and 64 px
+    the stem's output, gradients and running statistics differ from the
+    chain's by at most ~1e-6 relative.
     """
     if act not in ("relu", None):
         raise ConfigurationError(f"conv_bn_act: act must be 'relu' or None, got {act!r}")
@@ -738,15 +823,27 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     cout = w.data.shape[0]
     _check_bn_params(cout, gamma, beta, "conv_bn_act")
     lower = _lowering(ho, wo)
-    if training:
+    moments = training and groups == 1 and w.data[0].size <= cout and not x.requires_grad
+    if training and not moments:
         y, grad = lower(x.data, w.data, stride, padding, groups, ho, wo)
         out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var,
                                  in_place=True, relu=(act == "relu"))
         wd = w.data
     else:
-        scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
-                                     x.data.dtype)
-        wd = w.data * scale[:, None, None, None]
+        if moments:
+            w64 = w.data.reshape(cout, -1).astype(np.float64)
+            mu, cov = _column_moments(x.data, *w.data.shape[2:], stride, padding, ho, wo)
+            wcov = w64 @ cov
+            mean = w64 @ mu
+            var = np.maximum(np.einsum("ok,ok->o", wcov, w64), 0.0)
+            _update_running(running_mean, running_var, mean, var)
+            scale, shift, inv = _bn_fold(gamma.data, beta.data, mean, var, np.float64)
+            wd = (w.data * scale[:, None, None, None]).astype(x.data.dtype)
+            shift = shift.astype(x.data.dtype)
+        else:
+            scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
+                                         x.data.dtype)
+            wd = w.data * scale[:, None, None, None]
         if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
             raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
         out, grad = lower(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
@@ -755,6 +852,17 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     def bwd(g, grads):
         if act == "relu":
             _relu_mask(g, out)
+        if moments:         # the rule in the docstring, all in float64
+            a = grad(g, False)[0][0].T.astype(np.float64)
+            dbeta = _channel_sum(g)
+            a -= dbeta.astype(np.float64)[:, None] * mu
+            dgamma = inv * np.einsum("ok,ok->o", w64, a)
+            a -= (dgamma * inv)[:, None] * wcov
+            a *= (gamma.data * inv)[:, None]
+            _put(grads, w, a.reshape(w.data.shape).astype(w.data.dtype))
+            _put(grads, gamma, dgamma.astype(gamma.data.dtype))
+            _put(grads, beta, dbeta)
+            return
         if training:        # g becomes the conv output's gradient, None if unwanted
             g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data,
                                                x.requires_grad or w.requires_grad)

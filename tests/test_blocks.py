@@ -265,25 +265,31 @@ class TestUnits:
                 # d/dh of sum(out * r) along a random direction of each input; the
                 # ReLU's mask is taken at the base point, the oracle runs without it
                 r = g.normal(size=want.shape)
-                ts = [T.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
-                out = T.conv_bn_act(*ts, rm0.copy(), rv0.copy(), training, act=act,
-                                    **geometry)
-                T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=np.float64))))
-                if act == "relu":
-                    r = r * (want > 0)
+                r_open = r * (want > 0) if act == "relu" else r
 
                 def loss(values):
                     return float((unit_oracle(*values, rm0, rv0, training, None,
-                                              **geometry)[0] * r).sum())
+                                              **geometry)[0] * r_open).sum())
                 h = 1e-6
-                for i, t in enumerate(ts):
-                    v = g.normal(size=arrays[i].shape)
-                    numeric = (loss([a + h * v if j == i else a for j, a in enumerate(arrays)])
-                               - loss([a - h * v if j == i else a
-                                       for j, a in enumerate(arrays)])) / (2 * h)
-                    analytic = float((t.grad * v).sum())
-                    assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(numeric)), \
-                        (where, training, i, analytic, numeric)
+                # the stem's image input wants no gradient, which takes the
+                # column-moment statistics in training mode
+                for x_wants in (True, False) if xs[0] == 1 else (True,):
+                    ts = [T.Tensor(a, requires_grad=x_wants or i > 0, dtype=np.float64)
+                          for i, a in enumerate(arrays)]
+                    out = T.conv_bn_act(*ts, rm0.copy(), rv0.copy(), training, act=act,
+                                        **geometry)
+                    T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=np.float64))))
+                    for i, t in enumerate(ts):
+                        if not t.requires_grad:
+                            continue
+                        v = g.normal(size=arrays[i].shape)
+                        numeric = (loss([a + h * v if j == i else a
+                                         for j, a in enumerate(arrays)])
+                                   - loss([a - h * v if j == i else a
+                                           for j, a in enumerate(arrays)])) / (2 * h)
+                        analytic = float((t.grad * v).sum())
+                        assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(numeric)), \
+                            (where, training, x_wants, i, analytic, numeric)
 
     def test_training_step_graph_size(self):
         from kneegrade.model import ModelConfig, build_model

@@ -342,6 +342,25 @@ class TestPadFreeColumns:
                 assert a.flags.c_contiguous and np.array_equal(a, b), \
                     (lowering, cin, cout, k, side, stride, padding, name)
 
+    @pytest.mark.parametrize("lowering", ["_conv_per_image", "_conv_batch_wide"])
+    def test_phase_fold_matches_the_nine_tap_fold_bitwise(self, rng, monkeypatch, lowering):
+        # dX summed per input phase in its own buffer equals, byte for byte,
+        # the taps added one by one in row-major order over a zeroed input
+        for side in (12, 13):
+            for stride in (2, 3):
+                for k, padding in ((3, 1), (1, 0)):
+                    x = rng.normal(size=(3, 4, side, side)).astype(np.float32)
+                    w = rng.normal(size=(5, 4, k, k)).astype(np.float32)
+                    ho = (side + 2 * padding - k) // stride + 1
+                    g = rng.normal(size=(3, 5, ho, ho)).astype(np.float32)
+                    monkeypatch.setattr(T, "_CHUNK_BYTES", 2 * 4 * k * k * ho * ho * 4)
+                    _, grad = getattr(T, lowering)(x, w, stride, padding, 1, ho, ho)
+                    got = grad(g, True)[1]
+                    want = padded_lowering(lowering == "_conv_per_image", x, w, stride,
+                                           padding, 1, ho, ho, g)[2]
+                    assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), \
+                        (lowering, side, stride, k)
+
 
 class TestChunkedEpilogues:
     """The eval unit's bias and ReLU per chunk, and pooling in image chunks,
@@ -609,6 +628,58 @@ class TestConvBnAct:
             T.conv_bn_act(x, w, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), *stats, True)
 
 
+# (name, input for output side S, weight, stride): training units whose
+# input wants no gradient and whose column depth Cin*kH*kW is at most Cout,
+# so their batch statistics come from the columns' moments; padding 1
+_MOMENT_PATHS = [
+    ("stem", lambda s: (2, 1, s, s), (16, 1, 3, 3), 1),
+    ("stride2_2to32", lambda s: (2, 2, 2 * s, 2 * s), (32, 2, 3, 3), 2),
+]
+
+
+class TestMomentPath:
+    """A training unit over an input that wants no gradient, with no deeper
+    columns than output channels, normalizes by statistics taken from its
+    columns' float64 moments and folds them into the conv."""
+
+    @pytest.mark.parametrize("act", ["relu", None])
+    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("name,x_shape,w_shape,stride", _MOMENT_PATHS,
+                             ids=[c[0] for c in _MOMENT_PATHS])
+    def test_grads_with_a_constant_input(self, rng, name, x_shape, w_shape, stride, side,
+                                         act):
+        x = T.Tensor(rng.normal(size=x_shape(side)), dtype=np.float64)
+        gamma, beta, rm, rv = _bn_state(rng, w_shape[0])
+        r = T.Tensor(rng.normal(size=(x.shape[0], w_shape[0], side, side)), dtype=np.float64)
+        check_gradients(
+            lambda ts: T.mean_all(T.mul(T.conv_bn_act(
+                x, ts[0], ts[1], ts[2], rm.copy(), rv.copy(), True, act=act, stride=stride,
+                padding=1), r)),
+            [rng.normal(size=w_shape), gamma, beta], samples=200)
+
+    def test_offset_input_keeps_its_running_statistics(self, rng):
+        # E[cc^T] - mu mu^T cancels ~8 digits here: float32 moments would keep none
+        x = (100.0 + 1e-2 * rng.normal(size=(4, 1, 32, 32))).astype(np.float32)
+        w = rng.normal(size=(16, 1, 3, 3)).astype(np.float32)
+        rm, rv = np.zeros(16, np.float32), np.zeros(16, np.float32)
+        T.conv_bn_act(T.Tensor(x), T.Tensor(w, requires_grad=True), T.Tensor(np.ones(16)),
+                      T.Tensor(np.zeros(16)), rm, rv, True, padding=1)
+        y = naive_conv2d(x.astype(np.float64), w.astype(np.float64), padding=1)
+        mean = y.mean(axis=(0, 2, 3))
+        var = ((y - mean[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
+        eps = np.finfo(np.float32).eps
+        assert np.allclose(rm, 0.1 * mean, rtol=2 * eps, atol=0)
+        assert np.allclose(rv, 0.1 * var, rtol=2 * eps, atol=0)
+
+    def test_single_value_per_channel_rejected(self):
+        from kneegrade.errors import NormalizationError
+        with pytest.raises(NormalizationError):
+            T.conv_bn_act(T.Tensor(np.ones((1, 1, 1, 1))),
+                          T.Tensor(np.ones((16, 1, 1, 1)), requires_grad=True),
+                          T.Tensor(np.ones(16)), T.Tensor(np.zeros(16)),
+                          np.zeros(16, np.float32), np.ones(16, np.float32), True)
+
+
 class TestPooling:
     def test_avg_pool_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
@@ -850,6 +921,23 @@ class TestGradientOwnership:
         # 18 MiB when the masked gradient and the batch norm's dX were each a
         # new full-size array
         assert peak <= x.data.nbytes + (4 << 20), peak
+
+    def test_stem_unit_keeps_no_centred_copy(self, rng):
+        import tracemalloc
+        x = T.Tensor(rng.normal(size=(32, 1, 64, 64)))
+        params = [T.Tensor(a, requires_grad=True) for a in
+                  (rng.normal(size=(16, 1, 3, 3)) * 0.3, np.ones(16), np.zeros(16))]
+        stats = np.zeros(16, np.float32), np.ones(16, np.float32)
+        g = rng.normal(size=(32, 16, 64, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = T.conv_bn_act(x, *params, *stats, True, padding=1)
+            out._backward(g, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 19 MiB when forward centred the conv output in a buffer backward kept
+        assert peak <= out.data.nbytes + (4 << 20), peak
 
     def test_repeated_unit_backward_doubles_every_gradient(self, rng):
         # the in-place writes land on the gradient, never on what the graph keeps

@@ -10,8 +10,13 @@ Gradient mechanics follow the usual tape-free graph pattern: each op links
 its output to its parents and stores a backward closure. ``backward(loss)``
 topologically sorts the graph reachable from ``loss`` and runs the closures
 once each. Intermediate gradients live in a scratch dict; only leaf tensors
-(those created by the caller) accumulate into ``.grad``, so calling
-``backward`` twice without zeroing doubles leaf gradients and nothing else.
+(those created by the caller) accumulate into ``.grad``, and they add onto
+what ``.grad`` already holds. ``backward`` consumes the graph it walks: each
+node drops its closure and parent links as soon as its closure has run, so
+the arrays the graph keeps are freed while the sweep goes on, and a second
+``backward`` through the same graph raises ``UsageError``. Sum several
+losses into one scalar before calling ``backward``, and run the forward again
+to differentiate again; node outputs (``.data``) stay readable.
 Each gradient array in that dict has one owner and shares memory with no
 other: a closure owns the array it is handed and may overwrite it (see
 :func:`_put`).
@@ -132,6 +137,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self):
+        """Run :func:`backward` from this scalar; it consumes the graph."""
         backward(self)
 
     def __repr__(self):
@@ -179,11 +185,22 @@ def _put(grads, t, g):
         grads[key] = g
 
 
+def _consumed(g, grads):
+    raise UsageError("this graph was consumed by an earlier backward; run the forward again")
+
+
 def backward(loss):
     """Run reverse-mode accumulation from a scalar ``loss``.
 
     Every reachable leaf with ``requires_grad`` receives ``d loss / d leaf``
     in ``.grad``. Gradients add onto whatever ``.grad`` already holds.
+
+    The walk consumes the graph: once a node's closure has run, or once the
+    node is known to get no gradient, it drops its closure and ``_parents``,
+    so what it kept for backward is freed before the walk goes on. Its
+    ``.data`` stays. The closure is replaced by one that raises
+    ``UsageError``, so a second ``backward`` through any consumed node fails
+    rather than taking it for a leaf; sum losses into one scalar first.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
@@ -212,17 +229,22 @@ def backward(loss):
             if state.get(id(p)) is None:
                 stack.append(p)
 
+    # A node is released only after its own entry is popped, and every node
+    # with a pending gradient is still held by the unwalked part of `topo`,
+    # so no id in `grads` can be reused by a new object.
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    for i in range(len(topo) - 1, -1, -1):
+        node, topo[i] = topo[i], None
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        if g is not None:
+            if node._backward is not None:
+                node._backward(g, grads)
+            elif node.requires_grad:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
         if node._backward is not None:
-            node._backward(g, grads)
-        elif node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+            node._backward, node._parents = _consumed, ()
 
 
 # ---------------------------------------------------------------------------

@@ -385,9 +385,11 @@ def _epoch_rngs(seed, fold, epoch, stream=5):
 def _train_step(model, opt, x, targets, weights):
     """One optimizer step on the batch ``x``; returns the loss as a float.
 
-    This frame is the only owner of the step's graph (every node output and
-    the arrays its backward closures keep), so the graph is freed when the
-    step returns, before the next batch's forward starts.
+    The heads' losses are summed into one scalar before ``T.backward``,
+    which consumes the graph as it walks it: each node's closure, and the
+    arrays it keeps, is freed as soon as it has run. This frame holds only
+    the loss's value after that, so nothing of the graph reaches the next
+    batch's forward.
     """
     loss = multi_task_loss(model(x), targets, weights)
     model.zero_grad()

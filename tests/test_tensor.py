@@ -819,10 +819,22 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.reduce_sum(T.mul(x, x))
-        T.backward(loss)
-        T.backward(loss)
+        T.backward(T.reduce_sum(T.mul(x, x)))
+        T.backward(T.reduce_sum(T.mul(x, x)))
         assert np.allclose(x.grad, [4.0, 8.0])
+
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        y = T.mul(x, x)
+        loss = T.reduce_sum(y)
+        T.backward(loss)
+        assert y._parents == () and loss._parents == ()
+        for again in (loss, T.reduce_sum(T.scale(y, 2.0))):
+            with pytest.raises(UsageError, match="consumed"):
+                T.backward(again)
+        # a consumed node is never taken for a leaf, and its value stays
+        assert np.allclose(x.grad, [2.0, 4.0]) and y.grad is None
+        assert float(loss.data) == 5.0
 
     def test_shared_input_fan_out(self):
         # y = x*x + x so dy/dx = 2x + 1
@@ -940,13 +952,19 @@ class TestGradientOwnership:
         assert peak <= out.data.nbytes + (4 << 20), peak
 
     def test_repeated_unit_backward_doubles_every_gradient(self, rng):
-        # the in-place writes land on the gradient, never on what the graph keeps
+        # the in-place writes land on the gradient, never on what the graph
+        # keeps or on the output the caller holds
         out, params = _training_unit(rng, (4, 3, 8, 8))
         r = T.Tensor(rng.normal(size=out.shape))
-        loss = T.reduce_sum(T.mul(out, r))
-        T.backward(loss)
+        held = out.data.copy()
+        T.backward(T.reduce_sum(T.mul(out, r)))
+        assert np.array_equal(out.data.view(np.uint32), held.view(np.uint32))
         once = [p.grad.copy() for p in params]
-        T.backward(loss)
+        c = params[0].shape[1]
+        again = T.conv_bn_act(*params, np.zeros(c, np.float32), np.ones(c, np.float32),
+                              training=True, padding=1)
+        assert np.array_equal(again.data.view(np.uint32), held.view(np.uint32))
+        T.backward(T.reduce_sum(T.mul(again, r)))
         for p, g in zip(params, once):
             assert np.array_equal(p.grad, 2 * g)
 

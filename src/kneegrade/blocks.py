@@ -208,9 +208,7 @@ class Backbone(Module):
                 * self.conv.weight.data.itemsize)
 
     def forward(self, x):
-        y = conv_bn(self.conv, self.bn, x)
-        if self.stem_spec.pool:
-            y = T.avg_pool2d(y, self.stem_spec.pool, self.stem_spec.pool)
+        y = conv_bn(self.conv, self.bn, x, pool=self.stem_spec.pool)
         for block in self.blocks:
             y = block(y)
         return y

@@ -160,12 +160,17 @@ class BatchNorm2d(Module):
                               self.running_var, training=self.batch_stats)
 
 
-def conv_bn(conv, bn, x, act="relu"):
+def conv_bn(conv, bn, x, act="relu", pool=0):
     """``act(bn(conv(x)))`` as one :func:`~kneegrade.tensor.conv_bn_act` node;
-    ``act`` is "relu" or None."""
+    ``act`` is "relu" or None. ``pool`` k > 0 average-pools the result over
+    k x k windows of step k: as the unit's epilogue when it trains on batch
+    statistics over an input that wants no gradient (the stem), so no
+    full-resolution output is kept, and as a separate ``avg_pool2d`` node
+    otherwise."""
     return T.conv_bn_act(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
                          bn.running_var, training=bn.batch_stats, act=act,
-                         stride=conv.stride, padding=conv.padding, groups=conv.groups)
+                         stride=conv.stride, padding=conv.padding, groups=conv.groups,
+                         pool=pool)
 
 
 class Linear(Module):

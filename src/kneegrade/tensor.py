@@ -47,7 +47,12 @@ keeps its centred conv output for the batch norm's backward, except on the
 moment path (see :func:`conv_bn_act`): when its input wants no gradient and
 its columns are no deeper than its output channels, as for the stem, the
 batch statistics come from the columns' float64 moments and are folded into
-the conv, and the unit keeps only its output.
+the conv, and the unit keeps only its output. Asked to pool, as the stem is,
+such a unit pools each chunk of its output as it leaves the GEMM and keeps
+only the pooled output; backward rebuilds the ReLU mask from the columns it
+gathers again for dW. Eval mode and frozen statistics compose the unit with
+``avg_pool2d`` by its module-level name, so an eval forward still shows the
+pool to whatever patches that name.
 """
 
 from __future__ import annotations
@@ -473,6 +478,31 @@ def _fold(dcols, taps, stride, dst):
             phase[...] = acc
 
 
+def _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, dtype):
+    """Yield (start, cols) for images start.. of the batch ``xd``, ``step`` at
+    a time, as [m, Cin, kH, kW, Ho, Wo] columns of ``dtype``.
+
+    Every chunk lands in one buffer, zeroed once: each rewrites the same
+    in-image windows, so the places that stand for padding stay zero and no
+    padded input is made. A chunk is overwritten by the next.
+    """
+    n, cin, h, w = xd.shape
+    taps = list(_taps(kh, kw, stride, padding, h, w, ho, wo))
+    buf = np.zeros((min(step, n), cin, kh, kw, ho, wo), dtype=dtype)
+    for start in range(0, n, step):
+        part = buf[:min(step, n - start)]
+        src = xd[start:start + len(part)]
+        for ki, kj, o, s in taps:
+            part[:, :, ki, kj][o] = src[s]
+        yield start, part
+
+
+def _image_step(xd, depth, p):
+    """Images per chunk of a per-image lowering whose columns are ``depth``
+    deep over ``p`` output places: about ``_CHUNK_BYTES`` of columns."""
+    return max(1, min(xd.shape[0], _CHUNK_BYTES // (depth * p * xd.itemsize)))
+
+
 def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
     """Lowering for large maps: one GEMM per image, NCHW out.
 
@@ -486,27 +516,17 @@ def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fal
     cout, _, kh, kw = wd.shape
     og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
     wg = wd.reshape(groups, og, k)
-    taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo))
-    step = max(1, min(n, _CHUNK_BYTES // (cin * kh * kw * p * xd.itemsize)))
-    shape = (step, cin, kh, kw, ho, wo)
+    step = _image_step(xd, cin * kh * kw, p)
 
-    def columns(buf, start):
-        """Images start.. of the batch as [m, groups, k, Ho*Wo] columns in
-        ``buf``, zeroed once by its maker: every chunk rewrites the same
-        in-image windows, so the places that stand for padding stay zero and
-        no padded input is made."""
-        part = buf[:min(step, n - start)]
-        src = xd[start:start + len(part)]
-        for ki, kj, o, s in taps:
-            part[:, :, ki, kj][o] = src[s]
-        return part.reshape(len(part), groups, k, p)
+    def chunks():
+        for start, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
+                                          xd.dtype):
+            yield start, cols.reshape(len(cols), groups, k, p)
 
     out = np.empty((n, groups, og, p), dtype=xd.dtype)
     if bias is not None:
         bias = bias.reshape(groups, og, 1)
-    buf = np.zeros(shape, dtype=xd.dtype)
-    for start in range(0, n, step):
-        cols = columns(buf, start)
+    for start, cols in chunks():
         part = out[start:start + len(cols)]
         np.matmul(wg, cols, out=part)
         if bias is not None:
@@ -518,16 +538,14 @@ def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fal
         gg = g.reshape(n, groups, og, p)
         dw = np.zeros((groups, k, og), dtype=g.dtype)
         dx = np.empty(xd.shape, dtype=g.dtype) if need_x else None
-        buf = np.zeros(shape, dtype=xd.dtype)      # forward's is not kept
-        # not ``buf``: writing there would dirty its zero padding places
-        dbuf = np.empty(shape, dtype=g.dtype) if need_x else None
-        for start in range(0, n, step):
-            cols = columns(buf, start)
+        # not the columns' buffer: writing there would dirty its zero padding places
+        dbuf = np.empty((step, groups, k, p), dtype=g.dtype) if need_x else None
+        taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo)) if need_x else None
+        for start, cols in chunks():
             gs = gg[start:start + len(cols)]
             dw += np.matmul(cols, gs.swapaxes(-1, -2)).sum(axis=0)
             if need_x:
-                dcols = np.matmul(wg.swapaxes(-1, -2), gs,
-                                  out=dbuf[:len(cols)].reshape(cols.shape))
+                dcols = np.matmul(wg.swapaxes(-1, -2), gs, out=dbuf[:len(cols)])
                 _fold(dcols.reshape(len(cols), cin, kh, kw, ho, wo), taps, stride,
                       dx[start:start + len(cols)])
         return dw, dx
@@ -731,18 +749,13 @@ def _column_moments(xd, kh, kw, stride, padding, ho, wo):
     ``E[cc^T] - mu mu^T`` keeps a float32 input's small variance around a
     large mean (std 1e-2 around 100) to float32 precision.
     """
-    n, cin, h, w = xd.shape
+    n, cin = xd.shape[:2]
     k, m = cin * kh * kw, n * ho * wo
     if m < 2:
         raise NormalizationError("batch norm: training mode needs at least 2 values per channel")
-    step = max(1, min(n, _CHUNK_BYTES // (k * ho * wo * 8)))
-    buf = np.zeros((step, cin, kh, kw, ho, wo))      # padding places stay zero
+    step = max(1, _CHUNK_BYTES // (k * ho * wo * 8))
     total, products = np.zeros(k), np.zeros((k, k))
-    for start in range(0, n, step):
-        part = buf[:min(step, n - start)]
-        src = xd[start:start + len(part)]
-        for ki, kj, o, s in _taps(kh, kw, stride, padding, h, w, ho, wo):
-            part[:, :, ki, kj][o] = src[s]
+    for _, part in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, np.float64):
         cols = part.reshape(len(part), k, ho * wo)
         total += cols.sum(axis=(0, 2))
         products += np.matmul(cols, cols.swapaxes(1, 2)).sum(axis=0)
@@ -759,6 +772,66 @@ def _bn_fold(gamma, beta, running_mean, running_var, dtype):
     inv = 1.0 / np.sqrt(running_var.astype(dtype) + BN_EPS)
     scale = gamma * inv
     return scale, beta - running_mean.astype(dtype) * scale, inv
+
+
+def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
+    """A groups=1 conv by ``wd`` plus bias ``shift`` [Cout], then an optional
+    ReLU and a k x k average pool of step k, one chunk of images at a time:
+    no full-resolution output is made.
+
+    Each chunk runs :func:`_conv_per_image`'s GEMM, bias and ReLU into a
+    chunk-sized buffer and is pooled from there as :func:`avg_pool2d` pools,
+    so the result has the bits of the lowering and the pool in turn. Returns
+    the pooled [N, Cout, Ho//k, Wo//k] output and ``grad(g) -> (dW, s)`` for
+    the pooled gradient ``g``: dW as the lowering's and ``s`` the per-channel
+    sum, both of the gradient the full-resolution output would have had.
+    Per chunk, ``grad`` gathers the columns again, rebuilds the ReLU mask
+    from the same GEMM and bias (the forward's bits) and spreads ``g / k^2``
+    over each window of it; rows and columns past the last window get none.
+    """
+    n = xd.shape[0]
+    cout, cin, kh, kw = wd.shape
+    depth, p = cin * kh * kw, ho * wo
+    wg = wd.reshape(1, cout, depth)
+    bias = shift.reshape(1, cout, 1)
+    step = _image_step(xd, depth, p)
+    out = np.empty((n, cout, ho // k, wo // k), dtype=xd.dtype)
+    windows = [idx for *_, idx in _taps(k, k, k, 0, ho, wo, *out.shape[2:])]
+
+    def chunks():
+        """(start, columns, unit output) per chunk; one buffer holds every output."""
+        buf = np.empty((step, 1, cout, p), dtype=xd.dtype)
+        for start, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
+                                          xd.dtype):
+            cols = cols.reshape(len(cols), 1, depth, p)
+            y = np.matmul(wg, cols, out=buf[:len(cols)])
+            y += bias
+            if relu:
+                np.maximum(y, 0, out=y)
+            yield start, cols, y.reshape(len(cols), cout, ho, wo)
+
+    for start, _, y in chunks():
+        _pool_into(y, k, k, out[start:start + len(y)])
+
+    def grad(g):
+        dw = np.zeros((1, depth, cout), dtype=g.dtype)
+        s = np.zeros(cout, dtype=g.dtype)
+        for start, cols, dy in chunks():
+            # dy turns into its own gradient: the ReLU mask (1 or 0), times
+            # g / k^2 in each window's places, and 0 past the last window
+            if relu:
+                np.greater(dy, 0, out=dy)
+            else:
+                dy[...] = 1
+            for idx in windows:
+                dy[idx] *= g[start:start + len(dy)]
+            dy[:, :, k * out.shape[2]:] = 0
+            dy[:, :, :, k * out.shape[3]:] = 0
+            dy *= 1.0 / (k * k)
+            dw += np.matmul(cols, dy.reshape(len(dy), 1, cout, p).swapaxes(-1, -2)).sum(axis=0)
+            s += _channel_sum(dy)
+        return dw, s
+    return out, grad
 
 
 def _check_bn_params(c, gamma, beta, op):
@@ -806,8 +879,10 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
 
 
 def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="relu",
-                stride=1, padding=0, groups=1):
+                stride=1, padding=0, groups=1, pool=0):
     """``act(batch_norm2d(conv2d(x, w)))`` as one graph node; ``act`` is "relu" or None.
+    With ``pool`` k > 0, the result is that unit's k x k average pool of step
+    k, ``avg_pool2d(unit, k, k)``.
 
     Arguments mean what they mean for :func:`conv2d` (no bias: batch norm
     cancels it) and :func:`batch_norm2d`. The result equals the three-op
@@ -838,14 +913,32 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     chain's arithmetic in another order, not its bits: at batch 32 and 64 px
     the stem's output, gradients and running statistics differ from the
     chain's by at most ~1e-6 relative.
+
+    On the moment path the pool is the unit's epilogue (:func:`_pooled_unit`):
+    the node keeps only the pooled output, with no full-resolution output,
+    pool node or pool gradient, and backward rebuilds each chunk's ReLU mask
+    from the columns it gathers again for ``a``. Output and running
+    statistics keep the bits of the unit and pool in turn; ``s``, summed by
+    chunk, moves the gradients by ~2e-7 relative. Every other path (eval
+    mode, frozen statistics) returns ``avg_pool2d(unit, k, k)`` by the
+    module-level names, so an eval forward still shows the pool to whatever
+    patches ``avg_pool2d``.
     """
     if act not in ("relu", None):
         raise ConfigurationError(f"conv_bn_act: act must be 'relu' or None, got {act!r}")
     stride, padding, groups, ho, wo = _conv_setup(x, w, stride, padding, groups, "conv_bn_act")
     cout = w.data.shape[0]
     _check_bn_params(cout, gamma, beta, "conv_bn_act")
-    lower = _lowering(ho, wo)
+    pool = int(pool)
+    if not 0 <= pool <= min(ho, wo):
+        raise ConfigurationError(
+            f"conv_bn_act: pool window {pool} must lie in [0, {min(ho, wo)}] here")
     moments = training and groups == 1 and w.data[0].size <= cout and not x.requires_grad
+    if pool and not moments:
+        unit = conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act=act,
+                           stride=stride, padding=padding, groups=groups)
+        return avg_pool2d(unit, pool, pool)
+    lower = _lowering(ho, wo)
     if training and not moments:
         y, grad = lower(x.data, w.data, stride, padding, groups, ho, wo)
         out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var,
@@ -868,15 +961,22 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             wd = w.data * scale[:, None, None, None]
         if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
             raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
-        out, grad = lower(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
-                          relu=(act == "relu"))
+        if pool:
+            out, grad = _pooled_unit(x.data, wd, shift, act == "relu", stride, padding,
+                                     ho, wo, pool)
+        else:
+            out, grad = lower(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
+                              relu=(act == "relu"))
 
     def bwd(g, grads):
-        if act == "relu":
-            _relu_mask(g, out)
         if moments:         # the rule in the docstring, all in float64
-            a = grad(g, False)[0][0].T.astype(np.float64)
-            dbeta = _channel_sum(g)
+            if pool:
+                a, dbeta = grad(g)
+            else:
+                if act == "relu":
+                    _relu_mask(g, out)
+                a, dbeta = grad(g, False)[0], _channel_sum(g)
+            a = a[0].T.astype(np.float64)
             a -= dbeta.astype(np.float64)[:, None] * mu
             dgamma = inv * np.einsum("ok,ok->o", w64, a)
             a -= (dgamma * inv)[:, None] * wcov
@@ -885,6 +985,8 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             _put(grads, gamma, dgamma.astype(gamma.data.dtype))
             _put(grads, beta, dbeta)
             return
+        if act == "relu":
+            _relu_mask(g, out)
         if training:        # g becomes the conv output's gradient, None if unwanted
             g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data,
                                                x.requires_grad or w.requires_grad)
@@ -958,13 +1060,22 @@ def _window_sum(a, axis, k, s, count, out=None):
     return out
 
 
+def _pool_into(x, k, s, out):
+    """Write the k x k window means of ``x`` [N, C, H, W], ``s`` apart, into
+    ``out`` [N, C, Ho, Wo]: rows summed, then columns, then scaled."""
+    _window_sum(_window_sum(x, 2, k, s, out.shape[2]), 3, k, s, out.shape[3], out=out)
+    out *= 1.0 / (k * k)
+
+
 def avg_pool2d(x, kernel, stride=None):
     """Non-padded average pooling, window ``kernel`` and step ``stride``.
 
     Forward sums each window's rows, then its columns, with strided adds,
     about ``_CHUNK_BYTES`` of input images at a time so the row sums stay in
     cache; backward writes the scaled gradient back with one strided add (a
-    plain write where windows do not overlap) per window offset.
+    plain write where windows do not overlap) per window offset. A training
+    unit over an image may run this pool as its epilogue instead (see
+    :func:`conv_bn_act`), with the same bits.
     """
     if x.data.ndim != 4:
         raise ConfigurationError(f"avg_pool2d: expected NCHW input, got {x.data.shape}")
@@ -981,9 +1092,7 @@ def avg_pool2d(x, kernel, stride=None):
     out = np.empty((n, c, ho, wo), dtype=x.data.dtype)
     step = max(1, _CHUNK_BYTES // max(1, c * h * w * x.data.itemsize))
     for start in range(0, n, step):
-        part = out[start:start + step]
-        _window_sum(_window_sum(x.data[start:start + step], 2, k, s, ho), 3, k, s, wo, out=part)
-        part *= inv
+        _pool_into(x.data[start:start + step], k, s, out[start:start + step])
     def bwd(g, grads):
         if not x.requires_grad:
             return

@@ -26,5 +26,8 @@ def test_tracer_installs_on_every_patched_name(monkeypatch):
 
 
 def test_reference_records_default_model_layer_shapes(monkeypatch):
-    shapes = _bench_module(monkeypatch, "reference").model_layer_shapes(64)
-    assert shapes
+    """The benchmark's correctness gate: ``train_fold`` marks its run
+    incorrect unless the float64 op checks of an eval forward's layers run
+    and pass, so an eval path that hides the stem pool fails here first."""
+    checks, failures = _bench_module(monkeypatch, "reference").check_ops(sides=(64, 128))
+    assert checks >= 2 and failures == []

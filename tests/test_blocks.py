@@ -24,12 +24,14 @@ def se_oracle(x, w1, w2):
 
 
 def unit_oracle(x, w, gamma, beta, running_mean, running_var, training, act, stride=1,
-                padding=0, groups=1, momentum=0.1, eps=1e-5):
-    """Independent float64 conv -> batch norm -> optional ReLU.
+                padding=0, groups=1, pool=0, momentum=0.1, eps=1e-5):
+    """Independent float64 conv -> batch norm -> optional ReLU -> optional
+    ``pool`` x ``pool`` average pool of step ``pool``.
 
     The conv accumulates shifted input windows over kernel offsets (no
-    columns), the batch norm loops over channels. Returns the output and the
-    updated running mean and variance; the inputs are not written.
+    columns), the batch norm loops over channels, the pool averages a
+    reshaped crop. Returns the output and the updated running mean and
+    variance; the inputs are not written.
     """
     n, _, h, wd = x.shape
     cout, cg, kh, kw = w.shape
@@ -60,7 +62,18 @@ def unit_oracle(x, w, gamma, beta, running_mean, running_var, training, act, str
         out[:, c] = gamma[c] * (v - mu) / np.sqrt(var + eps) + beta[c]
     if act == "relu":
         out = np.maximum(out, 0.0)
-    return out, rm, rv
+    return avg_pool_oracle(out, pool), rm, rv
+
+
+def avg_pool_oracle(y, k):
+    """Means of the k x k windows of step k tiling ``y`` [N, C, H, W] from its
+    top left (the last H % k rows and W % k columns are dropped); ``y`` when
+    k is 0."""
+    if not k:
+        return y
+    n, c, h, w = y.shape
+    ho, wo = h // k, w // k
+    return y[:, :, :ho * k, :wo * k].reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
 
 
 def gated(se, x):
@@ -227,57 +240,67 @@ class TestUnits:
     @pytest.mark.parametrize("side", [64, 128])
     def test_every_default_model_unit_matches_a_float64_reference(self, monkeypatch, side):
         """Forward, running statistics and gradients of every conv/BN unit the
-        default model meets, in training and eval mode, against
-        :func:`unit_oracle`."""
+        default model meets, pooled stem included, in training and eval mode,
+        against :func:`unit_oracle`."""
         from kneegrade.model import ModelConfig, build_model
         units, fused_op = [], T.conv_bn_act
 
         def record(x, w, *args, **kwargs):
             key = (x.shape[1:], w.shape, kwargs["stride"], kwargs["padding"],
-                   kwargs["groups"], kwargs["act"])
+                   kwargs["groups"], kwargs["act"], kwargs.get("pool", 0))
             if key not in units:
                 units.append(key)
             return fused_op(x, w, *args, **kwargs)
         monkeypatch.setattr(T, "conv_bn_act", record)
         build_model(ModelConfig(), seed=0).eval()(T.Tensor(np.zeros((1, 1, side, side))))
         monkeypatch.undo()
-        assert len(units) == 12       # stem, 2 units in block 0, 3 in blocks 1-3
+        # the stem twice (pooled, and the unit its eval-mode pool wraps), 2 units
+        # in block 0, 3 in blocks 1-3
+        assert len(units) == 13
+        assert sum(1 for u in units if u[-1]) == 1
 
         g = np.random.default_rng(side)
-        for xs, ws, stride, padding, groups, act in units:
+        for xs, ws, stride, padding, groups, act, pool in units:
             c = ws[0]
             arrays = [g.normal(size=(2,) + xs), g.normal(size=ws) * 0.3,
                       g.uniform(0.5, 1.5, c), g.normal(size=c)]
             rm0, rv0 = 0.1 * g.normal(size=c), g.uniform(0.5, 2.0, c)
             geometry = dict(stride=stride, padding=padding, groups=groups)
-            where = (xs, ws, stride, act)
+            where = (xs, ws, stride, act, pool)
             for training in (True, False):
                 want, want_rm, want_rv = unit_oracle(*arrays, rm0, rv0, training, act,
-                                                     **geometry)
-                for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-4)):
-                    rm, rv = rm0.astype(dtype), rv0.astype(dtype)
-                    got = T.conv_bn_act(*[T.Tensor(a, dtype=dtype) for a in arrays], rm, rv,
-                                        training, act=act, **geometry)
-                    for a, b in ((got.data, want), (rm, want_rm), (rv, want_rv)):
-                        gap = np.abs(a.astype(np.float64) - b).max() / (1 + np.abs(b).max())
-                        assert gap <= tol, (where, training, np.dtype(dtype).name, gap)
+                                                     pool=pool, **geometry)
+                # the stem's image input wants no gradient, which takes the
+                # column-moment statistics (and the pool as the unit's
+                # epilogue) in training mode
+                for x_wants in (True, False) if xs[0] == 1 else (True,):
+                    for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-4)):
+                        rm, rv = rm0.astype(dtype), rv0.astype(dtype)
+                        got = T.conv_bn_act(*[T.Tensor(a, requires_grad=x_wants or i > 0,
+                                                       dtype=dtype)
+                                              for i, a in enumerate(arrays)], rm, rv,
+                                            training, act=act, pool=pool, **geometry)
+                        for a, b in ((got.data, want), (rm, want_rm), (rv, want_rv)):
+                            gap = np.abs(a.astype(np.float64) - b).max() / (1 + np.abs(b).max())
+                            assert gap <= tol, (where, training, x_wants,
+                                                np.dtype(dtype).name, gap)
 
-                # d/dh of sum(out * r) along a random direction of each input; the
-                # ReLU's mask is taken at the base point, the oracle runs without it
+                # d/dh of sum(pool(unit) * r) along a random direction of each
+                # input; the ReLU's mask is taken at the base point, the oracle
+                # runs without it
                 r = g.normal(size=want.shape)
-                r_open = r * (want > 0) if act == "relu" else r
+                pre = unit_oracle(*arrays, rm0, rv0, training, None, **geometry)[0]
+                mask = pre > 0 if act == "relu" else np.ones(pre.shape)
 
                 def loss(values):
-                    return float((unit_oracle(*values, rm0, rv0, training, None,
-                                              **geometry)[0] * r_open).sum())
+                    pre = unit_oracle(*values, rm0, rv0, training, None, **geometry)[0]
+                    return float((avg_pool_oracle(pre * mask, pool) * r).sum())
                 h = 1e-6
-                # the stem's image input wants no gradient, which takes the
-                # column-moment statistics in training mode
                 for x_wants in (True, False) if xs[0] == 1 else (True,):
                     ts = [T.Tensor(a, requires_grad=x_wants or i > 0, dtype=np.float64)
                           for i, a in enumerate(arrays)]
                     out = T.conv_bn_act(*ts, rm0.copy(), rv0.copy(), training, act=act,
-                                        **geometry)
+                                        pool=pool, **geometry)
                     T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=np.float64))))
                     for i, t in enumerate(ts):
                         if not t.requires_grad:

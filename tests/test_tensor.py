@@ -671,6 +671,72 @@ class TestMomentPath:
         assert np.allclose(rm, 0.1 * mean, rtol=2 * eps, atol=0)
         assert np.allclose(rv, 0.1 * var, rtol=2 * eps, atol=0)
 
+    @staticmethod
+    def _pooled_step(side, itemsize):
+        """Images per chunk of a pooled 3x3 unit over one channel at ``side``
+        px: about ``_CHUNK_BYTES`` of its 9-row columns."""
+        step = T._CHUNK_BYTES // (9 * side * side * itemsize)
+        assert step >= 2
+        return step
+
+    @pytest.mark.parametrize("act", ["relu", None])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_pooled_grads_around_the_chunk_step(self, rng, offset, act):
+        # 63 px: the 2x2 pool drops the last row and column of the unit output
+        side = 63
+        batch = self._pooled_step(side, 8) + offset
+        x = T.Tensor(rng.normal(size=(batch, 1, side, side)), dtype=np.float64)
+        gamma, beta, rm, rv = _bn_state(rng, 16)
+        r = T.Tensor(rng.normal(size=(batch, 16, 31, 31)), dtype=np.float64)
+
+        def build(ts):
+            out = T.conv_bn_act(x, ts[0], ts[1], ts[2], rm.copy(), rv.copy(), True, act=act,
+                                padding=1, pool=2)
+            assert out._parents[0] is x          # no separate pool node
+            return T.mean_all(T.mul(out, r))
+        # a step of 1e-7: with ~10^5 ReLU inputs, 1e-5 steps some of them across 0
+        check_gradients(build, [rng.normal(size=(16, 1, 3, 3)), gamma, beta], h=1e-7,
+                        samples=200)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_pooled_epilogue_equals_unit_then_pool(self, rng, offset):
+        """Output and running statistics keep the bits of the unit and
+        ``avg_pool2d`` in turn; gradients too while one chunk holds the batch,
+        and to float32 rounding once the channel sums are taken by chunk."""
+        side = 64
+        batch = self._pooled_step(side, 4) + offset
+        arrays = [a.astype(np.float32) for a in
+                  (rng.normal(size=(batch, 1, side, side)), rng.normal(size=(16, 1, 3, 3)),
+                   *_bn_state(rng, 16))]
+        r = T.Tensor(rng.normal(size=(batch, 16, 32, 32)).astype(np.float32))
+        runs = []
+        for fused in (True, False):
+            x, w, gamma, beta, rm, rv = [a.copy() for a in arrays]
+            ts = [T.Tensor(a, requires_grad=True) for a in (w, gamma, beta)]
+            if fused:
+                out = T.conv_bn_act(T.Tensor(x), *ts, rm, rv, True, padding=1, pool=2)
+            else:
+                out = T.avg_pool2d(T.conv_bn_act(T.Tensor(x), *ts, rm, rv, True, padding=1), 2)
+            T.backward(T.reduce_sum(T.mul(out, r)))
+            runs.append(([out.data, rm, rv], [t.grad for t in ts]))
+        (values, grads), (want_values, want_grads) = runs
+        for a, b in zip(values, want_values):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(grads, want_grads):
+            if offset == 0:
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
+    def test_pool_window_checked(self, rng):
+        args = (T.Tensor(rng.normal(size=(2, 1, 4, 4))),
+                T.Tensor(rng.normal(size=(16, 1, 3, 3)), requires_grad=True),
+                T.Tensor(np.ones(16)), T.Tensor(np.zeros(16)),
+                np.zeros(16, np.float32), np.ones(16, np.float32), True)
+        for pool in (-1, 5):
+            with pytest.raises(ConfigurationError):
+                T.conv_bn_act(*args, padding=1, pool=pool)
+
     def test_single_value_per_channel_rejected(self):
         from kneegrade.errors import NormalizationError
         with pytest.raises(NormalizationError):
@@ -897,7 +963,10 @@ class TestGradientOwnership:
         monkeypatch.setattr(T, "_put", checked_put)
         _train_step(model, Adam(model.named_parameters(), lr=1e-3), x, targets,
                     [1.0] * len(targets))
-        assert max(handed) == 32 * 16 * 64 * 64 * 4     # the stem's own gradient
+        # the largest is the pooled stem output's gradient: the stem pools in
+        # its own epilogue, so no full-resolution (64 x 64) gradient is handed
+        assert max(handed) == 32 * 16 * 32 * 32 * 4
+        assert 32 * 16 * 64 * 64 * 4 not in handed
         assert len(handed) > 100
 
     def test_scalar_nodes_hold_arrays(self, monkeypatch):
@@ -949,6 +1018,25 @@ class TestGradientOwnership:
         finally:
             tracemalloc.stop()
         # 19 MiB when forward centred the conv output in a buffer backward kept
+        assert peak <= out.data.nbytes + (4 << 20), peak
+
+    def test_pooled_stem_keeps_no_full_resolution_output(self, rng):
+        import tracemalloc
+        x = T.Tensor(rng.normal(size=(32, 1, 64, 64)))
+        params = [T.Tensor(a, requires_grad=True) for a in
+                  (rng.normal(size=(16, 1, 3, 3)) * 0.3, np.ones(16), np.zeros(16))]
+        stats = np.zeros(16, np.float32), np.ones(16, np.float32)
+        g = rng.normal(size=(32, 16, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = T.conv_bn_act(x, *params, *stats, True, padding=1, pool=2)
+            out._backward(g, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (32, 16, 32, 32) and out._parents[0] is x
+        # the unit's full-resolution output alone is 8 MiB, and a pool node's
+        # dX as much again
         assert peak <= out.data.nbytes + (4 << 20), peak
 
     def test_repeated_unit_backward_doubles_every_gradient(self, rng):

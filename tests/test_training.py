@@ -386,8 +386,10 @@ class TestTrainStep:
         # 113 MB while step 1's graph stayed alive beside step 2's, and the
         # unit's backward made full-size temporaries; 70 MiB while the stem
         # unit kept its centred conv output and every conv its columns;
-        # 46.9 MiB while backward kept the whole graph until the step returned
-        assert peak <= 45 << 20, peak
+        # 46.9 MiB while backward kept the whole graph until the step returned;
+        # 40.2 MiB while the stem kept its full-resolution output for its pool
+        # (32.2 MiB measured since, plus 12%)
+        assert peak <= 36 << 20, peak
 
 
 class TestRunFold:

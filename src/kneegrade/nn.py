@@ -101,6 +101,8 @@ class Module:
 
         Frozen batch-norm layers also stop updating running statistics, so a
         frozen subtree stays bit-identical however many steps run over it.
+        Its units then run the eval fold, which has no backward; none is needed,
+        as a frozen subtree over an input that wants no gradient records no graph.
         """
         for m in self.modules():
             for p in m._params.values():
@@ -142,6 +144,8 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
+    """Batch-norm parameters and running statistics, applied only by :func:`conv_bn`."""
+
     def __init__(self, channels, dtype=np.float32):
         super().__init__()
         self.stats_frozen = False
@@ -152,12 +156,8 @@ class BatchNorm2d(Module):
 
     @property
     def batch_stats(self):
-        """True when forward normalizes by, and updates from, batch statistics."""
+        """True when the unit normalizes by, and updates from, batch statistics."""
         return self.training and not self.stats_frozen
-
-    def forward(self, x):
-        return T.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, training=self.batch_stats)
 
 
 def conv_bn(conv, bn, x, act="relu", pool=0):

@@ -27,9 +27,9 @@ Every output is scanned for non-finite values, so the graph is kept small:
 one output buffer and one scan. In training mode it equals the three-op
 chain bit for bit, except on the moment path below; in eval mode it folds the
 running statistics into the conv's weight and bias on every call (nothing is
-cached or written back). ``gate_add_relu`` joins a residual block (SE
-scaling, shortcut add, ReLU) in one node, bit for bit the five-op chain it
-replaced.
+cached or written back), and has no backward (see :func:`conv_bn_act`).
+``gate_add_relu`` joins a residual block (SE scaling, shortcut add, ReLU) in
+one node, bit for bit the five-op chain it replaced.
 
 The wide early layers are bound by memory traffic, so no full-size array is
 made that a cache-sized chunk can do without: conv columns are gathered from
@@ -39,7 +39,8 @@ GEMM, the training unit scales, shifts and rectifies a chunk at a time, and
 ``avg_pool2d`` sums its windows a chunk of images at a time. The unit's
 training backward makes no full-size temporary: it applies the ReLU mask and
 forms the batch norm's dX over the gradient it owns, a chunk of images at a
-time, so the conv's dX is the one full-size array it allocates.
+time, so the conv's dX is the one full-size array it allocates. Every chunk
+holds :func:`_image_step` images; every per-image GEMM runs in :func:`_gemm_chunks`.
 
 A training step keeps nothing its backward can cheaply rebuild. No conv
 lowering keeps its columns; backward gathers them again. A training unit
@@ -50,9 +51,7 @@ batch statistics come from the columns' float64 moments and are folded into
 the conv, and the unit keeps only its output. Asked to pool, as the stem is,
 such a unit pools each chunk of its output as it leaves the GEMM and keeps
 only the pooled output; backward rebuilds the ReLU mask from the columns it
-gathers again for dW. Eval mode and frozen statistics compose the unit with
-``avg_pool2d`` by its module-level name, so an eval forward still shows the
-pool to whatever patches that name.
+gathers again for dW.
 """
 
 from __future__ import annotations
@@ -403,11 +402,16 @@ _PER_IMAGE_MIN_PIXELS = 256
 _CHUNK_BYTES = 1 << 20
 
 
+def _image_step(n, image_bytes):
+    """Images per chunk of a batch of ``n`` images of ``image_bytes`` each:
+    about ``_CHUNK_BYTES`` of them, at least one and at most ``n``."""
+    return max(1, min(n, _CHUNK_BYTES // max(1, image_bytes)))
+
+
 def _image_chunks(a):
-    """Slices along the batch axis of ``a``, each about ``_CHUNK_BYTES`` of
-    whole images (at least one)."""
+    """Slices along the batch axis of ``a``, each :func:`_image_step` images."""
     n = a.shape[0]
-    step = max(1, _CHUNK_BYTES // max(1, a.itemsize * int(np.prod(a.shape[1:]))))
+    step = _image_step(n, a.itemsize * int(np.prod(a.shape[1:])))
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -497,18 +501,35 @@ def _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, dtype):
         yield start, part
 
 
-def _image_step(xd, depth, p):
-    """Images per chunk of a per-image lowering whose columns are ``depth``
-    deep over ``p`` output places: about ``_CHUNK_BYTES`` of columns."""
-    return max(1, min(xd.shape[0], _CHUNK_BYTES // (depth * p * xd.itemsize)))
+def _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo, step, out=None):
+    """Yield (start, cols, y) per chunk of :func:`_column_chunks`: its
+    [m, groups, k, Ho*Wo] columns and ``y = wg @ cols + bias``, ReLU applied,
+    while the chunk is in cache. ``y`` is written into ``out`` [N, ...] at the
+    chunk's place, or else into one chunk-sized buffer each chunk overwrites.
+    """
+    n = xd.shape[0]
+    groups, og, k = wg.shape
+    p = ho * wo
+    if bias is not None:
+        bias = bias.reshape(groups, og, 1)
+    buf = np.empty((min(step, n), groups, og, p), dtype=xd.dtype) if out is None else None
+    for start, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, xd.dtype):
+        cols = cols.reshape(len(cols), groups, k, p)
+        dst = buf[:len(cols)] if out is None else out[start:start + len(cols)]
+        y = np.matmul(wg, cols, out=dst)
+        if bias is not None:
+            y += bias
+        if relu:
+            np.maximum(y, 0, out=y)
+        yield start, cols, y
 
 
 def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
     """Lowering for large maps: one GEMM per image, NCHW out.
 
     ``bias`` [Cout] (or None) is added and the ReLU applied to each chunk of
-    images right after its GEMM, while the chunk is still in cache. Returns
-    the output and ``grad(g, need_x) -> (dW, dX or None)``, dW as
+    images right after its GEMM (see :func:`_gemm_chunks`). Returns the
+    output and ``grad(g, need_x) -> (dW, dX or None)``, dW as
     [groups, Cin/groups*kH*kW, Cout/groups]. ``grad`` keeps no buffer of the
     forward's: it gathers the columns again into one of its own.
     """
@@ -516,23 +537,10 @@ def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fal
     cout, _, kh, kw = wd.shape
     og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
     wg = wd.reshape(groups, og, k)
-    step = _image_step(xd, cin * kh * kw, p)
-
-    def chunks():
-        for start, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
-                                          xd.dtype):
-            yield start, cols.reshape(len(cols), groups, k, p)
-
+    step = _image_step(n, cin * kh * kw * p * xd.itemsize)
     out = np.empty((n, groups, og, p), dtype=xd.dtype)
-    if bias is not None:
-        bias = bias.reshape(groups, og, 1)
-    for start, cols in chunks():
-        part = out[start:start + len(cols)]
-        np.matmul(wg, cols, out=part)
-        if bias is not None:
-            part += bias
-        if relu:
-            np.maximum(part, 0, out=part)
+    for _ in _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo, step, out):
+        pass                # each chunk's output lands in its place in out
 
     def grad(g, need_x):
         gg = g.reshape(n, groups, og, p)
@@ -541,7 +549,9 @@ def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=Fal
         # not the columns' buffer: writing there would dirty its zero padding places
         dbuf = np.empty((step, groups, k, p), dtype=g.dtype) if need_x else None
         taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo)) if need_x else None
-        for start, cols in chunks():
+        for start, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
+                                          xd.dtype):
+            cols = cols.reshape(len(cols), groups, k, p)
             gs = gg[start:start + len(cols)]
             dw += np.matmul(cols, gs.swapaxes(-1, -2)).sum(axis=0)
             if need_x:
@@ -753,7 +763,7 @@ def _column_moments(xd, kh, kw, stride, padding, ho, wo):
     k, m = cin * kh * kw, n * ho * wo
     if m < 2:
         raise NormalizationError("batch norm: training mode needs at least 2 values per channel")
-    step = max(1, _CHUNK_BYTES // (k * ho * wo * 8))
+    step = _image_step(n, k * ho * wo * 8)
     total, products = np.zeros(k), np.zeros((k, k))
     for _, part in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, np.float64):
         cols = part.reshape(len(part), k, ho * wo)
@@ -779,46 +789,32 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
     ReLU and a k x k average pool of step k, one chunk of images at a time:
     no full-resolution output is made.
 
-    Each chunk runs :func:`_conv_per_image`'s GEMM, bias and ReLU into a
-    chunk-sized buffer and is pooled from there as :func:`avg_pool2d` pools,
+    Each chunk of :func:`_gemm_chunks` is pooled as :func:`avg_pool2d` pools,
     so the result has the bits of the lowering and the pool in turn. Returns
     the pooled [N, Cout, Ho//k, Wo//k] output and ``grad(g) -> (dW, s)`` for
     the pooled gradient ``g``: dW as the lowering's and ``s`` the per-channel
     sum, both of the gradient the full-resolution output would have had.
-    Per chunk, ``grad`` gathers the columns again, rebuilds the ReLU mask
-    from the same GEMM and bias (the forward's bits) and spreads ``g / k^2``
-    over each window of it; rows and columns past the last window get none.
+    ``grad`` runs the chunks again, which rebuilds the ReLU mask with the
+    forward's bits, and spreads ``g / k^2`` over each window of it; rows and
+    columns past the last window get none.
     """
     n = xd.shape[0]
     cout, cin, kh, kw = wd.shape
     depth, p = cin * kh * kw, ho * wo
-    wg = wd.reshape(1, cout, depth)
-    bias = shift.reshape(1, cout, 1)
-    step = _image_step(xd, depth, p)
+    gemm = (xd, wd.reshape(1, cout, depth), shift, relu, kh, kw, stride, padding, ho, wo,
+            _image_step(n, depth * p * xd.itemsize))
     out = np.empty((n, cout, ho // k, wo // k), dtype=xd.dtype)
     windows = [idx for *_, idx in _taps(k, k, k, 0, ho, wo, *out.shape[2:])]
-
-    def chunks():
-        """(start, columns, unit output) per chunk; one buffer holds every output."""
-        buf = np.empty((step, 1, cout, p), dtype=xd.dtype)
-        for start, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
-                                          xd.dtype):
-            cols = cols.reshape(len(cols), 1, depth, p)
-            y = np.matmul(wg, cols, out=buf[:len(cols)])
-            y += bias
-            if relu:
-                np.maximum(y, 0, out=y)
-            yield start, cols, y.reshape(len(cols), cout, ho, wo)
-
-    for start, _, y in chunks():
-        _pool_into(y, k, k, out[start:start + len(y)])
+    for start, _, y in _gemm_chunks(*gemm):
+        _pool_into(y.reshape(len(y), cout, ho, wo), k, k, out[start:start + len(y)])
 
     def grad(g):
         dw = np.zeros((1, depth, cout), dtype=g.dtype)
         s = np.zeros(cout, dtype=g.dtype)
-        for start, cols, dy in chunks():
-            # dy turns into its own gradient: the ReLU mask (1 or 0), times
+        for start, cols, y in _gemm_chunks(*gemm):
+            # y turns into its own gradient: the ReLU mask (1 or 0), times
             # g / k^2 in each window's places, and 0 past the last window
+            dy = y.reshape(len(y), cout, ho, wo)
             if relu:
                 np.greater(dy, 0, out=dy)
             else:
@@ -828,10 +824,15 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
             dy[:, :, k * out.shape[2]:] = 0
             dy[:, :, :, k * out.shape[3]:] = 0
             dy *= 1.0 / (k * k)
-            dw += np.matmul(cols, dy.reshape(len(dy), 1, cout, p).swapaxes(-1, -2)).sum(axis=0)
+            dw += np.matmul(cols, y.swapaxes(-1, -2)).sum(axis=0)
             s += _channel_sum(dy)
         return dw, s
     return out, grad
+
+
+def _no_backward_without_batch_stats(g, grads):
+    raise UsageError("conv_bn_act has no backward in eval mode or with frozen batch "
+                     "statistics; differentiate a unit that trains on batch statistics")
 
 
 def _check_bn_params(c, gamma, beta, op):
@@ -898,6 +899,10 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     ``b'`` and applies the ReLU to each chunk as it leaves the GEMM. That rounds
     differently from the chain, at float32 precision.
     The folded arrays are new; parameters and buffers are never written.
+    Eval mode, which frozen statistics also run, has no backward: a gradient
+    reaching it raises ``UsageError``, though an eval forward outside
+    :func:`no_grad` still runs. None is needed, as ``set_trainable`` freezes
+    statistics exactly with parameters and inference runs under ``no_grad``.
 
     The moment path: in training mode, with ``groups == 1``, column depth
     ``k = Cin * kH * kW <= Cout`` and an input that wants no gradient (the
@@ -943,7 +948,6 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
         y, grad = lower(x.data, w.data, stride, padding, groups, ho, wo)
         out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var,
                                  in_place=True, relu=(act == "relu"))
-        wd = w.data
     else:
         if moments:
             w64 = w.data.reshape(cout, -1).astype(np.float64)
@@ -956,8 +960,8 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             wd = (w.data * scale[:, None, None, None]).astype(x.data.dtype)
             shift = shift.astype(x.data.dtype)
         else:
-            scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
-                                         x.data.dtype)
+            scale, shift, _ = _bn_fold(gamma.data, beta.data, running_mean, running_var,
+                                       x.data.dtype)
             wd = w.data * scale[:, None, None, None]
         if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
             raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
@@ -967,6 +971,9 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
         else:
             out, grad = lower(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
                               relu=(act == "relu"))
+    if not training:
+        return _node(out, (x, w, gamma, beta), _no_backward_without_batch_stats,
+                     "conv_bn_act")
 
     def bwd(g, grads):
         if moments:         # the rule in the docstring, all in float64
@@ -987,19 +994,11 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             return
         if act == "relu":
             _relu_mask(g, out)
-        if training:        # g becomes the conv output's gradient, None if unwanted
-            g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data,
-                                               x.requires_grad or w.requires_grad)
-        else:
-            dbeta = _channel_sum(g)
+        # g becomes the conv output's gradient, None if unwanted
+        g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data,
+                                           x.requires_grad or w.requires_grad)
         if g is not None:
-            dw, dx = _conv_grads(g, grad, x, wd, stride, padding, groups)
-            if not training:
-                # y = conv(x, W * s) + beta - mean * s, with s = gamma * inv
-                ds = np.einsum("ok,ok->o", dw.reshape(cout, -1), w.data.reshape(cout, -1))
-                ds -= running_mean.astype(ds.dtype) * dbeta
-                dgamma = ds * inv
-                dw *= scale[:, None, None, None]
+            dw, dx = _conv_grads(g, grad, x, w.data, stride, padding, groups)
             _put(grads, w, dw)
             if dx is not None:
                 _put(grads, x, dx)
@@ -1090,9 +1089,8 @@ def avg_pool2d(x, kernel, stride=None):
     wo = (w - k) // s + 1
     inv = 1.0 / (k * k)
     out = np.empty((n, c, ho, wo), dtype=x.data.dtype)
-    step = max(1, _CHUNK_BYTES // max(1, c * h * w * x.data.itemsize))
-    for start in range(0, n, step):
-        _pool_into(x.data[start:start + step], k, s, out[start:start + step])
+    for chunk in _image_chunks(x.data):
+        _pool_into(x.data[chunk], k, s, out[chunk])
     def bwd(g, grads):
         if not x.requires_grad:
             return

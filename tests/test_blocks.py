@@ -15,6 +15,12 @@ def rng():
     return np.random.default_rng(13)
 
 
+def _bn(bn, x):
+    """A BatchNorm2d module applied on its own, as the model's units apply it."""
+    return T.batch_norm2d(x, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                          training=bn.batch_stats)
+
+
 def se_oracle(x, w1, w2):
     """Independent numpy SE computation used to pin the module down."""
     z = x.mean(axis=(2, 3))
@@ -151,7 +157,7 @@ class TestResidualBlock:
         spec = BlockSpec("bottleneck", 8, 16, groups=2, group_width=4)
         block = ResidualBlock(spec, rng, dtype=np.float64).eval()
         x = rng.normal(size=(2, 8, 5, 5))
-        mid_in = T.relu(block.bn1(block.conv1(T.Tensor(x, dtype=np.float64)))).data
+        mid_in = T.relu(_bn(block.bn1, block.conv1(T.Tensor(x, dtype=np.float64)))).data
         grouped = T.conv2d(T.Tensor(mid_in, dtype=np.float64), block.conv2.weight,
                            padding=1, groups=2).data
         w = block.conv2.weight.data
@@ -183,9 +189,9 @@ class TestUnits:
     def _chain(block, x):
         """A basic block with a projection shortcut and no SE gate, spelled as
         separate conv, batch-norm and ReLU ops."""
-        y = T.relu(block.bn1(block.conv1(x)))
-        y = block.bn2(block.conv2(y))
-        shortcut = block.short_bn(block.short_conv(x))
+        y = T.relu(_bn(block.bn1, block.conv1(x)))
+        y = _bn(block.bn2, block.conv2(y))
+        shortcut = _bn(block.short_bn, block.short_conv(x))
         return T.relu(T.add(y, shortcut))
 
     @staticmethod
@@ -219,9 +225,9 @@ class TestUnits:
         assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
         assert {k: v.tobytes() for k, v in block.state_arrays().items()} == state
 
-    def test_eval_bottleneck_grads(self, rng):
+    def test_bottleneck_grads(self, rng):
         spec = BlockSpec("bottleneck", 4, 8, groups=2, group_width=2, stride=2)
-        block = ResidualBlock(spec, rng, dtype=np.float64).eval()
+        block = ResidualBlock(spec, rng, dtype=np.float64)
         self._randomize_stats(block, rng)
         x = T.Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True, dtype=np.float64)
         check_param_gradients(lambda: T.mean_all(block(x)), [x] + block.parameters())
@@ -239,9 +245,9 @@ class TestUnits:
 
     @pytest.mark.parametrize("side", [64, 128])
     def test_every_default_model_unit_matches_a_float64_reference(self, monkeypatch, side):
-        """Forward, running statistics and gradients of every conv/BN unit the
-        default model meets, pooled stem included, in training and eval mode,
-        against :func:`unit_oracle`."""
+        """Forward and running statistics of every conv/BN unit the default
+        model meets, pooled stem included, in training and eval mode, and its
+        gradients in training mode, against :func:`unit_oracle`."""
         from kneegrade.model import ModelConfig, build_model
         units, fused_op = [], T.conv_bn_act
 
@@ -285,6 +291,8 @@ class TestUnits:
                             assert gap <= tol, (where, training, x_wants,
                                                 np.dtype(dtype).name, gap)
 
+                if not training:        # an eval-mode unit has no backward
+                    continue
                 # d/dh of sum(pool(unit) * r) along a random direction of each
                 # input; the ReLU's mask is taken at the base point, the oracle
                 # runs without it

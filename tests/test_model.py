@@ -178,6 +178,7 @@ class TestHeadIsolation:
     def test_cross_head_gradients_are_zero(self):
         m = build_model(tiny_config(), seed=7)
         m.eval()  # kill dropout so only the KL path is active
+        m.backbone.set_trainable(False)     # an eval-mode unit has no backward
         outs = m(batch())
         loss = T.cross_entropy(outs[0], np.zeros(2, dtype=np.int64))
         T.backward(loss)
@@ -299,6 +300,8 @@ class TestFreezing:
         for name, p in m.named_parameters():
             if name.startswith("backbone."):
                 assert p.grad is None, name
+        # its frozen units run the eval fold, which has no backward; the head trains
+        assert np.any(dict(m.named_parameters())["head_KL.weight"].grad != 0)
 
     def test_freeze_also_pins_bn_stats(self):
         m = build_model(tiny_config(), seed=4)
@@ -313,7 +316,7 @@ class TestFreezing:
         m = build_model(tiny_config(), seed=4)
         m.backbone.set_trainable(False)
         m.backbone.set_trainable(True)
-        outs = m.eval()(batch())
+        outs = m.train()(batch())
         T.backward(T.cross_entropy(outs[0], np.zeros(2, dtype=np.int64)))
         grads = [p.grad is not None for n, p in m.named_parameters()
                  if n.startswith("backbone.") and "short" not in n]

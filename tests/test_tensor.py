@@ -512,11 +512,14 @@ def _unit(fused, x, w, gamma, beta, rm, rv, training, act, stride, padding, grou
 
 
 def _unit_run(fused, arrays, training, act, geometry, dtype=np.float32):
-    """Output, input/weight/gamma/beta gradients and running stats of one unit."""
+    """Output, input/weight/gamma/beta gradients and running stats of one
+    unit; in eval mode, which has no backward, output and running stats."""
     x, w, gamma, beta, rm, rv = arrays
-    ts = [T.Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, gamma, beta)]
+    ts = [T.Tensor(a, requires_grad=training, dtype=dtype) for a in (x, w, gamma, beta)]
     rm, rv = rm.astype(dtype, copy=False), rv.astype(dtype, copy=False)
     out = _unit(fused, *ts, rm, rv, training, act, *geometry)
+    if not training:
+        return [out.data, rm, rv]
     r = np.random.default_rng(3).normal(size=out.shape).astype(dtype)
     T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=dtype))))
     return [out.data] + [t.grad for t in ts] + [rm, rv]
@@ -526,21 +529,28 @@ class TestConvBnAct:
     """The fused conv -> batch norm -> ReLU unit against the three-op chain."""
 
     @pytest.mark.parametrize("act", ["relu", None])
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("input_grad", [True, False])
     @pytest.mark.parametrize("side", _sides_around_lowering_switch())
     @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _UNIT_PATHS,
                              ids=[c[0] for c in _UNIT_PATHS])
     def test_grads(self, rng, name, x_shape, w_shape, stride, padding, groups, side,
-                   training, act):
+                   input_grad, act):
+        """Training-mode gradients, with the input's and without it; an input
+        that wants none skips dX (and the 1-channel stem takes the moment path)."""
         x = rng.normal(size=x_shape(side))
         w = rng.normal(size=w_shape)
         gamma, beta, rm, rv = _bn_state(rng, w_shape[0])
         r = T.Tensor(rng.normal(size=(x.shape[0], w.shape[0], side, side)), dtype=np.float64)
-        check_gradients(
-            lambda ts: T.mean_all(T.mul(T.conv_bn_act(
-                ts[0], ts[1], ts[2], ts[3], rm.copy(), rv.copy(), training, act=act,
-                stride=stride, padding=padding, groups=groups), r)),
-            [x, w, gamma, beta], samples=200)
+
+        def loss(x, w, gamma, beta):
+            return T.mean_all(T.mul(T.conv_bn_act(
+                x, w, gamma, beta, rm.copy(), rv.copy(), True, act=act, stride=stride,
+                padding=padding, groups=groups), r))
+        if input_grad:
+            check_gradients(lambda ts: loss(*ts), [x, w, gamma, beta], samples=200)
+        else:
+            fixed = T.Tensor(x, dtype=np.float64)
+            check_gradients(lambda ts: loss(fixed, *ts), [w, gamma, beta], samples=200)
 
     @pytest.mark.parametrize("act", ["relu", None])
     @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _CONV_PATHS,
@@ -583,10 +593,24 @@ class TestConvBnAct:
         bn.running_var[...] = rng.uniform(0.5, 2.0, size=4)
         state = {k: v.tobytes() for k, v in {**conv.state_arrays(), **bn.state_arrays()}.items()}
         x = T.Tensor(rng.normal(size=(2, 3, 6, 6)))
-        T.backward(T.mean_all(conv_bn(conv, bn, x)))
-        assert conv.weight.grad is not None and bn.gamma.grad is not None
+        conv_bn(conv, bn, x)
         after = {k: v.tobytes() for k, v in {**conv.state_arrays(), **bn.state_arrays()}.items()}
         assert after == state
+
+    def test_eval_and_frozen_units_have_no_backward(self, rng):
+        from kneegrade.nn import BatchNorm2d, Conv2d, conv_bn
+        conv = Conv2d(3, 4, 3, rng, padding=1)
+        x = T.Tensor(rng.normal(size=(2, 3, 6, 6)))
+        frozen = BatchNorm2d(4)
+        frozen.stats_frozen = True              # parameters still want gradients
+        for bn in (BatchNorm2d(4).eval(), frozen):
+            for inp in (x, T.Tensor(x.data, requires_grad=True)):
+                loss = T.mean_all(conv_bn(conv, bn, inp))       # the forward runs
+                with pytest.raises(UsageError, match="no backward in eval mode"):
+                    T.backward(loss)
+        # a fully frozen unit over an input that wants no gradient records nothing
+        conv.set_trainable(False)
+        assert not conv_bn(conv, BatchNorm2d(4).set_trainable(False), x).requires_grad
 
     @pytest.mark.parametrize("training", [True, False])
     def test_no_grad_records_nothing(self, rng, training):

@@ -81,7 +81,7 @@ def load_tensors(path):
                 raise struct.error(f"extents {shape} need {4 * n} bytes, "
                                    f"{len(buf) - off} left")
             end = off + 4 * n
-            data = np.frombuffer(buf[off:end], dtype="<f4").reshape(shape).copy()
+            data = np.frombuffer(buf, "<f4", count=n, offset=off).reshape(shape).copy()
             off = end
         except (struct.error, UnicodeDecodeError) as exc:
             raise WeightLoadError(f"{path}: truncated or corrupt at tensor {i}: {exc}") from None

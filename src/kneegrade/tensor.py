@@ -32,18 +32,25 @@ cached or written back), and has no backward (see :func:`conv_bn_act`).
 one node, bit for bit the five-op chain it replaced.
 
 The wide early layers are bound by memory traffic, so no full-size array is
-made that a cache-sized chunk can do without: conv columns are gathered from
-the unpadded input into a buffer whose padding places stay zero, the eval
-unit adds its folded bias and applies its ReLU to each chunk as it leaves the
-GEMM, the training unit scales, shifts and rectifies a chunk at a time, and
+made that a cache-sized chunk can do without. Both conv lowerings, per image
+for large maps and batch-wide (CNHW) for small ones, gather their columns a
+chunk of images at a time from the unpadded input into one buffer whose
+padding places stay zero, and multiply and reduce each chunk while it is in
+cache, in the forward and in the backward alike: no whole-batch column,
+column-gradient or transposed-gradient array is made. The eval unit adds its
+folded bias and applies its ReLU to each chunk as it leaves the GEMM, the
+training unit scales, shifts and rectifies a chunk at a time, and
 ``avg_pool2d`` sums its windows a chunk of images at a time. The unit's
 training backward makes no full-size temporary: it applies the ReLU mask and
 forms the batch norm's dX over the gradient it owns, a chunk of images at a
 time, so the conv's dX is the one full-size array it allocates. Every chunk
-holds :func:`_image_step` images; every per-image GEMM runs in :func:`_gemm_chunks`.
+holds :func:`_image_step` images; every conv GEMM runs in :func:`_gemm_chunks`
+or in the lowering's backward over :func:`_column_chunks`.
 
 A training step keeps nothing its backward can cheaply rebuild. No conv
-lowering keeps its columns; backward gathers them again. A training unit
+lowering keeps its columns; backward gathers them again, once: a stride-1
+k x k conv whose input wants dX gathers only dY's columns and takes both dX
+and dW from them (see :func:`_transposed_grads`). A training unit
 keeps its centred conv output for the batch norm's backward, except on the
 moment path (see :func:`conv_bn_act`): when its input wants no gradient and
 its columns are no deeper than its output channels, as for the stem, the
@@ -57,6 +64,7 @@ gathers again for dW.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 
 import numpy as np
@@ -387,16 +395,17 @@ def linear(x, w, b=None):
 # conv2d's lowering, chosen from shapes alone. Output maps of at least this
 # many pixels (16x16 and up) get one GEMM per image over [Cin*kH*kW, Ho*Wo]
 # columns, which writes NCHW directly. Smaller maps make GEMMs too narrow for
-# that, so they share one GEMM over the batch's [Cin*kH*kW, N*Ho*Wo] columns
-# and pay a transpose of the output and of its gradient. The cut-over was
-# measured on the default model's 3x3 layers at 64 and 128 px, batch 32, one
-# OpenBLAS thread, forward plus backward: per image was up to 2x faster from
-# 32x32 up and 0-15% faster or within 6% at 16x16; batch-wide was 10-45%
-# faster at 8x8 and below. Its 1x1 stride-2 shortcuts are too cheap for the
-# choice to matter: within 0.3 ms either way at 8x8 and 4x4.
+# that, so they share one GEMM over a chunk of images' CNHW
+# [Cin*kH*kW, m*Ho*Wo] columns and pay a transpose of the output and of its
+# gradient. The cut-over was measured on the default model's 3x3 layers at 64
+# and 128 px, batch 32, one OpenBLAS thread, forward plus backward: per image
+# was up to 2x faster from 32x32 up and 0-15% faster or within 6% at 16x16;
+# batch-wide was 10-45% faster at 8x8 and below. Its 1x1 stride-2 shortcuts
+# are too cheap for the choice to matter: within 0.3 ms either way at 8x8 and
+# 4x4.
 _PER_IMAGE_MIN_PIXELS = 256
 
-# Per-image columns are gathered a few images at a time into a buffer of
+# Both lowerings gather their columns a few images at a time into a buffer of
 # about this size, so the GEMM reads them from cache rather than memory;
 # backward gathers them again instead of keeping them.
 _CHUNK_BYTES = 1 << 20
@@ -482,9 +491,52 @@ def _fold(dcols, taps, stride, dst):
             phase[...] = acc
 
 
-def _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, dtype):
-    """Yield (start, cols) for images start.. of the batch ``xd``, ``step`` at
-    a time, as [m, Cin, kH, kW, Ho, Wo] columns of ``dtype``.
+# A chunk of m images is laid out for its GEMMs in one of two ways: per image
+# (``wide`` False) as [M=m, groups, rows, P=Ho*Wo], one matrix per image and
+# group, or batch-wide as [M=1, groups, rows, P=m*Ho*Wo], one matrix per group
+# over all m images. A chunk buffer holds ``step`` images, [step, rows, P] or
+# [rows, step, P]; a shorter last chunk is a view of its first m images.
+
+
+def _chunk_buffer(rows, step, p, wide, dtype, fill=np.empty):
+    return fill((rows, step, p) if wide else (step, rows, p), dtype=dtype)
+
+
+def _images(buf, m, wide):
+    """The first ``m`` images of a chunk buffer, as an [m, rows, P] view."""
+    return buf[:, :m].swapaxes(0, 1) if wide else buf[:m]
+
+
+def _matrices(buf, m, groups, wide):
+    """The first ``m`` images of a chunk buffer as [M, groups, rows/groups, P]."""
+    if wide:
+        rows, _, p = buf.shape
+        return buf[:, :m].reshape(1, groups, rows // groups, m * p)
+    _, rows, p = buf.shape
+    return buf[:m].reshape(m, groups, rows // groups, p)
+
+
+def _as_chunk(a, buf, groups, wide):
+    """An NCHW chunk ``a`` [m, C, H, W] in the chunk layout: a view of ``a``
+    per image, or copied into ``buf`` batch-wide."""
+    m, c = a.shape[:2]
+    if not wide:
+        return a.reshape(m, groups, c // groups, -1)
+    _images(buf, m, wide)[...] = a.reshape(m, c, -1)
+    return _matrices(buf, m, groups, wide)
+
+
+def _accumulate(dw, part, a, b):
+    """``dw += sum of a @ b^T`` over the chunk's M matrices, each product
+    written into ``part``, so no array is made per chunk."""
+    for am, bm in zip(a, b):
+        dw += np.matmul(am, bm.swapaxes(-1, -2), out=part)
+
+
+def _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, dtype, groups=1, wide=False):
+    """Yield (images, cols) for the batch ``xd``, ``step`` images at a time:
+    the chunk's slice of the batch and its columns, [M, groups, K, P] with
+    K = Cin/groups*kH*kW, of ``dtype``, in the chunk layout ``wide`` picks.
 
     Every chunk lands in one buffer, zeroed once: each rewrites the same
     in-image windows, so the places that stand for padding stay zero and no
@@ -492,122 +544,101 @@ def _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, dtype):
     """
     n, cin, h, w = xd.shape
     taps = list(_taps(kh, kw, stride, padding, h, w, ho, wo))
-    buf = np.zeros((min(step, n), cin, kh, kw, ho, wo), dtype=dtype)
+    buf = _chunk_buffer(cin * kh * kw, min(step, n), ho * wo, wide, dtype, np.zeros)
     for start in range(0, n, step):
-        part = buf[:min(step, n - start)]
-        src = xd[start:start + len(part)]
+        images = slice(start, min(start + step, n))
+        src = xd[images]
+        m = len(src)
+        part = _images(buf, m, wide).reshape(m, cin, kh, kw, ho, wo)
         for ki, kj, o, s in taps:
             part[:, :, ki, kj][o] = src[s]
-        yield start, part
+        yield images, _matrices(buf, m, groups, wide)
 
 
-def _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo, step, out=None):
-    """Yield (start, cols, y) per chunk of :func:`_column_chunks`: its
-    [m, groups, k, Ho*Wo] columns and ``y = wg @ cols + bias``, ReLU applied,
-    while the chunk is in cache. ``y`` is written into ``out`` [N, ...] at the
-    chunk's place, or else into one chunk-sized buffer each chunk overwrites.
+def _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo, step, wide=False,
+                 out=None):
+    """Yield (images, cols, y) per chunk of :func:`_column_chunks`: its
+    columns and ``y = wg @ cols + bias``, ReLU applied, while the chunk is in
+    cache, both in the chunk layout. ``y`` lands in one chunk-sized buffer
+    each chunk overwrites; with ``out`` [N, Cout, Ho, Wo] it is also written
+    there at the chunk's place, by the GEMM itself per image.
     """
     n = xd.shape[0]
     groups, og, k = wg.shape
-    p = ho * wo
     if bias is not None:
         bias = bias.reshape(groups, og, 1)
-    buf = np.empty((min(step, n), groups, og, p), dtype=xd.dtype) if out is None else None
-    for start, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, xd.dtype):
-        cols = cols.reshape(len(cols), groups, k, p)
-        dst = buf[:len(cols)] if out is None else out[start:start + len(cols)]
+    direct = out is not None and not wide
+    buf = None if direct else _chunk_buffer(groups * og, min(step, n), ho * wo, wide,
+                                            xd.dtype)
+    for images, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, xd.dtype,
+                                       groups, wide):
+        m = images.stop - images.start
+        dst = (out[images].reshape(m, groups, og, ho * wo) if direct
+               else _matrices(buf, m, groups, wide))
         y = np.matmul(wg, cols, out=dst)
         if bias is not None:
             y += bias
         if relu:
             np.maximum(y, 0, out=y)
-        yield start, cols, y
+        if out is not None and not direct:
+            out[images] = _images(buf, m, wide).reshape(m, -1, ho, wo)
+        yield images, cols, y
 
 
-def _conv_per_image(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
-    """Lowering for large maps: one GEMM per image, NCHW out.
+def _conv_lowered(wide, xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
+    """A conv lowered to GEMMs over its columns, one cache-sized chunk of
+    images at a time (:func:`_gemm_chunks`), in the chunk layout ``wide``
+    picks; NCHW out.
 
-    ``bias`` [Cout] (or None) is added and the ReLU applied to each chunk of
-    images right after its GEMM (see :func:`_gemm_chunks`). Returns the
-    output and ``grad(g, need_x) -> (dW, dX or None)``, dW as
-    [groups, Cin/groups*kH*kW, Cout/groups]. ``grad`` keeps no buffer of the
-    forward's: it gathers the columns again into one of its own.
+    ``bias`` [Cout] (or None) is added and the ReLU applied to each chunk
+    right after its GEMM. Returns the output and ``grad(g, need_x) -> (dW,
+    dX or None)``, dW as [groups, Cin/groups*kH*kW, Cout/groups]. ``grad``
+    keeps no buffer of the forward's: it gathers the columns again, chunk by
+    chunk, adds each chunk's ``cols @ g^T`` into dW and, for dX, folds the
+    chunk's ``W^T @ g`` back over the kernel offsets; the chunk's columns and
+    their gradients share one chunk budget.
     """
     n, cin, h, wdt = xd.shape
     cout, _, kh, kw = wd.shape
     og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
     wg = wd.reshape(groups, og, k)
-    step = _image_step(n, cin * kh * kw * p * xd.itemsize)
-    out = np.empty((n, groups, og, p), dtype=xd.dtype)
-    for _ in _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo, step, out):
+    col_bytes = cin * kh * kw * p * xd.itemsize
+    out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
+    for _ in _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo,
+                          _image_step(n, col_bytes), wide, out):
         pass                # each chunk's output lands in its place in out
 
     def grad(g, need_x):
-        gg = g.reshape(n, groups, og, p)
+        step = _image_step(n, col_bytes * (2 if need_x else 1))
         dw = np.zeros((groups, k, og), dtype=g.dtype)
+        part = np.empty_like(dw)
+        gbuf = _chunk_buffer(cout, min(step, n), p, wide, g.dtype) if wide else None
         dx = np.empty(xd.shape, dtype=g.dtype) if need_x else None
         # not the columns' buffer: writing there would dirty its zero padding places
-        dbuf = np.empty((step, groups, k, p), dtype=g.dtype) if need_x else None
+        dbuf = _chunk_buffer(cin * kh * kw, min(step, n), p, wide, g.dtype) if need_x else None
         taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo)) if need_x else None
-        for start, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
-                                          xd.dtype):
-            cols = cols.reshape(len(cols), groups, k, p)
-            gs = gg[start:start + len(cols)]
-            dw += np.matmul(cols, gs.swapaxes(-1, -2)).sum(axis=0)
+        for images, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
+                                           xd.dtype, groups, wide):
+            gs = _as_chunk(g[images], gbuf, groups, wide)
+            _accumulate(dw, part, cols, gs)
             if need_x:
-                dcols = np.matmul(wg.swapaxes(-1, -2), gs, out=dbuf[:len(cols)])
-                _fold(dcols.reshape(len(cols), cin, kh, kw, ho, wo), taps, stride,
-                      dx[start:start + len(cols)])
-        return dw, dx
-    return out.reshape(n, cout, ho, wo), grad
-
-
-def _conv_batch_wide(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
-    """Lowering for small maps: one GEMM over the batch's CNHW columns.
-
-    ``bias`` is added as the output is copied to NCHW, then the ReLU applied.
-    Returns the output and ``grad`` as for :func:`_conv_per_image`. Backward
-    gathers the columns again rather than keeping them, and folds dX straight
-    into NCHW storage.
-    """
-    n, cin, h, wdt = xd.shape
-    cout, _, kh, kw = wd.shape
-    og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
-    wg = wd.reshape(groups, og, k)
-    taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo))
-
-    def columns():
-        cols = np.zeros((cin, kh, kw, n, ho, wo), dtype=xd.dtype)
-        colv = cols.transpose(3, 0, 1, 2, 4, 5)           # [N, Cin, kH, kW, Ho, Wo]
-        for ki, kj, o, s in taps:
-            colv[:, :, ki, kj][o] = xd[s]
-        return cols.reshape(groups, k, n * p)
-
-    y = np.matmul(wg, columns()).reshape(cout, n, ho, wo).swapaxes(0, 1)
-    out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
-    if bias is None:
-        out[...] = y
-    else:
-        np.add(y, bias[None, :, None, None], out=out)
-    if relu:
-        np.maximum(out, 0, out=out)
-
-    def grad(g, need_x):
-        gg = np.ascontiguousarray(g.swapaxes(0, 1)).reshape(groups, og, n * p)
-        dw = np.matmul(columns(), gg.swapaxes(-1, -2))
-        if not need_x:
-            return dw, None
-        dcols = np.matmul(wg.swapaxes(-1, -2), gg).reshape(cin, kh, kw, n, ho, wo)
-        dx = np.empty((n, cin, h, wdt), dtype=g.dtype)
-        _fold(dcols.transpose(0, 3, 1, 2, 4, 5), taps, stride, dx.swapaxes(0, 1))
+                m = images.stop - images.start
+                np.matmul(wg.swapaxes(-1, -2), gs, out=_matrices(dbuf, m, groups, wide))
+                _fold(_images(dbuf, m, wide).reshape(m, cin, kh, kw, ho, wo), taps, stride,
+                      dx[images])
         return dw, dx
     return out, grad
 
 
+# Large maps: one GEMM per image. Small maps: one GEMM per chunk of images
+# over their CNHW columns; each chunk's output is transposed to NCHW as it
+# leaves its GEMM, and each chunk of the gradient to CNHW.
+_conv_per_image = functools.partial(_conv_lowered, False)
+_conv_batch_wide = functools.partial(_conv_lowered, True)
+
+
 def _lowering(ho, wo):
-    if ho * wo >= _PER_IMAGE_MIN_PIXELS:
-        return _conv_per_image
-    return _conv_batch_wide
+    return _conv_per_image if ho * wo >= _PER_IMAGE_MIN_PIXELS else _conv_batch_wide
 
 
 def _conv_setup(x, w, stride, padding, groups, op):
@@ -624,27 +655,55 @@ def _conv_setup(x, w, stride, padding, groups, op):
     return stride, padding, groups, ho, wo
 
 
+def _transposed_grads(g, xd, wd, padding, groups):
+    """(dW, dX) of a stride-1 k x k conv with ``padding`` < k, from one
+    gather: the output gradient's columns.
+
+    dX is the full correlation of ``g`` with the flipped kernel, in and out
+    channels swapped: a stride-1 conv with padding ``k - 1 - padding``, run
+    chunk by chunk in the layout of the input map's lowering. Its columns
+    ``G[o, i, j, p] = g[o, p + (i, j) - (k - 1 - padding)]`` also give dW,
+    against the input itself: ``dW[o, c, a, b] = sum_p x[c, p] *
+    g[o, p - (a, b) + padding] = (G x^T)[o, k-1-a, k-1-b, c]``, so the
+    input's columns are never gathered.
+    """
+    n, cin, h, wdt = xd.shape
+    cout, cg, kh, kw = wd.shape
+    og, p = cout // groups, h * wdt
+    wide = h * wdt < _PER_IMAGE_MIN_PIXELS       # the input map's lowering
+    wt = wd.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)[..., ::-1, ::-1]
+    wt = wt.reshape(groups, cg, og * kh * kw)
+    step = _image_step(n, cout * kh * kw * p * g.itemsize)
+    dx = np.empty(xd.shape, dtype=g.dtype)
+    dwt = np.zeros((groups, og * kh * kw, cg), dtype=g.dtype)
+    part = np.empty_like(dwt)
+    xbuf = _chunk_buffer(cin, min(step, n), p, wide, xd.dtype) if wide else None
+    for images, cols, _ in _gemm_chunks(g, wt, None, False, kh, kw, 1, kh - 1 - padding,
+                                        h, wdt, step, wide, dx):
+        _accumulate(dwt, part, cols, _as_chunk(xd[images], xbuf, groups, wide))
+    dw = part.reshape(cout, cg, kh, kw)       # part's last product is spent
+    dw[...] = dwt.reshape(cout, kh, kw, cg)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return dw, dx
+
+
 def _conv_grads(g, grad, x, wd, stride, padding, groups):
     """(dW, dX or None) of a conv that ran with weights ``wd`` and whose
     lowering returned ``grad``; dX only when ``x`` wants it.
 
-    dX of a stride-1 kH x kH conv is itself a stride-1 conv: the full
-    correlation of the output gradient with the flipped kernel, in and out
-    channels swapped. On every stride-1 3x3 layer of the default model (64
-    and 128 px, batch 32) that made the whole backward 9-33% faster than
-    folding. Other convs fold ``W^T @ g`` back over the kernel offsets.
+    A stride-1 k x k conv whose input wants dX, with padding < k, takes both
+    from the output gradient's columns (:func:`_transposed_grads`): one
+    gather per chunk where the lowering's ``grad`` would gather the input's
+    columns for dW and then the gradient's for dX. On every stride-1 3x3
+    layer of the default model (64 and 128 px, batch 32) the transposed dX
+    made the whole backward 9-33% faster than folding, and the one gather
+    took another 11-37% off (per shape, CPU time, two sittings). Other
+    convs fold ``W^T @ g`` back over the kernel offsets.
     """
-    _, cin, h, wdt = x.data.shape
-    cout, cg, kh, kw = wd.shape
-    transposed = x.requires_grad and stride == 1 and 1 < kh == kw and padding < kh
-    dw, dx = grad(g, x.requires_grad and not transposed)
-    dw = dw.swapaxes(-1, -2).reshape(wd.shape)
-    if transposed:
-        og = cout // groups
-        wt = wd.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)[..., ::-1, ::-1]
-        dx, _ = _lowering(h, wdt)(g, wt.reshape(cin, og, kh, kw), 1,
-                                  kh - 1 - padding, groups, h, wdt)
-    return dw, dx
+    kh, kw = wd.shape[2:]
+    if x.requires_grad and stride == 1 and 1 < kh == kw and padding < kh:
+        return _transposed_grads(g, x.data, wd, padding, groups)
+    dw, dx = grad(g, x.requires_grad)
+    return dw.swapaxes(-1, -2).reshape(wd.shape), dx
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
@@ -652,10 +711,12 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
 
     x: [N, Cin, H, W]; w: [Cout, Cin//groups, kH, kW]; b: [Cout] or None.
     The input is lowered to columns with one strided copy per kernel offset,
-    then multiplied by each group's [Cout/groups, Cin/groups*kH*kW] weight
-    matrix; the output map size picks the lowering (see
-    ``_PER_IMAGE_MIN_PIXELS``). Backward forms dW from the output gradient
-    and the columns, and dX as :func:`_conv_grads` describes.
+    a cache-sized chunk of images at a time, and each chunk multiplied by
+    each group's [Cout/groups, Cin/groups*kH*kW] weight matrix; the output
+    map size picks the lowering (see ``_PER_IMAGE_MIN_PIXELS``). Backward
+    gathers one set of columns per chunk: a stride-1 k x k conv's takes dX
+    and dW from dY's columns, any other conv's takes dW from the input's
+    columns and folds dX back over them (see :func:`_conv_grads`).
     """
     stride, padding, groups, ho, wo = _conv_setup(x, w, stride, padding, groups, "conv2d")
     cout = w.data.shape[0]
@@ -805,13 +866,13 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
             _image_step(n, depth * p * xd.itemsize))
     out = np.empty((n, cout, ho // k, wo // k), dtype=xd.dtype)
     windows = [idx for *_, idx in _taps(k, k, k, 0, ho, wo, *out.shape[2:])]
-    for start, _, y in _gemm_chunks(*gemm):
-        _pool_into(y.reshape(len(y), cout, ho, wo), k, k, out[start:start + len(y)])
+    for images, _, y in _gemm_chunks(*gemm):
+        _pool_into(y.reshape(len(y), cout, ho, wo), k, k, out[images])
 
     def grad(g):
         dw = np.zeros((1, depth, cout), dtype=g.dtype)
         s = np.zeros(cout, dtype=g.dtype)
-        for start, cols, y in _gemm_chunks(*gemm):
+        for images, cols, y in _gemm_chunks(*gemm):
             # y turns into its own gradient: the ReLU mask (1 or 0), times
             # g / k^2 in each window's places, and 0 past the last window
             dy = y.reshape(len(y), cout, ho, wo)
@@ -820,7 +881,7 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
             else:
                 dy[...] = 1
             for idx in windows:
-                dy[idx] *= g[start:start + len(dy)]
+                dy[idx] *= g[images]
             dy[:, :, k * out.shape[2]:] = 0
             dy[:, :, :, k * out.shape[3]:] = 0
             dy *= 1.0 / (k * k)

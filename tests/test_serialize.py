@@ -58,3 +58,12 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_header_layout():
     # magic stays stable; other tools rely on it
     assert MAGIC == b"KGWB"
+
+
+def test_loaded_arrays_own_their_memory(tmp_path):
+    path = tmp_path / "w.bin"
+    save_tensors(path, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                        "b": np.float32(2.0)})
+    for arr in load_tensors(path).values():
+        assert arr.flags.owndata and arr.flags.writeable
+        arr += 1

@@ -62,6 +62,10 @@ _CONV_PATHS = [
     ("1x1_stride2_shortcut", lambda s: (2, 3, 2 * s, 2 * s), (4, 3, 1, 1), 2, 0, 1),
     ("1x1_stride1", lambda s: (2, 3, s, s), (4, 3, 1, 1), 1, 0, 1),
     ("3x3_groups2", lambda s: (2, 4, s, s), (4, 2, 3, 3), 1, 1, 2),
+    # the transposed backward's padding k - 1 - padding, and an input map on
+    # the other side of the cut-over from the output's
+    ("3x3_pad0", lambda s: (2, 3, s + 2, s + 2), (4, 3, 3, 3), 1, 0, 1),
+    ("3x3_pad2", lambda s: (2, 3, s - 2, s - 2), (4, 3, 3, 3), 1, 2, 1),
 ]
 
 
@@ -220,75 +224,115 @@ class TestConvLowerings:
             [x, w, b], samples=400)
 
     def test_chunked_columns_match_whole_batch(self, rng, monkeypatch):
-        side = _sides_around_lowering_switch()[1]
-        x = rng.normal(size=(5, 3, side, side))
-        w = rng.normal(size=(4, 3, 3, 3))
-        r = rng.normal(size=(5, 4, side, side))
+        for side in _sides_around_lowering_switch():    # batch-wide, per image
+            x = rng.normal(size=(5, 4, side, side))
+            w = rng.normal(size=(4, 4, 3, 3))
+            r = rng.normal(size=(5, 4, side, side))
 
-        def run(chunk_bytes):
-            monkeypatch.setattr(T, "_CHUNK_BYTES", chunk_bytes)
-            tx = T.Tensor(x, requires_grad=True, dtype=np.float64)
-            tw = T.Tensor(w, requires_grad=True, dtype=np.float64)
-            out = T.conv2d(tx, tw, padding=1)
-            T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=np.float64))))
-            return out.data, tx.grad, tw.grad
+            def run(chunk_bytes):
+                monkeypatch.setattr(T, "_CHUNK_BYTES", chunk_bytes)
+                tx = T.Tensor(x, requires_grad=True, dtype=np.float64)
+                tw = T.Tensor(w, requires_grad=True, dtype=np.float64)
+                out = T.conv2d(tx, tw, padding=1)
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=np.float64))))
+                return out.data, tx.grad, tw.grad
 
-        image_bytes = 3 * 9 * side * side * 8
-        whole = run(5 * image_bytes)
-        chunked = run(2 * image_bytes)    # chunks of 2, 2 and 1 images
-        for a, b in zip(whole, chunked):
-            assert np.allclose(a, b, rtol=0, atol=1e-12)
+            image_bytes = 4 * 9 * side * side * 8      # the input's columns and dY's
+            whole = run(5 * image_bytes)
+            chunked = run(2 * image_bytes)    # chunks of 2, 2 and 1 images
+            for a, b in zip(whole, chunked):
+                assert np.allclose(a, b, rtol=0, atol=1e-12), side
+
+    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    def test_stride1_backward_gathers_only_dy_columns(self, rng, monkeypatch, side):
+        x = T.Tensor(rng.normal(size=(3, 4, side, side)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(6, 4, 3, 3)), requires_grad=True)
+        out = T.conv2d(x, w, padding=1)
+        gather, chunks = T._column_chunks, []
+
+        def spy(src, *args, **kwargs):
+            for images, cols in gather(src, *args, **kwargs):
+                chunks.append((src.shape[1], images))
+                yield images, cols
+        monkeypatch.setattr(T, "_column_chunks", spy)
+        T.backward(T.reduce_sum(out))
+        # the columns of dY's 6 channels, each image in one chunk
+        assert {c for c, _ in chunks} == {6}
+        assert sorted(i for _, s in chunks for i in range(s.start, s.stop)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    def test_one_gather_dw_matches_input_columns_dw(self, rng, side):
+        # float64 to 1e-12; float32 to 1e-5 of the largest |dW|, ~100 float32
+        # epsilons, for sums of up to 2 * side^2 products in another order
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            for cin, cout, groups in ((3, 4, 1), (4, 6, 2)):
+                for padding in (0, 1, 2):
+                    x = rng.normal(size=(2, cin, side, side)).astype(dtype)
+                    w = rng.normal(size=(cout, cin // groups, 3, 3)).astype(dtype)
+                    ho = side + 2 * padding - 2
+                    g = rng.normal(size=(2, cout, ho, ho)).astype(dtype)
+                    _, grad = T._lowering(ho, ho)(x, w, 1, padding, groups, ho, ho)
+                    want = grad(g, False)[0].swapaxes(-1, -2).reshape(w.shape)
+                    got, dx = T._transposed_grads(g.copy(), x, w, padding, groups)
+                    assert got.shape == w.shape and dx.shape == x.shape
+                    assert np.abs(got - want).max() <= tol * np.abs(want).max(), \
+                        (dtype, cin, groups, padding)
 
 
 def padded_lowering(per_image, xd, wd, stride, padding, groups, ho, wo, g):
     """Output, dW and folded dX of a conv lowering gathered from a zero-padded
     copy of the input: the formulation the pad-free gathers replaced, with the
-    same chunks, GEMMs and reductions, so results must agree bit for bit."""
+    same chunks, GEMMs and dW reductions (a product per image or per
+    batch-wide chunk, added in turn), so results must agree bit for bit.
+    Backward's chunks hold half the forward's images, since their column
+    gradients share the budget."""
     n, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
     wg = wd.reshape(groups, og, k)
     xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     dxp = np.zeros_like(xp)
+    col_bytes = cin * kh * kw * p * xd.itemsize
 
-    def gather(src, cols):
+    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=xd.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+
+    def chunks(budget):
+        step = max(1, min(n, T._CHUNK_BYTES // budget))
+        return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+    def matrices(a, images):
+        """Images of [N, C, ...] as [M, groups, C/groups*..., P] GEMM operands."""
+        m = images.stop - images.start
+        if per_image:
+            return a[images].reshape(m, groups, -1, p)
+        rows = np.ascontiguousarray(a[images].reshape(m, -1, p).swapaxes(0, 1))
+        return rows.reshape(1, groups, -1, m * p)
+
+    def images_of(y, m):
+        """[M, groups, C/groups, P] back to [m, C, P]."""
+        if per_image:
+            return y.reshape(m, -1, p)
+        return y.reshape(-1, m, p).swapaxes(0, 1)
+
+    out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
+    for images in chunks(col_bytes):
+        m = images.stop - images.start
+        out[images] = images_of(np.matmul(wg, matrices(cols, images)), m).reshape(m, cout, ho, wo)
+    dw = np.zeros((groups, k, og), dtype=xd.dtype)
+    for images in chunks(2 * col_bytes):
+        m = images.stop - images.start
+        cm, gm = matrices(cols, images), matrices(g, images)
+        for a, b in zip(cm, gm):
+            dw += np.matmul(a, b.swapaxes(-1, -2))
+        dcols = images_of(np.matmul(wg.swapaxes(-1, -2), gm), m)
+        dcols = dcols.reshape(m, cin, kh, kw, ho, wo)
         for ki in range(kh):
             for kj in range(kw):
-                cols[:, :, ki, kj] = src[:, :, ki:ki + stride * ho:stride,
-                                         kj:kj + stride * wo:stride]
-
-    def fold(dst, dcols):
-        for ki in range(kh):
-            for kj in range(kw):
-                dst[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += \
+                dxp[images, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += \
                     dcols[:, :, ki, kj]
-
-    if per_image:
-        step = max(1, min(n, T._CHUNK_BYTES // (cin * kh * kw * p * xd.itemsize)))
-        out = np.empty((n, groups, og, p), dtype=xd.dtype)
-        dw = np.zeros((groups, k, og), dtype=xd.dtype)
-        gg = g.reshape(n, groups, og, p)
-        for start in range(0, n, step):
-            src = xp[start:start + step]
-            cols = np.empty((len(src), cin, kh, kw, ho, wo), dtype=xd.dtype)
-            gather(src, cols)
-            cols = cols.reshape(len(src), groups, k, p)
-            np.matmul(wg, cols, out=out[start:start + len(src)])
-            gs = gg[start:start + len(src)]
-            dw += np.matmul(cols, gs.swapaxes(-1, -2)).sum(axis=0)
-            dcols = np.matmul(wg.swapaxes(-1, -2), gs)
-            fold(dxp[start:start + len(src)], dcols.reshape(len(src), cin, kh, kw, ho, wo))
-        out = out.reshape(n, cout, ho, wo)
-    else:
-        cols = np.empty((cin, kh, kw, n, ho, wo), dtype=xd.dtype)
-        gather(xp, cols.transpose(3, 0, 1, 2, 4, 5))
-        cols = cols.reshape(groups, k, n * p)
-        out = np.ascontiguousarray(
-            np.matmul(wg, cols).reshape(cout, n, ho, wo).swapaxes(0, 1))
-        gg = np.ascontiguousarray(g.swapaxes(0, 1)).reshape(groups, og, n * p)
-        dw = np.matmul(cols, gg.swapaxes(-1, -2))
-        dcols = np.matmul(wg.swapaxes(-1, -2), gg).reshape(cin, kh, kw, n, ho, wo)
-        fold(dxp, dcols.transpose(3, 0, 1, 2, 4, 5))
     return out, dw, dxp[:, :, padding:padding + h, padding:padding + w]
 
 
@@ -332,7 +376,8 @@ class TestPadFreeColumns:
             w = rng.normal(size=(cout, cin // groups, k, k)).astype(np.float32)
             ho = (side + 2 * padding - k) // stride + 1
             g = rng.normal(size=(3, cout, ho, ho)).astype(np.float32)
-            # chunks of 2 and 1 images: the column buffer is reused, partly
+            # forward chunks of 2 and 1 images, so the column buffer is reused,
+            # partly; backward chunks of 1
             monkeypatch.setattr(T, "_CHUNK_BYTES", 2 * cin * k * k * ho * ho * 4)
             out, grad = getattr(T, lowering)(x, w, stride, padding, groups, ho, ho)
             got = (out,) + grad(g, True)
@@ -1026,6 +1071,24 @@ class TestGradientOwnership:
         # 18 MiB when the masked gradient and the batch norm's dX were each a
         # new full-size array
         assert peak <= x.data.nbytes + (4 << 20), peak
+
+    def test_batch_wide_unit_backward_stays_chunk_sized(self, rng):
+        import tracemalloc
+        # block 2's second unit at 64 px: one stride-1 gather, chunk by chunk
+        out, (x, w, *_) = _training_unit(rng, (32, 64, 8, 8))
+        g = rng.normal(size=out.shape).astype(np.float32)
+        grads = {}
+        tracemalloc.start()
+        try:
+            out._backward(g, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads[id(x)].shape == x.shape
+        # dX, a few weight-sized arrays and about one chunk of dY's columns
+        # (2.1 MiB); 5.6 MiB when the batch-wide backward gathered the
+        # input's whole-batch columns (4.5 MiB), then dY's
+        assert peak <= x.data.nbytes + 4 * w.data.nbytes + 3 * T._CHUNK_BYTES // 2, peak
 
     def test_stem_unit_keeps_no_centred_copy(self, rng):
         import tracemalloc

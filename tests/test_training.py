@@ -387,9 +387,11 @@ class TestTrainStep:
         # unit's backward made full-size temporaries; 70 MiB while the stem
         # unit kept its centred conv output and every conv its columns;
         # 46.9 MiB while backward kept the whole graph until the step returned;
-        # 40.2 MiB while the stem kept its full-resolution output for its pool
-        # (32.2 MiB measured since, plus 12%)
-        assert peak <= 36 << 20, peak
+        # 40.2 MiB while the stem kept its full-resolution output for its pool;
+        # 32.2 MiB while the batch-wide lowering gathered whole-batch columns
+        # and a stride-1 backward gathered twice (30.7 MiB measured since,
+        # plus 12%)
+        assert peak <= 34.4 * 2**20, peak
 
 
 class TestRunFold:

@@ -101,6 +101,7 @@ from .preprocess import (
 from .report import emit_report
 from .tensor import Tensor, backward
 from .training import (
+    PretrainConfig,
     Snapshot,
     TrainConfig,
     pretrain_backbone,

@@ -16,7 +16,7 @@ from .data import SynthConfig
 from .errors import ConfigurationError
 from .model import ModelConfig, config_hash
 from .preprocess import PreprocessConfig
-from .training import TrainConfig
+from .training import PretrainConfig, TrainConfig
 
 # Top-level keys each stage reads, its own and its upstream stages'. An
 # artifact carries the hash of its stage's subtree, so a guard fires only on
@@ -29,22 +29,17 @@ STAGE_KEYS = {
 }
 
 
-def from_doc(cls, doc, where, defaults=None):
+def from_doc(cls, doc, where):
     """Build config dataclass ``cls`` from a JSON mapping; absent keys keep defaults.
 
-    ``defaults`` is a partial document that fills keys ``doc`` leaves out
-    before the class defaults do; a nested block takes it from its field's
-    ``metadata["defaults"]``, so a partial block keeps its field's own
-    default rather than the class's. Every value is checked against its
-    field's declared type, recursing into nested config dataclasses and
-    tuples. ``where`` is the dotted path of ``doc`` in the run config ("" at
-    the root) and prefixes every error, the range checks ``cls`` makes on
-    construction included.
+    Every value is checked against its field's declared type, recursing into
+    nested config dataclasses and tuples. ``where`` is the dotted path of
+    ``doc`` in the run config ("" at the root) and prefixes every error, the
+    range checks ``cls`` makes on construction included.
     """
     label = where or "run config"
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{label} must be a mapping, got {type(doc).__name__}")
-    doc = {**(defaults or {}), **doc}
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(f"{label}: unknown keys {unknown}")
@@ -54,9 +49,7 @@ def from_doc(cls, doc, where, defaults=None):
         raise ConfigurationError(f"{label}: missing keys {missing}")
     prefix = f"{where}." if where else ""
     hints = typing.get_type_hints(cls)
-    nested = {f.name: f.metadata.get("defaults") for f in fields(cls)}
-    values = {key: _from_json(hints[key], value, prefix + key, nested[key])
-              for key, value in doc.items()}
+    values = {key: _from_json(hints[key], value, prefix + key) for key, value in doc.items()}
     try:
         return cls(**values)
     except ConfigurationError as exc:
@@ -65,9 +58,9 @@ def from_doc(cls, doc, where, defaults=None):
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
-def _from_json(tp, value, where, defaults=None):
+def _from_json(tp, value, where):
     if is_dataclass(tp):
-        return from_doc(tp, value, where, defaults)
+        return from_doc(tp, value, where)
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if not isinstance(value, (list, tuple)):
@@ -85,9 +78,6 @@ def _from_json(tp, value, where, defaults=None):
             f"{where} must be {tp.__name__}, got {type(value).__name__} {value!r}")
     return value
 
-# Where the pretrain block differs from TrainConfig's defaults.
-PRETRAIN_DEFAULTS = {"schedule": "scratch", "epochs": 5}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -97,8 +87,7 @@ class RunConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(**PRETRAIN_DEFAULTS),
-                                  metadata={"defaults": PRETRAIN_DEFAULTS})
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     n_bootstrap: int = 100
     ci_level: float = 0.95
 
@@ -109,15 +98,10 @@ class RunConfig:
             raise ConfigurationError("n_bootstrap must be >= 1")
         if not 0.5 < self.ci_level < 1.0:
             raise ConfigurationError(f"ci_level {self.ci_level} outside (0.5, 1)")
-        if self.pretrain.schedule != "scratch":
-            raise ConfigurationError("pretrain.schedule must be scratch")
-
-    def to_dict(self):
-        return asdict(self)
 
     def stage_hash(self, stage):
         """Hash of the subtree ``stage`` and its upstream stages read."""
-        doc = self.to_dict()
+        doc = asdict(self)
         if stage == "pretrain":
             # pretraining swaps in its own head, so the backbone never sees
             # which grading heads the model will carry

@@ -209,6 +209,8 @@ def split_cv(exams, n_folds=5, seed=0):
 # ---------------------------------------------------------------------------
 # sampling
 
+SAMPLERS = ("none", "kl_balanced")
+
 
 def epoch_indices(exams, scheme, rng):
     """One epoch worth of training indices.
@@ -220,10 +222,10 @@ def epoch_indices(exams, scheme, rng):
     n = len(exams)
     if n == 0:
         raise ConfigurationError("cannot sample from an empty exam list")
+    if scheme not in SAMPLERS:
+        raise ConfigurationError(f"unknown sampling scheme {scheme!r}")
     if scheme == "none":
         return rng.permutation(n)
-    if scheme != "kl_balanced":
-        raise ConfigurationError(f"unknown sampling scheme {scheme!r}")
     labels = np.array([-1 if e.grade("KL") is None else e.grade("KL") for e in exams])
     present = sorted(set(labels.tolist()))
     if len(present) == 1:

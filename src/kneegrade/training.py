@@ -1,4 +1,4 @@
-"""Optimizer, learning-rate schedules, and the per-fold training loop.
+"""Optimizer, learning-rate schedules, pretraining, and the per-fold training loop.
 
 Two schedules are supported. ``transfer`` starts from pretrained backbone
 weights: a short warm phase trains the heads alone at a high rate while the
@@ -6,6 +6,9 @@ backbone stays frozen (bit-identical, running stats included), then the whole
 network thaws at a reduced rate, then drops to a low rate for the remainder.
 ``scratch`` trains everything from the first step at a low rate with two
 tenfold drops late in the run.
+
+Pretraining runs ``scratch`` on one auxiliary head; ``PretrainConfig`` holds
+what it reads, and ``TrainConfig`` adds the transfer stages and head weights.
 
 Every epoch ends with a validation pass; the epoch with the best mean
 quadratic kappa across heads wins, later epochs winning ties. The winner's
@@ -15,12 +18,12 @@ full state is kept as the fold snapshot.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .data import epoch_indices
+from .data import SAMPLERS, epoch_indices
 from .errors import (ConfigurationError, DataError, MetricUndefinedError, TrainingError,
                      WeightLoadError)
 from .metrics import balanced_accuracy, cohen_kappa
@@ -30,22 +33,17 @@ from .report import read_sidecar, write_sidecar
 from .serialize import load_tensors, save_tensors
 from .tensor import Tensor
 
-SCHEDULES = ("transfer", "scratch")
 AUX_HEAD = "aux"
 AUX_CLASSES = 4
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    schedule: str = "transfer"
-    epochs: int = 20
+class PretrainConfig:
+    """What pretraining reads: the scratch schedule, Adam, and the data handling."""
+    SCHEDULES = ("scratch",)    # unannotated, so a class constant and not a key
+    schedule: str = "scratch"
+    epochs: int = 5
     batch_size: int = 32
-    # transfer stages: heads-only, thawed, late
-    lr_heads: float = 1e-2
-    lr_thaw: float = 1e-3
-    lr_late: float = 1e-4
-    head_epochs: int = 2
-    thaw_epochs: int = 1
     # scratch stage
     lr_scratch: float = 1e-4
     scratch_drops: tuple[int, ...] = (10, 15)
@@ -59,26 +57,52 @@ class TrainConfig:
     sampler: str = "kl_balanced"
     augment: bool = True
     aug: AugmentConfig = field(default_factory=AugmentConfig)
+
+    def __post_init__(self):
+        if self.schedule not in self.SCHEDULES:
+            raise ConfigurationError(f"schedule must be one of {self.SCHEDULES}")
+        if self.epochs < 1:
+            raise ConfigurationError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
+        for f in fields(self):
+            if f.name.startswith("lr_") and getattr(self, f.name) <= 0:
+                raise ConfigurationError(f"{f.name} must be positive")
+        if self.drop_factor <= 0:
+            raise ConfigurationError("drop_factor must be positive")
+        if any(d < 1 for d in self.scratch_drops):
+            raise ConfigurationError("scratch_drops must be epochs >= 1")
+        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
+            raise ConfigurationError("Adam betas must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ConfigurationError("eps must be positive")
+        if self.weight_decay < 0:
+            raise ConfigurationError("weight_decay must be >= 0")
+        if self.sampler not in SAMPLERS:
+            raise ConfigurationError(f"sampler must be one of {SAMPLERS}")
+
+
+@dataclass(frozen=True)
+class TrainConfig(PretrainConfig):
+    SCHEDULES = ("transfer", "scratch")
+    schedule: str = "transfer"
+    epochs: int = 20
+    # transfer stages: heads-only, thawed, late
+    lr_heads: float = 1e-2
+    lr_thaw: float = 1e-3
+    lr_late: float = 1e-4
+    head_epochs: int = 2
+    thaw_epochs: int = 1
     task_weights: tuple[tuple[str, float], ...] = ()   # unlisted heads get 1.0
 
     def __post_init__(self):
-        if self.schedule not in SCHEDULES:
-            raise ConfigurationError(f"schedule must be one of {SCHEDULES}")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+        super().__post_init__()
+        if self.head_epochs < 0 or self.thaw_epochs < 0:
+            raise ConfigurationError("head_epochs and thaw_epochs must be >= 0")
         if self.schedule == "transfer" and self.epochs < self.head_epochs + self.thaw_epochs:
             raise ConfigurationError(
                 "transfer schedule needs at least "
                 f"{self.head_epochs + self.thaw_epochs} epochs to reach the thaw stage")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        for name in ("lr_heads", "lr_thaw", "lr_late", "lr_scratch"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigurationError("Adam betas must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
         for name, w in self.task_weights:
             if w < 0:
                 raise ConfigurationError(f"task weight for {name!r} must be >= 0")
@@ -398,11 +422,10 @@ def _train_step(model, opt, x, targets, weights):
     return float(loss.data)
 
 
-def _train_one_epoch(model, opt, exams, images, targets, cfg, rng_sampler, rng_aug):
+def _train_one_epoch(model, opt, exams, images, targets, weights, cfg, rng_sampler, rng_aug):
     model.train()
     idxs = epoch_indices(exams, cfg.sampler, rng_sampler)
     aug_cfg = cfg.aug if cfg.augment else None
-    weights = [cfg.weight_for(name) for name in model.head_names]
     total = 0.0
     seen = 0
     for start in range(0, len(idxs), cfg.batch_size):
@@ -450,6 +473,7 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
     opt = Adam(model.named_parameters(), lr=cfg.lr_late, beta1=cfg.beta1,
                beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
     train_targets = targets_for(train_exams, model.head_names)
+    weights = [cfg.weight_for(name) for name in model.head_names]
 
     history = []
     lr_by_epoch = []
@@ -462,8 +486,8 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
             model.backbone.set_trainable(trainable)
         opt.lr = lr
         rng_sampler, rng_aug = _epoch_rngs(seed, fold, epoch)
-        train_loss = _train_one_epoch(model, opt, train_exams, images,
-                                      train_targets, cfg, rng_sampler, rng_aug)
+        train_loss = _train_one_epoch(model, opt, train_exams, images, train_targets,
+                                      weights, cfg, rng_sampler, rng_aug)
         metrics = validation_metrics(model, val_exams, images, cfg.batch_size)
         row = {"epoch": epoch, "lr": lr, "train_loss": train_loss}
         row.update(metrics)
@@ -506,7 +530,8 @@ def pretrain_backbone(exams, images, model_config, cfg, seed, out_path,
 
     The head predicts the severity bucket (see severity_bucket) so the
     backbone learns joint-space and margin texture before the real heads
-    exist. Always runs the scratch schedule.
+    exist. ``cfg`` is a ``PretrainConfig``, or a scratch ``TrainConfig`` whose
+    transfer keys and head weights go unread.
     """
     if cfg.schedule != "scratch":
         raise ConfigurationError("pretraining uses the scratch schedule")
@@ -520,7 +545,7 @@ def pretrain_backbone(exams, images, model_config, cfg, seed, out_path,
     for epoch in range(1, cfg.epochs + 1):
         opt.lr, _ = schedule_lr(cfg, epoch)
         rng_sampler, rng_aug = _epoch_rngs(seed, 0, epoch, stream=6)
-        loss = _train_one_epoch(model, opt, exams, images, targets, cfg,
+        loss = _train_one_epoch(model, opt, exams, images, targets, None, cfg,
                                 rng_sampler, rng_aug)
         if log is not None:
             log(f"pretrain epoch {epoch}/{cfg.epochs} lr={opt.lr:g} loss={loss:.4f}")

@@ -1,7 +1,7 @@
 """Run config: one typed loader, its error paths, and the per-stage hashes."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -42,6 +42,22 @@ BAD_DOCS = [
      r"^model\.blocks\[0\]: block stride must be 1 or 2, got 3$"),
     ({"train": {"augment": False, "aug": {"crop_ratio": 2.0}}},
      r"^train\.aug: crop_ratio must lie in \(0, 1\], got 2\.0$"),
+    ({"train": {"drop_factor": 0}}, r"^train: drop_factor must be positive$"),
+    ({"pretrain": {"drop_factor": -10}}, r"^pretrain: drop_factor must be positive$"),
+    ({"train": {"eps": -1.0}}, r"^train: eps must be positive$"),
+    ({"pretrain": {"eps": 0}}, r"^pretrain: eps must be positive$"),
+    ({"train": {"sampler": "bogus"}},
+     r"^train: sampler must be one of \('none', 'kl_balanced'\)$"),
+    ({"pretrain": {"sampler": "bogus"}},
+     r"^pretrain: sampler must be one of \('none', 'kl_balanced'\)$"),
+    ({"train": {"head_epochs": -1}}, r"^train: head_epochs and thaw_epochs must be >= 0$"),
+    ({"pretrain": {"scratch_drops": [0, 3]}}, r"^pretrain: scratch_drops must be epochs >= 1$"),
+    # pretraining runs one schedule and one head, so the transfer keys are not its own
+    *[({"pretrain": {key: value}}, rf"^pretrain: unknown keys \['{key}'\]$")
+      for key, value in [("lr_heads", 0.1), ("lr_thaw", 0.1), ("lr_late", 0.1),
+                         ("head_epochs", 1), ("thaw_epochs", 1), ("task_weights", [])]],
+    ({"pretrain": {"schedule": "transfer"}},
+     r"^pretrain: schedule must be one of \('scratch',\)$"),
 ]
 
 
@@ -90,19 +106,20 @@ def test_round_trip_through_json_and_through_memory():
     cfg = from_doc(RunConfig, doc, "")
     assert cfg.train.task_weights == (("KL", 2.0), ("JSN_M", 0.5))
     assert cfg.model.blocks[1].out_channels == 32
-    assert from_doc(RunConfig, cfg.to_dict(), "") == cfg
-    assert from_doc(RunConfig, json.loads(json.dumps(cfg.to_dict())), "") == cfg
+    assert from_doc(RunConfig, asdict(cfg), "") == cfg
+    assert from_doc(RunConfig, json.loads(json.dumps(asdict(cfg))), "") == cfg
     assert from_doc(ModelConfig, cfg.model.to_dict(), "model") == cfg.model
 
 
 def test_default_hashes_are_stable():
     # The hash of a config moves only when the config does: these digests of
-    # the all-defaults document and of an int dropout_p predate the typed loader.
-    assert config_hash(RunConfig().to_dict()) == \
-        "a97e1e28f1e7543c22256e1ed8f7f2cef0d1556e66e9fcb0cbdba15ee5355de6"
-    assert config_hash(ModelConfig().to_dict()) == config_hash(RunConfig().to_dict()["model"])
-    assert config_hash(from_doc(RunConfig, {"model": {"dropout_p": 0}}, "").to_dict()) == \
-        "2b60cdb9894116fd8f3f20626220f8b4695d1a8c896524fc602d709eb25816a9"
+    # the all-defaults document and of an int dropout_p date from the pretrain
+    # block's own schema.
+    assert config_hash(asdict(RunConfig())) == \
+        "977a2aa2e6e5e561b64ee5ef00994b323f43dde4d496257a9e6585f0a2c19d68"
+    assert config_hash(ModelConfig().to_dict()) == config_hash(asdict(RunConfig())["model"])
+    assert config_hash(asdict(from_doc(RunConfig, {"model": {"dropout_p": 0}}, ""))) == \
+        "b87622acfe08e0eb2ae3687a221952c2c70301213e202d414c0670ba69cbceef"
 
 
 def _stage_hashes(doc):
@@ -126,8 +143,8 @@ def test_stage_hash_moves_only_with_the_keys_it_reads(change, moved):
     before = _stage_hashes({})
     after = _stage_hashes(change)
     assert {stage for stage in STAGE_KEYS if before[stage] != after[stage]} == moved
-    assert config_hash(from_doc(RunConfig, change, "").to_dict()) != \
-        config_hash(RunConfig().to_dict())
+    assert config_hash(asdict(from_doc(RunConfig, change, ""))) != \
+        config_hash(asdict(RunConfig()))
 
 
 def test_partial_pretrain_block_overlays_its_own_default():

@@ -312,7 +312,7 @@ class TestTrainStep:
         opt = Adam(model.named_parameters(), lr=1e-3)
         targets = targets_for(exams, model.head_names)
         rngs = np.random.default_rng(0), np.random.default_rng(1)
-        return lambda: _train_one_epoch(model, opt, exams, images, targets, cfg, *rngs)
+        return lambda: _train_one_epoch(model, opt, exams, images, targets, None, cfg, *rngs)
 
     @staticmethod
     def _closure_refs(loss):

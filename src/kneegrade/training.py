@@ -338,23 +338,35 @@ class Snapshot:
     """One trained fold: full model state plus the context to rebuild it.
 
     ``path`` is the file it was loaded from, None for one held in memory.
+    A loaded snapshot keeps ``weights`` None and reads them from ``path``
+    whenever they are asked for, so holding snapshots costs their sidecars,
+    not their model states.
     """
-    weights: dict
+    weights: dict | None
     meta: dict
     path: str | None = field(default=None, compare=False)
 
+    def arrays(self):
+        """The model state: the held weights, or a fresh read of ``path``."""
+        return self.weights if self.weights is not None else load_tensors(self.path)
+
     def save(self, path):
         path = str(path)
-        save_tensors(path, self.weights)
+        save_tensors(path, self.arrays())
         write_sidecar(path, self.meta)
         return path
 
     @classmethod
     def load(cls, path):
         """The snapshot at ``path``; DataError naming its sidecar when that
-        lacks a key the readers index, or holds one of the wrong type."""
+        lacks a key the readers index, or holds one of the wrong type.
+
+        The weight file is read in full here, so a corrupt one is refused
+        before any work, but its arrays are not kept (see the class).
+        """
         path = str(path)
-        weights, meta = load_tensors(path), read_sidecar(path)
+        load_tensors(path)
+        meta = read_sidecar(path)
         where = f"{path}.meta.json"
         heads = meta.get("heads")
         if not (isinstance(heads, list) and all(
@@ -366,7 +378,7 @@ class Snapshot:
                             f"got {meta.get('model_config')!r}")
         if type(meta.get("seed")) is not int:
             raise DataError(f"{where}: 'seed' must be an int, got {meta.get('seed')!r}")
-        return cls(weights=weights, meta=meta, path=path)
+        return cls(weights=None, meta=meta, path=path)
 
 
 def snapshot_model(snapshot):
@@ -377,10 +389,11 @@ def snapshot_model(snapshot):
     """
     from .config import from_doc    # config imports this module
     heads = [tuple(h) for h in snapshot.meta["heads"]]
+    weights = snapshot.arrays()     # load_tensors names the file itself
     try:
         cfg = from_doc(ModelConfig, snapshot.meta["model_config"], "model")
         model = build_model(cfg, int(snapshot.meta["seed"]), heads_override=heads)
-        model.load_state_arrays(snapshot.weights)
+        model.load_state_arrays(weights)
     except (ConfigurationError, WeightLoadError) as exc:
         if snapshot.path is None:
             raise

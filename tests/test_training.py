@@ -436,6 +436,22 @@ class TestRunFold:
         assert again["mean_kappa"] == pytest.approx(
             loaded.meta["metrics"]["mean_kappa"], abs=1e-12)
 
+    def test_loaded_snapshot_holds_no_arrays(self, tmp_path):
+        # a held snapshot costs its sidecar: the state is read per rebuild
+        exams, images = fake_dataset(20, seed=6)
+        model = build_model(tiny_config(), seed=4)
+        res = run_fold(model, exams[:14], exams[14:], images, quick_cfg(), seed=4,
+                       fold=0, out_dir=str(tmp_path))
+        loaded = Snapshot.load(str(tmp_path / "snapshot_fold0.kgw"))
+        assert loaded.weights is None
+        held, read = res.snapshot.arrays(), loaded.arrays()
+        assert sorted(read) == sorted(held)
+        for name in held:
+            assert np.array_equal(read[name], held[name])
+        resaved = loaded.save(str(tmp_path / "again.kgw"))
+        assert (tmp_path / "again.kgw").read_bytes() == (tmp_path / "snapshot_fold0.kgw").read_bytes()
+        assert Snapshot.load(resaved).meta == loaded.meta
+
     def test_two_runs_identical(self, tmp_path):
         exams, images = fake_dataset(20, seed=6)
         cfg = quick_cfg(augment=True, aug=AugmentConfig(noise_sigma=0.01),

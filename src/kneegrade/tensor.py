@@ -32,10 +32,10 @@ cached or written back), and has no backward (see :func:`conv_bn_act`).
 one node, bit for bit the five-op chain it replaced.
 
 The wide early layers are bound by memory traffic, so no full-size array is
-made that a cache-sized chunk can do without. Both conv lowerings, per image
-for large maps and batch-wide (CNHW) for small ones, gather their columns a
-chunk of images at a time from the unpadded input into one buffer whose
-padding places stay zero, and multiply and reduce each chunk while it is in
+made that a cache-sized chunk can do without. Every conv gathers its columns
+a chunk of images at a time from the unpadded input into one buffer whose
+padding places stay zero, laid out [rows, m, Ho*Wo] so that one GEMM covers
+the chunk's m images, and multiplies and reduces each chunk while it is in
 cache, in the forward and in the backward alike: no whole-batch column,
 column-gradient or transposed-gradient array is made. The eval unit adds its
 folded bias and applies its ReLU to each chunk as it leaves the GEMM, the
@@ -45,7 +45,8 @@ training backward makes no full-size temporary: it applies the ReLU mask and
 forms the batch norm's dX over the gradient it owns, a chunk of images at a
 time, so the conv's dX is the one full-size array it allocates. Every chunk
 holds :func:`_image_step` images; every conv GEMM runs in :func:`_gemm_chunks`
-or in the lowering's backward over :func:`_column_chunks`.
+or in the lowering's backward over :func:`_column_chunks`. A one-image chunk
+has the memory of an NCHW image, so its GEMM writes the output in place.
 
 A training step keeps nothing its backward can cheaply rebuild. No conv
 lowering keeps its columns; backward gathers them again, once: a stride-1
@@ -64,7 +65,6 @@ gathers again for dW.
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 
 import numpy as np
@@ -392,20 +392,7 @@ def linear(x, w, b=None):
     return _node(out, parents, bwd, "linear")
 
 
-# conv2d's lowering, chosen from shapes alone. Output maps of at least this
-# many pixels (16x16 and up) get one GEMM per image over [Cin*kH*kW, Ho*Wo]
-# columns, which writes NCHW directly. Smaller maps make GEMMs too narrow for
-# that, so they share one GEMM over a chunk of images' CNHW
-# [Cin*kH*kW, m*Ho*Wo] columns and pay a transpose of the output and of its
-# gradient. The cut-over was measured on the default model's 3x3 layers at 64
-# and 128 px, batch 32, one OpenBLAS thread, forward plus backward: per image
-# was up to 2x faster from 32x32 up and 0-15% faster or within 6% at 16x16;
-# batch-wide was 10-45% faster at 8x8 and below. Its 1x1 stride-2 shortcuts
-# are too cheap for the choice to matter: within 0.3 ms either way at 8x8 and
-# 4x4.
-_PER_IMAGE_MIN_PIXELS = 256
-
-# Both lowerings gather their columns a few images at a time into a buffer of
+# Every conv gathers its columns a few images at a time into a buffer of
 # about this size, so the GEMM reads them from cache rather than memory;
 # backward gathers them again instead of keeping them.
 _CHUNK_BYTES = 1 << 20
@@ -491,52 +478,39 @@ def _fold(dcols, taps, stride, dst):
             phase[...] = acc
 
 
-# A chunk of m images is laid out for its GEMMs in one of two ways: per image
-# (``wide`` False) as [M=m, groups, rows, P=Ho*Wo], one matrix per image and
-# group, or batch-wide as [M=1, groups, rows, P=m*Ho*Wo], one matrix per group
-# over all m images. A chunk buffer holds ``step`` images, [step, rows, P] or
-# [rows, step, P]; a shorter last chunk is a view of its first m images.
+# A chunk of m images is laid out for its GEMMs as [rows, m, P], P = Ho*Wo:
+# one [rows/groups, m*P] matrix per group over all m images. A chunk buffer
+# holds ``step`` images, [rows, step, P]; a shorter last chunk is a view of
+# its first m images. One image's chunk [rows, 1, P] has the memory of the
+# image itself in NCHW, so its output and NCHW operands need no chunk buffer:
+# its GEMM writes straight into the NCHW output, and an operand is a view.
 
 
-def _chunk_buffer(rows, step, p, wide, dtype, fill=np.empty):
-    return fill((rows, step, p) if wide else (step, rows, p), dtype=dtype)
-
-
-def _images(buf, m, wide):
+def _images(buf, m):
     """The first ``m`` images of a chunk buffer, as an [m, rows, P] view."""
-    return buf[:, :m].swapaxes(0, 1) if wide else buf[:m]
+    return buf[:, :m].swapaxes(0, 1)
 
 
-def _matrices(buf, m, groups, wide):
-    """The first ``m`` images of a chunk buffer as [M, groups, rows/groups, P]."""
-    if wide:
-        rows, _, p = buf.shape
-        return buf[:, :m].reshape(1, groups, rows // groups, m * p)
-    _, rows, p = buf.shape
-    return buf[:m].reshape(m, groups, rows // groups, p)
+def _matrices(buf, m, groups):
+    """The first ``m`` images of a chunk buffer as [groups, rows/groups, m*P]."""
+    rows, _, p = buf.shape
+    return buf[:, :m].reshape(groups, rows // groups, m * p)
 
 
-def _as_chunk(a, buf, groups, wide):
+def _as_chunk(a, buf, groups):
     """An NCHW chunk ``a`` [m, C, H, W] in the chunk layout: a view of ``a``
-    per image, or copied into ``buf`` batch-wide."""
+    for one image, else copied into ``buf``."""
     m, c = a.shape[:2]
-    if not wide:
-        return a.reshape(m, groups, c // groups, -1)
-    _images(buf, m, wide)[...] = a.reshape(m, c, -1)
-    return _matrices(buf, m, groups, wide)
+    if m == 1:
+        return a.reshape(groups, c // groups, -1)
+    _images(buf, m)[...] = a.reshape(m, c, -1)
+    return _matrices(buf, m, groups)
 
 
-def _accumulate(dw, part, a, b):
-    """``dw += sum of a @ b^T`` over the chunk's M matrices, each product
-    written into ``part``, so no array is made per chunk."""
-    for am, bm in zip(a, b):
-        dw += np.matmul(am, bm.swapaxes(-1, -2), out=part)
-
-
-def _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, dtype, groups=1, wide=False):
+def _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, dtype, groups=1):
     """Yield (images, cols) for the batch ``xd``, ``step`` images at a time:
-    the chunk's slice of the batch and its columns, [M, groups, K, P] with
-    K = Cin/groups*kH*kW, of ``dtype``, in the chunk layout ``wide`` picks.
+    the chunk's slice of the batch and its columns, [groups, K, m*P] with
+    K = Cin/groups*kH*kW, of ``dtype``.
 
     Every chunk lands in one buffer, zeroed once: each rewrites the same
     in-image windows, so the places that stand for padding stay zero and no
@@ -544,51 +518,47 @@ def _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, dtype, groups=1, w
     """
     n, cin, h, w = xd.shape
     taps = list(_taps(kh, kw, stride, padding, h, w, ho, wo))
-    buf = _chunk_buffer(cin * kh * kw, min(step, n), ho * wo, wide, dtype, np.zeros)
+    buf = np.zeros((cin * kh * kw, step, ho * wo), dtype=dtype)
     for start in range(0, n, step):
         images = slice(start, min(start + step, n))
         src = xd[images]
         m = len(src)
-        part = _images(buf, m, wide).reshape(m, cin, kh, kw, ho, wo)
+        part = _images(buf, m).reshape(m, cin, kh, kw, ho, wo)
         for ki, kj, o, s in taps:
             part[:, :, ki, kj][o] = src[s]
-        yield images, _matrices(buf, m, groups, wide)
+        yield images, _matrices(buf, m, groups)
 
 
-def _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo, step, wide=False,
-                 out=None):
+def _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo, step, out=None):
     """Yield (images, cols, y) per chunk of :func:`_column_chunks`: its
     columns and ``y = wg @ cols + bias``, ReLU applied, while the chunk is in
     cache, both in the chunk layout. ``y`` lands in one chunk-sized buffer
     each chunk overwrites; with ``out`` [N, Cout, Ho, Wo] it is also written
-    there at the chunk's place, by the GEMM itself per image.
+    there at the chunk's place, by the GEMM itself for a one-image chunk.
     """
-    n = xd.shape[0]
     groups, og, k = wg.shape
     if bias is not None:
         bias = bias.reshape(groups, og, 1)
-    direct = out is not None and not wide
-    buf = None if direct else _chunk_buffer(groups * og, min(step, n), ho * wo, wide,
-                                            xd.dtype)
+    p = ho * wo
+    buf = np.empty((groups * og, step, p), dtype=xd.dtype) if out is None or step > 1 else None
     for images, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, xd.dtype,
-                                       groups, wide):
+                                       groups):
         m = images.stop - images.start
-        dst = (out[images].reshape(m, groups, og, ho * wo) if direct
-               else _matrices(buf, m, groups, wide))
+        direct = out is not None and m == 1
+        dst = out[images].reshape(groups, og, p) if direct else _matrices(buf, m, groups)
         y = np.matmul(wg, cols, out=dst)
         if bias is not None:
             y += bias
         if relu:
             np.maximum(y, 0, out=y)
         if out is not None and not direct:
-            out[images] = _images(buf, m, wide).reshape(m, -1, ho, wo)
+            out[images] = _images(buf, m).reshape(m, -1, ho, wo)
         yield images, cols, y
 
 
-def _conv_lowered(wide, xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
+def _conv_lowered(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False):
     """A conv lowered to GEMMs over its columns, one cache-sized chunk of
-    images at a time (:func:`_gemm_chunks`), in the chunk layout ``wide``
-    picks; NCHW out.
+    images at a time (:func:`_gemm_chunks`); NCHW out.
 
     ``bias`` [Cout] (or None) is added and the ReLU applied to each chunk
     right after its GEMM. Returns the output and ``grad(g, need_x) -> (dW,
@@ -605,40 +575,29 @@ def _conv_lowered(wide, xd, wd, stride, padding, groups, ho, wo, bias=None, relu
     col_bytes = cin * kh * kw * p * xd.itemsize
     out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
     for _ in _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo,
-                          _image_step(n, col_bytes), wide, out):
+                          _image_step(n, col_bytes), out):
         pass                # each chunk's output lands in its place in out
 
     def grad(g, need_x):
         step = _image_step(n, col_bytes * (2 if need_x else 1))
         dw = np.zeros((groups, k, og), dtype=g.dtype)
         part = np.empty_like(dw)
-        gbuf = _chunk_buffer(cout, min(step, n), p, wide, g.dtype) if wide else None
+        gbuf = np.empty((cout, step, p), dtype=g.dtype) if step > 1 else None
         dx = np.empty(xd.shape, dtype=g.dtype) if need_x else None
         # not the columns' buffer: writing there would dirty its zero padding places
-        dbuf = _chunk_buffer(cin * kh * kw, min(step, n), p, wide, g.dtype) if need_x else None
+        dbuf = np.empty((cin * kh * kw, step, p), dtype=g.dtype) if need_x else None
         taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo)) if need_x else None
         for images, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
-                                           xd.dtype, groups, wide):
-            gs = _as_chunk(g[images], gbuf, groups, wide)
-            _accumulate(dw, part, cols, gs)
+                                           xd.dtype, groups):
+            gs = _as_chunk(g[images], gbuf, groups)
+            dw += np.matmul(cols, gs.swapaxes(-1, -2), out=part)
             if need_x:
                 m = images.stop - images.start
-                np.matmul(wg.swapaxes(-1, -2), gs, out=_matrices(dbuf, m, groups, wide))
-                _fold(_images(dbuf, m, wide).reshape(m, cin, kh, kw, ho, wo), taps, stride,
+                np.matmul(wg.swapaxes(-1, -2), gs, out=_matrices(dbuf, m, groups))
+                _fold(_images(dbuf, m).reshape(m, cin, kh, kw, ho, wo), taps, stride,
                       dx[images])
         return dw, dx
     return out, grad
-
-
-# Large maps: one GEMM per image. Small maps: one GEMM per chunk of images
-# over their CNHW columns; each chunk's output is transposed to NCHW as it
-# leaves its GEMM, and each chunk of the gradient to CNHW.
-_conv_per_image = functools.partial(_conv_lowered, False)
-_conv_batch_wide = functools.partial(_conv_lowered, True)
-
-
-def _lowering(ho, wo):
-    return _conv_per_image if ho * wo >= _PER_IMAGE_MIN_PIXELS else _conv_batch_wide
 
 
 def _conv_setup(x, w, stride, padding, groups, op):
@@ -661,7 +620,7 @@ def _transposed_grads(g, xd, wd, padding, groups):
 
     dX is the full correlation of ``g`` with the flipped kernel, in and out
     channels swapped: a stride-1 conv with padding ``k - 1 - padding``, run
-    chunk by chunk in the layout of the input map's lowering. Its columns
+    chunk by chunk. Its columns
     ``G[o, i, j, p] = g[o, p + (i, j) - (k - 1 - padding)]`` also give dW,
     against the input itself: ``dW[o, c, a, b] = sum_p x[c, p] *
     g[o, p - (a, b) + padding] = (G x^T)[o, k-1-a, k-1-b, c]``, so the
@@ -670,17 +629,17 @@ def _transposed_grads(g, xd, wd, padding, groups):
     n, cin, h, wdt = xd.shape
     cout, cg, kh, kw = wd.shape
     og, p = cout // groups, h * wdt
-    wide = h * wdt < _PER_IMAGE_MIN_PIXELS       # the input map's lowering
     wt = wd.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)[..., ::-1, ::-1]
     wt = wt.reshape(groups, cg, og * kh * kw)
     step = _image_step(n, cout * kh * kw * p * g.itemsize)
     dx = np.empty(xd.shape, dtype=g.dtype)
     dwt = np.zeros((groups, og * kh * kw, cg), dtype=g.dtype)
     part = np.empty_like(dwt)
-    xbuf = _chunk_buffer(cin, min(step, n), p, wide, xd.dtype) if wide else None
+    xbuf = np.empty((cin, step, p), dtype=xd.dtype) if step > 1 else None
     for images, cols, _ in _gemm_chunks(g, wt, None, False, kh, kw, 1, kh - 1 - padding,
-                                        h, wdt, step, wide, dx):
-        _accumulate(dwt, part, cols, _as_chunk(xd[images], xbuf, groups, wide))
+                                        h, wdt, step, dx):
+        xs = _as_chunk(xd[images], xbuf, groups)
+        dwt += np.matmul(cols, xs.swapaxes(-1, -2), out=part)
     dw = part.reshape(cout, cg, kh, kw)       # part's last product is spent
     dw[...] = dwt.reshape(cout, kh, kw, cg)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return dw, dx
@@ -711,9 +670,11 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
 
     x: [N, Cin, H, W]; w: [Cout, Cin//groups, kH, kW]; b: [Cout] or None.
     The input is lowered to columns with one strided copy per kernel offset,
-    a cache-sized chunk of images at a time, and each chunk multiplied by
-    each group's [Cout/groups, Cin/groups*kH*kW] weight matrix; the output
-    map size picks the lowering (see ``_PER_IMAGE_MIN_PIXELS``). Backward
+    a cache-sized chunk of images at a time, and each chunk's
+    [Cin/groups*kH*kW, m*Ho*Wo] columns multiplied by each group's
+    [Cout/groups, Cin/groups*kH*kW] weight matrix in one GEMM over all m
+    images of the chunk; a one-image chunk's GEMM writes the output in
+    place, a longer chunk's output is transposed to NCHW. Backward
     gathers one set of columns per chunk: a stride-1 k x k conv's takes dX
     and dW from dY's columns, any other conv's takes dW from the input's
     columns and folds dX back over them (see :func:`_conv_grads`).
@@ -722,8 +683,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     cout = w.data.shape[0]
     if b is not None and b.data.shape != (cout,):
         raise ConfigurationError(f"conv2d: bias shape {b.data.shape} should be ({cout},)")
-    out, grad = _lowering(ho, wo)(x.data, w.data, stride, padding, groups, ho, wo,
-                                  bias=None if b is None else b.data)
+    out, grad = _conv_lowered(x.data, w.data, stride, padding, groups, ho, wo,
+                              bias=None if b is None else b.data)
 
     def bwd(g, grads):
         if b is not None:
@@ -826,10 +787,9 @@ def _column_moments(xd, kh, kw, stride, padding, ho, wo):
         raise NormalizationError("batch norm: training mode needs at least 2 values per channel")
     step = _image_step(n, k * ho * wo * 8)
     total, products = np.zeros(k), np.zeros((k, k))
-    for _, part in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, np.float64):
-        cols = part.reshape(len(part), k, ho * wo)
-        total += cols.sum(axis=(0, 2))
-        products += np.matmul(cols, cols.swapaxes(1, 2)).sum(axis=0)
+    for _, (cols,) in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step, np.float64):
+        total += cols.sum(axis=1)
+        products += cols @ cols.T
     mu = total / m
     return mu, products / m - np.outer(mu, mu)
 
@@ -867,7 +827,7 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
     out = np.empty((n, cout, ho // k, wo // k), dtype=xd.dtype)
     windows = [idx for *_, idx in _taps(k, k, k, 0, ho, wo, *out.shape[2:])]
     for images, _, y in _gemm_chunks(*gemm):
-        _pool_into(y.reshape(len(y), cout, ho, wo), k, k, out[images])
+        _pool_into(y.reshape(cout, -1, ho, wo).swapaxes(0, 1), k, k, out[images])
 
     def grad(g):
         dw = np.zeros((1, depth, cout), dtype=g.dtype)
@@ -875,7 +835,7 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
         for images, cols, y in _gemm_chunks(*gemm):
             # y turns into its own gradient: the ReLU mask (1 or 0), times
             # g / k^2 in each window's places, and 0 past the last window
-            dy = y.reshape(len(y), cout, ho, wo)
+            dy = y.reshape(cout, -1, ho, wo).swapaxes(0, 1)
             if relu:
                 np.greater(dy, 0, out=dy)
             else:
@@ -885,8 +845,9 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
             dy[:, :, k * out.shape[2]:] = 0
             dy[:, :, :, k * out.shape[3]:] = 0
             dy *= 1.0 / (k * k)
-            dw += np.matmul(cols, y.swapaxes(-1, -2)).sum(axis=0)
-            s += _channel_sum(dy)
+            dw += np.matmul(cols, y.swapaxes(-1, -2))
+            # image by image, the order in which _channel_sum sums NCHW
+            s += sum(np.einsum("chw->c", image) for image in dy)
         return dw, s
     return out, grad
 
@@ -1004,9 +965,8 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
         unit = conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act=act,
                            stride=stride, padding=padding, groups=groups)
         return avg_pool2d(unit, pool, pool)
-    lower = _lowering(ho, wo)
     if training and not moments:
-        y, grad = lower(x.data, w.data, stride, padding, groups, ho, wo)
+        y, grad = _conv_lowered(x.data, w.data, stride, padding, groups, ho, wo)
         out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var,
                                  in_place=True, relu=(act == "relu"))
     else:
@@ -1030,8 +990,8 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             out, grad = _pooled_unit(x.data, wd, shift, act == "relu", stride, padding,
                                      ho, wo, pool)
         else:
-            out, grad = lower(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
-                              relu=(act == "relu"))
+            out, grad = _conv_lowered(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
+                                      relu=(act == "relu"))
     if not training:
         return _node(out, (x, w, gamma, beta), _no_backward_without_batch_stats,
                      "conv_bn_act")

@@ -261,8 +261,10 @@ def batch_images(images, exams, idxs, rng=None, aug_cfg=None):
 # Inference runs at most this many bytes of stem output at a time: 8 images
 # at 128 px, a whole 32-image batch at 64 px. The stem output is the widest
 # activation, so a batch's arrays stay a few times this size instead of
-# growing with the batch. No eval-mode op mixes images, and the logits equal
-# those of one whole-batch forward bit for bit.
+# growing with the batch. No eval-mode op mixes images. At 64 and 128 px each
+# conv unit gives an image the same bits in any batch, but ``T.linear`` (SE
+# gates, heads) rounds by row count, so logits agree with one whole-batch
+# forward to float32 rounding, not bit for bit.
 _INFER_STEM_BYTES = 8 << 20
 
 

@@ -5,7 +5,6 @@ inline, naive loop oracles implemented here, and central finite differences
 (tests/gradcheck.py) for every backward rule.
 """
 
-import math
 import threading
 
 import numpy as np
@@ -48,10 +47,15 @@ def rng():
     return np.random.default_rng(7)
 
 
-def _sides_around_lowering_switch():
-    """Output sides just below and just at conv2d's per-image cut-over."""
-    big = math.isqrt(T._PER_IMAGE_MIN_PIXELS - 1) + 1
-    return big - 1, big
+# Output sides whose GEMM chunk width m*Ho*Wo is not (15) and is (16) a
+# multiple of 16: OpenBLAS's float32 GEMM may round the columns past the last
+# multiple of 16 in their own way.
+_SIDES = (15, 16)
+
+# ``_CHUNK_BYTES`` budgets for the gradient checks: 1 makes every chunk one
+# image, whose GEMM writes its output in place and reads NCHW operands as
+# they are; the default holds these small batches in multi-image chunks.
+_BUDGETS = (1, T._CHUNK_BYTES)
 
 
 # (name, input [N, C, H, W] for output side S, weight, stride, padding, groups)
@@ -62,8 +66,8 @@ _CONV_PATHS = [
     ("1x1_stride2_shortcut", lambda s: (2, 3, 2 * s, 2 * s), (4, 3, 1, 1), 2, 0, 1),
     ("1x1_stride1", lambda s: (2, 3, s, s), (4, 3, 1, 1), 1, 0, 1),
     ("3x3_groups2", lambda s: (2, 4, s, s), (4, 2, 3, 3), 1, 1, 2),
-    # the transposed backward's padding k - 1 - padding, and an input map on
-    # the other side of the cut-over from the output's
+    # the transposed backward's padding k - 1 - padding, and an input map
+    # larger or smaller than the output
     ("3x3_pad0", lambda s: (2, 3, s + 2, s + 2), (4, 3, 3, 3), 1, 0, 1),
     ("3x3_pad2", lambda s: (2, 3, s - 2, s - 2), (4, 3, 3, 3), 1, 2, 1),
 ]
@@ -192,39 +196,44 @@ class TestConv2d:
 
 
 class TestConvLowerings:
-    """Every conv2d lowering, on both sides of the per-image cut-over."""
+    """The conv lowering in one-image and multi-image chunks."""
 
-    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("side", _SIDES)
     @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _CONV_PATHS,
                              ids=[c[0] for c in _CONV_PATHS])
-    def test_matches_naive_oracle(self, rng, name, x_shape, w_shape, stride, padding,
-                                  groups, side):
+    def test_matches_naive_oracle(self, rng, monkeypatch, name, x_shape, w_shape, stride,
+                                  padding, groups, side):
         x = rng.normal(size=x_shape(side))
         w = rng.normal(size=w_shape)
         b = rng.normal(size=w_shape[0])
-        got = T.conv2d(T.Tensor(x, dtype=np.float64), T.Tensor(w, dtype=np.float64),
-                       T.Tensor(b, dtype=np.float64), stride=stride, padding=padding,
-                       groups=groups).data
-        assert got.shape[2:] == (side, side)
         want = naive_conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
-        assert np.allclose(got, want, atol=1e-10)
+        for budget in _BUDGETS:
+            monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+            got = T.conv2d(T.Tensor(x, dtype=np.float64), T.Tensor(w, dtype=np.float64),
+                           T.Tensor(b, dtype=np.float64), stride=stride, padding=padding,
+                           groups=groups).data
+            assert got.shape[2:] == (side, side)
+            assert np.allclose(got, want, atol=1e-10), budget
 
-    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("side", _SIDES)
     @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _CONV_PATHS,
                              ids=[c[0] for c in _CONV_PATHS])
-    def test_grads(self, rng, name, x_shape, w_shape, stride, padding, groups, side):
+    def test_grads(self, rng, monkeypatch, name, x_shape, w_shape, stride, padding, groups,
+                   side):
         x = rng.normal(size=x_shape(side))
         w = rng.normal(size=w_shape)
         b = rng.normal(size=w_shape[0])
         # weight the outputs so every pixel's gradient differs
         r = T.Tensor(rng.normal(size=(x.shape[0], w.shape[0], side, side)), dtype=np.float64)
-        check_gradients(
-            lambda ts: T.mean_all(T.mul(T.conv2d(ts[0], ts[1], ts[2], stride=stride,
-                                                 padding=padding, groups=groups), r)),
-            [x, w, b], samples=400)
+        for budget in _BUDGETS:
+            monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+            check_gradients(
+                lambda ts: T.mean_all(T.mul(T.conv2d(ts[0], ts[1], ts[2], stride=stride,
+                                                     padding=padding, groups=groups), r)),
+                [x, w, b], samples=400)
 
     def test_chunked_columns_match_whole_batch(self, rng, monkeypatch):
-        for side in _sides_around_lowering_switch():    # batch-wide, per image
+        for side in _SIDES:
             x = rng.normal(size=(5, 4, side, side))
             w = rng.normal(size=(4, 4, 3, 3))
             r = rng.normal(size=(5, 4, side, side))
@@ -239,11 +248,12 @@ class TestConvLowerings:
 
             image_bytes = 4 * 9 * side * side * 8      # the input's columns and dY's
             whole = run(5 * image_bytes)
-            chunked = run(2 * image_bytes)    # chunks of 2, 2 and 1 images
-            for a, b in zip(whole, chunked):
-                assert np.allclose(a, b, rtol=0, atol=1e-12), side
+            # one-image chunks; chunks of 2, 2 and 1; of 3 and a ragged 2
+            for step in (1, 2, 3):
+                for a, b in zip(whole, run(step * image_bytes)):
+                    assert np.allclose(a, b, rtol=0, atol=1e-12), (side, step)
 
-    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("side", _SIDES)
     def test_stride1_backward_gathers_only_dy_columns(self, rng, monkeypatch, side):
         x = T.Tensor(rng.normal(size=(3, 4, side, side)), requires_grad=True)
         w = T.Tensor(rng.normal(size=(6, 4, 3, 3)), requires_grad=True)
@@ -260,7 +270,7 @@ class TestConvLowerings:
         assert {c for c, _ in chunks} == {6}
         assert sorted(i for _, s in chunks for i in range(s.start, s.stop)) == [0, 1, 2]
 
-    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("side", _SIDES)
     def test_one_gather_dw_matches_input_columns_dw(self, rng, side):
         # float64 to 1e-12; float32 to 1e-5 of the largest |dW|, ~100 float32
         # epsilons, for sums of up to 2 * side^2 products in another order
@@ -271,7 +281,7 @@ class TestConvLowerings:
                     w = rng.normal(size=(cout, cin // groups, 3, 3)).astype(dtype)
                     ho = side + 2 * padding - 2
                     g = rng.normal(size=(2, cout, ho, ho)).astype(dtype)
-                    _, grad = T._lowering(ho, ho)(x, w, 1, padding, groups, ho, ho)
+                    _, grad = T._conv_lowered(x, w, 1, padding, groups, ho, ho)
                     want = grad(g, False)[0].swapaxes(-1, -2).reshape(w.shape)
                     got, dx = T._transposed_grads(g.copy(), x, w, padding, groups)
                     assert got.shape == w.shape and dx.shape == x.shape
@@ -279,17 +289,16 @@ class TestConvLowerings:
                         (dtype, cin, groups, padding)
 
 
-def padded_lowering(per_image, xd, wd, stride, padding, groups, ho, wo, g):
-    """Output, dW and folded dX of a conv lowering gathered from a zero-padded
+def padded_lowering(xd, wd, stride, padding, groups, ho, wo, g):
+    """Output, dW and folded dX of the conv lowering gathered from a zero-padded
     copy of the input: the formulation the pad-free gathers replaced, with the
-    same chunks, GEMMs and dW reductions (a product per image or per
-    batch-wide chunk, added in turn), so results must agree bit for bit.
-    Backward's chunks hold half the forward's images, since their column
-    gradients share the budget."""
+    same chunks, GEMMs and dW reductions (one product per chunk, added in
+    turn), so results must agree bit for bit. Backward's chunks hold half the
+    forward's images, since their column gradients share the budget."""
     n, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
-    og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
-    wg = wd.reshape(groups, og, k)
+    og, p = cout // groups, ho * wo
+    wg = wd.reshape(groups, og, -1)
     xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     dxp = np.zeros_like(xp)
     col_bytes = cin * kh * kw * p * xd.itemsize
@@ -304,29 +313,24 @@ def padded_lowering(per_image, xd, wd, stride, padding, groups, ho, wo, g):
         return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
     def matrices(a, images):
-        """Images of [N, C, ...] as [M, groups, C/groups*..., P] GEMM operands."""
+        """Images of [N, C, ...] as [groups, C/groups*..., m*P] GEMM operands."""
         m = images.stop - images.start
-        if per_image:
-            return a[images].reshape(m, groups, -1, p)
         rows = np.ascontiguousarray(a[images].reshape(m, -1, p).swapaxes(0, 1))
-        return rows.reshape(1, groups, -1, m * p)
+        return rows.reshape(groups, -1, m * p)
 
     def images_of(y, m):
-        """[M, groups, C/groups, P] back to [m, C, P]."""
-        if per_image:
-            return y.reshape(m, -1, p)
+        """[groups, C/groups, m*P] back to [m, C, P]."""
         return y.reshape(-1, m, p).swapaxes(0, 1)
 
     out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
     for images in chunks(col_bytes):
         m = images.stop - images.start
         out[images] = images_of(np.matmul(wg, matrices(cols, images)), m).reshape(m, cout, ho, wo)
-    dw = np.zeros((groups, k, og), dtype=xd.dtype)
+    dw = np.zeros((groups, wg.shape[2], og), dtype=xd.dtype)
     for images in chunks(2 * col_bytes):
         m = images.stop - images.start
         cm, gm = matrices(cols, images), matrices(g, images)
-        for a, b in zip(cm, gm):
-            dw += np.matmul(a, b.swapaxes(-1, -2))
+        dw += np.matmul(cm, gm.swapaxes(-1, -2))
         dcols = images_of(np.matmul(wg.swapaxes(-1, -2), gm), m)
         dcols = dcols.reshape(m, cin, kh, kw, ho, wo)
         for ki in range(kh):
@@ -338,16 +342,14 @@ def padded_lowering(per_image, xd, wd, stride, padding, groups, ho, wo, g):
 
 def default_model_convs():
     """(Cin, Cout, k, groups, side, stride, padding) of every conv the default
-    model runs per image (its output has at least _PER_IMAGE_MIN_PIXELS) at
-    64 and 128 px."""
+    model runs at 64 and 128 px."""
     from kneegrade.model import ModelConfig, build_model
     seen, fused = [], T.conv_bn_act
 
     def record(x, w, *args, **kw):
-        ho = (x.shape[2] + 2 * kw["padding"] - w.shape[2]) // kw["stride"] + 1
         key = (x.shape[1], w.shape[0], w.shape[2], kw["groups"], x.shape[2],
                kw["stride"], kw["padding"])
-        if ho * ho >= T._PER_IMAGE_MIN_PIXELS and key not in seen:
+        if key not in seen:
             seen.append(key)
         return fused(x, w, *args, **kw)
     model = build_model(ModelConfig(), seed=0).eval()
@@ -360,13 +362,18 @@ def default_model_convs():
     return seen
 
 
+# Budgets, in images of forward columns, that cut a 3-image batch into
+# forward chunks of 2 and a ragged 1 and backward chunks of 1 (2), and into
+# one forward chunk and backward chunks of 2 and a ragged 1 (4).
+_PADDED_BUDGETS = (2, 4)
+
+
 class TestPadFreeColumns:
     """Columns gathered from the unpadded input equal those of a padded copy."""
 
-    @pytest.mark.parametrize("lowering", ["_conv_per_image", "_conv_batch_wide"])
-    def test_match_padded_columns_bitwise(self, rng, monkeypatch, lowering):
+    def test_match_padded_columns_bitwise(self, rng, monkeypatch):
         convs = default_model_convs()
-        assert len(convs) == 13
+        assert len(convs) == 22
         cases = list(convs)
         for cin, cout, k, groups in dict.fromkeys(c[:4] for c in convs):
             cases += [(cin, cout, k, groups, 17, stride, padding)
@@ -376,19 +383,16 @@ class TestPadFreeColumns:
             w = rng.normal(size=(cout, cin // groups, k, k)).astype(np.float32)
             ho = (side + 2 * padding - k) // stride + 1
             g = rng.normal(size=(3, cout, ho, ho)).astype(np.float32)
-            # forward chunks of 2 and 1 images, so the column buffer is reused,
-            # partly; backward chunks of 1
-            monkeypatch.setattr(T, "_CHUNK_BYTES", 2 * cin * k * k * ho * ho * 4)
-            out, grad = getattr(T, lowering)(x, w, stride, padding, groups, ho, ho)
-            got = (out,) + grad(g, True)
-            want = padded_lowering(lowering == "_conv_per_image", x, w, stride, padding,
-                                   groups, ho, ho, g)
-            for name, a, b in zip(("out", "dW", "dX"), got, want):
-                assert a.flags.c_contiguous and np.array_equal(a, b), \
-                    (lowering, cin, cout, k, side, stride, padding, name)
+            for images in _PADDED_BUDGETS:
+                monkeypatch.setattr(T, "_CHUNK_BYTES", images * cin * k * k * ho * ho * 4)
+                out, grad = T._conv_lowered(x, w, stride, padding, groups, ho, ho)
+                got = (out,) + grad(g, True)
+                want = padded_lowering(x, w, stride, padding, groups, ho, ho, g)
+                for name, a, b in zip(("out", "dW", "dX"), got, want):
+                    assert a.flags.c_contiguous and np.array_equal(a, b), \
+                        (images, cin, cout, k, side, stride, padding, name)
 
-    @pytest.mark.parametrize("lowering", ["_conv_per_image", "_conv_batch_wide"])
-    def test_phase_fold_matches_the_nine_tap_fold_bitwise(self, rng, monkeypatch, lowering):
+    def test_phase_fold_matches_the_nine_tap_fold_bitwise(self, rng, monkeypatch):
         # dX summed per input phase in its own buffer equals, byte for byte,
         # the taps added one by one in row-major order over a zeroed input
         for side in (12, 13):
@@ -398,32 +402,32 @@ class TestPadFreeColumns:
                     w = rng.normal(size=(5, 4, k, k)).astype(np.float32)
                     ho = (side + 2 * padding - k) // stride + 1
                     g = rng.normal(size=(3, 5, ho, ho)).astype(np.float32)
-                    monkeypatch.setattr(T, "_CHUNK_BYTES", 2 * 4 * k * k * ho * ho * 4)
-                    _, grad = getattr(T, lowering)(x, w, stride, padding, 1, ho, ho)
-                    got = grad(g, True)[1]
-                    want = padded_lowering(lowering == "_conv_per_image", x, w, stride,
-                                           padding, 1, ho, ho, g)[2]
-                    assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), \
-                        (lowering, side, stride, k)
+                    for images in _PADDED_BUDGETS:
+                        monkeypatch.setattr(T, "_CHUNK_BYTES", images * 4 * k * k * ho * ho * 4)
+                        _, grad = T._conv_lowered(x, w, stride, padding, 1, ho, ho)
+                        got = grad(g, True)[1]
+                        want = padded_lowering(x, w, stride, padding, 1, ho, ho, g)[2]
+                        assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), \
+                            (images, side, stride, k)
 
 
 class TestChunkedEpilogues:
     """The eval unit's bias and ReLU per chunk, and pooling in image chunks,
     against their whole-batch forms."""
 
-    @pytest.mark.parametrize("lowering,side", [("_conv_per_image", 17),
-                                               ("_conv_batch_wide", 7)])
-    def test_bias_relu_in_the_lowering(self, rng, monkeypatch, lowering, side):
-        x = rng.normal(size=(5, 4, side, side)).astype(np.float32)
-        w = rng.normal(size=(6, 4, 3, 3)).astype(np.float32)
-        b = rng.normal(size=6).astype(np.float32)
-        monkeypatch.setattr(T, "_CHUNK_BYTES", 2 * 4 * 9 * side * side * 4)
-        lower = getattr(T, lowering)
-        want, _ = lower(x, w, 1, 1, 1, side, side)
-        want += b[None, :, None, None]
-        np.maximum(want, 0, out=want)
-        got, _ = lower(x, w, 1, 1, 1, side, side, bias=b, relu=True)
-        assert np.array_equal(got, want)
+    def test_bias_relu_in_the_lowering(self, rng, monkeypatch):
+        for side in (7, 17):
+            x = rng.normal(size=(5, 4, side, side)).astype(np.float32)
+            w = rng.normal(size=(6, 4, 3, 3)).astype(np.float32)
+            b = rng.normal(size=6).astype(np.float32)
+            # one-image chunks; chunks of 2, 2 and 1; of 3 and a ragged 2
+            for step in (1, 2, 3):
+                monkeypatch.setattr(T, "_CHUNK_BYTES", step * 4 * 9 * side * side * 4)
+                want, _ = T._conv_lowered(x, w, 1, 1, 1, side, side)
+                want += b[None, :, None, None]
+                np.maximum(want, 0, out=want)
+                got, _ = T._conv_lowered(x, w, 1, 1, 1, side, side, bias=b, relu=True)
+                assert np.array_equal(got, want), (side, step)
 
     @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (3, 1), (1, 1)])
     def test_avg_pool_chunks_match_whole_batch(self, rng, monkeypatch, kernel, stride):
@@ -536,7 +540,7 @@ class TestBatchNorm:
 
 
 # (name, input for output side S, weight, stride, padding, groups): the
-# unit's conv shapes, on both sides of the per-image cut-over
+# unit's conv shapes
 _UNIT_PATHS = [c for c in _CONV_PATHS
                if c[0] in ("stem_1ch", "3x3_stride2", "1x1_stride2_shortcut", "3x3_groups2")]
 
@@ -575,11 +579,11 @@ class TestConvBnAct:
 
     @pytest.mark.parametrize("act", ["relu", None])
     @pytest.mark.parametrize("input_grad", [True, False])
-    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("side", _SIDES)
     @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _UNIT_PATHS,
                              ids=[c[0] for c in _UNIT_PATHS])
-    def test_grads(self, rng, name, x_shape, w_shape, stride, padding, groups, side,
-                   input_grad, act):
+    def test_grads(self, rng, monkeypatch, name, x_shape, w_shape, stride, padding, groups,
+                   side, input_grad, act):
         """Training-mode gradients, with the input's and without it; an input
         that wants none skips dX (and the 1-channel stem takes the moment path)."""
         x = rng.normal(size=x_shape(side))
@@ -591,18 +595,20 @@ class TestConvBnAct:
             return T.mean_all(T.mul(T.conv_bn_act(
                 x, w, gamma, beta, rm.copy(), rv.copy(), True, act=act, stride=stride,
                 padding=padding, groups=groups), r))
-        if input_grad:
-            check_gradients(lambda ts: loss(*ts), [x, w, gamma, beta], samples=200)
-        else:
-            fixed = T.Tensor(x, dtype=np.float64)
-            check_gradients(lambda ts: loss(fixed, *ts), [w, gamma, beta], samples=200)
+        fixed = T.Tensor(x, dtype=np.float64)
+        for budget in _BUDGETS:
+            monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+            if input_grad:
+                check_gradients(lambda ts: loss(*ts), [x, w, gamma, beta], samples=200)
+            else:
+                check_gradients(lambda ts: loss(fixed, *ts), [w, gamma, beta], samples=200)
 
     @pytest.mark.parametrize("act", ["relu", None])
     @pytest.mark.parametrize("name,x_shape,w_shape,stride,padding,groups", _CONV_PATHS,
                              ids=[c[0] for c in _CONV_PATHS])
     def test_training_equals_chain_bitwise(self, rng, name, x_shape, w_shape, stride,
                                            padding, groups, act):
-        side = _sides_around_lowering_switch()[1]
+        side = _SIDES[1]
         arrays = [rng.normal(size=x_shape(side)), rng.normal(size=w_shape),
                   *_bn_state(rng, w_shape[0])]
         geometry = (stride, padding, groups)
@@ -616,7 +622,7 @@ class TestConvBnAct:
                              ids=[c[0] for c in _CONV_PATHS])
     def test_eval_folds_within_float32_rounding(self, rng, name, x_shape, w_shape, stride,
                                                 padding, groups, act):
-        side = _sides_around_lowering_switch()[0]
+        side = _SIDES[0]
         arrays = [a.astype(np.float32) for a in
                   (rng.normal(size=x_shape(side)), rng.normal(size=w_shape),
                    *_bn_state(rng, w_shape[0]))]
@@ -712,19 +718,22 @@ class TestMomentPath:
     columns' float64 moments and folds them into the conv."""
 
     @pytest.mark.parametrize("act", ["relu", None])
-    @pytest.mark.parametrize("side", _sides_around_lowering_switch())
+    @pytest.mark.parametrize("side", _SIDES)
     @pytest.mark.parametrize("name,x_shape,w_shape,stride", _MOMENT_PATHS,
                              ids=[c[0] for c in _MOMENT_PATHS])
-    def test_grads_with_a_constant_input(self, rng, name, x_shape, w_shape, stride, side,
-                                         act):
+    def test_grads_with_a_constant_input(self, rng, monkeypatch, name, x_shape, w_shape,
+                                         stride, side, act):
         x = T.Tensor(rng.normal(size=x_shape(side)), dtype=np.float64)
+        w = rng.normal(size=w_shape)
         gamma, beta, rm, rv = _bn_state(rng, w_shape[0])
         r = T.Tensor(rng.normal(size=(x.shape[0], w_shape[0], side, side)), dtype=np.float64)
-        check_gradients(
-            lambda ts: T.mean_all(T.mul(T.conv_bn_act(
-                x, ts[0], ts[1], ts[2], rm.copy(), rv.copy(), True, act=act, stride=stride,
-                padding=1), r)),
-            [rng.normal(size=w_shape), gamma, beta], samples=200)
+        for budget in _BUDGETS:
+            monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+            check_gradients(
+                lambda ts: T.mean_all(T.mul(T.conv_bn_act(
+                    x, ts[0], ts[1], ts[2], rm.copy(), rv.copy(), True, act=act,
+                    stride=stride, padding=1), r)),
+                [w, gamma, beta], samples=200)
 
     def test_offset_input_keeps_its_running_statistics(self, rng):
         # E[cc^T] - mu mu^T cancels ~8 digits here: float32 moments would keep none

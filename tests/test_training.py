@@ -288,6 +288,35 @@ class TestBatchedLogits:
         for name, lg in zip(model.head_names, want):
             assert np.array_equal(got[name], lg.data)
 
+    @pytest.mark.parametrize("side", [64, 128])
+    def test_units_keep_their_eval_bits_in_batch_slices(self, monkeypatch, side):
+        """Every conv unit of the default model gives each image the same
+        eval bits whether its batch runs whole or in 5-image slices. The
+        logits do not quite: the SE gates' and heads' ``T.linear`` rounds by
+        row count, so they agree to float32 rounding only."""
+        model = build_model(ModelConfig(), seed=0).eval()
+        x = np.random.default_rng(1).normal(size=(32, 1, side, side)).astype(np.float32)
+        slices = [slice(i, i + 5) for i in range(0, 32, 5)]
+        unit, calls = T.conv_bn_act, []
+
+        def record(x, *args, **kwargs):
+            calls.append((x.data, args, kwargs))
+            return unit(x, *args, **kwargs)
+        monkeypatch.setattr(T, "conv_bn_act", record)
+        with T.no_grad():
+            whole = model(Tensor(x))
+        monkeypatch.setattr(T, "conv_bn_act", unit)
+        assert len(calls) >= 12
+        with T.no_grad():
+            for xd, args, kwargs in calls:
+                want = unit(Tensor(xd), *args, **kwargs).data
+                got = [unit(Tensor(xd[s]), *args, **kwargs).data for s in slices]
+                assert np.concatenate(got).tobytes() == want.tobytes(), (xd.shape, kwargs)
+            split = [model(Tensor(x[s])) for s in slices]
+        for head, lg in enumerate(whole):
+            got = np.concatenate([logits[head].data for logits in split])
+            assert np.abs(got - lg.data).max() <= 1e-5 * np.abs(lg.data).max()
+
     def test_peak_memory_of_a_32_image_batch(self):
         import tracemalloc
         exams, images = fake_dataset(32, side=128)
@@ -388,9 +417,10 @@ class TestTrainStep:
         # unit kept its centred conv output and every conv its columns;
         # 46.9 MiB while backward kept the whole graph until the step returned;
         # 40.2 MiB while the stem kept its full-resolution output for its pool;
-        # 32.2 MiB while the batch-wide lowering gathered whole-batch columns
-        # and a stride-1 backward gathered twice (30.7 MiB measured since,
-        # plus 12%)
+        # 32.2 MiB while convs on maps under 16 x 16 gathered the whole
+        # batch's columns at once and a stride-1 backward gathered twice;
+        # 30.7 MiB since, with every conv in one chunk layout too (the bound
+        # is that plus 12%)
         assert peak <= 34.4 * 2**20, peak
 
 

@@ -362,16 +362,20 @@ def default_model_convs():
     return seen
 
 
-# Budgets, in images of forward columns, that cut a 3-image batch into
-# forward chunks of 2 and a ragged 1 and backward chunks of 1 (2), and into
-# one forward chunk and backward chunks of 2 and a ragged 1 (4).
-_PADDED_BUDGETS = (2, 4)
+# Chunk layouts of the one conv lowering, named after the per-image and
+# batch-wide lowerings they replaced so their test ids hold. Budgets, in
+# images of forward columns, that cut a 3-image batch into one-image chunks
+# forward and backward (1); into forward chunks of 2 and a ragged 1 and
+# backward chunks of 1 (2); and into one forward chunk and backward chunks of
+# 2 and a ragged 1 (4).
+_PADDED_BUDGETS = {"_conv_per_image": (1,), "_conv_batch_wide": (2, 4)}
 
 
 class TestPadFreeColumns:
     """Columns gathered from the unpadded input equal those of a padded copy."""
 
-    def test_match_padded_columns_bitwise(self, rng, monkeypatch):
+    @pytest.mark.parametrize("layout", list(_PADDED_BUDGETS))
+    def test_match_padded_columns_bitwise(self, rng, monkeypatch, layout):
         convs = default_model_convs()
         assert len(convs) == 22
         cases = list(convs)
@@ -383,7 +387,7 @@ class TestPadFreeColumns:
             w = rng.normal(size=(cout, cin // groups, k, k)).astype(np.float32)
             ho = (side + 2 * padding - k) // stride + 1
             g = rng.normal(size=(3, cout, ho, ho)).astype(np.float32)
-            for images in _PADDED_BUDGETS:
+            for images in _PADDED_BUDGETS[layout]:
                 monkeypatch.setattr(T, "_CHUNK_BYTES", images * cin * k * k * ho * ho * 4)
                 out, grad = T._conv_lowered(x, w, stride, padding, groups, ho, ho)
                 got = (out,) + grad(g, True)
@@ -392,7 +396,8 @@ class TestPadFreeColumns:
                     assert a.flags.c_contiguous and np.array_equal(a, b), \
                         (images, cin, cout, k, side, stride, padding, name)
 
-    def test_phase_fold_matches_the_nine_tap_fold_bitwise(self, rng, monkeypatch):
+    @pytest.mark.parametrize("layout", list(_PADDED_BUDGETS))
+    def test_phase_fold_matches_the_nine_tap_fold_bitwise(self, rng, monkeypatch, layout):
         # dX summed per input phase in its own buffer equals, byte for byte,
         # the taps added one by one in row-major order over a zeroed input
         for side in (12, 13):
@@ -402,7 +407,7 @@ class TestPadFreeColumns:
                     w = rng.normal(size=(5, 4, k, k)).astype(np.float32)
                     ho = (side + 2 * padding - k) // stride + 1
                     g = rng.normal(size=(3, 5, ho, ho)).astype(np.float32)
-                    for images in _PADDED_BUDGETS:
+                    for images in _PADDED_BUDGETS[layout]:
                         monkeypatch.setattr(T, "_CHUNK_BYTES", images * 4 * k * k * ho * ho * 4)
                         _, grad = T._conv_lowered(x, w, stride, padding, 1, ho, ho)
                         got = grad(g, True)[1]
@@ -415,19 +420,22 @@ class TestChunkedEpilogues:
     """The eval unit's bias and ReLU per chunk, and pooling in image chunks,
     against their whole-batch forms."""
 
-    def test_bias_relu_in_the_lowering(self, rng, monkeypatch):
-        for side in (7, 17):
-            x = rng.normal(size=(5, 4, side, side)).astype(np.float32)
-            w = rng.normal(size=(6, 4, 3, 3)).astype(np.float32)
-            b = rng.normal(size=6).astype(np.float32)
-            # one-image chunks; chunks of 2, 2 and 1; of 3 and a ragged 2
-            for step in (1, 2, 3):
-                monkeypatch.setattr(T, "_CHUNK_BYTES", step * 4 * 9 * side * side * 4)
-                want, _ = T._conv_lowered(x, w, 1, 1, 1, side, side)
-                want += b[None, :, None, None]
-                np.maximum(want, 0, out=want)
-                got, _ = T._conv_lowered(x, w, 1, 1, 1, side, side, bias=b, relu=True)
-                assert np.array_equal(got, want), (side, step)
+    # chunks of 5 images, by layout: one image each; 2, 2 and 1; 3 and a ragged 2
+    @pytest.mark.parametrize("layout,side", [("_conv_per_image", 17),
+                                             ("_conv_batch_wide", 7),
+                                             ("_conv_per_image", 7),
+                                             ("_conv_batch_wide", 17)])
+    def test_bias_relu_in_the_lowering(self, rng, monkeypatch, layout, side):
+        x = rng.normal(size=(5, 4, side, side)).astype(np.float32)
+        w = rng.normal(size=(6, 4, 3, 3)).astype(np.float32)
+        b = rng.normal(size=6).astype(np.float32)
+        for step in {"_conv_per_image": (1,), "_conv_batch_wide": (2, 3)}[layout]:
+            monkeypatch.setattr(T, "_CHUNK_BYTES", step * 4 * 9 * side * side * 4)
+            want, _ = T._conv_lowered(x, w, 1, 1, 1, side, side)
+            want += b[None, :, None, None]
+            np.maximum(want, 0, out=want)
+            got, _ = T._conv_lowered(x, w, 1, 1, 1, side, side, bias=b, relu=True)
+            assert np.array_equal(got, want), step
 
     @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (3, 1), (1, 1)])
     def test_avg_pool_chunks_match_whole_batch(self, rng, monkeypatch, kernel, stride):

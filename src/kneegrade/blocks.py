@@ -11,7 +11,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UsageError
 from .nn import BatchNorm2d, Conv2d, Linear, Module, conv_bn
 
 BOTTLENECK_EXPANSION = 4
@@ -83,9 +83,10 @@ class StemSpec:
 class SEGate(Module):
     """Channel gate values sigmoid(W2 relu(W1 globalavg(x))), [N, C].
 
-    The block scales its residual branch by them in its join
-    (:func:`~kneegrade.tensor.gate_add_relu`). The two projections carry no
-    bias, so all-zero weights gate every channel at exactly 0.5.
+    Holds the gate's two projections: :func:`~kneegrade.tensor.residual_block`
+    computes the gate from their weights inside its block's one node, keeping
+    only [N, C] arrays, and ``forward`` computes it with separate ops. They
+    carry no bias, so all-zero weights gate every channel at exactly 0.5.
     """
 
     def __init__(self, channels, reduction, rng, dtype=np.float32):
@@ -102,7 +103,9 @@ class SEGate(Module):
 
 
 class ResidualBlock(Module):
-    """Pre-activation-free residual block (conv-bn-relu style, post-add relu)."""
+    """Pre-activation-free residual block (conv-bn-relu style, post-add relu)
+    as one :func:`~kneegrade.tensor.residual_block` node, which keeps no unit
+    output; its batch norms all train on batch statistics or are all frozen."""
 
     def __init__(self, spec: BlockSpec, rng, dtype=np.float32):
         super().__init__()
@@ -129,18 +132,22 @@ class ResidualBlock(Module):
         else:
             self.short_conv = None
         self.se = SEGate(cout, spec.se_reduction, rng, dtype=dtype) if spec.se_enabled else None
+        self._units = [(self.conv1, self.bn1), (self.conv2, self.bn2)] + \
+            ([] if self.conv3 is None else [(self.conv3, self.bn3)])
+        self._short = None if self.short_conv is None else (self.short_conv, self.short_bn)
 
     def forward(self, x):
-        y = conv_bn(self.conv1, self.bn1, x)
-        if self.conv3 is None:
-            y = conv_bn(self.conv2, self.bn2, y, act=None)
-        else:
-            y = conv_bn(self.conv2, self.bn2, y)
-            y = conv_bn(self.conv3, self.bn3, y, act=None)
-        gate = None if self.se is None else self.se(y)
-        short = x if self.short_conv is None else \
-            conv_bn(self.short_conv, self.short_bn, x, act=None)
-        return T.gate_add_relu(y, gate, short)
+        pairs = self._units + ([self._short] if self._short else [])
+        modes = {bn.batch_stats for _, bn in pairs}
+        if len(modes) > 1:
+            raise UsageError("a residual block's batch norms must all train on batch "
+                             "statistics or all be frozen")
+        units = [(conv.weight, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                  conv.stride, conv.padding, conv.groups) for conv, bn in pairs]
+        se = None if self.se is None else (self.se.squeeze.weight, self.se.excite.weight)
+        n = len(self._units)
+        return T.residual_block(x, units[:n], units[n] if self._short else None, se,
+                                modes.pop())
 
 
 class PoolHead(Module):

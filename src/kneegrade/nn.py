@@ -144,7 +144,7 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch-norm parameters and running statistics, applied only by :func:`conv_bn`."""
+    """Batch-norm parameters and running statistics, applied by :func:`conv_bn` or a block."""
 
     def __init__(self, channels, dtype=np.float32):
         super().__init__()

@@ -28,8 +28,8 @@ one output buffer and one scan. In training mode it equals the three-op
 chain bit for bit, except on the moment path below; in eval mode it folds the
 running statistics into the conv's weight and bias on every call (nothing is
 cached or written back), and has no backward (see :func:`conv_bn_act`).
-``gate_add_relu`` joins a residual block (SE scaling, shortcut add, ReLU) in
-one node, bit for bit the five-op chain it replaced.
+``residual_block`` runs a residual block (units, SE gate, shortcut and join)
+as one node, bit for bit the chain of separate ops.
 
 The wide early layers are bound by memory traffic, so no full-size array is
 made that a cache-sized chunk can do without. Every conv gathers its columns
@@ -48,18 +48,19 @@ holds :func:`_image_step` images; every conv GEMM runs in :func:`_gemm_chunks`
 or in the lowering's backward over :func:`_column_chunks`. A one-image chunk
 has the memory of an NCHW image, so its GEMM writes the output in place.
 
-A training step keeps nothing its backward can cheaply rebuild. No conv
+A training step keeps nothing its backward can rebuild bit for bit. No conv
 lowering keeps its columns; backward gathers them again, once: a stride-1
 k x k conv whose input wants dX gathers only dY's columns and takes both dX
-and dW from them (see :func:`_transposed_grads`). A training unit
-keeps its centred conv output for the batch norm's backward, except on the
-moment path (see :func:`conv_bn_act`): when its input wants no gradient and
-its columns are no deeper than its output channels, as for the stem, the
+and dW from them (see :func:`_transposed_grads`). A training unit keeps its
+centred conv output and ``1 / std`` for the batch norm's backward, except on
+the moment path (see :func:`conv_bn_act`): when its input wants no gradient
+and its columns are no deeper than its output channels, as for the stem, the
 batch statistics come from the columns' float64 moments and are folded into
 the conv, and the unit keeps only its output. Asked to pool, as the stem is,
 such a unit pools each chunk of its output as it leaves the GEMM and keeps
 only the pooled output; backward rebuilds the ReLU mask from the columns it
-gathers again for dW.
+gathers again for dW. A residual block keeps no unit output; backward
+rebuilds those it needs from their centred ones (see :func:`residual_block`).
 """
 
 from __future__ import annotations
@@ -299,14 +300,18 @@ def relu(a):
     return _node(out, (a,), bwd, "relu")
 
 
-def sigmoid(a):
+def _sigmoid(x):
     # Split on sign so exp never overflows.
-    x = a.data
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a):
+    out = _sigmoid(a.data)
     def bwd(g, grads):
         _put(grads, a, g * out * (1.0 - out))
     return _node(out, (a,), bwd, "sigmoid")
@@ -561,56 +566,60 @@ def _conv_lowered(xd, wd, stride, padding, groups, ho, wo, bias=None, relu=False
     images at a time (:func:`_gemm_chunks`); NCHW out.
 
     ``bias`` [Cout] (or None) is added and the ReLU applied to each chunk
-    right after its GEMM. Returns the output and ``grad(g, need_x) -> (dW,
-    dX or None)``, dW as [groups, Cin/groups*kH*kW, Cout/groups]. ``grad``
-    keeps no buffer of the forward's: it gathers the columns again, chunk by
-    chunk, adds each chunk's ``cols @ g^T`` into dW and, for dX, folds the
-    chunk's ``W^T @ g`` back over the kernel offsets; the chunk's columns and
-    their gradients share one chunk budget.
+    right after its GEMM. Nothing is kept for backward: :func:`_lowered_grads`
+    gathers the columns again.
     """
-    n, cin, h, wdt = xd.shape
+    n, cin = xd.shape[:2]
     cout, _, kh, kw = wd.shape
-    og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
-    wg = wd.reshape(groups, og, k)
-    col_bytes = cin * kh * kw * p * xd.itemsize
+    wg = wd.reshape(groups, cout // groups, -1)
     out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
     for _ in _gemm_chunks(xd, wg, bias, relu, kh, kw, stride, padding, ho, wo,
-                          _image_step(n, col_bytes), out):
+                          _image_step(n, cin * kh * kw * ho * wo * xd.itemsize), out):
         pass                # each chunk's output lands in its place in out
-
-    def grad(g, need_x):
-        step = _image_step(n, col_bytes * (2 if need_x else 1))
-        dw = np.zeros((groups, k, og), dtype=g.dtype)
-        part = np.empty_like(dw)
-        gbuf = np.empty((cout, step, p), dtype=g.dtype) if step > 1 else None
-        dx = np.empty(xd.shape, dtype=g.dtype) if need_x else None
-        # not the columns' buffer: writing there would dirty its zero padding places
-        dbuf = np.empty((cin * kh * kw, step, p), dtype=g.dtype) if need_x else None
-        taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo)) if need_x else None
-        for images, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
-                                           xd.dtype, groups):
-            gs = _as_chunk(g[images], gbuf, groups)
-            dw += np.matmul(cols, gs.swapaxes(-1, -2), out=part)
-            if need_x:
-                m = images.stop - images.start
-                np.matmul(wg.swapaxes(-1, -2), gs, out=_matrices(dbuf, m, groups))
-                _fold(_images(dbuf, m).reshape(m, cin, kh, kw, ho, wo), taps, stride,
-                      dx[images])
-        return dw, dx
-    return out, grad
+    return out
 
 
-def _conv_setup(x, w, stride, padding, groups, op):
-    """Validated (stride, padding, groups, Ho, Wo) of a conv of ``x`` by ``w``."""
-    if x.data.ndim != 4 or w.data.ndim != 4:
+def _lowered_grads(g, xd, wd, stride, padding, groups, need_x):
+    """(dW as [groups, Cin/groups*kH*kW, Cout/groups], dX or None) of the
+    conv of ``xd`` by ``wd`` for its output gradient ``g``: per chunk of
+    columns gathered again, ``cols @ g^T`` is added into dW and, for dX,
+    ``W^T @ g`` folded back over the kernel offsets, in one chunk budget."""
+    n, cin, h, wdt = xd.shape
+    cout, _, kh, kw = wd.shape
+    ho, wo = g.shape[2:]
+    og, k, p = cout // groups, cin // groups * kh * kw, ho * wo
+    wg = wd.reshape(groups, og, k)
+    step = _image_step(n, cin * kh * kw * p * xd.itemsize * (2 if need_x else 1))
+    dw = np.zeros((groups, k, og), dtype=g.dtype)
+    part = np.empty_like(dw)
+    gbuf = np.empty((cout, step, p), dtype=g.dtype) if step > 1 else None
+    dx = np.empty(xd.shape, dtype=g.dtype) if need_x else None
+    # not the columns' buffer: writing there would dirty its zero padding places
+    dbuf = np.empty((cin * kh * kw, step, p), dtype=g.dtype) if need_x else None
+    taps = list(_taps(kh, kw, stride, padding, h, wdt, ho, wo)) if need_x else None
+    for images, cols in _column_chunks(xd, kh, kw, stride, padding, ho, wo, step,
+                                       xd.dtype, groups):
+        gs = _as_chunk(g[images], gbuf, groups)
+        dw += np.matmul(cols, gs.swapaxes(-1, -2), out=part)
+        if need_x:
+            m = images.stop - images.start
+            np.matmul(wg.swapaxes(-1, -2), gs, out=_matrices(dbuf, m, groups))
+            _fold(_images(dbuf, m).reshape(m, cin, kh, kw, ho, wo), taps, stride,
+                  dx[images])
+    return dw, dx
+
+
+def _conv_setup(xd, wd, stride, padding, groups, op):
+    """Validated (stride, padding, groups, Ho, Wo) of a conv of ``xd`` by ``wd``."""
+    if xd.ndim != 4 or wd.ndim != 4:
         raise ConfigurationError(
-            f"{op}: expected NCHW input and OIHW weight, got {x.data.shape} and {w.data.shape}")
+            f"{op}: expected NCHW input and OIHW weight, got {xd.shape} and {wd.shape}")
     stride = int(stride)
     padding = int(padding)
     groups = int(groups)
     if stride < 1 or padding < 0 or groups < 1:
         raise ConfigurationError(f"{op}: stride >= 1, padding >= 0, groups >= 1 required")
-    ho, wo = _conv_geometry(x.data.shape, w.data.shape, stride, padding, groups)
+    ho, wo = _conv_geometry(xd.shape, wd.shape, stride, padding, groups)
     return stride, padding, groups, ho, wo
 
 
@@ -625,33 +634,38 @@ def _transposed_grads(g, xd, wd, padding, groups):
     against the input itself: ``dW[o, c, a, b] = sum_p x[c, p] *
     g[o, p - (a, b) + padding] = (G x^T)[o, k-1-a, k-1-b, c]``, so the
     input's columns are never gathered.
+    The flipped kernel and each chunk's dW product share one buffer; the
+    kernel is copied back in before the next chunk's GEMM reads it.
     """
     n, cin, h, wdt = xd.shape
     cout, cg, kh, kw = wd.shape
     og, p = cout // groups, h * wdt
-    wt = wd.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)[..., ::-1, ::-1]
-    wt = wt.reshape(groups, cg, og * kh * kw)
+    flipped = wd.reshape(groups, og, cg, kh, kw).swapaxes(1, 2)[..., ::-1, ::-1]
+    kernel = flipped.copy()                 # C order, so wt and each part are views
+    wt = kernel.reshape(groups, cg, og * kh * kw)
     step = _image_step(n, cout * kh * kw * p * g.itemsize)
     dx = np.empty(xd.shape, dtype=g.dtype)
     dwt = np.zeros((groups, og * kh * kw, cg), dtype=g.dtype)
-    part = np.empty_like(dwt)
     xbuf = np.empty((cin, step, p), dtype=xd.dtype) if step > 1 else None
     for images, cols, _ in _gemm_chunks(g, wt, None, False, kh, kw, 1, kh - 1 - padding,
                                         h, wdt, step, dx):
         xs = _as_chunk(xd[images], xbuf, groups)
+        part = wt.reshape(dwt.shape)        # this chunk's GEMM has read the kernel
         dwt += np.matmul(cols, xs.swapaxes(-1, -2), out=part)
-    dw = part.reshape(cout, cg, kh, kw)       # part's last product is spent
+        if images.stop < n:
+            kernel[...] = flipped
+    dw = wt.reshape(cout, cg, kh, kw)       # its last product is spent
     dw[...] = dwt.reshape(cout, kh, kw, cg)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return dw, dx
 
 
-def _conv_grads(g, grad, x, wd, stride, padding, groups):
-    """(dW, dX or None) of a conv that ran with weights ``wd`` and whose
-    lowering returned ``grad``; dX only when ``x`` wants it.
+def _conv_grads(g, xd, need_x, wd, stride, padding, groups):
+    """(dW, dX or None) of a conv of ``xd`` by ``wd`` for its output
+    gradient ``g``; dX only when ``need_x``.
 
     A stride-1 k x k conv whose input wants dX, with padding < k, takes both
     from the output gradient's columns (:func:`_transposed_grads`): one
-    gather per chunk where the lowering's ``grad`` would gather the input's
+    gather per chunk where :func:`_lowered_grads` would gather the input's
     columns for dW and then the gradient's for dX. On every stride-1 3x3
     layer of the default model (64 and 128 px, batch 32) the transposed dX
     made the whole backward 9-33% faster than folding, and the one gather
@@ -659,9 +673,9 @@ def _conv_grads(g, grad, x, wd, stride, padding, groups):
     convs fold ``W^T @ g`` back over the kernel offsets.
     """
     kh, kw = wd.shape[2:]
-    if x.requires_grad and stride == 1 and 1 < kh == kw and padding < kh:
-        return _transposed_grads(g, x.data, wd, padding, groups)
-    dw, dx = grad(g, x.requires_grad)
+    if need_x and stride == 1 and 1 < kh == kw and padding < kh:
+        return _transposed_grads(g, xd, wd, padding, groups)
+    dw, dx = _lowered_grads(g, xd, wd, stride, padding, groups, need_x)
     return dw.swapaxes(-1, -2).reshape(wd.shape), dx
 
 
@@ -679,17 +693,17 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     and dW from dY's columns, any other conv's takes dW from the input's
     columns and folds dX back over them (see :func:`_conv_grads`).
     """
-    stride, padding, groups, ho, wo = _conv_setup(x, w, stride, padding, groups, "conv2d")
+    stride, padding, groups, ho, wo = _conv_setup(x.data, w.data, stride, padding, groups, "conv2d")
     cout = w.data.shape[0]
     if b is not None and b.data.shape != (cout,):
         raise ConfigurationError(f"conv2d: bias shape {b.data.shape} should be ({cout},)")
-    out, grad = _conv_lowered(x.data, w.data, stride, padding, groups, ho, wo,
-                              bias=None if b is None else b.data)
+    out = _conv_lowered(x.data, w.data, stride, padding, groups, ho, wo,
+                        bias=None if b is None else b.data)
 
     def bwd(g, grads):
         if b is not None:
             _put(grads, b, g.sum(axis=(0, 2, 3)))
-        dw, dx = _conv_grads(g, grad, x, w.data, stride, padding, groups)
+        dw, dx = _conv_grads(g, x.data, x.requires_grad, w.data, stride, padding, groups)
         _put(grads, w, dw)
         if dx is not None:
             _put(grads, x, dx)
@@ -733,6 +747,13 @@ def _bn_train(y, gamma, beta, running_mean, running_var, in_place, relu=False):
     var = _channel_sum(xc, xc) / m                # biased, matches the normalizer
     _update_running(running_mean, running_var, mean, var)
     inv = 1.0 / np.sqrt(var + BN_EPS)
+    return _bn_apply(xc, inv, gamma, beta, relu), xc, inv
+
+
+def _bn_apply(xc, inv, gamma, beta, relu):
+    """``xc * (gamma * inv) + beta`` per channel of the centred ``xc`` [N, C,
+    H, W], ReLU applied when ``relu``, one chunk of images at a time: the
+    output of :func:`_bn_train`, which a backward rebuilds with its bits."""
     k = (gamma * inv)[None, :, None, None]
     shift = beta[None, :, None, None]
     out = np.empty(xc.shape, dtype=np.result_type(xc, k))
@@ -741,7 +762,7 @@ def _bn_train(y, gamma, beta, running_mean, running_var, in_place, relu=False):
         part += shift
         if relu:
             np.maximum(part, 0, out=part)
-    return out, xc, inv
+    return out
 
 
 def _bn_train_grads(g, xc, inv, gamma, need_x):
@@ -769,6 +790,25 @@ def _bn_train_grads(g, xc, inv, gamma, need_x):
         part -= k2
         part *= k3
     return g, sum_gxc * inv, sum_g
+
+
+def _unit_grads(grads, g, kept, xd, need_x, w, gamma, beta, stride, padding, groups):
+    """Backward of a training unit, ``_bn_train(_conv_lowered(xd, w))``, for
+    the gradient ``g`` of its batch norm's output, ReLU mask applied, which
+    it overwrites. Puts the gradients of ``w``, ``gamma`` and ``beta`` and
+    returns dX, or None unless ``need_x``. Pops the unit's (centred output,
+    1 / std) off ``kept``, freeing it for the conv's backward to reuse."""
+    xc, inv = kept.pop()
+    # g becomes the conv output's gradient, None if unwanted
+    g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data, need_x or w.requires_grad)
+    del xc
+    dx = None
+    if g is not None:
+        dw, dx = _conv_grads(g, xd, need_x, w.data, stride, padding, groups)
+        _put(grads, w, dw)
+    _put(grads, gamma, dgamma)
+    _put(grads, beta, dbeta)
+    return dx
 
 
 def _column_moments(xd, kh, kw, stride, padding, ho, wo):
@@ -853,8 +893,8 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
 
 
 def _no_backward_without_batch_stats(g, grads):
-    raise UsageError("conv_bn_act has no backward in eval mode or with frozen batch "
-                     "statistics; differentiate a unit that trains on batch statistics")
+    raise UsageError("a conv unit or residual block has no backward in eval mode or with "
+                     "frozen batch statistics; differentiate one that trains on batch statistics")
 
 
 def _check_bn_params(c, gamma, beta, op):
@@ -912,10 +952,10 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     chain, but only the unit's output is allocated, scanned and recorded.
 
     Off the moment path below, training mode centres the conv output in
-    place (that buffer is the one backward keeps), scales it into the output
-    buffer and applies the ReLU there; backward turns the gradient it owns
-    into the conv output's gradient in place. Its values, gradients and running statistics are
-    those of the chain bit for bit. Eval mode folds the running statistics
+    place and keeps it, ``1 / std`` and the output, which it scales, shifts
+    and rectifies from the centred buffer; backward turns the gradient it
+    owns into the conv output's gradient in place (:func:`_unit_grads`), all
+    with the chain's bits. Eval mode folds the running statistics
     into the conv each call: ``W' = W * s`` and ``b' = beta - mean * s`` with
     ``s = gamma / sqrt(var + BN_EPS)``, then runs one conv whose lowering adds
     ``b'`` and applies the ReLU to each chunk as it leaves the GEMM. That rounds
@@ -953,7 +993,8 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     """
     if act not in ("relu", None):
         raise ConfigurationError(f"conv_bn_act: act must be 'relu' or None, got {act!r}")
-    stride, padding, groups, ho, wo = _conv_setup(x, w, stride, padding, groups, "conv_bn_act")
+    stride, padding, groups, ho, wo = _conv_setup(x.data, w.data, stride, padding, groups,
+                                                  "conv_bn_act")
     cout = w.data.shape[0]
     _check_bn_params(cout, gamma, beta, "conv_bn_act")
     pool = int(pool)
@@ -966,9 +1007,10 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
                            stride=stride, padding=padding, groups=groups)
         return avg_pool2d(unit, pool, pool)
     if training and not moments:
-        y, grad = _conv_lowered(x.data, w.data, stride, padding, groups, ho, wo)
-        out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var,
+        out, xc, inv = _bn_train(_conv_lowered(x.data, w.data, stride, padding, groups, ho, wo),
+                                 gamma.data, beta.data, running_mean, running_var,
                                  in_place=True, relu=(act == "relu"))
+        kept = [(xc, inv)]
     else:
         if moments:
             w64 = w.data.reshape(cout, -1).astype(np.float64)
@@ -990,8 +1032,8 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             out, grad = _pooled_unit(x.data, wd, shift, act == "relu", stride, padding,
                                      ho, wo, pool)
         else:
-            out, grad = _conv_lowered(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
-                                      relu=(act == "relu"))
+            out = _conv_lowered(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
+                                relu=(act == "relu"))
     if not training:
         return _node(out, (x, w, gamma, beta), _no_backward_without_batch_stats,
                      "conv_bn_act")
@@ -1003,7 +1045,8 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             else:
                 if act == "relu":
                     _relu_mask(g, out)
-                a, dbeta = grad(g, False)[0], _channel_sum(g)
+                a = _lowered_grads(g, x.data, wd, stride, padding, 1, False)[0]
+                dbeta = _channel_sum(g)
             a = a[0].T.astype(np.float64)
             a -= dbeta.astype(np.float64)[:, None] * mu
             dgamma = inv * np.einsum("ok,ok->o", w64, a)
@@ -1015,53 +1058,123 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
             return
         if act == "relu":
             _relu_mask(g, out)
-        # g becomes the conv output's gradient, None if unwanted
-        g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data,
-                                           x.requires_grad or w.requires_grad)
-        if g is not None:
-            dw, dx = _conv_grads(g, grad, x, w.data, stride, padding, groups)
-            _put(grads, w, dw)
-            if dx is not None:
-                _put(grads, x, dx)
-        _put(grads, gamma, dgamma)
-        _put(grads, beta, dbeta)
+        dx = _unit_grads(grads, g, kept, x.data, x.requires_grad, w, gamma, beta,
+                         stride, padding, groups)
+        if dx is not None:
+            _put(grads, x, dx)
 
     return _node(out, (x, w, gamma, beta), bwd, "conv_bn_act")
 
 
-def gate_add_relu(y, gate, short):
-    """``relu(y * gate + short)`` as one graph node: a residual block's join.
+def _gate_grad(g, xc, inv, gamma, beta):
+    """An SE gate's gradient, ``g`` times the branch output rebuilt, summed over H, W."""
+    dgate = np.empty(g.shape[:2], dtype=g.dtype)
+    for chunk in _image_chunks(g):
+        y = _bn_apply(xc[chunk], inv, gamma, beta, False)
+        y *= g[chunk]
+        dgate[chunk] = y.sum(axis=(2, 3))
+    return dgate
 
-    ``y`` and ``short`` are [N, C, H, W]; ``gate`` is [N, C] and scales each
-    channel of ``y`` (an SE gate), or None. Values and gradients equal the
-    chain ``relu(add(mul(y, broadcast_to(reshape(gate)))), short))`` bit for
-    bit: the same products, sums and reductions in the same order.
+
+def residual_block(x, units, short, se, training):
+    """``relu(branch(x) * gate + shortcut(x))``, a residual block, as one graph node.
+
+    ``units`` are the branch's conv units in turn, each ``(w, gamma, beta,
+    running_mean, running_var, stride, padding, groups)``, all but the last
+    ending in a ReLU; ``short`` is the projection shortcut's unit or None.
+    ``se`` is ``(w1, w2)``, gate = ``sigmoid(relu(mean_hw(branch) @ w1^T) @
+    w2^T)``, or None. Out of ``training``, each unit is a :func:`conv_bn_act`
+    call by its module-level name and the node has no backward.
+
+    A training node keeps its input, each unit's centred conv output and
+    ``1 / std``, the gate's [N, C] arrays and its output; backward rebuilds
+    the unit outputs it needs with the forward's own ops, so everything has
+    the per-op chain's bits. A non-finite unit output reaches the sum before
+    the last ReLU, where it raises ``NumericsError``.
     """
-    if y.data.ndim != 4:
-        raise ConfigurationError(f"gate_add_relu: expected NCHW input, got {y.data.shape}")
-    _check_same_shape(y, short, "gate_add_relu")
-    if gate is None:
-        out = y.data + short.data
-    else:
-        if gate.data.shape != y.data.shape[:2]:
-            raise ConfigurationError(
-                f"gate_add_relu: gate shape {gate.data.shape} should be {y.data.shape[:2]}")
-        out = y.data * gate.data[:, :, None, None]
-        out += short.data
-    np.maximum(out, 0, out=out)
+    if x.data.ndim != 4:
+        raise ConfigurationError(f"residual_block: expected NCHW input, got {x.data.shape}")
+    kept = []                       # per training unit: its centred output and 1 / std
+
+    def conv(xd, u, relu):
+        """The unit's conv output; its whole output in eval mode."""
+        w, gamma, beta, running_mean, running_var, stride, padding, groups = u
+        if not training:
+            with no_grad():
+                return conv_bn_act(Tensor(xd, dtype=xd.dtype), w, gamma, beta, running_mean,
+                                   running_var, False, act="relu" if relu else None,
+                                   stride=stride, padding=padding, groups=groups).data
+        stride, padding, groups, ho, wo = _conv_setup(xd, w.data, stride, padding, groups,
+                                                      "residual_block")
+        _check_bn_params(w.data.shape[0], gamma, beta, "residual_block")
+        return _conv_lowered(xd, w.data, stride, padding, groups, ho, wo)
+
+    def norm(y, u, relu):
+        if not training:
+            return y
+        out, xc, inv = _bn_train(y, u[1].data, u[2].data, u[3], u[4], in_place=True, relu=relu)
+        kept.append((xc, inv))
+        return out
+
+    y = x.data
+    for i, u in enumerate(units):
+        # rebinding y frees the last unit's output before norm makes this one's in its place
+        y = conv(y, u, i < len(units) - 1)
+        y = norm(y, u, i < len(units) - 1)
+    s = x.data if short is None else norm(conv(x.data, short, False), short, False)
+    if y.shape != s.shape:
+        raise ConfigurationError(
+            f"residual_block: branch output {y.shape} and shortcut {s.shape} differ")
+    c = y.shape[1]
+    if se is not None:
+        w1, w2 = se[0].data, se[1].data
+        if w1.ndim != 2 or w1.shape[1] != c or w2.shape != (c, w1.shape[0]):
+            raise ConfigurationError(f"residual_block: SE weights {w1.shape} and {w2.shape} "
+                                     f"do not fit {c} channels")
+        z = y.mean(axis=(2, 3))
+        hidden = np.maximum(z @ w1.T, 0)
+        gate = _sigmoid(hidden @ w2.T)
+        y *= gate[:, :, None, None]
+    y += s
+    if not np.all(np.isfinite(y)):
+        raise NumericsError("residual_block produced non-finite values")
+    out = np.maximum(y, 0, out=y)
+    parents = [x] + [t for u in (*units, short) if u for t in u[:3]] + list(se or ())
+    if not training:
+        return _node(out, parents, _no_backward_without_batch_stats, "residual_block")
 
     def bwd(g, grads):
         _relu_mask(g, out)
-        if gate is None:
-            _put(grads, y, g.copy())
+        short_kept = None if short is None else [kept.pop()]
+        if se is None:
+            d = g.copy()
         else:
-            if gate.requires_grad:
-                _put(grads, gate, (g * y.data).sum(axis=(2, 3)))
-            _put(grads, y, g * gate.data[:, :, None, None])
-        _put(grads, short, g)
+            dgate = _gate_grad(g, *kept[-1], units[-1][1].data, units[-1][2].data)
+            d = g * gate[:, :, None, None]
+            # the sigmoid, excite, ReLU, squeeze and spatial mean ops' backwards in turn
+            ds = dgate * gate * (1.0 - gate)
+            _put(grads, se[1], ds.T @ hidden)
+            dh = (ds @ w2) * (hidden > 0)
+            _put(grads, se[0], dh.T @ z)
+            d += (dh @ w1)[:, :, None, None] * (1.0 / (out.shape[2] * out.shape[3]))
+        for i in range(len(units) - 1, -1, -1):
+            # this unit's input: the block's, or the previous unit's output, rebuilt
+            xd = x.data if i == 0 else _bn_apply(*kept[i - 1], units[i - 1][1].data,
+                                                 units[i - 1][2].data, True)
+            w, gamma, beta, _, _, stride, padding, groups = units[i]
+            d = _unit_grads(grads, d, kept, xd, i > 0 or x.requires_grad, w, gamma,
+                            beta, stride, padding, groups)
+            if i:
+                _relu_mask(d, xd)
+        _put(grads, x, d)           # None only when x wants no gradient
+        if short is None:
+            _put(grads, x, g)
+        else:
+            w, gamma, beta, _, _, stride, padding, groups = short
+            _put(grads, x, _unit_grads(grads, g, short_kept, x.data, x.requires_grad, w,
+                                       gamma, beta, stride, padding, groups))
 
-    parents = (y, short) if gate is None else (y, gate, short)
-    return _node(out, parents, bwd, "gate_add_relu")
+    return _node(out, parents, bwd, "residual_block")
 
 
 def _window_sum(a, axis, k, s, count, out=None):

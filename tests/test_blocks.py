@@ -1,13 +1,16 @@
 """Block-level behavior: SE gating, residual wiring, pooling heads."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from kneegrade import tensor as T
 from kneegrade.blocks import BlockSpec, PoolHead, PoolingSpec, ResidualBlock, SEGate, StemSpec, Backbone
-from kneegrade.errors import ConfigurationError
+from kneegrade.errors import ConfigurationError, UsageError
 
 from gradcheck import check_param_gradients
+from test_tensor import join_chain
 
 
 @pytest.fixture
@@ -87,6 +90,47 @@ def gated(se, x):
     return se(x).data[:, :, None, None] * x.data
 
 
+def block_chain(block, x):
+    """``block`` on ``x`` spelled as separate ops: conv, batch norm and ReLU
+    per unit, the SE gate as its module's ops, and :func:`join_chain`."""
+    units = [(block.conv1, block.bn1), (block.conv2, block.bn2)]
+    if block.conv3 is not None:
+        units.append((block.conv3, block.bn3))
+    y = x
+    for i, (conv, bn) in enumerate(units):
+        y = _bn(bn, conv(y))
+        if i < len(units) - 1:
+            y = T.relu(y)
+    gate = None if block.se is None else block.se(y)
+    short = x if block.short_conv is None else _bn(block.short_bn, block.short_conv(x))
+    return join_chain(y, gate, short)
+
+
+# (spec, input shape) of every kind of block: basic and bottleneck (grouped
+# or not), stride 1 and 2, identity and projection shortcut; each runs with
+# and without an SE gate
+BLOCK_VARIANTS = {
+    "basic-identity": (BlockSpec("basic", 4, 4), (3, 4, 6, 6)),
+    "basic-stride2": (BlockSpec("basic", 4, 8, stride=2), (3, 4, 6, 6)),
+    "basic-widen": (BlockSpec("basic", 4, 8), (3, 4, 5, 5)),
+    "bottleneck-identity": (BlockSpec("bottleneck", 8, 8), (3, 8, 5, 5)),
+    "bottleneck-grouped-stride2": (
+        BlockSpec("bottleneck", 4, 8, stride=2, groups=2, group_width=2), (3, 4, 6, 6)),
+}
+
+
+def variant(name, se, dtype=np.float32, seed=1):
+    """A training-mode block of kind ``name``, SE gate on or off, with random
+    running statistics, and an input of its shape."""
+    spec, shape = BLOCK_VARIANTS[name]
+    if se:
+        spec = BlockSpec(**{**asdict(spec), "se_enabled": True, "se_reduction": 2})
+    g = np.random.default_rng(seed)
+    block = ResidualBlock(spec, g, dtype=dtype)
+    TestUnits._randomize_stats(block, g)
+    return block, g.normal(size=shape).astype(dtype)
+
+
 class TestSEGate:
     def test_zero_weights_halve_input(self, rng):
         se = SEGate(8, 4, rng)
@@ -123,7 +167,7 @@ class TestSEGate:
         x = T.Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True, dtype=np.float64)
         # a shortcut of 10 keeps the join's ReLU open, so this is d mean(x * gate)
         lift = T.Tensor(np.full(x.shape, 10.0), dtype=np.float64)
-        check_param_gradients(lambda: T.mean_all(T.gate_add_relu(x, se(x), lift)),
+        check_param_gradients(lambda: T.mean_all(join_chain(x, se(x), lift)),
                               [x] + se.parameters())
 
 
@@ -183,16 +227,7 @@ class TestResidualBlock:
 
 
 class TestUnits:
-    """Blocks run each conv/BN pair as one conv_bn_act node."""
-
-    @staticmethod
-    def _chain(block, x):
-        """A basic block with a projection shortcut and no SE gate, spelled as
-        separate conv, batch-norm and ReLU ops."""
-        y = T.relu(_bn(block.bn1, block.conv1(x)))
-        y = _bn(block.bn2, block.conv2(y))
-        shortcut = _bn(block.short_bn, block.short_conv(x))
-        return T.relu(T.add(y, shortcut))
+    """A block is one residual_block node; its eval units are conv_bn_act calls."""
 
     @staticmethod
     def _randomize_stats(module, rng):
@@ -200,20 +235,34 @@ class TestUnits:
             b[...] = rng.uniform(0.5, 2.0, b.shape) if name.endswith("var") else \
                 rng.normal(size=b.shape)
 
-    def test_training_block_equals_chain_bitwise(self, rng):
-        spec = BlockSpec("basic", 4, 8, stride=2)
-        fused, chain = ResidualBlock(spec, np.random.default_rng(1)), \
-            ResidualBlock(spec, np.random.default_rng(1))
-        x = rng.normal(size=(3, 4, 8, 8)).astype(np.float32)
-        outs = []
-        for block, run in ((fused, lambda b, t: b(t)), (chain, self._chain)):
-            t = T.Tensor(x, requires_grad=True)
-            out = run(block, t)
-            T.backward(T.mean_all(out))
-            outs.append([out.data, t.grad] + [p.grad for p in block.parameters()]
-                        + [b for _, b in block.named_buffers()])
-        for a, b in zip(*outs):
-            assert np.array_equal(a, b)
+    def test_training_block_equals_chain_bitwise(self):
+        """Output, running statistics and every gradient of each block kind,
+        with and without SE, equal the per-op chain's byte for byte."""
+        for name in BLOCK_VARIANTS:
+            for se in (False, True):
+                results = []
+                for run in (lambda b, t: b(t), block_chain):
+                    block, x = variant(name, se)
+                    r = T.Tensor(np.random.default_rng(2).normal(
+                        size=block(T.Tensor(x)).shape))       # a throwaway forward
+                    TestUnits._randomize_stats(block, np.random.default_rng(3))
+                    t = T.Tensor(x, requires_grad=True)
+                    out = run(block, t)
+                    T.backward(T.reduce_sum(T.mul(out, r)))
+                    results.append([out.data, t.grad] + [p.grad for p in block.parameters()]
+                                   + [b for _, b in block.named_buffers()])
+                assert len(results[0]) == len(results[1])
+                for a, b in zip(*results):
+                    assert a.tobytes() == b.tobytes(), (name, se)
+
+    @pytest.mark.parametrize("se", [False, True])
+    @pytest.mark.parametrize("name", list(BLOCK_VARIANTS))
+    def test_block_grads(self, name, se):
+        block, x = variant(name, se, dtype=np.float64)
+        x = T.Tensor(x, requires_grad=True, dtype=np.float64)
+        r = T.Tensor(np.random.default_rng(4).normal(size=block(x).shape), dtype=np.float64)
+        check_param_gradients(lambda: T.reduce_sum(T.mul(block(x), r)),
+                              [x] + block.parameters())
 
     def test_eval_block_folds_within_float32_rounding(self, rng):
         spec = BlockSpec("basic", 4, 8, stride=2)
@@ -221,7 +270,7 @@ class TestUnits:
         self._randomize_stats(block, rng)
         state = {k: v.tobytes() for k, v in block.state_arrays().items()}
         x = T.Tensor(rng.normal(size=(3, 4, 8, 8)))
-        got, want = block(x).data, self._chain(block, x).data
+        got, want = block(x).data, block_chain(block, x).data
         assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
         assert {k: v.tobytes() for k, v in block.state_arrays().items()} == state
 
@@ -242,6 +291,16 @@ class TestUnits:
         assert np.array_equal(train_mode, block.eval()(x).data)
         for k, v in block.named_buffers():
             assert np.array_equal(v, buffers[k])
+
+    def test_units_share_one_batch_norm_mode(self, rng):
+        # one node runs every unit, so a lone frozen batch norm would go on
+        # updating its running statistics; the block refuses to run instead
+        block = ResidualBlock(BlockSpec("basic", 4, 8, stride=2), rng)
+        block.short_bn.set_trainable(False)
+        with pytest.raises(UsageError, match="all train on batch statistics"):
+            block(T.Tensor(rng.normal(size=(2, 4, 6, 6))))
+        block.set_trainable(False)
+        assert block(T.Tensor(rng.normal(size=(2, 4, 6, 6)))).shape == (2, 8, 3, 3)
 
     @pytest.mark.parametrize("side", [64, 128])
     def test_every_default_model_unit_matches_a_float64_reference(self, monkeypatch, side):
@@ -332,12 +391,32 @@ class TestUnits:
         seen, stack = set(), [loss]
         while stack:
             t = stack.pop()
-            if id(t) not in seen:
+            if id(t) not in seen and t._backward is not None:
                 seen.add(id(t))
                 stack.extend(t._parents)
-        # 157 as separate conv, BN and ReLU ops, 140 with each residual join as
-        # reshape, broadcast_to, mul, add and relu
-        assert len(seen) <= 124
+        # the stem, one node per block, the head pool, and 27 in the heads and
+        # loss; 64 while each unit, SE op and join was a node of its own
+        assert len(seen) == 33
+
+    def test_training_block_keeps_its_input_and_three_arrays(self):
+        """A training block of block 0's shape (16 channels, 32 x 32, SE,
+        batch 32) keeps, beside its input, its two centred conv outputs and
+        its output, not the units' outputs."""
+        import tracemalloc
+        block = ResidualBlock(BlockSpec("basic", 16, 16, se_enabled=True),
+                              np.random.default_rng(0))
+        x = T.Tensor(np.random.default_rng(1).normal(size=(32, 16, 32, 32)),
+                     requires_grad=True)
+        block(x)
+        tracemalloc.start()
+        try:
+            out = block(x)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        # five arrays while each unit output and the join were nodes of their own
+        assert kept <= 3 * x.data.nbytes + (64 << 10), kept / x.data.nbytes
 
 
 class TestPoolHead:

@@ -270,6 +270,23 @@ class TestConvLowerings:
         assert {c for c, _ in chunks} == {6}
         assert sorted(i for _, s in chunks for i in range(s.start, s.stop)) == [0, 1, 2]
 
+    def test_stride1_backward_holds_two_weight_sized_arrays(self, rng):
+        """Block 3's 128 -> 128 3x3 backward at 64 px and batch 32 makes,
+        beside dW, dX and its chunk of dY's columns, one weight-sized array
+        (the dW accumulator) and small chunk buffers."""
+        import tracemalloc
+        x, g = (rng.normal(size=(32, 128, 4, 4)).astype(np.float32) for _ in range(2))
+        w = rng.normal(size=(128, 128, 3, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            dw, dx = T._transposed_grads(g, x, w, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.15 MiB (+0.56 MiB) while the flipped kernel and each chunk's dW
+        # product had buffers of their own
+        assert peak <= dw.nbytes + dx.nbytes + w.nbytes + T._CHUNK_BYTES + (256 << 10), peak
+
     @pytest.mark.parametrize("side", _SIDES)
     def test_one_gather_dw_matches_input_columns_dw(self, rng, side):
         # float64 to 1e-12; float32 to 1e-5 of the largest |dW|, ~100 float32
@@ -281,8 +298,8 @@ class TestConvLowerings:
                     w = rng.normal(size=(cout, cin // groups, 3, 3)).astype(dtype)
                     ho = side + 2 * padding - 2
                     g = rng.normal(size=(2, cout, ho, ho)).astype(dtype)
-                    _, grad = T._conv_lowered(x, w, 1, padding, groups, ho, ho)
-                    want = grad(g, False)[0].swapaxes(-1, -2).reshape(w.shape)
+                    want = T._lowered_grads(g, x, w, 1, padding, groups, False)[0]
+                    want = want.swapaxes(-1, -2).reshape(w.shape)
                     got, dx = T._transposed_grads(g.copy(), x, w, padding, groups)
                     assert got.shape == w.shape and dx.shape == x.shape
                     assert np.abs(got - want).max() <= tol * np.abs(want).max(), \
@@ -389,8 +406,8 @@ class TestPadFreeColumns:
             g = rng.normal(size=(3, cout, ho, ho)).astype(np.float32)
             for images in _PADDED_BUDGETS[layout]:
                 monkeypatch.setattr(T, "_CHUNK_BYTES", images * cin * k * k * ho * ho * 4)
-                out, grad = T._conv_lowered(x, w, stride, padding, groups, ho, ho)
-                got = (out,) + grad(g, True)
+                got = (T._conv_lowered(x, w, stride, padding, groups, ho, ho),
+                       *T._lowered_grads(g, x, w, stride, padding, groups, True))
                 want = padded_lowering(x, w, stride, padding, groups, ho, ho, g)
                 for name, a, b in zip(("out", "dW", "dX"), got, want):
                     assert a.flags.c_contiguous and np.array_equal(a, b), \
@@ -409,8 +426,7 @@ class TestPadFreeColumns:
                     g = rng.normal(size=(3, 5, ho, ho)).astype(np.float32)
                     for images in _PADDED_BUDGETS[layout]:
                         monkeypatch.setattr(T, "_CHUNK_BYTES", images * 4 * k * k * ho * ho * 4)
-                        _, grad = T._conv_lowered(x, w, stride, padding, 1, ho, ho)
-                        got = grad(g, True)[1]
+                        got = T._lowered_grads(g, x, w, stride, padding, 1, True)[1]
                         want = padded_lowering(x, w, stride, padding, 1, ho, ho, g)[2]
                         assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), \
                             (images, side, stride, k)
@@ -431,10 +447,10 @@ class TestChunkedEpilogues:
         b = rng.normal(size=6).astype(np.float32)
         for step in {"_conv_per_image": (1,), "_conv_batch_wide": (2, 3)}[layout]:
             monkeypatch.setattr(T, "_CHUNK_BYTES", step * 4 * 9 * side * side * 4)
-            want, _ = T._conv_lowered(x, w, 1, 1, 1, side, side)
+            want = T._conv_lowered(x, w, 1, 1, 1, side, side)
             want += b[None, :, None, None]
             np.maximum(want, 0, out=want)
-            got, _ = T._conv_lowered(x, w, 1, 1, 1, side, side, bias=b, relu=True)
+            got = T._conv_lowered(x, w, 1, 1, 1, side, side, bias=b, relu=True)
             assert np.array_equal(got, want), step
 
     @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (3, 1), (1, 1)])
@@ -455,47 +471,128 @@ class TestChunkedEpilogues:
             assert np.array_equal(a, b)
 
 
-def _join_chain(y, gate, short):
-    """The residual join as it was spelled before gate_add_relu."""
+def join_chain(y, gate, short):
+    """A residual block's join, ``relu(y * gate + short)``, as separate ops;
+    no gate when ``gate`` is None."""
     if gate is not None:
         n, c = gate.shape
         y = T.mul(y, T.broadcast_to(T.reshape(gate, (n, c, 1, 1)), y.shape))
     return T.relu(T.add(y, short))
 
 
+def _basic_block(ts, stride, projection, gated):
+    """(x, units, short, se) of a basic block for :func:`T.residual_block`,
+    from tensors ``ts``: the input, then (w, gamma, beta) of two 3x3 units,
+    of a 1x1 projection shortcut when ``projection``, and the SE weights when
+    ``gated``. Running statistics start at 0 and 1."""
+    x, rest = ts[0], list(ts[1:])
+
+    def unit(stride, padding):
+        w, gamma, beta = rest.pop(0), rest.pop(0), rest.pop(0)
+        c = w.shape[0]
+        return (w, gamma, beta, np.zeros(c, w.dtype), np.ones(c, w.dtype), stride, padding, 1)
+    units = [unit(stride, 1), unit(1, 1)]
+    short = unit(stride, 0) if projection else None
+    return x, units, short, (tuple(rest) if gated else None)
+
+
+def _basic_block_arrays(rng, cin, cout, projection, gated):
+    """Random arrays in :func:`_basic_block`'s order, for a [3, cin, 6, 6] input."""
+    shapes = [(3, cin, 6, 6), (cout, cin, 3, 3), (cout,), (cout,),
+              (cout, cout, 3, 3), (cout,), (cout,)]
+    if projection:
+        shapes += [(cout, cin, 1, 1), (cout,), (cout,)]
+    if gated:
+        shapes += [(cout // 2, cout), (cout, cout // 2)]
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+def _block_chain(x, units, short, se):
+    """:func:`T.residual_block` in training mode, spelled as conv2d,
+    batch_norm2d and relu per unit, the SE gate as its five ops, and
+    :func:`join_chain`."""
+    def unit(t, u, relu):
+        w, gamma, beta, running_mean, running_var, stride, padding, groups = u
+        t = T.batch_norm2d(T.conv2d(t, w, stride=stride, padding=padding, groups=groups),
+                           gamma, beta, running_mean, running_var, training=True)
+        return T.relu(t) if relu else t
+    y = unit(unit(x, units[0], True), units[1], False)
+    gate = None if se is None else \
+        T.sigmoid(T.linear(T.relu(T.linear(T.global_avg_pool(y), se[0])), se[1]))
+    return join_chain(y, gate, x if short is None else unit(x, short, False))
+
+
+# (cin, cout, stride, projection): a block with an identity shortcut, and a
+# strided one with a projection
+_JOIN_BLOCKS = ((4, 4, 1, False), (4, 6, 2, True))
+
+
 class TestGateAddRelu:
+    """A residual block's join (SE gate, shortcut add, ReLU), which
+    :func:`T.residual_block` runs in its one node with the units."""
+
     @pytest.mark.parametrize("gated", [True, False])
     def test_equals_chain_bitwise(self, rng, gated):
-        arrays = [rng.normal(size=(3, 4, 5, 6)), rng.uniform(size=(3, 4)),
-                  rng.normal(size=(3, 4, 5, 6))]
-        r = T.Tensor(rng.normal(size=(3, 4, 5, 6)))
-        results = []
-        for op in (T.gate_add_relu, _join_chain):
-            y, gate, short = [T.Tensor(a, requires_grad=True) for a in arrays]
-            gate = gate if gated else None
-            out = op(y, gate, short)
-            T.backward(T.reduce_sum(T.mul(out, r)))
-            results.append([out.data, y.grad, short.grad] + ([gate.grad] if gated else []))
-        for a, b in zip(*results):
-            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
+        for cin, cout, stride, projection in _JOIN_BLOCKS:
+            arrays = [a.astype(np.float32)
+                      for a in _basic_block_arrays(rng, cin, cout, projection, gated)]
+            results = []
+            for op in (lambda *args: T.residual_block(*args, True), _block_chain):
+                ts = [T.Tensor(a, requires_grad=True) for a in arrays]
+                x, units, short, se = _basic_block(ts, stride, projection, gated)
+                out = op(x, units, short, se)
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(
+                    np.random.default_rng(0).normal(size=out.shape)))))
+                stats = [a for u in units + ([short] if projection else []) for a in u[3:5]]
+                results.append([out.data] + [t.grad for t in ts] + stats)
+            for a, b in zip(*results):
+                assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("gated", [True, False])
     def test_grads(self, rng, gated):
-        arrays = [rng.normal(size=(2, 3, 4, 5)), rng.uniform(size=(2, 3)),
-                  rng.normal(size=(2, 3, 4, 5))]
-        r = T.Tensor(rng.normal(size=(2, 3, 4, 5)), dtype=np.float64)
-        if not gated:
-            del arrays[1]
-        check_gradients(
-            lambda ts: T.mean_all(T.mul(T.gate_add_relu(ts[0], ts[1] if gated else None,
-                                                        ts[-1]), r)), arrays)
+        for cin, cout, stride, projection in _JOIN_BLOCKS:
+            arrays = _basic_block_arrays(rng, cin, cout, projection, gated)
+            r = T.Tensor(rng.normal(size=(3, cout, 6 // stride, 6 // stride)), dtype=np.float64)
+            check_gradients(lambda ts: T.reduce_sum(T.mul(T.residual_block(
+                *_basic_block(ts, stride, projection, gated), True), r)), arrays)
 
     def test_shapes_checked(self, rng):
-        y = T.Tensor(rng.normal(size=(2, 3, 4, 4)))
-        with pytest.raises(ConfigurationError):
-            T.gate_add_relu(y, T.Tensor(np.ones((2, 4))), y)
-        with pytest.raises(ConfigurationError):
-            T.gate_add_relu(y, None, T.Tensor(np.ones((2, 3, 4, 5))))
+        ts = [T.Tensor(a) for a in _basic_block_arrays(rng, 4, 6, False, True)]
+        with pytest.raises(ConfigurationError, match="shortcut"):
+            # an identity shortcut cannot add 4 channels to 6
+            T.residual_block(*_basic_block(ts, 1, False, True), True)
+        ts = [T.Tensor(a) for a in _basic_block_arrays(rng, 4, 4, False, False)]
+        x, units, _, _ = _basic_block(ts, 1, False, False)
+        for bad in ((np.ones((3, 6)), np.ones((6, 3))), (np.ones((2, 4)), np.ones((4, 3)))):
+            with pytest.raises(ConfigurationError, match="SE weights"):
+                T.residual_block(x, units, None, tuple(map(T.Tensor, bad)), True)
+        with pytest.raises(ConfigurationError, match="NCHW"):
+            T.residual_block(T.Tensor(np.ones((3, 4, 6))), units, None, None, True)
+
+    def test_eval_node_runs_and_has_no_backward(self, rng):
+        ts = [T.Tensor(a, requires_grad=True)
+              for a in _basic_block_arrays(rng, 4, 6, True, True)]
+        x, units, short, se = _basic_block(ts, 2, True, True)
+        out = T.residual_block(x, units, short, se, False)
+        assert out.shape == (3, 6, 3, 3)
+        with pytest.raises(UsageError, match="no backward in eval mode"):
+            T.backward(T.mean_all(out))
+        with T.no_grad():
+            assert T.residual_block(x, units, short, se, False)._backward is None
+
+    @pytest.mark.parametrize("where", ["input", "weight", "beta"])
+    def test_a_planted_inf_raises(self, rng, where):
+        ts = [T.Tensor(a) for a in _basic_block_arrays(rng, 4, 6, True, True)]
+        x, units, short, se = _basic_block(ts, 2, True, True)
+        if where == "input":
+            x.data[1, 2, 3, 4] = np.inf
+        elif where == "weight":
+            units[0][0].data[0, 0, 1, 1] = np.inf
+        else:       # -inf in the shortcut's shift, which the final ReLU would hide
+            short[2].data[3] = -np.inf
+        with pytest.raises(NumericsError, match="residual_block"), \
+                np.errstate(invalid="ignore"):
+            T.residual_block(x, units, short, se, True)
 
 
 class TestBatchNorm:
@@ -1053,7 +1150,9 @@ class TestGradientOwnership:
         # its own epilogue, so no full-resolution (64 x 64) gradient is handed
         assert max(handed) == 32 * 16 * 32 * 32 * 4
         assert 32 * 16 * 64 * 64 * 4 not in handed
-        assert len(handed) > 100
+        # one per parameter and one per node input that wants a gradient (135
+        # while each unit, SE op and join was a node of its own)
+        assert len(handed) == 100
 
     def test_scalar_nodes_hold_arrays(self, monkeypatch):
         """numpy turns 0-d results into scalars; nodes and the gradients

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, UsageError
-from .nn import BatchNorm2d, Conv2d, Linear, Module, conv_bn
+from .nn import BatchNorm2d, Conv2d, Linear, Module
 
 BOTTLENECK_EXPANSION = 4
 
@@ -188,7 +188,7 @@ class PoolHead(Module):
 
 
 class Backbone(Module):
-    """Stem conv (+ optional pool) followed by the configured residual blocks."""
+    """Stem unit (+ optional pool) followed by the configured residual blocks."""
 
     def __init__(self, stem: StemSpec, blocks, rng, dtype=np.float32):
         super().__init__()
@@ -215,7 +215,9 @@ class Backbone(Module):
                 * self.conv.weight.data.itemsize)
 
     def forward(self, x):
-        y = conv_bn(self.conv, self.bn, x, pool=self.stem_spec.pool)
+        y = T.conv_bn_act(x, self.conv.weight, self.bn.gamma, self.bn.beta, self.bn.running_mean,
+                          self.bn.running_var, self.bn.batch_stats, stride=self.conv.stride,
+                          padding=self.conv.padding, pool=self.stem_spec.pool)
         for block in self.blocks:
             y = block(y)
         return y

@@ -108,8 +108,8 @@ def write_predictions_csv(path, exam_ids, head_specs, probs, grades):
 def read_predictions_csv(path):
     """Inverse of write_predictions_csv: (exam_ids, head_specs, probs, grades).
 
-    A cell that is not a number, or a probability that is not finite, is a
-    DataError naming the file and line.
+    A cell that is not a number, a probability that is not finite, or a
+    grade outside its head's classes is a DataError naming the file and line.
     """
     with open(path) as fh:
         rows = [(n, line.rstrip("\n").split(","))
@@ -151,6 +151,8 @@ def read_predictions_csv(path):
                                 f"cell in {row[j:j + 1 + k]}") from None
             if not np.isfinite(p).all():
                 raise DataError(f"{path} line {r}: head {name!r} has a non-finite probability")
+            if not 0 <= grade < k:
+                raise DataError(f"{path} line {r}: head {name!r} grade {grade} outside [0, {k - 1}]")
             grades[name].append(grade)
             probs[name].append(p)
             j += 1 + k

@@ -144,7 +144,7 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch-norm parameters and running statistics, applied by :func:`conv_bn` or a block."""
+    """Batch-norm parameters and running statistics, applied by the stem's unit or a block."""
 
     def __init__(self, channels, dtype=np.float32):
         super().__init__()
@@ -158,19 +158,6 @@ class BatchNorm2d(Module):
     def batch_stats(self):
         """True when the unit normalizes by, and updates from, batch statistics."""
         return self.training and not self.stats_frozen
-
-
-def conv_bn(conv, bn, x, act="relu", pool=0):
-    """``act(bn(conv(x)))`` as one :func:`~kneegrade.tensor.conv_bn_act` node;
-    ``act`` is "relu" or None. ``pool`` k > 0 average-pools the result over
-    k x k windows of step k: as the unit's epilogue when it trains on batch
-    statistics over an input that wants no gradient (the stem), so no
-    full-resolution output is kept, and as a separate ``avg_pool2d`` node
-    otherwise."""
-    return T.conv_bn_act(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
-                         bn.running_var, training=bn.batch_stats, act=act,
-                         stride=conv.stride, padding=conv.padding, groups=conv.groups,
-                         pool=pool)
 
 
 class Linear(Module):

@@ -49,9 +49,9 @@ def load_tensors(path):
     """Read a container written by :func:`save_tensors`.
 
     Returns a dict of name -> float32 ndarray in file order. Raises
-    WeightLoadError on a bad magic, version, or truncated payload, and on
-    extents whose product overflows or exceeds the bytes left, checked on
-    the header before any array is made.
+    WeightLoadError on a bad magic, version, truncated payload or a name
+    that appears twice, and on extents whose product overflows or exceeds
+    the bytes left, checked on the header before any array is made.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -67,6 +67,8 @@ def load_tensors(path):
             (name_len,) = struct.unpack_from("<I", buf, off)
             off += 4
             name = buf[off:off + name_len].decode("utf-8")
+            if name in out:
+                raise WeightLoadError(f"{path}: tensor {name!r} appears twice")
             off += name_len
             (rank,) = struct.unpack_from("<I", buf, off)
             off += 4

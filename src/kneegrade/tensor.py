@@ -23,13 +23,13 @@ other: a closure owns the array it is handed and may overwrite it (see
 Inside ``with no_grad():`` ops link nothing, which is how inference runs.
 
 Every output is scanned for non-finite values, so the graph is kept small:
-``conv_bn_act`` runs a conv, its batch norm and an optional ReLU as one node,
-one output buffer and one scan. In training mode it equals the three-op
-chain bit for bit, except on the moment path below; in eval mode it folds the
-running statistics into the conv's weight and bias on every call (nothing is
-cached or written back), and has no backward (see :func:`conv_bn_act`).
-``residual_block`` runs a residual block (units, SE gate, shortcut and join)
-as one node, bit for bit the chain of separate ops.
+``conv_bn_act`` runs the stem's conv, batch norm and ReLU as one node, and
+``residual_block`` a whole residual block (units, SE gate, shortcut and join).
+In training mode each equals its chain of separate ops bit for bit, except
+on the moment path below. Every eval unit, the stem's and a block's, is one
+:func:`_eval_unit`, which folds the running statistics into the conv's weight
+and bias on every call (nothing is cached or written back); an eval node has
+no backward.
 
 The wide early layers are bound by memory traffic, so no full-size array is
 made that a cache-sized chunk can do without. Every conv gathers its columns
@@ -350,19 +350,17 @@ def broadcast_to(a, shape):
     return _node(np.ascontiguousarray(out), (a,), bwd, "broadcast_to")
 
 
-def reduce_sum(a, axis=None, keepdims=False):
+def reduce_sum(a, axis=None):
     if axis is None:
         axes = tuple(range(a.data.ndim))
     elif isinstance(axis, int):
         axes = (axis % a.data.ndim,)
     else:
         axes = tuple(ax % a.data.ndim for ax in axis)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-    out = np.asarray(out)
+    out = np.asarray(a.data.sum(axis=axes))
     src = a.data.shape
     def bwd(g, grads):
-        gk = g if keepdims else np.expand_dims(g, axes) if axes else g
-        _put(grads, a, np.broadcast_to(gk, src).copy())
+        _put(grads, a, np.broadcast_to(np.expand_dims(g, axes), src).copy())
     return _node(out, (a,), bwd, "reduce_sum")
 
 
@@ -729,13 +727,13 @@ def _update_running(running_mean, running_var, mean, var):
     running_var += BN_MOMENTUM * var.astype(running_var.dtype)
 
 
-def _bn_train(y, gamma, beta, running_mean, running_var, in_place, relu=False):
+def _bn_train(y, gamma, beta, running_mean, running_var, relu=False):
     """Training-mode batch norm of the array ``y`` [N, C, H, W] on its batch statistics.
 
     Updates the running statistics in place with the biased batch variance
     (see ``BN_MOMENTUM``). Returns the normalized output (ReLU applied when
-    ``relu``), the centred input backward keeps (``y`` itself, overwritten,
-    when ``in_place``) and the per-channel ``1 / std``. The output is scaled,
+    ``relu``), the centred input backward keeps, which is ``y`` itself,
+    overwritten, and the per-channel ``1 / std``. The output is scaled,
     shifted and rectified one chunk of images at a time.
     """
     n, c, h, w = y.shape
@@ -743,7 +741,7 @@ def _bn_train(y, gamma, beta, running_mean, running_var, in_place, relu=False):
     if m < 2:
         raise NormalizationError("batch norm: training mode needs at least 2 values per channel")
     mean = _channel_sum(y) / m
-    xc = np.subtract(y, mean[None, :, None, None], out=y if in_place else None)
+    xc = np.subtract(y, mean[None, :, None, None], out=y)
     var = _channel_sum(xc, xc) / m                # biased, matches the normalizer
     _update_running(running_mean, running_var, mean, var)
     inv = 1.0 / np.sqrt(var + BN_EPS)
@@ -845,10 +843,10 @@ def _bn_fold(gamma, beta, running_mean, running_var, dtype):
     return scale, beta - running_mean.astype(dtype) * scale, inv
 
 
-def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
-    """A groups=1 conv by ``wd`` plus bias ``shift`` [Cout], then an optional
-    ReLU and a k x k average pool of step k, one chunk of images at a time:
-    no full-resolution output is made.
+def _pooled_unit(xd, wd, shift, stride, padding, ho, wo, k):
+    """A groups=1 conv by ``wd`` plus bias ``shift`` [Cout], a ReLU and a k x
+    k average pool of step k, one chunk of images at a time, with no
+    full-resolution output (with k = 1, the GEMMs write the output).
 
     Each chunk of :func:`_gemm_chunks` is pooled as :func:`avg_pool2d` pools,
     so the result has the bits of the lowering and the pool in turn. Returns
@@ -862,12 +860,13 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
     n = xd.shape[0]
     cout, cin, kh, kw = wd.shape
     depth, p = cin * kh * kw, ho * wo
-    gemm = (xd, wd.reshape(1, cout, depth), shift, relu, kh, kw, stride, padding, ho, wo,
+    gemm = (xd, wd.reshape(1, cout, depth), shift, True, kh, kw, stride, padding, ho, wo,
             _image_step(n, depth * p * xd.itemsize))
     out = np.empty((n, cout, ho // k, wo // k), dtype=xd.dtype)
     windows = [idx for *_, idx in _taps(k, k, k, 0, ho, wo, *out.shape[2:])]
-    for images, _, y in _gemm_chunks(*gemm):
-        _pool_into(y.reshape(cout, -1, ho, wo).swapaxes(0, 1), k, k, out[images])
+    for images, _, y in _gemm_chunks(*gemm, out=out if k == 1 else None):
+        if k > 1:
+            _pool_into(y.reshape(cout, -1, ho, wo).swapaxes(0, 1), k, k, out[images])
 
     def grad(g):
         dw = np.zeros((1, depth, cout), dtype=g.dtype)
@@ -876,10 +875,7 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
             # y turns into its own gradient: the ReLU mask (1 or 0), times
             # g / k^2 in each window's places, and 0 past the last window
             dy = y.reshape(cout, -1, ho, wo).swapaxes(0, 1)
-            if relu:
-                np.greater(dy, 0, out=dy)
-            else:
-                dy[...] = 1
+            np.greater(dy, 0, out=dy)
             for idx in windows:
                 dy[idx] *= g[images]
             dy[:, :, k * out.shape[2]:] = 0
@@ -890,6 +886,21 @@ def _pooled_unit(xd, wd, shift, relu, stride, padding, ho, wo, k):
             s += sum(np.einsum("chw->c", image) for image in dy)
         return dw, s
     return out, grad
+
+
+def _eval_unit(xd, w, gamma, beta, running_mean, running_var, relu, stride, padding, groups):
+    """Eval-mode ``batch_norm2d(conv2d(xd, w))`` of arrays, ReLU applied when
+    ``relu``: every eval unit. The running statistics are folded into new
+    arrays each call, ``W' = W * s`` and ``b' = beta - mean * s`` with ``s =
+    gamma / sqrt(var + BN_EPS)``, checked finite (a +inf bias would read 0
+    after the ReLU); one conv adds ``b'`` and the ReLU to each chunk as it
+    leaves the GEMM, off the chain by float32 rounding. The caller scans."""
+    scale, shift, _ = _bn_fold(gamma, beta, running_mean, running_var, xd.dtype)
+    wd = w * scale[:, None, None, None]
+    if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
+        raise NumericsError("a conv unit's folded weights or bias are non-finite")
+    ho, wo = _conv_geometry(xd.shape, w.shape, stride, padding, groups)
+    return _conv_lowered(xd, wd, stride, padding, groups, ho, wo, bias=shift, relu=relu)
 
 
 def _no_backward_without_batch_stats(g, grads):
@@ -914,8 +925,7 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
         raise ConfigurationError(f"batch_norm2d: expected NCHW input, got {x.data.shape}")
     _check_bn_params(x.data.shape[1], gamma, beta, "batch_norm2d")
     if training:
-        out, xc, inv = _bn_train(x.data, gamma.data, beta.data, running_mean, running_var,
-                                 in_place=False)
+        out, xc, inv = _bn_train(x.data.copy(), gamma.data, beta.data, running_mean, running_var)
     else:
         scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
                                      x.data.dtype)
@@ -941,39 +951,35 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
     return _node(out, (x, gamma, beta), bwd, "batch_norm2d")
 
 
-def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="relu",
-                stride=1, padding=0, groups=1, pool=0):
-    """``act(batch_norm2d(conv2d(x, w)))`` as one graph node; ``act`` is "relu" or None.
-    With ``pool`` k > 0, the result is that unit's k x k average pool of step
-    k, ``avg_pool2d(unit, k, k)``.
+def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, stride=1, padding=0,
+                pool=0):
+    """``relu(batch_norm2d(conv2d(x, w)))``, the stem's unit, as one graph
+    node. With ``pool`` k > 0, the result is that unit's k x k average pool
+    of step k, ``avg_pool2d(unit, k, k)``.
 
-    Arguments mean what they mean for :func:`conv2d` (no bias: batch norm
-    cancels it) and :func:`batch_norm2d`. The result equals the three-op
-    chain, but only the unit's output is allocated, scanned and recorded.
+    Arguments mean what they mean for :func:`conv2d` (one group, and no
+    bias: batch norm cancels it) and :func:`batch_norm2d`. The result equals
+    the three-op chain, but only the unit's output is allocated, scanned and
+    recorded. A residual block's units run inside :func:`residual_block`.
 
     Off the moment path below, training mode centres the conv output in
     place and keeps it, ``1 / std`` and the output, which it scales, shifts
     and rectifies from the centred buffer; backward turns the gradient it
     owns into the conv output's gradient in place (:func:`_unit_grads`), all
-    with the chain's bits. Eval mode folds the running statistics
-    into the conv each call: ``W' = W * s`` and ``b' = beta - mean * s`` with
-    ``s = gamma / sqrt(var + BN_EPS)``, then runs one conv whose lowering adds
-    ``b'`` and applies the ReLU to each chunk as it leaves the GEMM. That rounds
-    differently from the chain, at float32 precision.
-    The folded arrays are new; parameters and buffers are never written.
-    Eval mode, which frozen statistics also run, has no backward: a gradient
-    reaching it raises ``UsageError``, though an eval forward outside
-    :func:`no_grad` still runs. None is needed, as ``set_trainable`` freezes
-    statistics exactly with parameters and inference runs under ``no_grad``.
+    with the chain's bits. Eval mode, which frozen statistics also run, is
+    :func:`_eval_unit` and has no backward: a gradient reaching it raises
+    ``UsageError``, though an eval forward outside :func:`no_grad` still
+    runs. None is needed, as ``set_trainable`` freezes statistics exactly
+    with parameters and inference runs under ``no_grad``.
 
-    The moment path: in training mode, with ``groups == 1``, column depth
+    The moment path: in training mode, with column depth
     ``k = Cin * kH * kW <= Cout`` and an input that wants no gradient (the
     stem over the image), the batch statistics come from the float64 mean
     ``mu`` and covariance ``C`` of the conv's [k, N*Ho*Wo] columns: per
     channel ``mean = W mu`` and biased ``var = W C W^T``, clamped at 0. They
     update the running statistics and are folded into the conv as in eval
     mode, so no centred copy is made and backward keeps only the output.
-    Backward masks the gradient ``g`` it owns, gathers the columns again for
+    Backward masks the gradient ``g``, gathers the columns again for
     ``a = sum(g c^T)`` and ``s = sum(g)``, and forms ``dbeta = s``,
     ``dgamma = inv * W (a - s mu)`` and
     ``dW = gamma * inv * (a - s mu - dgamma * inv * C W)``. This path is the
@@ -981,89 +987,68 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act="rel
     the stem's output, gradients and running statistics differ from the
     chain's by at most ~1e-6 relative.
 
-    On the moment path the pool is the unit's epilogue (:func:`_pooled_unit`):
-    the node keeps only the pooled output, with no full-resolution output,
-    pool node or pool gradient, and backward rebuilds each chunk's ReLU mask
-    from the columns it gathers again for ``a``. Output and running
-    statistics keep the bits of the unit and pool in turn; ``s``, summed by
-    chunk, moves the gradients by ~2e-7 relative. Every other path (eval
-    mode, frozen statistics) returns ``avg_pool2d(unit, k, k)`` by the
-    module-level names, so an eval forward still shows the pool to whatever
-    patches ``avg_pool2d``.
+    On the moment path the unit runs in :func:`_pooled_unit`, with k = 1
+    when it does not pool: the node keeps only its output, with no
+    full-resolution output, pool node or pool gradient, and backward
+    rebuilds each chunk's ReLU mask from the columns it gathers again for
+    ``a``. Output and running statistics keep the bits of the unit and pool
+    in turn; ``s``, summed by chunk, moves the gradients by ~2e-7 relative.
+    Every other path (the centred one, eval mode, frozen statistics) returns
+    ``avg_pool2d(unit, k, k)`` by the module-level names, so an eval forward
+    still shows the pool to whatever patches ``avg_pool2d``.
     """
-    if act not in ("relu", None):
-        raise ConfigurationError(f"conv_bn_act: act must be 'relu' or None, got {act!r}")
-    stride, padding, groups, ho, wo = _conv_setup(x.data, w.data, stride, padding, groups,
-                                                  "conv_bn_act")
+    stride, padding, _, ho, wo = _conv_setup(x.data, w.data, stride, padding, 1, "conv_bn_act")
     cout = w.data.shape[0]
     _check_bn_params(cout, gamma, beta, "conv_bn_act")
     pool = int(pool)
     if not 0 <= pool <= min(ho, wo):
         raise ConfigurationError(
             f"conv_bn_act: pool window {pool} must lie in [0, {min(ho, wo)}] here")
-    moments = training and groups == 1 and w.data[0].size <= cout and not x.requires_grad
+    moments = training and w.data[0].size <= cout and not x.requires_grad
     if pool and not moments:
-        unit = conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, act=act,
-                           stride=stride, padding=padding, groups=groups)
-        return avg_pool2d(unit, pool, pool)
-    if training and not moments:
-        out, xc, inv = _bn_train(_conv_lowered(x.data, w.data, stride, padding, groups, ho, wo),
-                                 gamma.data, beta.data, running_mean, running_var,
-                                 in_place=True, relu=(act == "relu"))
-        kept = [(xc, inv)]
-    else:
-        if moments:
-            w64 = w.data.reshape(cout, -1).astype(np.float64)
-            mu, cov = _column_moments(x.data, *w.data.shape[2:], stride, padding, ho, wo)
-            wcov = w64 @ cov
-            mean = w64 @ mu
-            var = np.maximum(np.einsum("ok,ok->o", wcov, w64), 0.0)
-            _update_running(running_mean, running_var, mean, var)
-            scale, shift, inv = _bn_fold(gamma.data, beta.data, mean, var, np.float64)
-            wd = (w.data * scale[:, None, None, None]).astype(x.data.dtype)
-            shift = shift.astype(x.data.dtype)
-        else:
-            scale, shift, _ = _bn_fold(gamma.data, beta.data, running_mean, running_var,
-                                       x.data.dtype)
-            wd = w.data * scale[:, None, None, None]
-        if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
-            raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
-        if pool:
-            out, grad = _pooled_unit(x.data, wd, shift, act == "relu", stride, padding,
-                                     ho, wo, pool)
-        else:
-            out = _conv_lowered(x.data, wd, stride, padding, groups, ho, wo, bias=shift,
-                                relu=(act == "relu"))
+        return avg_pool2d(conv_bn_act(x, w, gamma, beta, running_mean, running_var, training,
+                                      stride=stride, padding=padding), pool, pool)
+    parents = (x, w, gamma, beta)
     if not training:
-        return _node(out, (x, w, gamma, beta), _no_backward_without_batch_stats,
-                     "conv_bn_act")
+        out = _eval_unit(x.data, w.data, gamma.data, beta.data, running_mean, running_var, True,
+                         stride, padding, 1)
+        return _node(out, parents, _no_backward_without_batch_stats, "conv_bn_act")
+    if not moments:
+        out, xc, inv = _bn_train(_conv_lowered(x.data, w.data, stride, padding, 1, ho, wo),
+                                 gamma.data, beta.data, running_mean, running_var, relu=True)
+        kept = [(xc, inv)]
 
-    def bwd(g, grads):
-        if moments:         # the rule in the docstring, all in float64
-            if pool:
-                a, dbeta = grad(g)
-            else:
-                if act == "relu":
-                    _relu_mask(g, out)
-                a = _lowered_grads(g, x.data, wd, stride, padding, 1, False)[0]
-                dbeta = _channel_sum(g)
-            a = a[0].T.astype(np.float64)
-            a -= dbeta.astype(np.float64)[:, None] * mu
-            dgamma = inv * np.einsum("ok,ok->o", w64, a)
-            a -= (dgamma * inv)[:, None] * wcov
-            a *= (gamma.data * inv)[:, None]
-            _put(grads, w, a.reshape(w.data.shape).astype(w.data.dtype))
-            _put(grads, gamma, dgamma.astype(gamma.data.dtype))
-            _put(grads, beta, dbeta)
-            return
-        if act == "relu":
+        def bwd(g, grads):
             _relu_mask(g, out)
-        dx = _unit_grads(grads, g, kept, x.data, x.requires_grad, w, gamma, beta,
-                         stride, padding, groups)
-        if dx is not None:
-            _put(grads, x, dx)
+            _put(grads, x, _unit_grads(grads, g, kept, x.data, x.requires_grad, w, gamma,
+                                       beta, stride, padding, 1))
+        return _node(out, parents, bwd, "conv_bn_act")
 
-    return _node(out, (x, w, gamma, beta), bwd, "conv_bn_act")
+    w64 = w.data.reshape(cout, -1).astype(np.float64)
+    mu, cov = _column_moments(x.data, *w.data.shape[2:], stride, padding, ho, wo)
+    wcov = w64 @ cov
+    mean = w64 @ mu
+    var = np.maximum(np.einsum("ok,ok->o", wcov, w64), 0.0)
+    _update_running(running_mean, running_var, mean, var)
+    scale, shift, inv = _bn_fold(gamma.data, beta.data, mean, var, np.float64)
+    wd = (w.data * scale[:, None, None, None]).astype(x.data.dtype)
+    shift = shift.astype(x.data.dtype)
+    if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
+        raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
+    out, grad = _pooled_unit(x.data, wd, shift, stride, padding, ho, wo, max(pool, 1))
+
+    def moment_bwd(g, grads):       # the rule in the docstring, all in float64
+        a, dbeta = grad(g)
+        a = a[0].T.astype(np.float64)
+        a -= dbeta.astype(np.float64)[:, None] * mu
+        dgamma = inv * np.einsum("ok,ok->o", w64, a)
+        a -= (dgamma * inv)[:, None] * wcov
+        a *= (gamma.data * inv)[:, None]
+        _put(grads, w, a.reshape(w.data.shape).astype(w.data.dtype))
+        _put(grads, gamma, dgamma.astype(gamma.data.dtype))
+        _put(grads, beta, dbeta)
+
+    return _node(out, parents, moment_bwd, "conv_bn_act")
 
 
 def _gate_grad(g, xc, inv, gamma, beta):
@@ -1083,8 +1068,9 @@ def residual_block(x, units, short, se, training):
     running_mean, running_var, stride, padding, groups)``, all but the last
     ending in a ReLU; ``short`` is the projection shortcut's unit or None.
     ``se`` is ``(w1, w2)``, gate = ``sigmoid(relu(mean_hw(branch) @ w1^T) @
-    w2^T)``, or None. Out of ``training``, each unit is a :func:`conv_bn_act`
-    call by its module-level name and the node has no backward.
+    w2^T)``, or None. Out of ``training``, each unit is an :func:`_eval_unit`
+    whose output is scanned for non-finite values, as a node's would be, and
+    the node has no backward.
 
     A training node keeps its input, each unit's centred conv output and
     ``1 / std``, the gate's [N, C] arrays and its output; backward rebuilds
@@ -1099,20 +1085,21 @@ def residual_block(x, units, short, se, training):
     def conv(xd, u, relu):
         """The unit's conv output; its whole output in eval mode."""
         w, gamma, beta, running_mean, running_var, stride, padding, groups = u
-        if not training:
-            with no_grad():
-                return conv_bn_act(Tensor(xd, dtype=xd.dtype), w, gamma, beta, running_mean,
-                                   running_var, False, act="relu" if relu else None,
-                                   stride=stride, padding=padding, groups=groups).data
         stride, padding, groups, ho, wo = _conv_setup(xd, w.data, stride, padding, groups,
                                                       "residual_block")
         _check_bn_params(w.data.shape[0], gamma, beta, "residual_block")
-        return _conv_lowered(xd, w.data, stride, padding, groups, ho, wo)
+        if training:
+            return _conv_lowered(xd, w.data, stride, padding, groups, ho, wo)
+        y = _eval_unit(xd, w.data, gamma.data, beta.data, running_mean, running_var, relu,
+                       stride, padding, groups)
+        if not np.all(np.isfinite(y)):
+            raise NumericsError("residual_block produced non-finite values")
+        return y
 
     def norm(y, u, relu):
         if not training:
             return y
-        out, xc, inv = _bn_train(y, u[1].data, u[2].data, u[3], u[4], in_place=True, relu=relu)
+        out, xc, inv = _bn_train(y, u[1].data, u[2].data, u[3], u[4], relu=relu)
         kept.append((xc, inv))
         return out
 

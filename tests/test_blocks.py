@@ -7,10 +7,10 @@ import pytest
 
 from kneegrade import tensor as T
 from kneegrade.blocks import BlockSpec, PoolHead, PoolingSpec, ResidualBlock, SEGate, StemSpec, Backbone
-from kneegrade.errors import ConfigurationError, UsageError
+from kneegrade.errors import ConfigurationError, NumericsError, UsageError
 
 from gradcheck import check_param_gradients
-from test_tensor import join_chain
+from test_tensor import _LIFT, join_chain, lone_unit, model_units
 
 
 @pytest.fixture
@@ -227,7 +227,7 @@ class TestResidualBlock:
 
 
 class TestUnits:
-    """A block is one residual_block node; its eval units are conv_bn_act calls."""
+    """A block is one residual_block node, which runs its units itself."""
 
     @staticmethod
     def _randomize_stats(module, rng):
@@ -303,48 +303,59 @@ class TestUnits:
         assert block(T.Tensor(rng.normal(size=(2, 4, 6, 6)))).shape == (2, 8, 3, 3)
 
     @pytest.mark.parametrize("side", [64, 128])
-    def test_every_default_model_unit_matches_a_float64_reference(self, monkeypatch, side):
+    def test_every_default_model_unit_matches_a_float64_reference(self, side):
         """Forward and running statistics of every conv/BN unit the default
         model meets, pooled stem included, in training and eval mode, and its
-        gradients in training mode, against :func:`unit_oracle`."""
+        gradients in training mode, against :func:`unit_oracle`. The stem
+        runs in conv_bn_act; a block's unit runs in training as
+        :func:`lone_unit` runs it, ``relu(unit + lift)``, and in eval mode as
+        the eval unit each of a block's units is."""
         from kneegrade.model import ModelConfig, build_model
-        units, fused_op = [], T.conv_bn_act
-
-        def record(x, w, *args, **kwargs):
-            key = (x.shape[1:], w.shape, kwargs["stride"], kwargs["padding"],
-                   kwargs["groups"], kwargs["act"], kwargs.get("pool", 0))
-            if key not in units:
-                units.append(key)
-            return fused_op(x, w, *args, **kwargs)
-        monkeypatch.setattr(T, "conv_bn_act", record)
-        build_model(ModelConfig(), seed=0).eval()(T.Tensor(np.zeros((1, 1, side, side))))
-        monkeypatch.undo()
-        # the stem twice (pooled, and the unit its eval-mode pool wraps), 2 units
-        # in block 0, 3 in blocks 1-3
+        model = build_model(ModelConfig(), seed=0).eval()
+        units = model_units(model, np.zeros((1, 1, side, side), np.float32))
+        # the stem twice (pooled, and unpooled), 2 units in block 0, 2 units and
+        # a shortcut in blocks 1-3
         assert len(units) == 13
-        assert sum(1 for u in units if u[-1]) == 1
+        assert sum(1 for u in units if u[4]) == 1
 
         g = np.random.default_rng(side)
-        for xs, ws, stride, padding, groups, act, pool in units:
-            c = ws[0]
+        for x0, conv, _, relu, pool, stem in units:
+            xs, ws, c = x0.shape[1:], conv.weight.shape, conv.weight.shape[0]
+            geometry = dict(stride=conv.stride, padding=conv.padding, groups=conv.groups)
+            act = "relu" if relu else None
             arrays = [g.normal(size=(2,) + xs), g.normal(size=ws) * 0.3,
                       g.uniform(0.5, 1.5, c), g.normal(size=c)]
             rm0, rv0 = 0.1 * g.normal(size=c), g.uniform(0.5, 2.0, c)
-            geometry = dict(stride=stride, padding=padding, groups=groups)
-            where = (xs, ws, stride, act, pool)
+            lift = 0.0 if relu else _LIFT
+            where = (xs, ws, conv.stride, act, pool)
+
+            def run(ts, rm, rv, training):
+                """The unit's output, lifted as :func:`lone_unit` lifts it in a
+                block in training mode."""
+                if stem:
+                    return T.conv_bn_act(*ts, rm, rv, training, stride=conv.stride,
+                                         padding=conv.padding, pool=pool)
+                if training:
+                    return lone_unit(*ts, rm, rv, True, conv.stride, conv.padding, conv.groups,
+                                     lift)
+                out = T._eval_unit(*[t.data for t in ts], rm, rv, relu, conv.stride,
+                                   conv.padding, conv.groups)
+                return T.Tensor(out, dtype=out.dtype)
+
             for training in (True, False):
                 want, want_rm, want_rv = unit_oracle(*arrays, rm0, rv0, training, act,
                                                      pool=pool, **geometry)
+                if training and not stem:
+                    want = np.maximum(unit_oracle(*arrays, rm0, rv0, True, None,
+                                                  **geometry)[0] + lift, 0.0)
                 # the stem's image input wants no gradient, which takes the
                 # column-moment statistics (and the pool as the unit's
                 # epilogue) in training mode
-                for x_wants in (True, False) if xs[0] == 1 else (True,):
+                for x_wants in (True, False) if stem else (True,):
                     for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-4)):
                         rm, rv = rm0.astype(dtype), rv0.astype(dtype)
-                        got = T.conv_bn_act(*[T.Tensor(a, requires_grad=x_wants or i > 0,
-                                                       dtype=dtype)
-                                              for i, a in enumerate(arrays)], rm, rv,
-                                            training, act=act, pool=pool, **geometry)
+                        got = run([T.Tensor(a, requires_grad=x_wants or i > 0, dtype=dtype)
+                                   for i, a in enumerate(arrays)], rm, rv, training)
                         for a, b in ((got.data, want), (rm, want_rm), (rv, want_rv)):
                             gap = np.abs(a.astype(np.float64) - b).max() / (1 + np.abs(b).max())
                             assert gap <= tol, (where, training, x_wants,
@@ -352,22 +363,21 @@ class TestUnits:
 
                 if not training:        # an eval-mode unit has no backward
                     continue
-                # d/dh of sum(pool(unit) * r) along a random direction of each
-                # input; the ReLU's mask is taken at the base point, the oracle
-                # runs without it
+                # d/dh of sum(pool(relu(unit + lift)) * r) along a random
+                # direction of each input; the ReLU's mask is taken at the base
+                # point, the oracle runs without it
                 r = g.normal(size=want.shape)
-                pre = unit_oracle(*arrays, rm0, rv0, training, None, **geometry)[0]
-                mask = pre > 0 if act == "relu" else np.ones(pre.shape)
+                pre = unit_oracle(*arrays, rm0, rv0, training, None, **geometry)[0] + lift
+                mask = pre > 0
 
                 def loss(values):
                     pre = unit_oracle(*values, rm0, rv0, training, None, **geometry)[0]
                     return float((avg_pool_oracle(pre * mask, pool) * r).sum())
                 h = 1e-6
-                for x_wants in (True, False) if xs[0] == 1 else (True,):
+                for x_wants in (True, False) if stem else (True,):
                     ts = [T.Tensor(a, requires_grad=x_wants or i > 0, dtype=np.float64)
                           for i, a in enumerate(arrays)]
-                    out = T.conv_bn_act(*ts, rm0.copy(), rv0.copy(), training, act=act,
-                                        pool=pool, **geometry)
+                    out = run(ts, rm0.copy(), rv0.copy(), True)
                     T.backward(T.reduce_sum(T.mul(out, T.Tensor(r, dtype=np.float64))))
                     for i, t in enumerate(ts):
                         if not t.requires_grad:
@@ -397,6 +407,38 @@ class TestUnits:
         # the stem, one node per block, the head pool, and 27 in the heads and
         # loss; 64 while each unit, SE op and join was a node of its own
         assert len(seen) == 33
+
+    def test_eval_forward_graph_size(self, monkeypatch):
+        from kneegrade.model import ModelConfig, build_model
+        model = build_model(ModelConfig(), seed=0).eval()
+        node, ops = T._node, []
+
+        def spy(data, parents, backward_fn, op):
+            ops.append(op)
+            return node(data, parents, backward_fn, op)
+        monkeypatch.setattr(T, "_node", spy)
+        with T.no_grad():
+            model(T.Tensor(np.zeros((2, 1, 64, 64))))
+        # the stem unit, its pool, one node per block, the head pool and 7
+        # linears; 25 while each unit of an eval block was a node of its own
+        assert len(ops) == 14
+        assert ops.count("residual_block") == 4 and ops.count("conv_bn_act") == 1
+
+    def test_eval_unit_output_is_scanned(self):
+        """A first unit that overflows to +inf at one pixel, under second-unit
+        weights from that channel that are all negative: the second unit's
+        ReLU turns the -inf it makes into 0, so only a scan of each eval
+        unit's output, not the join's, sees it."""
+        block = ResidualBlock(BlockSpec("bottleneck", 8, 8), np.random.default_rng(0)).eval()
+        block.conv1.weight.data[:, 0] = 0.0
+        block.conv1.weight.data[0, 0] = 10.0
+        w2 = block.conv2.weight.data
+        w2[:, 0] = -0.1 - np.abs(w2[:, 0])
+        x = np.random.default_rng(1).normal(size=(1, 8, 5, 5)).astype(np.float32)
+        x[0, 0, 2, 2] = 3e38                  # finite; ten times it is not
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericsError, match="residual_block"):
+            block(T.Tensor(x))
 
     def test_training_block_keeps_its_input_and_three_arrays(self):
         """A training block of block 0's shape (16 channels, 32 x 32, SE,

@@ -169,6 +169,21 @@ class TestPredictionsCSV:
             read_predictions_csv(path)
         assert "line 4" in str(err.value)
 
+    @pytest.mark.parametrize("grade", ["5", "-1"])
+    def test_out_of_range_grade_rejected(self, tmp_path, grade):
+        # KL has 5 classes; a grade past them would fail later in evaluate,
+        # naming neither the file nor the line
+        path = str(tmp_path / "pred.csv")
+        write_predictions_csv(path, self.ids, self.specs, self.probs, self.grades)
+        lines = open(path).read().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = grade
+        lines[2] = ",".join(cells)
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"pred.csv line 3: head 'KL' grade {grade} "
+                                            r"outside \[0, 4\]"):
+            read_predictions_csv(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = str(tmp_path / "pred.csv")
         open(path, "w").write("exam_id,kl\nx,1\n")

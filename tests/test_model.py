@@ -150,7 +150,11 @@ def _knob_calls():
                   (f"batch_norm2d({k})", lambda k=k, v=v: T.batch_norm2d(x, *bn_args, **{k: v})),
                   (f"conv_bn_act({k})",
                    lambda k=k, v=v: T.conv_bn_act(x, w, *bn_args, padding=1, **{k: v}))]
+    # the stem, conv_bn_act's one caller, always rectifies and has one group
+    calls += [(f"conv_bn_act({k})", lambda k=k, v=v: T.conv_bn_act(x, w, *bn_args, **{k: v}))
+              for k, v in (("act", "relu"), ("groups", 1))]
     return calls + [
+        ("reduce_sum(keepdims)", lambda: T.reduce_sum(x, axis=1, keepdims=True)),
         ("Conv2d(bias)", lambda: Conv2d(1, 1, 3, rng, bias=False)),
         ("Backbone(in_channels)", lambda: Backbone(StemSpec(), [], rng, in_channels=1)),
         ("Dropout(seed)", lambda: Dropout(0.5, seed=0)),

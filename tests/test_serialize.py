@@ -55,6 +55,19 @@ def test_trailing_garbage_rejected(tmp_path):
         load_tensors(path)
 
 
+def test_tensor_named_twice_rejected(tmp_path):
+    # two entries named "a": the last would win, and save_tensors could not
+    # write the file back
+    path = tmp_path / "w.bin"
+    save_tensors(path, {"a": np.ones(2, dtype=np.float32)})
+    raw = path.read_bytes()
+    entry = raw[16:]
+    path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + (2).to_bytes(8, "little")
+                     + entry + entry)
+    with pytest.raises(WeightLoadError, match=r"w\.bin: tensor 'a' appears twice"):
+        load_tensors(path)
+
+
 def test_header_layout():
     # magic stays stable; other tools rely on it
     assert MAGIC == b"KGWB"

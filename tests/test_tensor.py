@@ -128,7 +128,7 @@ class TestShapeOps:
         x = rng.normal(size=(2, 3, 4))
         t = T.Tensor(x)
         assert np.allclose(T.reduce_sum(t, axis=(1, 2)).data, x.astype(np.float32).sum(axis=(1, 2)))
-        check_gradients(lambda ts: T.mean_all(T.reduce_sum(ts[0], axis=1, keepdims=True)), [x])
+        check_gradients(lambda ts: T.mean_all(T.reduce_sum(ts[0], axis=1)), [x])
 
     def test_shape_op_grads(self, rng):
         x = rng.normal(size=(2, 3))
@@ -357,25 +357,52 @@ def padded_lowering(xd, wd, stride, padding, groups, ho, wo, g):
     return out, dw, dxp[:, :, padding:padding + h, padding:padding + w]
 
 
+def eval_unit(x, conv, bn, relu, pool, stem):
+    """A model's conv unit on the array ``x`` in eval mode, by its owner's
+    code: the stem's :func:`T.conv_bn_act`, or the eval unit every unit of
+    :func:`T.residual_block` runs."""
+    if stem:
+        return T.conv_bn_act(T.Tensor(x), conv.weight, bn.gamma, bn.beta, bn.running_mean,
+                             bn.running_var, False, stride=conv.stride, padding=conv.padding,
+                             pool=pool).data
+    return T._eval_unit(x, conv.weight.data, bn.gamma.data, bn.beta.data, bn.running_mean,
+                        bn.running_var, relu, conv.stride, conv.padding, conv.groups)
+
+
+def model_units(model, x):
+    """Every conv unit of an eval-mode ``model``'s backbone, with its input
+    in a forward of the batch ``x``: (input, conv, bn, relu, pool, stem) for
+    the stem, pooled as the model runs it and unpooled, then each block's
+    units and shortcut, whose ``relu`` is False for the last unit and the
+    shortcut."""
+    bb = model.backbone
+    units = [(x, bb.conv, bb.bn, True, pool, True)
+             for pool in dict.fromkeys((bb.stem_spec.pool, 0))]
+    with T.no_grad():
+        y = eval_unit(x, bb.conv, bb.bn, True, bb.stem_spec.pool, True)
+        for block in bb.blocks:
+            xi = y
+            for i, (conv, bn) in enumerate(block._units):
+                units.append((xi, conv, bn, i < len(block._units) - 1, 0, False))
+                xi = eval_unit(*units[-1])
+            if block._short:
+                units.append((y, *block._short, False, 0, False))
+            y = block(T.Tensor(y)).data
+    return units
+
+
 def default_model_convs():
     """(Cin, Cout, k, groups, side, stride, padding) of every conv the default
     model runs at 64 and 128 px."""
     from kneegrade.model import ModelConfig, build_model
-    seen, fused = [], T.conv_bn_act
-
-    def record(x, w, *args, **kw):
-        key = (x.shape[1], w.shape[0], w.shape[2], kw["groups"], x.shape[2],
-               kw["stride"], kw["padding"])
-        if key not in seen:
-            seen.append(key)
-        return fused(x, w, *args, **kw)
     model = build_model(ModelConfig(), seed=0).eval()
-    T.conv_bn_act = record
-    try:
-        for side in (64, 128):
-            model(T.Tensor(np.zeros((1, 1, side, side))))
-    finally:
-        T.conv_bn_act = fused
+    seen = []
+    for side in (64, 128):
+        for x, conv, *_ in model_units(model, np.zeros((1, 1, side, side), np.float32)):
+            key = (x.shape[1], conv.weight.shape[0], conv.weight.shape[2], conv.groups,
+                   x.shape[2], conv.stride, conv.padding)
+            if key not in seen:
+                seen.append(key)
     return seen
 
 
@@ -656,22 +683,55 @@ def _bn_state(rng, c):
             rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
 
 
-def _unit(fused, x, w, gamma, beta, rm, rv, training, act, stride, padding, groups):
+# Geometries only a residual block's units have. conv_bn_act runs the stem's
+# unit, always one group and a ReLU; these, and every case without a ReLU,
+# run as residual_block runs a unit.
+_BLOCK_UNIT_PATHS = ("1x1_stride2_shortcut", "1x1_stride1", "3x3_groups2")
+
+# What a lone block unit without a ReLU is lifted by, so that the join's
+# ReLU passes most of its output.
+_LIFT = 4.0
+
+
+def lone_unit(x, w, gamma, beta, rm, rv, training, stride, padding, groups, lift):
+    """``relu(unit(x) + lift)`` for a conv unit run as :func:`T.residual_block`
+    runs one: the block's only branch unit, so it has no ReLU of its own,
+    beside a shortcut unit of its geometry whose weight and gamma are 0 and
+    whose beta is ``lift``, so the shortcut adds exactly ``lift``."""
+    c, dtype = w.shape[0], w.dtype
+    short = (T.Tensor(np.zeros(w.shape), dtype=dtype), T.Tensor(np.zeros(c), dtype=dtype),
+             T.Tensor(np.full(c, lift), dtype=dtype), np.zeros(c, dtype), np.ones(c, dtype),
+             stride, padding, groups)
+    return T.residual_block(x, [(w, gamma, beta, rm, rv, stride, padding, groups)], short,
+                            None, training)
+
+
+def _unit(fused, name, x, w, gamma, beta, rm, rv, training, act, stride, padding, groups):
+    """The conv unit of path ``name``, fused or as the chain of conv2d,
+    batch_norm2d and relu. A block's unit is :func:`lone_unit`'s, lifted by
+    0 when ``act`` is "relu", which gives the unit's own output, and by
+    ``_LIFT`` when None."""
+    block = act is None or name in _BLOCK_UNIT_PATHS
+    if fused and not block:
+        return T.conv_bn_act(x, w, gamma, beta, rm, rv, training, stride=stride,
+                             padding=padding)
+    lift = 0.0 if act == "relu" else _LIFT
     if fused:
-        return T.conv_bn_act(x, w, gamma, beta, rm, rv, training, act=act, stride=stride,
-                             padding=padding, groups=groups)
+        return lone_unit(x, w, gamma, beta, rm, rv, training, stride, padding, groups, lift)
     y = T.batch_norm2d(T.conv2d(x, w, stride=stride, padding=padding, groups=groups),
                        gamma, beta, rm, rv, training)
-    return T.relu(y) if act == "relu" else y
+    if block:
+        y = T.add(y, T.Tensor(np.full(y.shape, lift), dtype=y.dtype))
+    return T.relu(y)
 
 
-def _unit_run(fused, arrays, training, act, geometry, dtype=np.float32):
+def _unit_run(fused, name, arrays, training, act, geometry, dtype=np.float32):
     """Output, input/weight/gamma/beta gradients and running stats of one
     unit; in eval mode, which has no backward, output and running stats."""
     x, w, gamma, beta, rm, rv = arrays
     ts = [T.Tensor(a, requires_grad=training, dtype=dtype) for a in (x, w, gamma, beta)]
     rm, rv = rm.astype(dtype, copy=False), rv.astype(dtype, copy=False)
-    out = _unit(fused, *ts, rm, rv, training, act, *geometry)
+    out = _unit(fused, name, *ts, rm, rv, training, act, *geometry)
     if not training:
         return [out.data, rm, rv]
     r = np.random.default_rng(3).normal(size=out.shape).astype(dtype)
@@ -680,7 +740,8 @@ def _unit_run(fused, arrays, training, act, geometry, dtype=np.float32):
 
 
 class TestConvBnAct:
-    """The fused conv -> batch norm -> ReLU unit against the three-op chain."""
+    """The stem's fused conv -> batch norm -> ReLU unit, and a block's unit
+    as :func:`T.residual_block` runs it, against the chain of ops."""
 
     @pytest.mark.parametrize("act", ["relu", None])
     @pytest.mark.parametrize("input_grad", [True, False])
@@ -697,9 +758,8 @@ class TestConvBnAct:
         r = T.Tensor(rng.normal(size=(x.shape[0], w.shape[0], side, side)), dtype=np.float64)
 
         def loss(x, w, gamma, beta):
-            return T.mean_all(T.mul(T.conv_bn_act(
-                x, w, gamma, beta, rm.copy(), rv.copy(), True, act=act, stride=stride,
-                padding=padding, groups=groups), r))
+            return T.mean_all(T.mul(_unit(True, name, x, w, gamma, beta, rm.copy(), rv.copy(),
+                                          True, act, stride, padding, groups), r))
         fixed = T.Tensor(x, dtype=np.float64)
         for budget in _BUDGETS:
             monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
@@ -717,8 +777,8 @@ class TestConvBnAct:
         arrays = [rng.normal(size=x_shape(side)), rng.normal(size=w_shape),
                   *_bn_state(rng, w_shape[0])]
         geometry = (stride, padding, groups)
-        fused = _unit_run(True, arrays, True, act, geometry)
-        chain = _unit_run(False, arrays, True, act, geometry)
+        fused = _unit_run(True, name, arrays, True, act, geometry)
+        chain = _unit_run(False, name, arrays, True, act, geometry)
         for a, b in zip(fused, chain):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -733,40 +793,47 @@ class TestConvBnAct:
                    *_bn_state(rng, w_shape[0]))]
         before = [a.copy() for a in arrays]
         geometry = (stride, padding, groups)
-        fused = _unit_run(True, arrays, False, act, geometry)
-        chain = _unit_run(False, arrays, False, act, geometry)
+        fused = _unit_run(True, name, arrays, False, act, geometry)
+        chain = _unit_run(False, name, arrays, False, act, geometry)
         for a, b in zip(fused, chain):
             assert np.allclose(a, b, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(b).max()))
         # the fold builds new arrays: inputs, weights and statistics keep their bytes
         for a, b in zip(arrays, before):
             assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def _module_unit(conv, bn, x):
+        """The unit of the modules ``conv`` and ``bn``, as the stem runs it."""
+        return T.conv_bn_act(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
+                             bn.running_var, bn.batch_stats, padding=conv.padding)
+
     def test_eval_leaves_module_state_byte_identical(self, rng):
-        from kneegrade.nn import BatchNorm2d, Conv2d, conv_bn
+        from kneegrade.nn import BatchNorm2d, Conv2d
         conv = Conv2d(3, 4, 3, rng, padding=1)
         bn = BatchNorm2d(4).eval()
         bn.running_mean[...] = rng.normal(size=4)
         bn.running_var[...] = rng.uniform(0.5, 2.0, size=4)
         state = {k: v.tobytes() for k, v in {**conv.state_arrays(), **bn.state_arrays()}.items()}
         x = T.Tensor(rng.normal(size=(2, 3, 6, 6)))
-        conv_bn(conv, bn, x)
+        self._module_unit(conv, bn, x)
         after = {k: v.tobytes() for k, v in {**conv.state_arrays(), **bn.state_arrays()}.items()}
         assert after == state
 
     def test_eval_and_frozen_units_have_no_backward(self, rng):
-        from kneegrade.nn import BatchNorm2d, Conv2d, conv_bn
+        from kneegrade.nn import BatchNorm2d, Conv2d
         conv = Conv2d(3, 4, 3, rng, padding=1)
         x = T.Tensor(rng.normal(size=(2, 3, 6, 6)))
         frozen = BatchNorm2d(4)
         frozen.stats_frozen = True              # parameters still want gradients
         for bn in (BatchNorm2d(4).eval(), frozen):
             for inp in (x, T.Tensor(x.data, requires_grad=True)):
-                loss = T.mean_all(conv_bn(conv, bn, inp))       # the forward runs
+                loss = T.mean_all(self._module_unit(conv, bn, inp))     # the forward runs
                 with pytest.raises(UsageError, match="no backward in eval mode"):
                     T.backward(loss)
         # a fully frozen unit over an input that wants no gradient records nothing
         conv.set_trainable(False)
-        assert not conv_bn(conv, BatchNorm2d(4).set_trainable(False), x).requires_grad
+        assert not self._module_unit(conv, BatchNorm2d(4).set_trainable(False),
+                                     x).requires_grad
 
     @pytest.mark.parametrize("training", [True, False])
     def test_no_grad_records_nothing(self, rng, training):
@@ -801,7 +868,7 @@ class TestConvBnAct:
         x = T.Tensor(rng.normal(size=(2, 3, 6, 6)))
         w = T.Tensor(rng.normal(size=(4, 3, 3, 3)))
         stats = (np.zeros(4, np.float32), np.ones(4, np.float32))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):          # the unit always ends in a ReLU
             T.conv_bn_act(x, w, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)), *stats, True,
                           act="sigmoid")
         with pytest.raises(ConfigurationError):
@@ -822,7 +889,7 @@ class TestMomentPath:
     columns than output channels, normalizes by statistics taken from its
     columns' float64 moments and folds them into the conv."""
 
-    @pytest.mark.parametrize("act", ["relu", None])
+    @pytest.mark.parametrize("act", ["relu"])       # the unit's one activation
     @pytest.mark.parametrize("side", _SIDES)
     @pytest.mark.parametrize("name,x_shape,w_shape,stride", _MOMENT_PATHS,
                              ids=[c[0] for c in _MOMENT_PATHS])
@@ -836,8 +903,8 @@ class TestMomentPath:
             monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
             check_gradients(
                 lambda ts: T.mean_all(T.mul(T.conv_bn_act(
-                    x, ts[0], ts[1], ts[2], rm.copy(), rv.copy(), True, act=act,
-                    stride=stride, padding=1), r)),
+                    x, ts[0], ts[1], ts[2], rm.copy(), rv.copy(), True, stride=stride,
+                    padding=1), r)),
                 [w, gamma, beta], samples=200)
 
     def test_offset_input_keeps_its_running_statistics(self, rng):
@@ -862,7 +929,7 @@ class TestMomentPath:
         assert step >= 2
         return step
 
-    @pytest.mark.parametrize("act", ["relu", None])
+    @pytest.mark.parametrize("act", ["relu"])       # the unit's one activation
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_pooled_grads_around_the_chunk_step(self, rng, offset, act):
         # 63 px: the 2x2 pool drops the last row and column of the unit output
@@ -873,7 +940,7 @@ class TestMomentPath:
         r = T.Tensor(rng.normal(size=(batch, 16, 31, 31)), dtype=np.float64)
 
         def build(ts):
-            out = T.conv_bn_act(x, ts[0], ts[1], ts[2], rm.copy(), rv.copy(), True, act=act,
+            out = T.conv_bn_act(x, ts[0], ts[1], ts[2], rm.copy(), rv.copy(), True,
                                 padding=1, pool=2)
             assert out._parents[0] is x          # no separate pool node
             return T.mean_all(T.mul(out, r))

@@ -42,6 +42,8 @@ from kneegrade.training import (
     validation_metrics,
 )
 
+from test_tensor import eval_unit, model_units
+
 
 def tiny_config():
     blocks = (BlockSpec("basic", 8, 8, se_enabled=True, se_reduction=4),
@@ -289,7 +291,7 @@ class TestBatchedLogits:
             assert np.array_equal(got[name], lg.data)
 
     @pytest.mark.parametrize("side", [64, 128])
-    def test_units_keep_their_eval_bits_in_batch_slices(self, monkeypatch, side):
+    def test_units_keep_their_eval_bits_in_batch_slices(self, side):
         """Every conv unit of the default model gives each image the same
         eval bits whether its batch runs whole or in 5-image slices. The
         logits do not quite: the SE gates' and heads' ``T.linear`` rounds by
@@ -297,21 +299,14 @@ class TestBatchedLogits:
         model = build_model(ModelConfig(), seed=0).eval()
         x = np.random.default_rng(1).normal(size=(32, 1, side, side)).astype(np.float32)
         slices = [slice(i, i + 5) for i in range(0, 32, 5)]
-        unit, calls = T.conv_bn_act, []
-
-        def record(x, *args, **kwargs):
-            calls.append((x.data, args, kwargs))
-            return unit(x, *args, **kwargs)
-        monkeypatch.setattr(T, "conv_bn_act", record)
+        units = model_units(model, x)
+        assert len(units) == 13
         with T.no_grad():
+            for xd, *unit in units:
+                want = eval_unit(xd, *unit)
+                got = [eval_unit(xd[s], *unit) for s in slices]
+                assert np.concatenate(got).tobytes() == want.tobytes(), (xd.shape, unit[2:])
             whole = model(Tensor(x))
-        monkeypatch.setattr(T, "conv_bn_act", unit)
-        assert len(calls) >= 12
-        with T.no_grad():
-            for xd, args, kwargs in calls:
-                want = unit(Tensor(xd), *args, **kwargs).data
-                got = [unit(Tensor(xd[s]), *args, **kwargs).data for s in slices]
-                assert np.concatenate(got).tobytes() == want.tobytes(), (xd.shape, kwargs)
             split = [model(Tensor(x[s])) for s in slices]
         for head, lg in enumerate(whole):
             got = np.concatenate([logits[head].data for logits in split])

@@ -3,9 +3,12 @@
 Every command takes an optional JSON config file; flags override single
 fields *inside the document*, so the hash of the config keys a stage reads
 (``config.STAGE_KEYS``), stamped on its artifacts, always reflects what
-actually ran. Failures print one line to stderr (``error: <kind>: <message>``)
-and remove whatever files the failed invocation had already written. Exit
-codes: 0 success, 2 for configuration, usage, or input-data problems, 1 for
+actually ran. Every file is written through ``serialize.write_atomic``, so
+each is replaced whole or not at all. A command that fails, on any exception
+including Ctrl-C, removes the files it had already written. An expected
+failure (a ``KneeGradeError`` or ``OSError``) then prints one line to stderr
+(``error: <kind>: <message>``); any other exception propagates. Exit codes:
+0 success, 2 for configuration, usage, or input-data problems, 1 for
 runtime failures. The environment variable OARSI_MT_THREADS sizes the
 ``train --parallel-folds`` pool and BLAS's threads (the package sets them
 before numpy loads); ``evaluate`` runs serially. Every command refuses a
@@ -281,10 +284,9 @@ def cmd_evaluate(args, artifacts):
                                 "n_exams": len(kept),
                                 "excluded": {k: v for k, v in excluded.items() if v}},
                           n_bootstrap=cfg.n_bootstrap, seed=cfg.seed, ci_level=cfg.ci_level)
-    except Exception:
+    finally:    # discarded only if the command fails, Ctrl-C included
         for name in set(os.listdir(args.out)) - before:
             artifacts.add(os.path.join(args.out, name))
-        raise
     _say(f"evaluate: mean kappa {doc['mean_kappa']:.4f} over {len(kept)} exams "
          f"-> {os.path.join(args.out, 'metrics.json')}")
 
@@ -368,16 +370,13 @@ def main(argv=None):
     try:
         thread_cap()    # a malformed cap fails every command, not only a pool's
         args.func(args, artifacts)
-    except KneeGradeError as exc:
+    except BaseException as exc:    # Ctrl-C and bugs too: discard, then re-raise
         artifacts.discard_all()
+        if not isinstance(exc, (KneeGradeError, OSError)):
+            raise
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 2 if isinstance(exc, _USER_FAULT) else 1
-    except OSError as exc:
-        artifacts.discard_all()
-        message = " ".join(str(exc).split())
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, _USER_FAULT + (OSError,)) else 1
     return 0
 
 

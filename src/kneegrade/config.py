@@ -117,10 +117,10 @@ def load_run_config(path=None, overrides=None):
     """
     doc = {}
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:       # undecodable bytes or malformed JSON
                 raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
     if overrides:
         doc = _merge(doc, overrides)

@@ -17,6 +17,7 @@ grade. The KL grade is derived from the six feature grades.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from .errors import ConfigurationError, DataError
 from .imageio import write_pgm16
 from .model import TASK_CLASSES, task_names
 from .preprocess import LandmarkSet, RawImage, rotate_image, rotate_point
+from .serialize import write_atomic
 
 GRADE_COLUMNS = list(task_names())
 GRADE_RANGES = {name: (0, TASK_CLASSES[name] - 1) for name in GRADE_COLUMNS}
@@ -85,24 +87,28 @@ def load_manifest(path):
     exams = []
     seen_keys = {}
     seen_ids = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_COLUMNS:
-            raise DataError(f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}")
-        for line_no, row in enumerate(reader, start=2):
-            exam = _parse_row(row, f"{path} line {line_no}")
-            if exam.exam_id in seen_ids:
-                raise DataError(
-                    f"{path} line {line_no}: duplicate exam_id {exam.exam_id!r} "
-                    f"(first seen on line {seen_ids[exam.exam_id]})")
-            seen_ids[exam.exam_id] = line_no
-            key = (exam.subject_id, exam.side, exam.follow_up_months)
-            if key in seen_keys:
-                raise DataError(
-                    f"{path} line {line_no}: duplicate (subject, side, follow_up) {key} "
-                    f"(first seen on line {seen_keys[key]})")
-            seen_keys[key] = line_no
-            exams.append(exam)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.DictReader(lines)
+    if reader.fieldnames != MANIFEST_COLUMNS:
+        raise DataError(f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}")
+    for line_no, row in enumerate(reader, start=2):
+        exam = _parse_row(row, f"{path} line {line_no}")
+        if exam.exam_id in seen_ids:
+            raise DataError(
+                f"{path} line {line_no}: duplicate exam_id {exam.exam_id!r} "
+                f"(first seen on line {seen_ids[exam.exam_id]})")
+        seen_ids[exam.exam_id] = line_no
+        key = (exam.subject_id, exam.side, exam.follow_up_months)
+        if key in seen_keys:
+            raise DataError(
+                f"{path} line {line_no}: duplicate (subject, side, follow_up) {key} "
+                f"(first seen on line {seen_keys[key]})")
+        seen_keys[key] = line_no
+        exams.append(exam)
     return exams
 
 
@@ -126,14 +132,15 @@ def load_and_filter(path, required=GRADE_COLUMNS):
 
 
 def save_manifest(path, exams):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        for e in exams:
-            row = [e.exam_id, e.subject_id, e.side, str(e.follow_up_months),
-                   e.image_path, e.landmark_path, repr(float(e.spacing_mm))]
-            row += ["" if e.grade(c) is None else str(e.grade(c)) for c in GRADE_COLUMNS]
-            writer.writerow(row)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(MANIFEST_COLUMNS)
+    for e in exams:
+        row = [e.exam_id, e.subject_id, e.side, str(e.follow_up_months),
+               e.image_path, e.landmark_path, repr(float(e.spacing_mm))]
+        row += ["" if e.grade(c) is None else str(e.grade(c)) for c in GRADE_COLUMNS]
+        writer.writerow(row)
+    write_atomic(path, text.getvalue())
 
 
 def save_landmarks(path, exam_id, landmarks: LandmarkSet):
@@ -141,7 +148,7 @@ def save_landmarks(path, exam_id, landmarks: LandmarkSet):
            "knee_center": [float(v) for v in landmarks.knee_center],
            "plateau_left": [float(v) for v in landmarks.plateau_left],
            "plateau_right": [float(v) for v in landmarks.plateau_right]}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def load_landmarks(path):
@@ -152,6 +159,8 @@ def load_landmarks(path):
         for key, point in points.items():
             if len(point) != 2 or not all(isinstance(v, (int, float)) for v in point):
                 raise ValueError(f"{key} must be an [x, y] pair of numbers, got {doc[key]}")
+        if doc["side"] not in ("L", "R"):
+            raise ValueError(f"side must be L or R, got {doc['side']!r}")
         return doc["exam_id"], LandmarkSet(side=doc["side"], **points)
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed landmark document: {exc}") from None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .serialize import write_atomic
 # batch_images is not called here; bench/tracing.py times it under this name.
 from .training import batch_images, batched_logits, snapshot_model  # noqa: F401
 
@@ -100,8 +101,7 @@ def write_predictions_csv(path, exam_ids, head_specs, probs, grades):
             cells.append(str(int(grades[name][i])))
             cells += [_prob_cell(probs[name][i, c]) for c in range(k)]
         lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -111,9 +111,12 @@ def read_predictions_csv(path):
     A cell that is not a number, a probability that is not finite, or a
     grade outside its head's classes is a DataError naming the file and line.
     """
-    with open(path) as fh:
-        rows = [(n, line.rstrip("\n").split(","))
-                for n, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = [(n, line.rstrip("\n").split(","))
+                    for n, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows:
         raise DataError(f"{path}: empty predictions file")
     header = rows[0][1]
@@ -126,6 +129,8 @@ def read_predictions_csv(path):
         if not col.startswith("grade_"):
             raise DataError(f"{path}: expected grade_<task> column, got {col!r}")
         name = col[len("grade_"):]
+        if name in dict(head_specs):
+            raise DataError(f"{path}: head {name!r} appears twice")
         k = 0
         i += 1
         while i < len(header) and header[i] == f"p_{name}_{k}":

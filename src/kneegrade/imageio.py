@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
+from .serialize import write_atomic
 
 MAXVAL = 65535
 
@@ -22,9 +23,8 @@ def write_pgm16(path, pixels):
             raise DataError("pixel values outside the uint16 range")
         arr = arr.astype(np.uint16)
     h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{MAXVAL}\n".encode("ascii"))
-        fh.write(arr.astype(">u2").tobytes())
+    write_atomic(path, [f"P5\n{w} {h}\n{MAXVAL}\n".encode("ascii"),
+                        arr.astype(">u2").tobytes()])
 
 
 def read_pgm16(path):

@@ -369,11 +369,16 @@ def load_image_cache(path):
     except FileNotFoundError:
         meta = {}
     provenance = meta.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DataError(f"{path}.meta.json: provenance is not an object")
     out = {}
     for name, arr in named.items():
         exam_id, _, kind = name.partition("/")
         if kind == "grid01":
-            out[exam_id] = NormalizedImage(grid01=arr, provenance=provenance.get(exam_id, {}))
+            entry = provenance.get(exam_id, {})
+            if not isinstance(entry, dict):
+                raise DataError(f"{path}.meta.json: provenance of {exam_id!r} is not an object")
+            out[exam_id] = NormalizedImage(grid01=arr, provenance=entry)
         elif kind != "values":      # older caches also stored standardize(grid01)
             raise DataError(f"{path}: unexpected cache entry {name!r}")
     return dict(sorted(out.items())), meta

@@ -32,6 +32,7 @@ from .metrics import (
 )
 # bootstrap_ci is not called here; bench/tracing.py times it under this name.
 from .metrics import bootstrap_ci  # noqa: F401
+from .serialize import write_atomic
 
 KL_POSITIVE_GRADE = 2    # KL >= 2 is the accepted definition of radiographic disease
 OARSI_POSITIVE_GRADE = 1
@@ -44,9 +45,7 @@ def iso_now():
 def write_sidecar(artifact_path, doc):
     """Drop a small JSON description next to an artifact (path + .meta.json)."""
     path = str(artifact_path) + ".meta.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -103,8 +102,7 @@ def write_confusion_csv(path, y_true, y_pred, n_classes):
         else:
             cells += ["0.00"] * n_classes
         lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     return m
 
 
@@ -113,8 +111,7 @@ def write_curve_csv(path, header, columns):
     lines = [",".join(header)]
     for row in zip(*arrays):
         lines.append(",".join("inf" if np.isinf(v) else f"{v:.9g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +175,7 @@ def write_curve_svg(path, x, y, xlabel, ylabel, title, diagonal=False):
     pts = " ".join(f"{_px(a):.2f},{_py(b):.2f}" for a, b in zip(x, y))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f5fa6" stroke-width="1.5"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")
 
 
 def write_history_svg(path, history):
@@ -219,8 +215,7 @@ def write_history_svg(path, history):
                      f'font-family="monospace" font-size="11">epoch '
                      f'{epochs[0]}..{epochs[-1]}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +315,6 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
     doc["meta"]["n_bootstrap"] = int(n_bootstrap)
     doc["meta"]["bootstrap_seed"] = int(seed)
     doc["meta"]["generated_at"] = iso_now()
-    path = os.path.join(out_dir, "metrics.json")
-    partial = os.path.join(out_dir, f".metrics.json.{os.getpid()}.tmp")
-    try:
-        with open(partial, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(partial, path)
-    finally:
-        if os.path.exists(partial):
-            os.remove(partial)
+    write_atomic(os.path.join(out_dir, "metrics.json"),
+                 json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc

@@ -15,6 +15,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -25,24 +26,44 @@ MAGIC = b"KGWB"
 VERSION = 1
 
 
+def write_atomic(path, data):
+    """Replace ``path`` whole with ``data``, or leave it as it was.
+
+    ``data`` is a str (written as UTF-8), bytes, or a sequence of bytes-like
+    pieces written in order, never joined. They go to a dot-named temp file
+    in the same directory, renamed over ``path`` once complete and removed
+    on any failure. There is no fsync: this holds against a killed process,
+    not against a power cut.
+    """
+    head, name = os.path.split(path)
+    partial = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        with open(partial, "wb") as fh:
+            for piece in [data] if isinstance(data, bytes) else data:
+                fh.write(piece)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
 def save_tensors(path, named):
     """Write a mapping of name -> array-like to ``path``.
 
     Values are cast to float32; anything non-finite is written as-is (the
     container is a dumb transport, validation belongs to the caller).
     """
-    blobs = []
+    blobs = [MAGIC + struct.pack("<IQ", VERSION, len(named))]
     for name in sorted(named):
         arr = named[name]
         data = np.asarray(getattr(arr, "data", arr), dtype="<f4")
         raw = name.encode("utf-8")
         head = struct.pack("<I", len(raw)) + raw + struct.pack("<I", data.ndim)
         head += struct.pack(f"<{data.ndim}Q", *data.shape) if data.ndim else b""
-        blobs.append(head + data.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(blobs)))
-        for blob in blobs:
-            fh.write(blob)
+        blobs += [head, data.tobytes()]
+    write_atomic(path, blobs)
 
 
 def load_tensors(path):

@@ -30,7 +30,7 @@ from .metrics import balanced_accuracy, cohen_kappa
 from .model import ModelConfig, OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
 from .preprocess import AugmentConfig, augment, standardize
 from .report import read_sidecar, write_sidecar
-from .serialize import load_tensors, save_tensors
+from .serialize import load_tensors, save_tensors, write_atomic
 from .tensor import Tensor
 
 AUX_HEAD = "aux"
@@ -462,8 +462,7 @@ def _log_rows_to_csv(path, head_names, history):
         cells = [str(row["epoch"]), repr(row["lr"])]
         cells += [f"{row[c]:.6f}" for c in cols[2:]]
         lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +299,23 @@ class TestTrain:
         names = [name for name, _ in snap.meta["heads"]]
         assert "KL" not in names and "JSN_M" in names
 
+    def test_interrupt_discards_written_snapshots(self, workdir, tmp_path, monkeypatch):
+        out = tmp_path / "folds"
+        seen = []
+
+        def interrupt(*args):
+            seen.extend(sorted(os.listdir(out)))
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "write_history_svg", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("train", "--config", str(workdir / "config.json"),
+                    "--manifest", str(workdir / "cache" / "manifest.csv"),
+                    "--images", str(workdir / "cache"), "--out", str(out))
+        for fold in range(2):
+            assert f"snapshot_fold{fold}.kgw" in seen
+            assert f"train_log_fold{fold}.csv" in seen
+        assert list(out.iterdir()) == []
+
     def test_parallel_folds_match_serial(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("OARSI_MT_THREADS", "2")
         assert run_cli("train", "--config", str(workdir / "config.json"),
@@ -475,14 +493,34 @@ class TestCorruptInputs:
             return f"{path} line 4:"
         self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
 
-    def test_landmark_point_not_a_pair(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value", [("knee_center", [5]), ("side", "X")],
+                             ids=["point_not_a_pair", "side_not_l_or_r"])
+    def test_landmark_field(self, workdir, tmp_path, capsys, key, value):
         def corrupt(data):
             path = sorted((data / "landmarks").glob("*.json"))[0]
             doc = json.loads(path.read_text())
-            doc["knee_center"] = [5]
+            doc[key] = value
             path.write_text(json.dumps(doc))
             return path
         self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
+
+    @pytest.mark.parametrize("command,kind", [("synth", "ConfigurationError"),
+                                              ("preprocess", "DataError"),
+                                              ("evaluate", "DataError")])
+    def test_undecodable_text(self, workdir, predictions, tmp_path, capsys, command, kind):
+        cfg = str(workdir / "config.json")
+        flag, source, rest = {
+            "synth": ("--config", cfg, ["--subjects", "2"]),
+            "preprocess": ("--manifest", workdir / "data" / "manifest.csv", ["--config", cfg]),
+            "evaluate": ("--predictions", predictions,
+                         ["--config", cfg, "--manifest", str(workdir / "cache" / "manifest.csv")]),
+        }[command]
+        raw = Path(source).read_bytes()
+        bad = tmp_path / Path(source).name
+        bad.write_bytes(raw[:40] + b"\xff" + raw[40:])
+        code = run_cli(command, flag, str(bad), "--out", str(tmp_path / "out"), *rest)
+        self._expect(capsys, code, kind, str(bad))
+        assert not (tmp_path / "out").exists()
 
     def test_pgm_negative_extents(self, workdir, tmp_path, capsys):
         def corrupt(data):
@@ -503,6 +541,23 @@ class TestCorruptInputs:
                        "--manifest", str(cache / "manifest.csv"),
                        "--images", str(cache), "--out", str(tmp_path / "folds"))
         self._expect(capsys, code, "DataError", str(path), "/mask")
+        assert not (tmp_path / "folds").exists()
+
+    @pytest.mark.parametrize("whole", [True, False], ids=["provenance", "one_exam"])
+    def test_image_cache_provenance_not_an_object(self, workdir, tmp_path, capsys, whole):
+        cache = tmp_path / "cache"
+        shutil.copytree(workdir / "cache", cache)
+        sidecar = cache / "images.kgw.meta.json"
+        meta = json.loads(sidecar.read_text())
+        if whole:
+            meta["provenance"] = ["clip_pct"]
+        else:
+            meta["provenance"][min(meta["provenance"])] = ["clip_pct"]
+        sidecar.write_text(json.dumps(meta))
+        code = run_cli("train", "--config", str(workdir / "config.json"),
+                       "--manifest", str(cache / "manifest.csv"),
+                       "--images", str(cache), "--out", str(tmp_path / "folds"))
+        self._expect(capsys, code, "DataError", str(sidecar))
         assert not (tmp_path / "folds").exists()
 
     def test_snapshot_with_extra_tensor(self, workdir, tmp_path, capsys):

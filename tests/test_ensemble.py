@@ -184,6 +184,13 @@ class TestPredictionsCSV:
                                             r"outside \[0, 4\]"):
             read_predictions_csv(path)
 
+    def test_head_named_twice_rejected(self, tmp_path):
+        path = str(tmp_path / "pred.csv")
+        open(path, "w").write("exam_id,grade_KL,p_KL_0,p_KL_1,grade_KL,p_KL_0,p_KL_1\n"
+                              "x,0,0.5,0.5,1,0.25,0.75\n")
+        with pytest.raises(DataError, match="pred.csv: head 'KL' appears twice"):
+            read_predictions_csv(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = str(tmp_path / "pred.csv")
         open(path, "w").write("exam_id,kl\nx,1\n")

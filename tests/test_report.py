@@ -1,12 +1,13 @@
 """Report emission: file layout, content, and byte-level determinism."""
 
+import errno
 import json
 import os
 
 import numpy as np
 import pytest
 
-from kneegrade import report
+from kneegrade import serialize
 from kneegrade.errors import ConfigurationError, DataError
 from kneegrade.metrics import cohen_kappa
 from kneegrade.report import (
@@ -173,22 +174,39 @@ class TestEmitReport:
     def test_failed_dump_leaves_no_partial_metrics(self, tmp_path, monkeypatch):
         specs, truths, preds, probs = sample(seed=6, n=40)
         out = tmp_path / "r"
-        real_dump = json.dump
+        real_open = open
 
-        def broken_dump(doc, fh, **kwargs):
-            fh.write('{"meta": ')
-            raise OSError("disk full")
+        class FullDisk:
+            """A file that takes 8 bytes, then reports a full disk."""
 
-        monkeypatch.setattr(report.json, "dump", broken_dump)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:8])
+                raise OSError(errno.ENOSPC, "disk full")
+
+        def full_disk_open(file, mode="r"):
+            fh = real_open(file, mode)
+            return FullDisk(fh) if ".metrics.json." in os.path.basename(file) else fh
+
+        # write_atomic looks open up in its own module first
+        monkeypatch.setattr(serialize, "open", full_disk_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             emit_report(str(out), specs, truths, preds, probs, n_bootstrap=5, seed=0)
         assert "metrics.json" not in os.listdir(out)
         assert not [name for name in os.listdir(out) if name.startswith(".")]
 
-        monkeypatch.setattr(report.json, "dump", real_dump)
+        monkeypatch.delattr(serialize, "open")
         emit_report(str(out), specs, truths, preds, probs, n_bootstrap=5, seed=0)
         before = (out / "metrics.json").read_bytes()
-        monkeypatch.setattr(report.json, "dump", broken_dump)
+        monkeypatch.setattr(serialize, "open", full_disk_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             emit_report(str(out), specs, truths, preds, probs, n_bootstrap=5, seed=1)
         assert (out / "metrics.json").read_bytes() == before

@@ -32,8 +32,8 @@ def write_atomic(path, data):
     ``data`` is a str (written as UTF-8), bytes, or a sequence of bytes-like
     pieces written in order, never joined. They go to a dot-named temp file
     in the same directory, renamed over ``path`` once complete and removed
-    on any failure. There is no fsync: this holds against a killed process,
-    not against a power cut.
+    on any failure; an ``OSError`` names ``path``. There is no fsync: this
+    holds against a killed process, not against a power cut.
     """
     head, name = os.path.split(path)
     partial = os.path.join(head, f".{name}.{os.getpid()}.tmp")
@@ -44,6 +44,9 @@ def write_atomic(path, data):
             for piece in [data] if isinstance(data, bytes) else data:
                 fh.write(piece)
         os.replace(partial, path)
+    except OSError as exc:          # name the artifact, not its temp file
+        exc.filename, exc.filename2 = os.fspath(path), None
+        raise
     finally:
         if os.path.exists(partial):
             os.remove(partial)
@@ -71,8 +74,10 @@ def load_tensors(path):
 
     Returns a dict of name -> float32 ndarray in file order. Raises
     WeightLoadError on a bad magic, version, truncated payload or a name
-    that appears twice, and on extents whose product overflows or exceeds
-    the bytes left, checked on the header before any array is made.
+    that appears twice, on extents whose product overflows or exceeds the
+    bytes left, checked on the header before any array is made, and on a
+    shape numpy cannot make (more than 64 axes, or an extent too large
+    beside a zero one).
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -106,7 +111,7 @@ def load_tensors(path):
             end = off + 4 * n
             data = np.frombuffer(buf, "<f4", count=n, offset=off).reshape(shape).copy()
             off = end
-        except (struct.error, UnicodeDecodeError) as exc:
+        except (struct.error, ValueError) as exc:    # ValueError: a bad UTF-8 name or shape
             raise WeightLoadError(f"{path}: truncated or corrupt at tensor {i}: {exc}") from None
         out[name] = data
     if off != len(buf):

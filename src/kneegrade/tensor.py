@@ -25,11 +25,12 @@ Inside ``with no_grad():`` ops link nothing, which is how inference runs.
 Every output is scanned for non-finite values, so the graph is kept small:
 ``conv_bn_act`` runs the stem's conv, batch norm and ReLU as one node, and
 ``residual_block`` a whole residual block (units, SE gate, shortcut and join).
-In training mode each equals its chain of separate ops bit for bit, except
-on the moment path below. Every eval unit, the stem's and a block's, is one
-:func:`_eval_unit`, which folds the running statistics into the conv's weight
-and bias on every call (nothing is cached or written back); an eval node has
-no backward.
+Every conv unit, the stem's and a block's, runs one forward, :func:`_unit`,
+and one backward, :func:`_unit_grads`, except on the moment path below. In
+training mode each node equals its chain of separate ops bit for bit, except
+on that path. An eval unit folds the running statistics into the conv's
+weight and bias on every call (:func:`_bn_fold`; nothing is cached or written
+back); an eval node has no backward.
 
 The wide early layers are bound by memory traffic, so no full-size array is
 made that a cache-sized chunk can do without. Every conv gathers its columns
@@ -420,24 +421,6 @@ def _relu_mask(g, out):
         g[chunk] *= out[chunk] > 0
 
 
-def _conv_geometry(x_shape, w_shape, stride, padding, groups):
-    n, cin, h, wdt = x_shape
-    cout, cper, kh, kw = w_shape
-    if cin % groups or cout % groups:
-        raise ConfigurationError(
-            f"conv2d: groups={groups} must divide in_channels={cin} and out_channels={cout}")
-    if cper != cin // groups:
-        raise ConfigurationError(
-            f"conv2d: weight expects {cper} channels per group, input provides {cin // groups}")
-    hp, wp = h + 2 * padding, wdt + 2 * padding
-    if kh > hp or kw > wp:
-        raise ConfigurationError(
-            f"conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    return ho, wo
-
-
 def _window(i, stride, padding, size, count):
     """(output slice, input slice) along one axis for kernel offset ``i``: the
     outputs among ``count`` whose input pixel ``o * stride + i - padding``
@@ -617,8 +600,18 @@ def _conv_setup(xd, wd, stride, padding, groups, op):
     groups = int(groups)
     if stride < 1 or padding < 0 or groups < 1:
         raise ConfigurationError(f"{op}: stride >= 1, padding >= 0, groups >= 1 required")
-    ho, wo = _conv_geometry(xd.shape, wd.shape, stride, padding, groups)
-    return stride, padding, groups, ho, wo
+    cin, h, wdt = xd.shape[1:]
+    cout, cper, kh, kw = wd.shape
+    if cin % groups or cout % groups:
+        raise ConfigurationError(
+            f"{op}: groups={groups} must divide in_channels={cin} and out_channels={cout}")
+    if cper != cin // groups:
+        raise ConfigurationError(
+            f"{op}: weight expects {cper} channels per group, input provides {cin // groups}")
+    hp, wp = h + 2 * padding, wdt + 2 * padding
+    if kh > hp or kw > wp:
+        raise ConfigurationError(f"{op}: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
+    return stride, padding, groups, (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
 
 def _transposed_grads(g, xd, wd, padding, groups):
@@ -790,12 +783,13 @@ def _bn_train_grads(g, xc, inv, gamma, need_x):
     return g, sum_gxc * inv, sum_g
 
 
-def _unit_grads(grads, g, kept, xd, need_x, w, gamma, beta, stride, padding, groups):
-    """Backward of a training unit, ``_bn_train(_conv_lowered(xd, w))``, for
-    the gradient ``g`` of its batch norm's output, ReLU mask applied, which
-    it overwrites. Puts the gradients of ``w``, ``gamma`` and ``beta`` and
+def _unit_grads(grads, g, kept, xd, need_x, u):
+    """Backward of the training :func:`_unit` ``u`` over ``xd`` for the
+    gradient ``g`` of its batch norm's output, ReLU mask applied, which it
+    overwrites. Puts the gradients of ``w``, ``gamma`` and ``beta`` and
     returns dX, or None unless ``need_x``. Pops the unit's (centred output,
     1 / std) off ``kept``, freeing it for the conv's backward to reuse."""
+    w, gamma, beta, _, _, stride, padding, groups = u
     xc, inv = kept.pop()
     # g becomes the conv output's gradient, None if unwanted
     g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data, need_x or w.requires_grad)
@@ -832,15 +826,22 @@ def _column_moments(xd, kh, kw, stride, padding, ho, wo):
     return mu, products / m - np.outer(mu, mu)
 
 
-def _bn_fold(gamma, beta, running_mean, running_var, dtype):
-    """Eval-mode batch norm as a per-channel affine map ``y * scale + shift``.
+def _bn_fold(w, gamma, beta, mean, var, dtype):
+    """A conv by ``w`` followed by batch norm on the statistics ``mean`` and
+    ``var``, as one conv: (W', b', inv) with ``inv = 1 / sqrt(var + BN_EPS)``,
+    ``s = gamma * inv``, ``W' = W * s`` and ``b' = beta - mean * s`` per
+    output channel, worked in ``dtype`` and W', b' cast to ``w``'s dtype.
 
-    Returns (scale, shift, inv) with ``inv = 1 / sqrt(running_var + BN_EPS)``;
-    new arrays, nothing written back into the parameters or buffers.
+    New arrays, nothing written back. A non-finite W' or b' raises
+    ``NumericsError``: a +inf bias would read 0 after the unit's ReLU.
     """
-    inv = 1.0 / np.sqrt(running_var.astype(dtype) + BN_EPS)
+    inv = 1.0 / np.sqrt(var.astype(dtype) + BN_EPS)
     scale = gamma * inv
-    return scale, beta - running_mean.astype(dtype) * scale, inv
+    wd = (w * scale[:, None, None, None]).astype(w.dtype, copy=False)
+    shift = (beta - mean.astype(dtype) * scale).astype(w.dtype, copy=False)
+    if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
+        raise NumericsError("a conv unit's folded weights or bias are non-finite")
+    return wd, shift, inv
 
 
 def _pooled_unit(xd, wd, shift, stride, padding, ho, wo, k):
@@ -888,18 +889,31 @@ def _pooled_unit(xd, wd, shift, stride, padding, ho, wo, k):
     return out, grad
 
 
-def _eval_unit(xd, w, gamma, beta, running_mean, running_var, relu, stride, padding, groups):
-    """Eval-mode ``batch_norm2d(conv2d(xd, w))`` of arrays, ReLU applied when
-    ``relu``: every eval unit. The running statistics are folded into new
-    arrays each call, ``W' = W * s`` and ``b' = beta - mean * s`` with ``s =
-    gamma / sqrt(var + BN_EPS)``, checked finite (a +inf bias would read 0
-    after the ReLU); one conv adds ``b'`` and the ReLU to each chunk as it
-    leaves the GEMM, off the chain by float32 rounding. The caller scans."""
-    scale, shift, _ = _bn_fold(gamma, beta, running_mean, running_var, xd.dtype)
-    wd = w * scale[:, None, None, None]
-    if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
-        raise NumericsError("a conv unit's folded weights or bias are non-finite")
-    ho, wo = _conv_geometry(xd.shape, w.shape, stride, padding, groups)
+def _unit(xd, u, training, relu, kept, op):
+    """``batch_norm2d(conv2d(xd, w))`` of the array ``xd``, ReLU applied when
+    ``relu``: the forward of every conv unit off the moment path (see
+    :func:`conv_bn_act`). ``u`` is ``(w, gamma, beta, running_mean,
+    running_var, stride, padding, groups)``; errors name ``op``.
+
+    In training the conv output is centred in place and normalized on its
+    batch statistics, and (centred output, 1 / std) is appended to ``kept``
+    for :func:`_unit_grads`; ``xd`` is dropped before the norm's output is
+    made, which frees it when the caller passed its only reference. In eval
+    mode the running statistics are folded into new conv weights and bias
+    (:func:`_bn_fold`), and one conv adds the bias and the ReLU to each
+    chunk as it leaves the GEMM, off the chain by float32 rounding. The
+    caller scans the output.
+    """
+    w, gamma, beta, running_mean, running_var, stride, padding, groups = u
+    stride, padding, groups, ho, wo = _conv_setup(xd, w.data, stride, padding, groups, op)
+    _check_bn_params(w.data.shape[0], gamma, beta, op)
+    if training:
+        y = _conv_lowered(xd, w.data, stride, padding, groups, ho, wo)
+        del xd
+        out, xc, inv = _bn_train(y, gamma.data, beta.data, running_mean, running_var, relu=relu)
+        kept.append((xc, inv))
+        return out
+    wd, shift, _ = _bn_fold(w.data, gamma.data, beta.data, running_mean, running_var, xd.dtype)
     return _conv_lowered(xd, wd, stride, padding, groups, ho, wo, bias=shift, relu=relu)
 
 
@@ -927,10 +941,10 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
     if training:
         out, xc, inv = _bn_train(x.data.copy(), gamma.data, beta.data, running_mean, running_var)
     else:
-        scale, shift, inv = _bn_fold(gamma.data, beta.data, running_mean, running_var,
-                                     x.data.dtype)
+        inv = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + BN_EPS)
+        scale = gamma.data * inv
         out = x.data * scale[None, :, None, None]
-        out += shift[None, :, None, None]
+        out += (beta.data - running_mean.astype(x.data.dtype) * scale)[None, :, None, None]
 
     def bwd(g, grads):
         if training:
@@ -962,23 +976,24 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, stride=1
     the three-op chain, but only the unit's output is allocated, scanned and
     recorded. A residual block's units run inside :func:`residual_block`.
 
-    Off the moment path below, training mode centres the conv output in
-    place and keeps it, ``1 / std`` and the output, which it scales, shifts
-    and rectifies from the centred buffer; backward turns the gradient it
-    owns into the conv output's gradient in place (:func:`_unit_grads`), all
-    with the chain's bits. Eval mode, which frozen statistics also run, is
-    :func:`_eval_unit` and has no backward: a gradient reaching it raises
-    ``UsageError``, though an eval forward outside :func:`no_grad` still
-    runs. None is needed, as ``set_trainable`` freezes statistics exactly
-    with parameters and inference runs under ``no_grad``.
+    Off the moment path below, the unit is a :func:`_unit`, as every unit of
+    a residual block is. In training it keeps its centred conv output,
+    ``1 / std`` and its output, and backward turns the gradient it owns into
+    the conv output's gradient in place (:func:`_unit_grads`), all with the
+    chain's bits. Eval mode, which frozen statistics also run, has no
+    backward: a gradient reaching it raises ``UsageError``, though an eval
+    forward outside :func:`no_grad` still runs. None is needed, as
+    ``set_trainable`` freezes statistics exactly with parameters and
+    inference runs under ``no_grad``.
 
     The moment path: in training mode, with column depth
     ``k = Cin * kH * kW <= Cout`` and an input that wants no gradient (the
     stem over the image), the batch statistics come from the float64 mean
     ``mu`` and covariance ``C`` of the conv's [k, N*Ho*Wo] columns: per
     channel ``mean = W mu`` and biased ``var = W C W^T``, clamped at 0. They
-    update the running statistics and are folded into the conv as in eval
-    mode, so no centred copy is made and backward keeps only the output.
+    update the running statistics and are folded into the conv by the eval
+    unit's :func:`_bn_fold`, so no centred copy is made and backward keeps
+    only the output.
     Backward masks the gradient ``g``, gathers the columns again for
     ``a = sum(g c^T)`` and ``s = sum(g)``, and forms ``dbeta = s``,
     ``dgamma = inv * W (a - s mu)`` and
@@ -994,8 +1009,8 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, stride=1
     ``a``. Output and running statistics keep the bits of the unit and pool
     in turn; ``s``, summed by chunk, moves the gradients by ~2e-7 relative.
     Every other path (the centred one, eval mode, frozen statistics) returns
-    ``avg_pool2d(unit, k, k)`` by the module-level names, so an eval forward
-    still shows the pool to whatever patches ``avg_pool2d``.
+    ``avg_pool2d(unit, k, k)`` of the unit's node by the module-level name, so
+    an eval forward still shows the pool to whatever patches ``avg_pool2d``.
     """
     stride, padding, _, ho, wo = _conv_setup(x.data, w.data, stride, padding, 1, "conv_bn_act")
     cout = w.data.shape[0]
@@ -1004,25 +1019,19 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, stride=1
     if not 0 <= pool <= min(ho, wo):
         raise ConfigurationError(
             f"conv_bn_act: pool window {pool} must lie in [0, {min(ho, wo)}] here")
-    moments = training and w.data[0].size <= cout and not x.requires_grad
-    if pool and not moments:
-        return avg_pool2d(conv_bn_act(x, w, gamma, beta, running_mean, running_var, training,
-                                      stride=stride, padding=padding), pool, pool)
     parents = (x, w, gamma, beta)
-    if not training:
-        out = _eval_unit(x.data, w.data, gamma.data, beta.data, running_mean, running_var, True,
-                         stride, padding, 1)
-        return _node(out, parents, _no_backward_without_batch_stats, "conv_bn_act")
+    moments = training and w.data[0].size <= cout and not x.requires_grad
     if not moments:
-        out, xc, inv = _bn_train(_conv_lowered(x.data, w.data, stride, padding, 1, ho, wo),
-                                 gamma.data, beta.data, running_mean, running_var, relu=True)
-        kept = [(xc, inv)]
+        u = (w, gamma, beta, running_mean, running_var, stride, padding, 1)
+        kept = []
+        out = _unit(x.data, u, training, True, kept, "conv_bn_act")
 
         def bwd(g, grads):
             _relu_mask(g, out)
-            _put(grads, x, _unit_grads(grads, g, kept, x.data, x.requires_grad, w, gamma,
-                                       beta, stride, padding, 1))
-        return _node(out, parents, bwd, "conv_bn_act")
+            _put(grads, x, _unit_grads(grads, g, kept, x.data, x.requires_grad, u))
+        node = _node(out, parents, bwd if training else _no_backward_without_batch_stats,
+                     "conv_bn_act")
+        return avg_pool2d(node, pool, pool) if pool else node
 
     w64 = w.data.reshape(cout, -1).astype(np.float64)
     mu, cov = _column_moments(x.data, *w.data.shape[2:], stride, padding, ho, wo)
@@ -1030,11 +1039,7 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, stride=1
     mean = w64 @ mu
     var = np.maximum(np.einsum("ok,ok->o", wcov, w64), 0.0)
     _update_running(running_mean, running_var, mean, var)
-    scale, shift, inv = _bn_fold(gamma.data, beta.data, mean, var, np.float64)
-    wd = (w.data * scale[:, None, None, None]).astype(x.data.dtype)
-    shift = shift.astype(x.data.dtype)
-    if not (np.all(np.isfinite(wd)) and np.all(np.isfinite(shift))):
-        raise NumericsError("conv_bn_act: folded weights or bias are non-finite")
+    wd, shift, inv = _bn_fold(w.data, gamma.data, beta.data, mean, var, np.float64)
     out, grad = _pooled_unit(x.data, wd, shift, stride, padding, ho, wo, max(pool, 1))
 
     def moment_bwd(g, grads):       # the rule in the docstring, all in float64
@@ -1068,9 +1073,10 @@ def residual_block(x, units, short, se, training):
     running_mean, running_var, stride, padding, groups)``, all but the last
     ending in a ReLU; ``short`` is the projection shortcut's unit or None.
     ``se`` is ``(w1, w2)``, gate = ``sigmoid(relu(mean_hw(branch) @ w1^T) @
-    w2^T)``, or None. Out of ``training``, each unit is an :func:`_eval_unit`
-    whose output is scanned for non-finite values, as a node's would be, and
-    the node has no backward.
+    w2^T)``, or None. Each unit and the shortcut run :func:`_unit`, whose
+    errors name this op. Out of ``training`` each unit's output is scanned
+    for non-finite values, as a node's would be, and the node has no
+    backward.
 
     A training node keeps its input, each unit's centred conv output and
     ``1 / std``, the gate's [N, C] arrays and its output; backward rebuilds
@@ -1082,33 +1088,17 @@ def residual_block(x, units, short, se, training):
         raise ConfigurationError(f"residual_block: expected NCHW input, got {x.data.shape}")
     kept = []                       # per training unit: its centred output and 1 / std
 
-    def conv(xd, u, relu):
-        """The unit's conv output; its whole output in eval mode."""
-        w, gamma, beta, running_mean, running_var, stride, padding, groups = u
-        stride, padding, groups, ho, wo = _conv_setup(xd, w.data, stride, padding, groups,
-                                                      "residual_block")
-        _check_bn_params(w.data.shape[0], gamma, beta, "residual_block")
-        if training:
-            return _conv_lowered(xd, w.data, stride, padding, groups, ho, wo)
-        y = _eval_unit(xd, w.data, gamma.data, beta.data, running_mean, running_var, relu,
-                       stride, padding, groups)
-        if not np.all(np.isfinite(y)):
+    def unit(held, u, relu):        # an eval unit's output is scanned, as a node's would be
+        y = _unit(held.pop(), u, training, relu, kept, "residual_block")
+        if not (training or np.all(np.isfinite(y))):
             raise NumericsError("residual_block produced non-finite values")
         return y
 
-    def norm(y, u, relu):
-        if not training:
-            return y
-        out, xc, inv = _bn_train(y, u[1].data, u[2].data, u[3], u[4], relu=relu)
-        kept.append((xc, inv))
-        return out
-
-    y = x.data
+    held = [x.data]     # popped, so that a unit's output is freed once the next conv has read it
     for i, u in enumerate(units):
-        # rebinding y frees the last unit's output before norm makes this one's in its place
-        y = conv(y, u, i < len(units) - 1)
-        y = norm(y, u, i < len(units) - 1)
-    s = x.data if short is None else norm(conv(x.data, short, False), short, False)
+        held.append(unit(held, u, i < len(units) - 1))
+    y = held.pop()
+    s = x.data if short is None else unit([x.data], short, False)
     if y.shape != s.shape:
         raise ConfigurationError(
             f"residual_block: branch output {y.shape} and shortcut {s.shape} differ")
@@ -1148,18 +1138,14 @@ def residual_block(x, units, short, se, training):
             # this unit's input: the block's, or the previous unit's output, rebuilt
             xd = x.data if i == 0 else _bn_apply(*kept[i - 1], units[i - 1][1].data,
                                                  units[i - 1][2].data, True)
-            w, gamma, beta, _, _, stride, padding, groups = units[i]
-            d = _unit_grads(grads, d, kept, xd, i > 0 or x.requires_grad, w, gamma,
-                            beta, stride, padding, groups)
+            d = _unit_grads(grads, d, kept, xd, i > 0 or x.requires_grad, units[i])
             if i:
                 _relu_mask(d, xd)
         _put(grads, x, d)           # None only when x wants no gradient
         if short is None:
             _put(grads, x, g)
         else:
-            w, gamma, beta, _, _, stride, padding, groups = short
-            _put(grads, x, _unit_grads(grads, g, short_kept, x.data, x.requires_grad, w,
-                                       gamma, beta, stride, padding, groups))
+            _put(grads, x, _unit_grads(grads, g, short_kept, x.data, x.requires_grad, short))
 
     return _node(out, parents, bwd, "residual_block")
 

@@ -373,8 +373,9 @@ class Snapshot:
         heads = meta.get("heads")
         if not (isinstance(heads, list) and all(
                 isinstance(h, list) and len(h) == 2 and isinstance(h[0], str)
-                and type(h[1]) is int for h in heads)):
-            raise DataError(f"{where}: 'heads' must be a list of [str, int] pairs, got {heads!r}")
+                and type(h[1]) is int and h[1] >= 2 for h in heads)):
+            raise DataError(f"{where}: 'heads' must be a list of [name, classes >= 2] pairs, "
+                            f"got {heads!r}")
         if not isinstance(meta.get("model_config"), dict):
             raise DataError(f"{where}: 'model_config' must be an object, "
                             f"got {meta.get('model_config')!r}")

@@ -23,9 +23,10 @@ from kneegrade.data import GradedExam, load_landmarks, load_manifest, save_landm
     save_manifest
 from kneegrade.ensemble import read_predictions_csv, write_predictions_csv
 from kneegrade.errors import KneeGradeError
+from kneegrade.imageio import read_pgm16, write_pgm16
 from kneegrade.preprocess import LandmarkSet, NormalizedImage, load_image_cache, \
     save_image_cache
-from kneegrade.serialize import load_tensors, save_tensors
+from kneegrade.serialize import load_tensors, save_tensors, write_atomic
 
 SRC = Path(kneegrade.__file__).resolve().parent
 
@@ -139,6 +140,20 @@ def test_sigkill_midway_leaves_old_bytes_or_nothing(tmp_path, writer, existing):
         assert not target.exists()
 
 
+@pytest.mark.parametrize("where", ["missing_directory", "over_a_directory"])
+def test_failed_write_names_the_artifact(tmp_path, where):
+    # opening the temp file fails in a missing directory, the rename over a directory
+    target = tmp_path / ("nodir/x.csv" if where == "missing_directory" else "x.csv")
+    if where == "over_a_directory":
+        target.mkdir()
+    with pytest.raises(OSError) as info:
+        write_atomic(target, "a,b\n")
+    assert info.value.filename == str(target) and info.value.filename2 is None
+    assert ".tmp" not in str(info.value)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if where == "missing_directory"
+                                                    else ["x.csv"])
+
+
 # ---------------------------------------------------------------------------
 # damaged input: a correct load or a KneeGradeError
 
@@ -162,12 +177,15 @@ def valid_files(tmp_path_factory):
                              for i in range(2)}, meta={"config_hash": "ab12"})
     save_tensors(root / "weights.kgw", {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
                                         "b": np.float32(1.5)})
+    write_pgm16(root / "image.pgm", np.arange(6, dtype=np.uint16).reshape(2, 3) * 9000)
     return {
         "manifest": (root / "manifest.csv", load_manifest),
         "predictions": (root / "preds.csv", read_predictions_csv),
         "landmarks": (root / "E0.json", load_landmarks),
         "sidecar": (Path(f"{cache}.meta.json"), lambda _: load_image_cache(cache)),
         "container": (root / "weights.kgw", load_tensors),
+        "image_cache": (cache, load_image_cache),
+        "pgm": (root / "image.pgm", read_pgm16),
     }
 
 
@@ -193,7 +211,7 @@ def _damage(raw, edits):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["manifest", "predictions", "landmarks", "sidecar",
-                                  "container"])
+                                  "container", "image_cache", "pgm"])
 def test_damaged_input_loads_or_raises_a_typed_error(valid_files, kind):
     path, read = valid_files[kind]
     raw = path.read_bytes()
@@ -208,3 +226,4 @@ def test_damaged_input_loads_or_raises_a_typed_error(valid_files, kind):
             pass
 
     check()
+    path.write_bytes(raw)       # the image cache's case reads the sidecar too

@@ -338,8 +338,8 @@ class TestUnits:
                 if training:
                     return lone_unit(*ts, rm, rv, True, conv.stride, conv.padding, conv.groups,
                                      lift)
-                out = T._eval_unit(*[t.data for t in ts], rm, rv, relu, conv.stride,
-                                   conv.padding, conv.groups)
+                u = (*ts[1:], rm, rv, conv.stride, conv.padding, conv.groups)
+                out = T._unit(ts[0].data, u, False, relu, [], "residual_block")
                 return T.Tensor(out, dtype=out.dtype)
 
             for training in (True, False):

@@ -357,6 +357,17 @@ class TestPredictEvaluate:
                        "--out", str(out)) == 0
         assert out.read_bytes() == predictions.read_bytes()
 
+    def test_out_in_a_missing_directory_is_named(self, workdir, tmp_path, capsys):
+        out = tmp_path / "nodir" / "preds.csv"
+        code = run_cli("predict", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"),
+                       "--snapshots", str(workdir / "folds"), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: FileNotFoundError:") and f"'{out}'" in err, err
+        assert ".tmp" not in err
+
     def test_evaluate_emits_report(self, workdir, predictions, capsys):
         out = workdir / "report"
         assert run_cli("evaluate", "--config", str(workdir / "config.json"),
@@ -590,10 +601,11 @@ class TestCorruptInputs:
         assert not (tmp_path / "preds.csv").exists()
 
     @pytest.mark.parametrize("key,value", [("heads", None), ("heads", [["KL", "5"]]),
-                                           ("heads", [["KL", True]]), ("model_config", None),
-                                           ("model_config", []), ("seed", "7")],
-                             ids=["no_heads", "str_classes", "bool_classes", "no_model_config",
-                                  "list_model_config", "str_seed"])
+                                           ("heads", [["KL", True]]), ("heads", [["X", -1]]),
+                                           ("model_config", None), ("model_config", []),
+                                           ("seed", "7")],
+                             ids=["no_heads", "str_classes", "bool_classes", "classes_below_2",
+                                  "no_model_config", "list_model_config", "str_seed"])
     def test_snapshot_sidecar_keys(self, workdir, tmp_path, capsys, key, value):
         snap = tmp_path / "snapshot_fold0.kgw"
         shutil.copy(workdir / "folds" / "snapshot_fold0.kgw", snap)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,14 @@ def test_loaded_arrays_own_their_memory(tmp_path):
     for arr in load_tensors(path).values():
         assert arr.flags.owndata and arr.flags.writeable
         arr += 1
+
+
+@pytest.mark.parametrize("shape", [(0,) * 65, (0, 2**62)], ids=["rank_65", "extent_2_62"])
+def test_zero_size_shape_numpy_cannot_make_rejected(tmp_path, shape):
+    # the extents' product is 0, so the byte budget passes; reshape then fails
+    path = tmp_path / "w.bin"
+    entry = (struct.pack("<I", 1) + b"a" + struct.pack("<I", len(shape))
+             + struct.pack(f"<{len(shape)}Q", *shape))
+    path.write_bytes(MAGIC + struct.pack("<IQ", 1, 1) + entry)
+    with pytest.raises(WeightLoadError, match=r"w\.bin: truncated or corrupt at tensor 0"):
+        load_tensors(path)

@@ -365,8 +365,8 @@ def eval_unit(x, conv, bn, relu, pool, stem):
         return T.conv_bn_act(T.Tensor(x), conv.weight, bn.gamma, bn.beta, bn.running_mean,
                              bn.running_var, False, stride=conv.stride, padding=conv.padding,
                              pool=pool).data
-    return T._eval_unit(x, conv.weight.data, bn.gamma.data, bn.beta.data, bn.running_mean,
-                        bn.running_var, relu, conv.stride, conv.padding, conv.groups)
+    return T._unit(x, (conv.weight, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                       conv.stride, conv.padding, conv.groups), False, relu, [], "residual_block")
 
 
 def model_units(model, x):
@@ -595,6 +595,14 @@ class TestGateAddRelu:
                 T.residual_block(x, units, None, tuple(map(T.Tensor, bad)), True)
         with pytest.raises(ConfigurationError, match="NCHW"):
             T.residual_block(T.Tensor(np.ones((3, 4, 6))), units, None, None, True)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_conv_error_names_the_op(self, rng, training):
+        ts = [T.Tensor(a) for a in _basic_block_arrays(rng, 4, 6, True, False)]
+        x, units, short, _ = _basic_block(ts, 1, True, False)
+        units[1] = units[1][:7] + (4,)          # 4 groups cannot divide 6 channels
+        with pytest.raises(ConfigurationError, match=r"^residual_block: groups=4 must divide"):
+            T.residual_block(x, units, short, None, training)
 
     def test_eval_node_runs_and_has_no_backward(self, rng):
         ts = [T.Tensor(a, requires_grad=True)
@@ -863,6 +871,15 @@ class TestConvBnAct:
                           T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)),
                           np.full(4, np.inf, np.float32), np.ones(4, np.float32), False,
                           padding=1)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_conv_error_names_the_op(self, rng, training):
+        with pytest.raises(ConfigurationError,
+                           match=r"^conv_bn_act: weight expects 2 channels per group, input "):
+            T.conv_bn_act(T.Tensor(rng.normal(size=(2, 3, 6, 6))),
+                          T.Tensor(rng.normal(size=(4, 2, 3, 3))), T.Tensor(np.ones(4)),
+                          T.Tensor(np.zeros(4)), np.zeros(4, np.float32), np.ones(4, np.float32),
+                          training, padding=1)
 
     def test_bad_act_and_shapes_rejected(self, rng):
         x = T.Tensor(rng.normal(size=(2, 3, 6, 6)))

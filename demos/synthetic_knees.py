@@ -8,7 +8,7 @@ import numpy as np
 
 from kneegrade.data import GRADE_COLUMNS, load_landmarks, load_manifest, synth_generate
 from kneegrade.imageio import read_pgm16
-from kneegrade.preprocess import PreprocessConfig, RawImage, preprocess_exam
+from kneegrade.preprocess import PreprocessConfig, RawImage, preprocess_exam, standardize
 
 
 def ascii_image(values, width=48):
@@ -35,7 +35,8 @@ if __name__ == "__main__":
     print("showing", worst.exam_id, worst.grades)
     pixels = read_pgm16(os.path.join(root, worst.image_path))
     _, lm = load_landmarks(os.path.join(root, worst.landmark_path))
-    img = preprocess_exam(RawImage(pixels, worst.spacing_mm), lm, PreprocessConfig())
-    print("normalized:", img.values.shape, "mean", round(float(img.values.mean()), 6),
-          "std", round(float(img.values.std()), 4))
-    ascii_image(img.values)
+    img = standardize(preprocess_exam(RawImage(pixels, worst.spacing_mm), lm,
+                                      PreprocessConfig()).grid01)
+    print("normalized:", img.shape, "mean", round(float(img.mean()), 6),
+          "std", round(float(img.std()), 4))
+    ascii_image(img)

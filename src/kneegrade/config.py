@@ -98,6 +98,11 @@ class RunConfig:
             raise ConfigurationError("n_bootstrap must be >= 1")
         if not 0.5 < self.ci_level < 1.0:
             raise ConfigurationError(f"ci_level {self.ci_level} outside (0.5, 1)")
+        heads = [name for name, _ in self.model.heads()]
+        for name, _ in self.train.task_weights:
+            if name not in heads:
+                raise ConfigurationError(
+                    f"train.task_weights names {name!r}, which is not a head of this model {heads}")
 
     def stage_hash(self, stage):
         """Hash of the subtree ``stage`` and its upstream stages read."""

@@ -370,10 +370,14 @@ def _check_bootstrap(n, n_iterations, level):
         raise ConfigurationError(f"confidence level {level} outside (0.5, 1)")
 
 
-def _interval(point, values, n_iterations, level, max_failure_fraction):
+# More undefined bootstrap iterations than this share is a BootstrapError.
+MAX_FAILURE_FRACTION = 0.2
+
+
+def _interval(point, values, n_iterations, level):
     """Percentile interval of the defined bootstrap ``values``."""
     failed = n_iterations - len(values)
-    if failed > max_failure_fraction * n_iterations:
+    if failed > MAX_FAILURE_FRACTION * n_iterations:
         raise BootstrapError(
             f"statistic undefined on {failed}/{n_iterations} bootstrap iterations")
     alpha = (1.0 - level) / 2.0
@@ -383,13 +387,13 @@ def _interval(point, values, n_iterations, level, max_failure_fraction):
 
 
 def bootstrap_ci(statistic, y_true, y_other, n_iterations=100, level=0.95, seed=0,
-                 strata=None, max_failure_fraction=0.2, executor=None):
+                 strata=None, executor=None):
     """Percentile bootstrap CI of ``statistic(y_true, y_other)``.
 
     Resampling is stratified (default strata: the true labels) and sizes per
     stratum are preserved exactly. The point estimate always comes from the
     original sample. Iterations where the statistic raises
-    MetricUndefinedError are dropped; more than ``max_failure_fraction`` of
+    MetricUndefinedError are dropped; more than ``MAX_FAILURE_FRACTION`` of
     them is a BootstrapError. Pass a concurrent.futures executor to fan the
     iterations out; results are identical to the serial run because every
     iteration seeds its own generator from (seed, iteration).
@@ -417,15 +421,14 @@ def bootstrap_ci(statistic, y_true, y_other, n_iterations=100, level=0.95, seed=
     else:
         results = list(executor.map(one, range(n_iterations)))
     values = [v for v in results if v is not None]
-    return _interval(point, values, n_iterations, level, max_failure_fraction)
+    return _interval(point, values, n_iterations, level)
 
 
 # Index rows scored at once by bootstrap_rows: bounds its working memory.
 _BLOCK_BYTES = 1 << 20
 
 
-def bootstrap_rows(statistics, strata, n_iterations=100, level=0.95, seed=0,
-                   max_failure_fraction=0.2):
+def bootstrap_rows(statistics, strata, n_iterations=100, level=0.95, seed=0):
     """bootstrap_ci for several statistics of one sample, scored as arrays.
 
     ``statistics`` maps a name to ``(point, rows)``: the statistic on the
@@ -446,6 +449,5 @@ def bootstrap_rows(statistics, strata, n_iterations=100, level=0.95, seed=0,
         idx = resample_matrix(strata, seed, min(block, n_iterations - start), start)
         for name, (_, rows) in statistics.items():
             values[name][start:start + len(idx)] = rows(idx)
-    return {name: _interval(point, values[name][~np.isnan(values[name])], n_iterations,
-                            level, max_failure_fraction)
+    return {name: _interval(point, values[name][~np.isnan(values[name])], n_iterations, level)
             for name, (point, _) in statistics.items()}

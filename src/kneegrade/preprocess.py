@@ -70,11 +70,6 @@ class NormalizedImage:
     grid01: np.ndarray          # float32 [S, S], percentile-clipped to [0, 1]
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def values(self):
-        """The model's input plane: ``standardize(grid01)``."""
-        return standardize(self.grid01)
-
 
 def bilinear_sample(grid, ys, xs, fill=0.0):
     """Sample ``grid`` (float, [H, W]) at fractional coordinates.

@@ -39,12 +39,12 @@ padding places stay zero, laid out [rows, m, Ho*Wo] so that one GEMM covers
 the chunk's m images, and multiplies and reduces each chunk while it is in
 cache, in the forward and in the backward alike: no whole-batch column,
 column-gradient or transposed-gradient array is made. The eval unit adds its
-folded bias and applies its ReLU to each chunk as it leaves the GEMM, the
-training unit scales, shifts and rectifies a chunk at a time, and
-``avg_pool2d`` sums its windows a chunk of images at a time. The unit's
-training backward makes no full-size temporary: it applies the ReLU mask and
-forms the batch norm's dX over the gradient it owns, a chunk of images at a
-time, so the conv's dX is the one full-size array it allocates. Every chunk
+folded bias and applies its ReLU to each chunk as it leaves the GEMM, and
+``avg_pool2d`` sums its windows a chunk of images at a time. The training
+unit scales, shifts and rectifies its whole output in place in the one array
+it allocates for it. Its backward applies the ReLU mask in place and forms
+the batch norm's dX over the gradient it owns a chunk of images at a time,
+so the conv's dX is the one full-size array it allocates. Every chunk
 holds :func:`_image_step` images; every conv GEMM runs in :func:`_gemm_chunks`
 or in the lowering's backward over :func:`_column_chunks`. A one-image chunk
 has the memory of an NCHW image, so its GEMM writes the output in place.
@@ -415,12 +415,6 @@ def _image_chunks(a):
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _relu_mask(g, out):
-    """Zero ``g`` in place wherever the ReLU output ``out`` is not positive."""
-    for chunk in _image_chunks(g):
-        g[chunk] *= out[chunk] > 0
-
-
 def _window(i, stride, padding, size, count):
     """(output slice, input slice) along one axis for kernel offset ``i``: the
     outputs among ``count`` whose input pixel ``o * stride + i - padding``
@@ -696,8 +690,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
             _put(grads, b, g.sum(axis=(0, 2, 3)))
         dw, dx = _conv_grads(g, x.data, x.requires_grad, w.data, stride, padding, groups)
         _put(grads, w, dw)
-        if dx is not None:
-            _put(grads, x, dx)
+        _put(grads, x, dx)
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, bwd, "conv2d")
@@ -726,8 +719,7 @@ def _bn_train(y, gamma, beta, running_mean, running_var, relu=False):
     Updates the running statistics in place with the biased batch variance
     (see ``BN_MOMENTUM``). Returns the normalized output (ReLU applied when
     ``relu``), the centred input backward keeps, which is ``y`` itself,
-    overwritten, and the per-channel ``1 / std``. The output is scaled,
-    shifted and rectified one chunk of images at a time.
+    overwritten, and the per-channel ``1 / std`` (see :func:`_bn_apply`).
     """
     n, c, h, w = y.shape
     m = n * h * w
@@ -743,31 +735,25 @@ def _bn_train(y, gamma, beta, running_mean, running_var, relu=False):
 
 def _bn_apply(xc, inv, gamma, beta, relu):
     """``xc * (gamma * inv) + beta`` per channel of the centred ``xc`` [N, C,
-    H, W], ReLU applied when ``relu``, one chunk of images at a time: the
-    output of :func:`_bn_train`, which a backward rebuilds with its bits."""
-    k = (gamma * inv)[None, :, None, None]
-    shift = beta[None, :, None, None]
-    out = np.empty(xc.shape, dtype=np.result_type(xc, k))
-    for chunk in _image_chunks(xc):
-        part = np.multiply(xc[chunk], k, out=out[chunk])
-        part += shift
-        if relu:
-            np.maximum(part, 0, out=part)
+    H, W], ReLU applied when ``relu``, in place in one new array: the output
+    of :func:`_bn_train`, which a backward rebuilds with its bits."""
+    out = np.multiply(xc, (gamma * inv)[None, :, None, None])
+    out += beta[None, :, None, None]
+    if relu:
+        np.maximum(out, 0, out=out)
     return out
 
 
-def _bn_train_grads(g, xc, inv, gamma, need_x):
-    """Backward of :func:`_bn_train`: (dX or None, dgamma, dbeta).
+def _bn_train_grads(g, xc, inv, gamma):
+    """Backward of :func:`_bn_train`: (dX, dgamma, dbeta).
 
     dX is written over ``g``, which the calling closure owns, one chunk of
-    images at a time; the channel sums are taken over the whole of ``g``
-    first.
+    images at a time, so it makes no full-size temporary; the channel sums
+    are taken over the whole of ``g`` first.
     """
     m = g.size // g.shape[1]
     sum_g = _channel_sum(g)
     sum_gxc = _channel_sum(g, xc)                 # sum(g * xhat) = inv * sum(g * xc)
-    if not need_x:
-        return None, sum_gxc * inv, sum_g
     # gamma * inv * (g - (sum_g + xhat * sum(g * xhat)) / m), per element in
     # the order xc * k1, + g, - k2, * k3
     k1 = (-inv * inv * sum_gxc / m)[None, :, None, None]
@@ -786,18 +772,17 @@ def _bn_train_grads(g, xc, inv, gamma, need_x):
 def _unit_grads(grads, g, kept, xd, need_x, u):
     """Backward of the training :func:`_unit` ``u`` over ``xd`` for the
     gradient ``g`` of its batch norm's output, ReLU mask applied, which it
-    overwrites. Puts the gradients of ``w``, ``gamma`` and ``beta`` and
-    returns dX, or None unless ``need_x``. Pops the unit's (centred output,
-    1 / std) off ``kept``, freeing it for the conv's backward to reuse."""
+    overwrites with the conv output's gradient. Puts the gradients of ``w``,
+    ``gamma`` and ``beta`` and returns dX, or None unless ``need_x``: a
+    conv over an input that wants no gradient, such as the image, makes no
+    dX. Pops the unit's (centred output, 1 / std) off ``kept``, freeing it
+    for the conv's backward to reuse."""
     w, gamma, beta, _, _, stride, padding, groups = u
     xc, inv = kept.pop()
-    # g becomes the conv output's gradient, None if unwanted
-    g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data, need_x or w.requires_grad)
+    g, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data)
     del xc
-    dx = None
-    if g is not None:
-        dw, dx = _conv_grads(g, xd, need_x, w.data, stride, padding, groups)
-        _put(grads, w, dw)
+    dw, dx = _conv_grads(g, xd, need_x, w.data, stride, padding, groups)
+    _put(grads, w, dw)
     _put(grads, gamma, dgamma)
     _put(grads, beta, dbeta)
     return dx
@@ -948,18 +933,14 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
 
     def bwd(g, grads):
         if training:
-            dx, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data, x.requires_grad)
+            dx, dgamma, dbeta = _bn_train_grads(g, xc, inv, gamma.data)
         else:
-            dx = g * scale[None, :, None, None] if x.requires_grad else None
+            mean = running_mean.astype(x.data.dtype)
+            dgamma = _channel_sum(g, x.data - mean[None, :, None, None]) * inv
             dbeta = _channel_sum(g)
-            dgamma = None
-            if gamma.requires_grad:
-                mean = running_mean.astype(x.data.dtype)
-                dgamma = _channel_sum(g, x.data - mean[None, :, None, None]) * inv
-        if dx is not None:
-            _put(grads, x, dx)
-        if dgamma is not None:
-            _put(grads, gamma, dgamma)
+            dx = g * scale[None, :, None, None]
+        _put(grads, x, dx)
+        _put(grads, gamma, dgamma)
         _put(grads, beta, dbeta)
 
     return _node(out, (x, gamma, beta), bwd, "batch_norm2d")
@@ -1027,7 +1008,7 @@ def conv_bn_act(x, w, gamma, beta, running_mean, running_var, training, stride=1
         out = _unit(x.data, u, training, True, kept, "conv_bn_act")
 
         def bwd(g, grads):
-            _relu_mask(g, out)
+            g *= out > 0
             _put(grads, x, _unit_grads(grads, g, kept, x.data, x.requires_grad, u))
         node = _node(out, parents, bwd if training else _no_backward_without_batch_stats,
                      "conv_bn_act")
@@ -1074,9 +1055,12 @@ def residual_block(x, units, short, se, training):
     ending in a ReLU; ``short`` is the projection shortcut's unit or None.
     ``se`` is ``(w1, w2)``, gate = ``sigmoid(relu(mean_hw(branch) @ w1^T) @
     w2^T)``, or None. Each unit and the shortcut run :func:`_unit`, whose
-    errors name this op. Out of ``training`` each unit's output is scanned
-    for non-finite values, as a node's would be, and the node has no
-    backward.
+    errors name this op. Out of ``training`` the node has no backward, and
+    each unit that ends in a ReLU is scanned for non-finite values, which
+    its ReLU could hide (-inf reads 0). The last unit and the shortcut need
+    no scan of their own: a non-finite value there stays non-finite through
+    the gate and the sum (inf * 0 and inf - inf are NaN), which is scanned
+    before the last ReLU and raises ``NumericsError``.
 
     A training node keeps its input, each unit's centred conv output and
     ``1 / std``, the gate's [N, C] arrays and its output; backward rebuilds
@@ -1084,13 +1068,11 @@ def residual_block(x, units, short, se, training):
     the per-op chain's bits. A non-finite unit output reaches the sum before
     the last ReLU, where it raises ``NumericsError``.
     """
-    if x.data.ndim != 4:
-        raise ConfigurationError(f"residual_block: expected NCHW input, got {x.data.shape}")
     kept = []                       # per training unit: its centred output and 1 / std
 
-    def unit(held, u, relu):        # an eval unit's output is scanned, as a node's would be
+    def unit(held, u, relu):        # an eval unit's ReLU could hide a -inf, so scan it
         y = _unit(held.pop(), u, training, relu, kept, "residual_block")
-        if not (training or np.all(np.isfinite(y))):
+        if relu and not (training or np.all(np.isfinite(y))):
             raise NumericsError("residual_block produced non-finite values")
         return y
 
@@ -1121,7 +1103,7 @@ def residual_block(x, units, short, se, training):
         return _node(out, parents, _no_backward_without_batch_stats, "residual_block")
 
     def bwd(g, grads):
-        _relu_mask(g, out)
+        g *= out > 0
         short_kept = None if short is None else [kept.pop()]
         if se is None:
             d = g.copy()
@@ -1140,7 +1122,7 @@ def residual_block(x, units, short, se, training):
                                                  units[i - 1][2].data, True)
             d = _unit_grads(grads, d, kept, xd, i > 0 or x.requires_grad, units[i])
             if i:
-                _relu_mask(d, xd)
+                d *= xd > 0
         _put(grads, x, d)           # None only when x wants no gradient
         if short is None:
             _put(grads, x, g)
@@ -1178,8 +1160,8 @@ def avg_pool2d(x, kernel, stride=None):
 
     Forward sums each window's rows, then its columns, with strided adds,
     about ``_CHUNK_BYTES`` of input images at a time so the row sums stay in
-    cache; backward writes the scaled gradient back with one strided add (a
-    plain write where windows do not overlap) per window offset. A training
+    cache; backward scales the gradient by ``1 / kernel^2`` and adds it onto
+    zeros with one strided add per window offset. A training
     unit over an image may run this pool as its epilogue instead (see
     :func:`conv_bn_act`), with the same bits.
     """
@@ -1199,17 +1181,10 @@ def avg_pool2d(x, kernel, stride=None):
     for chunk in _image_chunks(x.data):
         _pool_into(x.data[chunk], k, s, out[chunk])
     def bwd(g, grads):
-        if not x.requires_grad:
-            return
-        # windows that tile the input write every pixel, so dx needs no zeros
-        tiled = k == s and ho * k == h and wo * k == w
-        dx = np.empty_like(x.data) if tiled else np.zeros_like(x.data)
-        gk = None if k <= s else g * inv
+        dx = np.zeros_like(x.data)
+        g *= inv
         for _, _, _, idx in _taps(k, k, s, 0, h, w, ho, wo):
-            if k <= s:      # windows do not overlap, so no pixel is written twice
-                np.multiply(g, inv, out=dx[idx])
-            else:
-                dx[idx] += gk
+            dx[idx] += g
         _put(grads, x, dx)
     return _node(out, (x,), bwd, "avg_pool2d")
 
@@ -1221,8 +1196,7 @@ def global_avg_pool(x):
     n, c, h, w = x.data.shape
     out = x.data.mean(axis=(2, 3))
     def bwd(g, grads):
-        if x.requires_grad:
-            _put(grads, x, np.broadcast_to(g[:, :, None, None], x.data.shape) * (1.0 / (h * w)))
+        _put(grads, x, np.broadcast_to(g[:, :, None, None], x.data.shape) * (1.0 / (h * w)))
     return _node(out, (x,), bwd, "global_avg_pool")
 
 

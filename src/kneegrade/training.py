@@ -103,9 +103,12 @@ class TrainConfig(PretrainConfig):
             raise ConfigurationError(
                 "transfer schedule needs at least "
                 f"{self.head_epochs + self.thaw_epochs} epochs to reach the thaw stage")
+        names = [name for name, _ in self.task_weights]
         for name, w in self.task_weights:
             if w < 0:
                 raise ConfigurationError(f"task weight for {name!r} must be >= 0")
+            if names.count(name) > 1:
+                raise ConfigurationError(f"task_weights lists {name!r} more than once")
 
     def weight_for(self, head_name):
         for name, w in self.task_weights:

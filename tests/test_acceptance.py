@@ -31,7 +31,7 @@ from kneegrade.metrics import (balanced_accuracy, bootstrap_ci, cohen_kappa, f1_
                                mse_grades, resample_indices, roc_auc)
 from kneegrade.model import ModelConfig, build_model, load_backbone_weights
 from kneegrade.preprocess import (PreprocessConfig, RawImage, crop_roi, normalize,
-                                  preprocess_exam, rotate_align)
+                                  preprocess_exam, rotate_align, standardize)
 from kneegrade.training import (TrainConfig, multi_task_loss, pretrain_backbone,
                                 run_fold, snapshot_model)
 
@@ -600,7 +600,7 @@ class TestPreprocessingGeometry:
             side = int(rng.integers(16, 96))
             img = RawImage(rng.integers(0, 65536, size=(side, side))
                            .astype(np.uint16), 0.2)
-            out = normalize(img).values
+            out = standardize(normalize(img).grid01)
             worst_mean = max(worst_mean, abs(float(out.mean())))
             worst_std = max(worst_std, abs(float(out.std()) - 1.0))
         assert worst_mean < 1e-6

@@ -17,7 +17,7 @@ import pytest
 
 from kneegrade import cli
 from kneegrade.errors import TrainingError
-from kneegrade.preprocess import load_image_cache
+from kneegrade.preprocess import load_image_cache, standardize
 from kneegrade.training import Snapshot
 
 CONFIG = {
@@ -159,7 +159,7 @@ class TestSynthPreprocess:
         assert meta["target_side"] == 32
         assert len(images) == 28
         sample = next(iter(images.values()))
-        assert sample.values.shape == (32, 32)
+        assert standardize(sample.grid01).shape == (32, 32)
 
     def test_preprocess_failure_leaves_no_partial_cache(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"

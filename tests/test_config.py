@@ -30,6 +30,13 @@ BAD_DOCS = [
      r"^train\.task_weights\[0\] must have 2 items, got 1$"),
     ({"train": {"task_weights": [["KL", "2"]]}},
      r"^train\.task_weights\[0\]\[1\] must be float, got str"),
+    # a weight must name a head the model has, once
+    ({"train": {"task_weights": [["KLL", 2.0]]}},
+     r"^train\.task_weights names 'KLL', which is not a head of this model"),
+    ({"model": {"include_kl_head": False}, "train": {"task_weights": [["KL", 2.0]]}},
+     r"^train\.task_weights names 'KL', which is not a head of this model"),
+    ({"train": {"task_weights": [["KL", 1.0], ["KL", 3.0]]}},
+     r"^train: task_weights lists 'KL' more than once$"),
     ({"pretrain": {"aug": {"bogus": 1}}}, r"^pretrain\.aug: unknown keys \['bogus'\]$"),
     ({"synth": {"image_side": 8, "grade_probs": [0.5, 0.5, 0.5, 0.5]}},
      r"image_side >= 32"),

@@ -270,9 +270,9 @@ class TestGenerate:
         for e in exams:
             img = read_pgm16(tmp_path / e.image_path)
             _, lm = load_landmarks(tmp_path / e.landmark_path)
-            from kneegrade.preprocess import RawImage
+            from kneegrade.preprocess import RawImage, standardize
             norm = preprocess_exam(RawImage(img, e.spacing_mm), lm, cfg)
-            assert norm.values.shape == (64, 64)
+            assert standardize(norm.grid01).shape == (64, 64)
             # after alignment the tibial band is level: its brightest row is
             # near the crop center row
             assert norm.provenance["crop_side_px"] == 64

@@ -449,17 +449,18 @@ class TestBatchedBootstrap:
         assert roc_auc_rows(b, s, whole)[0] == roc_auc(b, s)
         assert average_precision_rows(b, s, whole)[0] == average_precision(b, s)
 
-    def test_undefined_kappa_fails_as_in_bootstrap_ci(self):
+    def test_undefined_kappa_fails_as_in_bootstrap_ci(self, monkeypatch):
         # one stratum over a sample that is mostly one label: some resamples
         # hold that label alone, where kappa has no value
         t = np.array([0, 0, 0, 0, 0, 1])
         p = t.copy()
         strata = np.zeros(t.size, dtype=int)
         stat = lambda a, b: cohen_kappa(a, b, 2)
-        want = bootstrap_ci(stat, t, p, n_iterations=200, seed=3, strata=strata,
-                            max_failure_fraction=0.9)
-        got = bootstrap_rows({"kappa": (stat(t, p), lambda idx: kappa_rows(t, p, idx, 2))},
-                             strata, n_iterations=200, seed=3, max_failure_fraction=0.9)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "MAX_FAILURE_FRACTION", 0.9)
+            want = bootstrap_ci(stat, t, p, n_iterations=200, seed=3, strata=strata)
+            got = bootstrap_rows({"kappa": (stat(t, p), lambda idx: kappa_rows(t, p, idx, 2))},
+                                 strata, n_iterations=200, seed=3)
         assert 0 < want.n_failed < 200
         assert got["kappa"] == want
         with pytest.raises(BootstrapError, match=f"{want.n_failed}/200"):

@@ -180,8 +180,9 @@ class TestNormalize:
         rng = np.random.default_rng(5)
         img = make_image(rng.integers(0, 65536, size=(64, 64)).astype(np.uint16))
         out = normalize(img)
-        assert abs(out.values.mean()) < 1e-6
-        assert abs(out.values.std() - 1.0) < 1e-4
+        values = standardize(out.grid01)
+        assert abs(values.mean()) < 1e-6
+        assert abs(values.std() - 1.0) < 1e-4
         assert out.grid01.min() >= 0.0 and out.grid01.max() <= 1.0
 
     def test_clip_matches_percentile_oracle(self):
@@ -264,7 +265,7 @@ class TestImageCache:
         path = tmp_path / "images.kgw"
         named = {}
         for exam_id, norm in images.items():
-            named[f"{exam_id}/values"] = norm.values
+            named[f"{exam_id}/values"] = standardize(norm.grid01)
             named[f"{exam_id}/grid01"] = norm.grid01
         save_tensors(path, named)
         loaded, _ = load_image_cache(path)
@@ -297,10 +298,11 @@ class TestPipeline:
         img, lm = self.synthetic_exam()
         cfg = PreprocessConfig(target_side=64, roi_mm=140.0)
         out = preprocess_exam(img, lm, cfg)
-        assert out.values.shape == (64, 64)
+        values = standardize(out.grid01)
+        assert values.shape == (64, 64)
         assert out.provenance["target_side"] == 64
         assert out.provenance["mirrored"] is False
-        assert abs(out.values.mean()) < 1e-5
+        assert abs(values.mean()) < 1e-5
 
     def test_left_knee_mirrored(self):
         img, lm = self.synthetic_exam(side="L")

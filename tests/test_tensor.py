@@ -629,6 +629,29 @@ class TestGateAddRelu:
                 np.errstate(invalid="ignore"):
             T.residual_block(x, units, short, se, True)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("where", ["last_unit", "shortcut"])
+    def test_an_eval_overflow_without_a_relu_raises_at_the_join(self, rng, where, sign):
+        # finite weights whose conv overflows float32 to +-inf in the last
+        # branch unit or the shortcut: neither ends in a ReLU, so the inf stays
+        # non-finite through the gate and the sum, and the join's scan raises
+        arrays = _basic_block_arrays(rng, 4, 6, True, True)
+        arrays[0] = np.abs(arrays[0]) + 1.0         # a positive input
+        x, units, short, se = _basic_block([T.Tensor(a) for a in arrays], 2, True, True)
+        w, gamma, beta = (units[1] if where == "last_unit" else short)[:3]
+        w.data[...] = sign * 1e38
+        gamma.data[...] = 1.0
+        beta.data[...] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            branch = T._unit(x.data, units[0], False, True, [], "t")
+            y = T._unit(branch, units[1], False, False, [], "t") if where == "last_unit" \
+                else T._unit(x.data, short, False, False, [], "t")
+            assert np.all(np.isfinite(branch)) and np.any(y == sign * np.inf)
+            assert not np.any(np.isnan(y))
+            with pytest.raises(NumericsError,
+                               match="^residual_block produced non-finite values$"):
+                T.residual_block(x, units, short, se, False)
+
 
 class TestBatchNorm:
     def test_train_constant_batch_gives_beta(self):
@@ -842,6 +865,22 @@ class TestConvBnAct:
         conv.set_trainable(False)
         assert not self._module_unit(conv, BatchNorm2d(4).set_trainable(False),
                                      x).requires_grad
+
+    def test_a_frozen_weight_under_a_training_norm(self, rng):
+        """A conv weight frozen by hand while its batch norm trains, a state
+        set_trainable never makes, over an image and off the moment path (a
+        5x5 kernel over one channel is deeper than 4 output channels): gamma
+        and beta get their gradients and the weight none."""
+        x = T.Tensor(rng.normal(size=(2, 1, 6, 6)), dtype=np.float64)
+        w = T.Tensor(rng.normal(size=(4, 1, 5, 5)), dtype=np.float64)
+        gamma, beta, rm, rv = _bn_state(rng, 4)
+        r = T.Tensor(rng.normal(size=(2, 4, 6, 6)), dtype=np.float64)
+
+        def loss(ts):
+            return T.mean_all(T.mul(T.conv_bn_act(x, w, *ts, rm.copy(), rv.copy(), True,
+                                                  padding=2), r))
+        assert check_gradients(loss, [gamma, beta]) < 1e-4
+        assert w.grad is None
 
     @pytest.mark.parametrize("training", [True, False])
     def test_no_grad_records_nothing(self, rng, training):

@@ -18,7 +18,7 @@ from kneegrade.model import (
     load_backbone_weights,
 )
 from kneegrade.nn import Parameter
-from kneegrade.preprocess import AugmentConfig, NormalizedImage
+from kneegrade.preprocess import AugmentConfig, NormalizedImage, standardize
 from kneegrade.tensor import Tensor
 from kneegrade.training import (
     AUX_CLASSES,
@@ -284,7 +284,7 @@ class TestBatchedLogits:
         exams, images = fake_dataset(10, side=128)
         model = build_model(ModelConfig(), seed=0)
         got = batched_logits(model, exams, images, lambda z: z, batch_size=32)
-        x = np.stack([images[e.exam_id].values for e in exams])[:, None]
+        x = np.stack([standardize(images[e.exam_id].grid01) for e in exams])[:, None]
         with T.no_grad():
             want = model(Tensor(x))
         for name, lg in zip(model.head_names, want):

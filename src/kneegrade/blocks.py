@@ -49,8 +49,6 @@ class BlockSpec:
                     f"se_reduction={self.se_reduction} must divide out_channels={self.out_channels}")
 
     def mid_channels(self):
-        if self.kind != "bottleneck":
-            return self.out_channels
         if self.groups > 1:
             return self.groups * self.group_width
         return self.out_channels // BOTTLENECK_EXPANSION
@@ -170,8 +168,6 @@ class PoolHead(Module):
 
     def spatial_weights(self, x):
         n, c, h, w = x.shape
-        if self.spec.kind == "avg":
-            return T.Tensor(np.full((n, 1, h, w), 1.0 / (h * w), dtype=x.data.dtype))
         s = x
         if self.spec.kind == "gwap_hidden":
             s = T.relu(self.hidden(s))
@@ -182,7 +178,6 @@ class PoolHead(Module):
     def forward(self, x):
         if self.spec.kind == "avg":
             return T.global_avg_pool(x)
-        n, c, h, w = x.shape
         weights = T.broadcast_to(self.spatial_weights(x), x.shape)
         return T.reduce_sum(T.mul(x, weights), axis=(2, 3))
 

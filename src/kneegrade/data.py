@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .imageio import write_pgm16
 from .model import TASK_CLASSES, task_names
-from .preprocess import LandmarkSet, RawImage, rotate_image, rotate_point
+from .preprocess import LandmarkSet, RawImage, mirror_horizontal, rotate_image, rotate_point
 from .serialize import write_atomic
 
 GRADE_COLUMNS = list(task_names())
@@ -365,20 +365,17 @@ def _rotate_exam(img01, landmarks, angle, side, cfg):
     s = cfg.image_side
     center = (s / 2.0, s / 2.0)
     rotated = rotate_image(img01, center, angle, fill=0.08)
+    image = RawImage(np.clip(np.rint(rotated * 65535.0), 0, 65535).astype(np.uint16),
+                     cfg.spacing_mm)
     pl, pr, kc = (rotate_point(p, center, angle) for p in (
         landmarks.plateau_left, landmarks.plateau_right, landmarks.knee_center))
+    pl, pr = sorted((pl, pr), key=lambda p: p[0])      # stable: a tie keeps the order
+    lm = LandmarkSet(knee_center=kc, plateau_left=pl, plateau_right=pr, side=side)
     if side == "L":
-        rotated = rotated[:, ::-1]
-        pl = (s - 1 - pl[0], pl[1])
-        pr = (s - 1 - pr[0], pr[1])
-        kc = (s - 1 - kc[0], kc[1])
-    if pl[0] > pr[0]:
-        pl, pr = pr, pl
+        image, lm = mirror_horizontal(image, lm)
     clamp = lambda p: (float(np.clip(p[0], 0, s - 1)), float(np.clip(p[1], 0, s - 1)))
-    moved = LandmarkSet(knee_center=clamp(kc), plateau_left=clamp(pl),
-                        plateau_right=clamp(pr), side=side)
-    pixels = np.clip(np.rint(rotated * 65535.0), 0, 65535).astype(np.uint16)
-    return RawImage(pixels, cfg.spacing_mm), moved
+    return image, LandmarkSet(*map(clamp, (lm.knee_center, lm.plateau_left, lm.plateau_right)),
+                              side=side)
 
 
 def _sample_feature_grades(rng, cfg, base=None, step=0):

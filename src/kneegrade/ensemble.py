@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .serialize import write_atomic
 # batch_images is not called here; bench/tracing.py times it under this name.
-from .training import batch_images, batched_logits, snapshot_model  # noqa: F401
+from .training import batch_images, batched_logits, require_images, snapshot_model  # noqa: F401
 
 
 def softmax_probs(logits):
@@ -59,10 +59,7 @@ def ensemble_predict(snapshots, exams, images, batch_size=32):
         if s.meta["heads"] != heads:
             raise ConfigurationError(
                 f"snapshot head mismatch: {s.meta['heads']} vs {heads}")
-    missing = [e.exam_id for e in exams if e.exam_id not in images]
-    if missing:
-        raise ConfigurationError(
-            f"{len(missing)} exams lack preprocessed images, first: {missing[0]}")
+    require_images(exams, images)
     members = []
     for snap in snapshots:
         model = snapshot_model(snap)

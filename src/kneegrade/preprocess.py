@@ -320,20 +320,6 @@ def augment(grid01, rng, cfg: AugmentConfig = AugmentConfig()):
 # the on-disk cache of preprocessed images
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
-
-
 def save_image_cache(path, images, meta=None):
     """Write preprocessed images to one container plus a JSON sidecar.
 
@@ -347,11 +333,11 @@ def save_image_cache(path, images, meta=None):
         if "/" in exam_id:
             raise ConfigurationError(f"exam id {exam_id!r} cannot contain '/'")
         named[f"{exam_id}/grid01"] = norm.grid01
-        provenance[exam_id] = _jsonable(norm.provenance)
+        provenance[exam_id] = norm.provenance
     serialize.save_tensors(path, named)
     doc = {"n_exams": len(images), "provenance": provenance}
     if meta:
-        doc.update(_jsonable(meta))
+        doc.update(meta)
     write_sidecar(path, doc)
     return path
 

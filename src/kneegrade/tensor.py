@@ -818,7 +818,7 @@ def _bn_fold(w, gamma, beta, mean, var, dtype):
     output channel, worked in ``dtype`` and W', b' cast to ``w``'s dtype.
 
     New arrays, nothing written back. A non-finite W' or b' raises
-    ``NumericsError``: a +inf bias would read 0 after the unit's ReLU.
+    ``NumericsError``: a -inf bias would read 0 after the unit's ReLU.
     """
     inv = 1.0 / np.sqrt(var.astype(dtype) + BN_EPS)
     scale = gamma * inv
@@ -1056,11 +1056,12 @@ def residual_block(x, units, short, se, training):
     ``se`` is ``(w1, w2)``, gate = ``sigmoid(relu(mean_hw(branch) @ w1^T) @
     w2^T)``, or None. Each unit and the shortcut run :func:`_unit`, whose
     errors name this op. Out of ``training`` the node has no backward, and
-    each unit that ends in a ReLU is scanned for non-finite values, which
-    its ReLU could hide (-inf reads 0). The last unit and the shortcut need
-    no scan of their own: a non-finite value there stays non-finite through
-    the gate and the sum (inf * 0 and inf - inf are NaN), which is scanned
-    before the last ReLU and raises ``NumericsError``.
+    the output of each unit that ends in a ReLU is scanned after that ReLU,
+    so for a +inf that the next conv can turn into a -inf a later ReLU
+    zeroes, not for a -inf this one zeroed. The last unit and the shortcut
+    need no scan of their own: a non-finite value there stays non-finite
+    through the gate and the sum (inf * 0 and inf - inf are NaN), which
+    ``_node`` scans before the last ReLU, and raises ``NumericsError``.
 
     A training node keeps its input, each unit's centred conv output and
     ``1 / std``, the gate's [N, C] arrays and its output; backward rebuilds
@@ -1070,7 +1071,7 @@ def residual_block(x, units, short, se, training):
     """
     kept = []                       # per training unit: its centred output and 1 / std
 
-    def unit(held, u, relu):        # an eval unit's ReLU could hide a -inf, so scan it
+    def unit(held, u, relu):        # eval: a +inf here can reach a later ReLU as -inf, so scan it
         y = _unit(held.pop(), u, training, relu, kept, "residual_block")
         if relu and not (training or np.all(np.isfinite(y))):
             raise NumericsError("residual_block produced non-finite values")
@@ -1095,15 +1096,10 @@ def residual_block(x, units, short, se, training):
         gate = _sigmoid(hidden @ w2.T)
         y *= gate[:, :, None, None]
     y += s
-    if not np.all(np.isfinite(y)):
-        raise NumericsError("residual_block produced non-finite values")
-    out = np.maximum(y, 0, out=y)
     parents = [x] + [t for u in (*units, short) if u for t in u[:3]] + list(se or ())
-    if not training:
-        return _node(out, parents, _no_backward_without_batch_stats, "residual_block")
 
     def bwd(g, grads):
-        g *= out > 0
+        g *= y > 0
         short_kept = None if short is None else [kept.pop()]
         if se is None:
             d = g.copy()
@@ -1115,7 +1111,7 @@ def residual_block(x, units, short, se, training):
             _put(grads, se[1], ds.T @ hidden)
             dh = (ds @ w2) * (hidden > 0)
             _put(grads, se[0], dh.T @ z)
-            d += (dh @ w1)[:, :, None, None] * (1.0 / (out.shape[2] * out.shape[3]))
+            d += (dh @ w1)[:, :, None, None] * (1.0 / (y.shape[2] * y.shape[3]))
         for i in range(len(units) - 1, -1, -1):
             # this unit's input: the block's, or the previous unit's output, rebuilt
             xd = x.data if i == 0 else _bn_apply(*kept[i - 1], units[i - 1][1].data,
@@ -1129,7 +1125,10 @@ def residual_block(x, units, short, se, training):
         else:
             _put(grads, x, _unit_grads(grads, g, short_kept, x.data, x.requires_grad, short))
 
-    return _node(out, parents, bwd, "residual_block")
+    node = _node(y, parents, bwd if training else _no_backward_without_batch_stats,
+                 "residual_block")
+    np.maximum(y, 0, out=y)         # the last ReLU, on the node's data once _node has scanned it
+    return node
 
 
 def _window_sum(a, axis, k, s, count, out=None):

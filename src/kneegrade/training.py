@@ -246,6 +246,14 @@ def targets_for(exams, head_names):
 # batching and evaluation
 
 
+def require_images(exams, images):
+    """ConfigurationError unless ``images`` holds every exam's preprocessed image."""
+    missing = [e.exam_id for e in exams if e.exam_id not in images]
+    if missing:
+        raise ConfigurationError(
+            f"{len(missing)} exams lack preprocessed images, first: {missing[0]}")
+
+
 def batch_images(images, exams, idxs, rng=None, aug_cfg=None):
     """Float32 model inputs [N, 1, S, S] for ``exams[idxs]``.
 
@@ -281,10 +289,8 @@ def batched_logits(model, exams, images, reduce, batch_size=32):
     freed before the next batch starts. The model is left in eval mode.
     """
     model.eval()
-    step = batch_size
-    if exams:
-        h, w = images[exams[0].exam_id].grid01.shape
-        step = max(1, min(batch_size, _INFER_STEM_BYTES // model.backbone.stem_bytes(h, w)))
+    h, w = images[exams[0].exam_id].grid01.shape
+    step = max(1, min(batch_size, _INFER_STEM_BYTES // model.backbone.stem_bytes(h, w)))
     chunks = {name: [] for name in model.head_names}
     with T.no_grad():
         for start in range(0, len(exams), step):
@@ -298,7 +304,7 @@ def batched_logits(model, exams, images, reduce, batch_size=32):
 def validation_metrics(model, exams, images, batch_size=32):
     """Quadratic kappa and balanced accuracy per head, plus their kappa mean.
 
-    A head whose metric is undefined on this sample (validation folds can be
+    A head whose kappa is undefined on this sample (validation folds can be
     tiny) scores 0.0 rather than aborting the run. The model is left in eval
     mode.
     """
@@ -312,12 +318,8 @@ def validation_metrics(model, exams, images, batch_size=32):
             kap = cohen_kappa(y_true, y_pred, k, "quadratic")
         except MetricUndefinedError:
             kap = 0.0
-        try:
-            ba = balanced_accuracy(y_true, y_pred, k)
-        except MetricUndefinedError:
-            ba = 0.0
         out[f"kappa_{name}"] = kap
-        out[f"ba_{name}"] = ba
+        out[f"ba_{name}"] = balanced_accuracy(y_true, y_pred, k)
         kappas.append(kap)
     out["mean_kappa"] = float(np.mean(kappas))
     return out
@@ -480,11 +482,7 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
     """
     if not train_exams or not val_exams:
         raise ConfigurationError("run_fold needs non-empty train and val sets")
-    missing = [e.exam_id for e in list(train_exams) + list(val_exams)
-               if e.exam_id not in images]
-    if missing:
-        raise ConfigurationError(
-            f"{len(missing)} exams lack preprocessed images, first: {missing[0]}")
+    require_images(list(train_exams) + list(val_exams), images)
     seed = int(seed)
     model.reseed_dropout(
         int(np.random.SeedSequence([seed, 4, fold]).generate_state(1)[0]))

@@ -72,6 +72,36 @@ def test_guard_sees_each_kind_of_write():
     assert _file_writes(ast.parse(source)) == [("f", 2)] * 4 + [("f", 3)] * 2
 
 
+# The benchmark patches these two names in the modules that import them.
+_PATCHED_IMPORTS = {("ensemble.py", "batch_images"), ("report.py", "bootstrap_ci")}
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads, ``from __future__`` aside."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert sorted(set(unused) - _PATCHED_IMPORTS) == []
+    assert sorted(_PATCHED_IMPORTS - set(unused)) == []
+
+
+def test_import_guard_sees_an_unused_name():
+    source = ("from __future__ import annotations\n"
+              "import os, numpy as np\n"
+              "from .x import a, b as c\n"
+              "np.zeros(a)\n")
+    assert _unused_imports(ast.parse(source)) == ["c", "os"]
+
+
 # ---------------------------------------------------------------------------
 # a writer killed partway through
 

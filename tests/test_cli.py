@@ -85,6 +85,17 @@ def config_file(tmp_path, **changes):
     return str(path)
 
 
+def blank_grades(manifest, cells):
+    """Empty each (row, column name) cell of the manifest file, in place."""
+    lines = Path(manifest).read_text().strip().split("\n")
+    header = lines[0].split(",")
+    for row, name in cells:
+        values = lines[row].split(",")
+        values[header.index(name)] = ""
+        lines[row] = ",".join(values)
+    Path(manifest).write_text("\n".join(lines) + "\n")
+
+
 class TestBasics:
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -160,6 +171,16 @@ class TestSynthPreprocess:
         assert len(images) == 28
         sample = next(iter(images.values()))
         assert standardize(sample.grid01).shape == (32, 32)
+
+    def test_preprocess_names_what_it_excluded(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        blank_grades(data / "manifest.csv", [(1, "KL"), (2, "KL"), (3, "FO_L")])
+        assert run_cli("preprocess", "--config", str(workdir / "config.json"),
+                       "--manifest", str(data / "manifest.csv"),
+                       "--out", str(tmp_path / "cache")) == 0
+        assert "preprocess: excluded FO_L=1 KL=2\n" in capsys.readouterr().out
+        assert len(load_image_cache(str(tmp_path / "cache" / "images.kgw"))[0]) == 28 - 3
 
     def test_preprocess_failure_leaves_no_partial_cache(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"
@@ -299,6 +320,16 @@ class TestTrain:
         names = [name for name, _ in snap.meta["heads"]]
         assert "KL" not in names and "JSN_M" in names
 
+    def test_schedule_flag_overrides_the_config(self, workdir, tmp_path):
+        cfg = config_file(tmp_path, train={"schedule": "transfer", "epochs": 3})
+        assert run_cli("train", "--config", cfg, "--schedule", "scratch",
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"),
+                       "--out", str(tmp_path / "folds")) == 0
+        for fold in range(2):
+            snap = Snapshot.load(str(tmp_path / "folds" / f"snapshot_fold{fold}.kgw"))
+            assert snap.meta["schedule"] == "scratch"
+
     def test_interrupt_discards_written_snapshots(self, workdir, tmp_path, monkeypatch):
         out = tmp_path / "folds"
         seen = []
@@ -367,6 +398,29 @@ class TestPredictEvaluate:
         assert code == 2 and err.count("\n") == 1
         assert err.startswith("error: FileNotFoundError:") and f"'{out}'" in err, err
         assert ".tmp" not in err
+
+    def test_a_directory_without_snapshots_is_refused(self, workdir, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        code = run_cli("predict", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"),
+                       "--snapshots", str(tmp_path / "empty"), "--out", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: UsageError: no snapshots found under")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_evaluate_refuses_a_manifest_without_every_head(self, workdir, predictions,
+                                                            tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        shutil.copy(workdir / "cache" / "manifest.csv", manifest)
+        blank_grades(manifest, [(row, "KL") for row in range(1, 29)])
+        code = run_cli("evaluate", "--config", str(workdir / "config.json"),
+                       "--manifest", str(manifest), "--predictions", str(predictions),
+                       "--out", str(tmp_path / "report"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: DataError: {manifest}: no exam carries all of ['KL',")
+        assert not (tmp_path / "report").exists()
 
     def test_evaluate_emits_report(self, workdir, predictions, capsys):
         out = workdir / "report"
@@ -502,6 +556,13 @@ class TestCorruptInputs:
             lines[3] = ",".join(lines[3].split(",")[:5])
             path.write_text("\n".join(lines))
             return f"{path} line 4:"
+        self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
+
+    def test_manifest_without_a_fully_graded_exam(self, workdir, tmp_path, capsys):
+        def corrupt(data):
+            path = data / "manifest.csv"
+            blank_grades(path, [(row, "JSN_M") for row in range(1, 29)])
+            return f"{path}: no exam has a complete set of grades"
         self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
 
     @pytest.mark.parametrize("key,value", [("knee_center", [5]), ("side", "X")],

@@ -45,6 +45,8 @@ BAD_DOCS = [
     ({"model": []}, r"^model must be a mapping, got list$"),
     # range checks run on construction and carry the path of their block
     ({"train": {"epochs": 0}}, r"^train: epochs must be >= 1$"),
+    ({"n_bootstrap": 0}, r"^n_bootstrap must be >= 1$"),
+    ({"ci_level": 0.4}, r"^ci_level 0\.4 outside \(0\.5, 1\)$"),
     ({"model": {"blocks": [dict(BLOCK, stride=3)]}},
      r"^model\.blocks\[0\]: block stride must be 1 or 2, got 3$"),
     ({"train": {"augment": False, "aug": {"crop_ratio": 2.0}}},

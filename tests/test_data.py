@@ -243,13 +243,20 @@ class TestGenerate:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     def test_files_exist_and_load(self, tmp_path):
-        manifest, exams = synth_generate(tmp_path, n_subjects=2, exams_per_subject=2, seed=1)
-        for e in exams:
-            img = read_pgm16(tmp_path / e.image_path)
-            assert img.shape == (64, 64)
-            exam_id, lm = load_landmarks(tmp_path / e.landmark_path)
-            assert exam_id == e.exam_id
-            assert lm.side == e.side
+        # turned past 90 degrees, a knee's plateau points swap places, and a
+        # left knee's swap again in the mirror: both must end up ordered by x
+        for i, cfg in enumerate((SynthConfig(), SynthConfig(max_rotation_deg=179))):
+            out = tmp_path / str(i)
+            manifest, _ = synth_generate(out, n_subjects=2, exams_per_subject=2, seed=1, cfg=cfg)
+            for e in load_manifest(manifest):
+                img = read_pgm16(out / e.image_path)
+                assert img.shape == (64, 64)
+                exam_id, lm = load_landmarks(out / e.landmark_path)
+                assert exam_id == e.exam_id
+                assert lm.side == e.side
+                assert lm.plateau_left[0] <= lm.plateau_right[0]
+                for x, y in (lm.knee_center, lm.plateau_left, lm.plateau_right):
+                    assert 0 <= x <= 63 and 0 <= y <= 63
 
     def test_kl_always_derived(self, tmp_path):
         _, exams = synth_generate(tmp_path, n_subjects=10, exams_per_subject=2, seed=2)

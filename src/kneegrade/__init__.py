@@ -57,7 +57,7 @@ from .data import (
     synth_generate,
 )
 from .ensemble import ensemble_mean, ensemble_predict, read_predictions_csv, \
-    write_predictions_csv
+    snapshot_model, write_predictions_csv
 from .errors import (
     BootstrapError,
     DataError,
@@ -106,7 +106,6 @@ from .training import (
     TrainConfig,
     pretrain_backbone,
     run_fold,
-    snapshot_model,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ConfigurationError, UsageError
 from .nn import BatchNorm2d, Conv2d, Linear, Module
@@ -87,13 +85,13 @@ class SEGate(Module):
     carry no bias, so all-zero weights gate every channel at exactly 0.5.
     """
 
-    def __init__(self, channels, reduction, rng, dtype=np.float32):
+    def __init__(self, channels, reduction, rng):
         super().__init__()
         if reduction < 1 or channels % reduction:
             raise ConfigurationError(
                 f"SE reduction {reduction} must divide channel count {channels}")
-        self.squeeze = Linear(channels, channels // reduction, rng, bias=False, dtype=dtype)
-        self.excite = Linear(channels // reduction, channels, rng, bias=False, dtype=dtype)
+        self.squeeze = Linear(channels, channels // reduction, rng, bias=False)
+        self.excite = Linear(channels // reduction, channels, rng, bias=False)
 
     def forward(self, x):
         z = T.global_avg_pool(x)
@@ -105,31 +103,30 @@ class ResidualBlock(Module):
     as one :func:`~kneegrade.tensor.residual_block` node, which keeps no unit
     output; its batch norms all train on batch statistics or are all frozen."""
 
-    def __init__(self, spec: BlockSpec, rng, dtype=np.float32):
+    def __init__(self, spec: BlockSpec, rng):
         super().__init__()
         self.spec = spec
         cin, cout, s = spec.in_channels, spec.out_channels, spec.stride
         if spec.kind == "basic":
-            self.conv1 = Conv2d(cin, cout, 3, rng, stride=s, padding=1, dtype=dtype)
-            self.bn1 = BatchNorm2d(cout, dtype=dtype)
-            self.conv2 = Conv2d(cout, cout, 3, rng, padding=1, dtype=dtype)
-            self.bn2 = BatchNorm2d(cout, dtype=dtype)
+            self.conv1 = Conv2d(cin, cout, 3, rng, stride=s, padding=1)
+            self.bn1 = BatchNorm2d(cout)
+            self.conv2 = Conv2d(cout, cout, 3, rng, padding=1)
+            self.bn2 = BatchNorm2d(cout)
             self.conv3 = None
         else:
             mid = spec.mid_channels()
-            self.conv1 = Conv2d(cin, mid, 1, rng, dtype=dtype)
-            self.bn1 = BatchNorm2d(mid, dtype=dtype)
-            self.conv2 = Conv2d(mid, mid, 3, rng, stride=s, padding=1,
-                                groups=spec.groups, dtype=dtype)
-            self.bn2 = BatchNorm2d(mid, dtype=dtype)
-            self.conv3 = Conv2d(mid, cout, 1, rng, dtype=dtype)
-            self.bn3 = BatchNorm2d(cout, dtype=dtype)
+            self.conv1 = Conv2d(cin, mid, 1, rng)
+            self.bn1 = BatchNorm2d(mid)
+            self.conv2 = Conv2d(mid, mid, 3, rng, stride=s, padding=1, groups=spec.groups)
+            self.bn2 = BatchNorm2d(mid)
+            self.conv3 = Conv2d(mid, cout, 1, rng)
+            self.bn3 = BatchNorm2d(cout)
         if cin != cout or s != 1:
-            self.short_conv = Conv2d(cin, cout, 1, rng, stride=s, dtype=dtype)
-            self.short_bn = BatchNorm2d(cout, dtype=dtype)
+            self.short_conv = Conv2d(cin, cout, 1, rng, stride=s)
+            self.short_bn = BatchNorm2d(cout)
         else:
             self.short_conv = None
-        self.se = SEGate(cout, spec.se_reduction, rng, dtype=dtype) if spec.se_enabled else None
+        self.se = SEGate(cout, spec.se_reduction, rng) if spec.se_enabled else None
         self._units = [(self.conv1, self.bn1), (self.conv2, self.bn2)] + \
             ([] if self.conv3 is None else [(self.conv3, self.bn3)])
         self._short = None if self.short_conv is None else (self.short_conv, self.short_bn)
@@ -157,14 +154,14 @@ class PoolHead(Module):
     map. Score convs carry no bias: softmax ignores constant shifts.
     """
 
-    def __init__(self, channels, spec: PoolingSpec, rng, dtype=np.float32):
+    def __init__(self, channels, spec: PoolingSpec, rng):
         super().__init__()
         self.spec = spec
         if spec.kind == "gwap":
-            self.score = Conv2d(channels, 1, 1, rng, dtype=dtype)
+            self.score = Conv2d(channels, 1, 1, rng)
         elif spec.kind == "gwap_hidden":
-            self.hidden = Conv2d(channels, spec.hidden_width, 1, rng, dtype=dtype)
-            self.score = Conv2d(spec.hidden_width, 1, 1, rng, dtype=dtype)
+            self.hidden = Conv2d(channels, spec.hidden_width, 1, rng)
+            self.score = Conv2d(spec.hidden_width, 1, 1, rng)
 
     def spatial_weights(self, x):
         n, c, h, w = x.shape
@@ -185,19 +182,19 @@ class PoolHead(Module):
 class Backbone(Module):
     """Stem unit (+ optional pool) followed by the configured residual blocks."""
 
-    def __init__(self, stem: StemSpec, blocks, rng, dtype=np.float32):
+    def __init__(self, stem: StemSpec, blocks, rng):
         super().__init__()
         self.stem_spec = stem
         self.conv = Conv2d(1, stem.out_channels, stem.kernel, rng, stride=stem.stride,
-                           padding=stem.kernel // 2, dtype=dtype)
-        self.bn = BatchNorm2d(stem.out_channels, dtype=dtype)
+                           padding=stem.kernel // 2)
+        self.bn = BatchNorm2d(stem.out_channels)
         prev = stem.out_channels
         self.blocks = []
         for i, spec in enumerate(blocks):
             if spec.in_channels != prev:
                 raise ConfigurationError(
                     f"block {i}: in_channels={spec.in_channels} but upstream provides {prev}")
-            block = ResidualBlock(spec, rng, dtype=dtype)
+            block = ResidualBlock(spec, rng)
             self.add_child(f"block{i}", block)
             self.blocks.append(block)
             prev = spec.out_channels

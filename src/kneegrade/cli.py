@@ -46,8 +46,8 @@ from .errors import (
 from .imageio import read_pgm16
 from .model import build_model, load_backbone_weights
 from .preprocess import RawImage, load_image_cache, preprocess_exam, save_image_cache
-from .report import align_predictions, emit_report, read_sidecar, \
-    write_history_svg, write_sidecar
+from .report import align_predictions, emit_report, write_history_svg
+from .serialize import read_sidecar, write_sidecar
 from .training import Snapshot, pretrain_backbone, run_fold
 
 _USER_FAULT = (UsageError, ConfigurationError, DataError, WeightLoadError)

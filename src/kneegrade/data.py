@@ -174,7 +174,6 @@ def load_landmarks(path):
 class FoldAssignment:
     n_folds: int
     subject_fold: dict          # subject_id -> fold index
-    subject_stratum: dict       # subject_id -> stratum label
 
     def fold_of(self, exam: GradedExam):
         return self.subject_fold[exam.subject_id]
@@ -212,7 +211,7 @@ def split_cv(exams, n_folds=5, seed=0):
         for i in order:
             assignment[members[i]] = cursor % n_folds
             cursor += 1
-    return FoldAssignment(n_folds=n_folds, subject_fold=assignment, subject_stratum=dict(strata))
+    return FoldAssignment(n_folds=n_folds, subject_fold=assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +410,6 @@ def synth_generate(out_dir, n_subjects, exams_per_subject=2, seed=0,
             visit = ei // 2
             erng = np.random.default_rng(np.random.SeedSequence([int(seed), 2, si, ei]))
             grades = _sample_feature_grades(erng, cfg, base=base[side], step=visit)
-            grades = {**grades}
             grades["KL"] = derive_kl(grades)
             img01, landmarks = render_knee(grades, cfg, erng)
             angle = float(erng.uniform(-cfg.max_rotation_deg, cfg.max_rotation_deg))

@@ -1,4 +1,5 @@
-"""Snapshot ensembling: average class probabilities across trained folds.
+"""Snapshot ensembling: rebuild each trained fold's model from its snapshot and
+average class probabilities across them.
 
 Member probabilities are float32. The mean is taken in float64 after sorting
 along the member axis, which buys two bitwise guarantees: member order cannot
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .config import from_doc
+from .errors import ConfigurationError, DataError, WeightLoadError
+from .model import ModelConfig, build_model
 from .serialize import write_atomic
 # batch_images is not called here; bench/tracing.py times it under this name.
-from .training import batch_images, batched_logits, require_images, snapshot_model  # noqa: F401
+from .training import batch_images, batched_logits, require_images  # noqa: F401
 
 
 def softmax_probs(logits):
@@ -36,6 +39,25 @@ def ensemble_mean(member_probs):
         raise ConfigurationError(f"member probabilities must be float32, got {stack.dtype}")
     ordered = np.sort(stack.astype(np.float64), axis=0)
     return (ordered.sum(axis=0) / stack.shape[0]).astype(np.float32)
+
+
+def snapshot_model(snapshot):
+    """Rebuild the trained model a snapshot was taken from.
+
+    A model config or weights the model refuses are an error naming the
+    snapshot's file, when it came from one.
+    """
+    heads = [tuple(h) for h in snapshot.meta["heads"]]
+    weights = snapshot.arrays()     # load_tensors names the file itself
+    try:
+        cfg = from_doc(ModelConfig, snapshot.meta["model_config"], "model")
+        model = build_model(cfg, int(snapshot.meta["seed"]), heads_override=heads)
+        model.load_state_arrays(weights)
+    except (ConfigurationError, WeightLoadError) as exc:
+        if snapshot.path is None:
+            raise
+        raise type(exc)(f"{snapshot.path}: {exc}") from None
+    return model
 
 
 def predict_probs(model, exams, images, batch_size=32):

@@ -19,9 +19,7 @@ def write_pgm16(path, pixels):
     if arr.ndim != 2:
         raise DataError(f"PGM writer expects a 2-D image, got shape {arr.shape}")
     if arr.dtype != np.uint16:
-        if np.any(arr < 0) or np.any(arr > MAXVAL):
-            raise DataError("pixel values outside the uint16 range")
-        arr = arr.astype(np.uint16)
+        raise DataError(f"PGM writer expects uint16 pixels, got {arr.dtype}")
     h, w = arr.shape
     write_atomic(path, [f"P5\n{w} {h}\n{MAXVAL}\n".encode("ascii"),
                         arr.astype(">u2").tobytes()])

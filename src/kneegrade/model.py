@@ -64,11 +64,11 @@ def config_hash(doc):
 
 
 class MultiTaskModel(Module):
-    def __init__(self, config: ModelConfig, rng, dtype=np.float32, heads_override=None):
+    def __init__(self, config: ModelConfig, rng, heads_override=None):
         super().__init__()
         self.config = config
-        self.backbone = Backbone(config.stem, list(config.blocks), rng, dtype=dtype)
-        self.pool = PoolHead(self.backbone.out_channels, config.pooling, rng, dtype=dtype)
+        self.backbone = Backbone(config.stem, list(config.blocks), rng)
+        self.pool = PoolHead(self.backbone.out_channels, config.pooling, rng)
         self.head_names = []
         self._heads = []
         specs = heads_override if heads_override is not None else config.heads()
@@ -81,7 +81,7 @@ class MultiTaskModel(Module):
                 raise ConfigurationError(
                     f"head {name!r} must have {TASK_CLASSES[name]} classes, got {classes}")
             drop = Dropout(config.dropout_p)
-            head = Linear(self.backbone.out_channels, classes, rng, dtype=dtype)
+            head = Linear(self.backbone.out_channels, classes, rng)
             self.add_child(f"drop_{name}", drop)
             self.add_child(f"head_{name}", head)
             self.head_names.append(name)
@@ -108,10 +108,10 @@ class MultiTaskModel(Module):
         return [head(drop(feats)) for drop, head in self._heads]
 
 
-def build_model(config, seed, dtype=np.float32, heads_override=None):
+def build_model(config, seed, heads_override=None):
     """Deterministic construction: same (config, seed) -> identical weights."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6d6f64]))
-    model = MultiTaskModel(config, rng, dtype=dtype, heads_override=heads_override)
+    model = MultiTaskModel(config, rng, heads_override=heads_override)
     model.reseed_dropout(int(seed))
     return model
 

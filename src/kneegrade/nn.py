@@ -1,9 +1,10 @@
 """Tiny module system: parameter registration, train/eval mode, layers.
 
-Parameters are Tensors flagged ``requires_grad``; buffers are plain numpy
-arrays (batch-norm running statistics). Both are reachable by dotted name
-through ``named_parameters`` / ``named_buffers``, and ``state_arrays`` flattens
-everything for serialization and checksums.
+Every module builds in float32. Parameters are Tensors flagged
+``requires_grad``; buffers are plain numpy arrays (batch-norm running
+statistics). Both are reachable by dotted name through ``named_parameters`` /
+``named_buffers``, and ``state_arrays`` flattens everything for serialization
+and checksums.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    def __init__(self, data, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -119,15 +120,15 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-def he_normal(rng, shape, fan_in, dtype):
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+def he_normal(rng, shape, fan_in):
+    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
 class Conv2d(Module):
     """Bias-free, like every conv in the model; batch norm would cancel a bias."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1,
-                 padding=0, groups=1, dtype=np.float32):
+                 padding=0, groups=1):
         super().__init__()
         if in_channels % groups or out_channels % groups:
             raise ConfigurationError(
@@ -135,8 +136,7 @@ class Conv2d(Module):
         self.stride, self.padding, self.groups = stride, padding, groups
         fan_in = (in_channels // groups) * kernel * kernel
         self.weight = Parameter(
-            he_normal(rng, (out_channels, in_channels // groups, kernel, kernel), fan_in, dtype),
-            dtype=dtype)
+            he_normal(rng, (out_channels, in_channels // groups, kernel, kernel), fan_in))
 
     def forward(self, x):
         return T.conv2d(x, self.weight, stride=self.stride,
@@ -146,13 +146,13 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     """Batch-norm parameters and running statistics, applied by the stem's unit or a block."""
 
-    def __init__(self, channels, dtype=np.float32):
+    def __init__(self, channels):
         super().__init__()
         self.stats_frozen = False
-        self.gamma = Parameter(np.ones(channels, dtype=dtype), dtype=dtype)
-        self.beta = Parameter(np.zeros(channels, dtype=dtype), dtype=dtype)
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gamma = Parameter(np.ones(channels))
+        self.beta = Parameter(np.zeros(channels))
+        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
     @property
     def batch_stats(self):
@@ -161,11 +161,10 @@ class BatchNorm2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, rng, bias=True, dtype=np.float32):
+    def __init__(self, in_features, out_features, rng, bias=True):
         super().__init__()
-        self.weight = Parameter(
-            he_normal(rng, (out_features, in_features), in_features, dtype), dtype=dtype)
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype), dtype=dtype) if bias else None
+        self.weight = Parameter(he_normal(rng, (out_features, in_features), in_features))
+        self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x):
         return T.linear(x, self.weight, self.bias)

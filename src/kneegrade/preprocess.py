@@ -16,7 +16,6 @@ import numpy as np
 
 from . import serialize    # called as serialize.*, so bench/tracing.py's patches see cache I/O
 from .errors import ConfigurationError, DataError, GeometryError, NormalizationError
-from .report import read_sidecar, write_sidecar
 
 INTENSITY_MAX = 65535.0
 
@@ -110,11 +109,7 @@ def rotate_image(pixels, center, degrees, fill=0.0):
     h, w = pixels.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     # inverse map: output pixel -> input location
-    rad = np.deg2rad(-degrees)
-    c, s = np.cos(rad), np.sin(rad)
-    dx, dy = xs - center[0], ys - center[1]
-    src_x = center[0] + c * dx - s * dy
-    src_y = center[1] + s * dx + c * dy
+    src_x, src_y = rotate_point((xs, ys), center, -degrees)
     return bilinear_sample(pixels.astype(np.float64), src_y, src_x, fill=fill)
 
 
@@ -187,27 +182,23 @@ def crop_roi(image: RawImage, center, size_mm):
 def resize_bilinear_grid(grid, target_side):
     """Corner-aligned bilinear resize of a float 2-D grid to a square."""
     target_side = int(target_side)
-    if target_side < 1:
-        raise ConfigurationError(f"resize target must be >= 1, got {target_side}")
+    if target_side < 2:
+        raise ConfigurationError(f"resize target must be >= 2, got {target_side}")
     h, w = grid.shape
     if (h, w) == (target_side, target_side):
         return grid.astype(np.float64, copy=True)
-    if target_side == 1:
-        ys = np.array([[(h - 1) / 2.0]])
-        xs = np.array([[(w - 1) / 2.0]])
-    else:
-        step_y = (h - 1) / (target_side - 1)
-        step_x = (w - 1) / (target_side - 1)
-        yy = np.arange(target_side) * step_y
-        xx = np.arange(target_side) * step_x
-        ys, xs = np.meshgrid(yy, xx, indexing="ij")
+    step_y = (h - 1) / (target_side - 1)
+    step_x = (w - 1) / (target_side - 1)
+    yy = np.arange(target_side) * step_y
+    xx = np.arange(target_side) * step_x
+    ys, xs = np.meshgrid(yy, xx, indexing="ij")
     return bilinear_sample(grid.astype(np.float64), ys, xs)
 
 
 def resize_bilinear(image: RawImage, target_side):
     out = resize_bilinear_grid(image.pixels.astype(np.float64), target_side)
     spacing = image.spacing_mm
-    if target_side > 1 and image.width > 1:
+    if image.width > 1:
         spacing = image.spacing_mm * (image.width - 1) / (target_side - 1)
     return RawImage(np.clip(np.rint(out), 0, INTENSITY_MAX).astype(np.uint16), spacing)
 
@@ -338,7 +329,7 @@ def save_image_cache(path, images, meta=None):
     doc = {"n_exams": len(images), "provenance": provenance}
     if meta:
         doc.update(meta)
-    write_sidecar(path, doc)
+    serialize.write_sidecar(path, doc)
     return path
 
 
@@ -346,7 +337,7 @@ def load_image_cache(path):
     """Inverse of save_image_cache: ({exam_id: NormalizedImage}, meta dict)."""
     named = serialize.load_tensors(path)
     try:
-        meta = read_sidecar(path)
+        meta = serialize.read_sidecar(path)
     except FileNotFoundError:
         meta = {}
     provenance = meta.get("provenance", {})

@@ -42,26 +42,6 @@ def iso_now():
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def write_sidecar(artifact_path, doc):
-    """Drop a small JSON description next to an artifact (path + .meta.json)."""
-    path = str(artifact_path) + ".meta.json"
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def read_sidecar(artifact_path):
-    """The JSON object beside ``artifact_path``; DataError if it is not one."""
-    path = str(artifact_path) + ".meta.json"
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:       # undecodable bytes or malformed JSON
-            raise DataError(f"{path}: not a JSON sidecar: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def align_predictions(truth_ids, pred_ids):
     """Indices into the prediction rows matching truth order, or DataError.
 

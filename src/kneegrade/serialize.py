@@ -1,6 +1,5 @@
-"""Flat binary container for named float32 tensors.
-
-Layout (all integers little-endian):
+"""On-disk formats: atomic writes, JSON sidecars, and a flat binary container
+for named float32 tensors, laid out as (all integers little-endian):
 
     magic   4 bytes  b"KGWB"
     version u32      currently 1
@@ -15,12 +14,13 @@ byte for byte.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 
 import numpy as np
 
-from .errors import WeightLoadError
+from .errors import DataError, WeightLoadError
 
 MAGIC = b"KGWB"
 VERSION = 1
@@ -50,6 +50,26 @@ def write_atomic(path, data):
     finally:
         if os.path.exists(partial):
             os.remove(partial)
+
+
+def write_sidecar(artifact_path, doc):
+    """Drop a small JSON description next to an artifact (path + .meta.json)."""
+    path = str(artifact_path) + ".meta.json"
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def read_sidecar(artifact_path):
+    """The JSON object beside ``artifact_path``; DataError if it is not one."""
+    path = str(artifact_path) + ".meta.json"
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:       # undecodable bytes or malformed JSON
+            raise DataError(f"{path}: not a JSON sidecar: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def save_tensors(path, named):

@@ -24,13 +24,11 @@ import numpy as np
 
 from . import tensor as T
 from .data import SAMPLERS, epoch_indices
-from .errors import (ConfigurationError, DataError, MetricUndefinedError, TrainingError,
-                     WeightLoadError)
+from .errors import ConfigurationError, DataError, MetricUndefinedError, TrainingError
 from .metrics import balanced_accuracy, cohen_kappa
-from .model import ModelConfig, OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
+from .model import OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
 from .preprocess import AugmentConfig, augment, standardize
-from .report import read_sidecar, write_sidecar
-from .serialize import load_tensors, save_tensors, write_atomic
+from .serialize import load_tensors, read_sidecar, save_tensors, write_atomic, write_sidecar
 from .tensor import Tensor
 
 AUX_HEAD = "aux"
@@ -387,26 +385,6 @@ class Snapshot:
         if type(meta.get("seed")) is not int:
             raise DataError(f"{where}: 'seed' must be an int, got {meta.get('seed')!r}")
         return cls(weights=None, meta=meta, path=path)
-
-
-def snapshot_model(snapshot):
-    """Rebuild the trained model a snapshot was taken from.
-
-    A model config or weights the model refuses are an error naming the
-    snapshot's file, when it came from one.
-    """
-    from .config import from_doc    # config imports this module
-    heads = [tuple(h) for h in snapshot.meta["heads"]]
-    weights = snapshot.arrays()     # load_tensors names the file itself
-    try:
-        cfg = from_doc(ModelConfig, snapshot.meta["model_config"], "model")
-        model = build_model(cfg, int(snapshot.meta["seed"]), heads_override=heads)
-        model.load_state_arrays(weights)
-    except (ConfigurationError, WeightLoadError) as exc:
-        if snapshot.path is None:
-            raise
-        raise type(exc)(f"{snapshot.path}: {exc}") from None
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -104,3 +104,17 @@ def check_gradients(build, arrays, h=1e-5, tol=1e-4, samples=None):
         assert err < tol, f"input {i}: max relative error {err:.3e} >= {tol:g}"
         worst = max(worst, err)
     return worst
+
+
+def float64(module):
+    """Cast a built module's parameters and buffers to float64, in place.
+
+    Modules build in float32; central differences need float64 to resolve,
+    so a gradient check casts the module first. Returns ``module``.
+    """
+    for m in module.modules():
+        for p in m._params.values():
+            p.data = p.data.astype(np.float64)
+        for name, b in m._buffers.items():
+            m.register_buffer(name, b.astype(np.float64))
+    return module

@@ -18,22 +18,21 @@ import numpy as np
 import pytest
 
 import conftest
-from gradcheck import check_gradients, check_param_gradients
+from gradcheck import check_gradients, check_param_gradients, float64
 
 from kneegrade import cli
 from kneegrade import tensor as T
 from kneegrade.blocks import BlockSpec, PoolHead, PoolingSpec, ResidualBlock, SEGate, StemSpec
 from kneegrade.data import (LandmarkSet, load_and_filter, load_landmarks,
                             split_cv, synth_generate)
-from kneegrade.ensemble import ensemble_predict, predict_probs
+from kneegrade.ensemble import ensemble_predict, predict_probs, snapshot_model
 from kneegrade.imageio import read_pgm16
 from kneegrade.metrics import (balanced_accuracy, bootstrap_ci, cohen_kappa, f1_macro,
                                mse_grades, resample_indices, roc_auc)
 from kneegrade.model import ModelConfig, build_model, load_backbone_weights
 from kneegrade.preprocess import (PreprocessConfig, RawImage, crop_roi, normalize,
                                   preprocess_exam, rotate_align, standardize)
-from kneegrade.training import (TrainConfig, multi_task_loss, pretrain_backbone,
-                                run_fold, snapshot_model)
+from kneegrade.training import TrainConfig, multi_task_loss, pretrain_backbone, run_fold
 
 
 def criterion(num, title):
@@ -192,24 +191,23 @@ class TestGradients:
             return check_param_gradients(fn, [x] + module.parameters())
 
         mk = np.random.default_rng(7)
-        worst = max(worst, module_case(SEGate(4, 2, mk, dtype=np.float64), (2, 4, 3, 3)))
+        worst = max(worst, module_case(float64(SEGate(4, 2, mk)), (2, 4, 3, 3)))
         worst = max(worst, module_case(
-            ResidualBlock(BlockSpec(kind="basic", in_channels=3, out_channels=5,
-                                    stride=2), mk, dtype=np.float64),
+            float64(ResidualBlock(BlockSpec(kind="basic", in_channels=3, out_channels=5,
+                                            stride=2), mk)),
             (2, 3, 6, 6)))
         worst = max(worst, module_case(
-            ResidualBlock(BlockSpec(kind="bottleneck", in_channels=4, out_channels=8,
-                                    stride=1, groups=2, group_width=2,
-                                    se_reduction=4), mk, dtype=np.float64),
+            float64(ResidualBlock(BlockSpec(kind="bottleneck", in_channels=4, out_channels=8,
+                                            stride=1, groups=2, group_width=2,
+                                            se_reduction=4), mk)),
             (2, 4, 4, 4)))
         for kind in ("avg", "gwap", "gwap_hidden"):
             worst = max(worst, module_case(
-                PoolHead(4, PoolingSpec(kind=kind, hidden_width=4), mk,
-                         dtype=np.float64),
+                float64(PoolHead(4, PoolingSpec(kind=kind, hidden_width=4), mk)),
                 (2, 4, 3, 3)))
 
         # the whole model against the multi-task objective
-        model = build_model(TINY_MODEL, seed=1, dtype=np.float64).train()
+        model = float64(build_model(TINY_MODEL, seed=1)).train()
         x = T.Tensor(arr(2, 1, 16, 16), requires_grad=True, dtype=np.float64)
         y = [np.array([0, 1])] * 7
 
@@ -468,6 +466,10 @@ class TestCrossValidationContracts:
     @criterion(8, "100 seeds: subjects never span folds, strata balanced to 1")
     def test_hundred_seeds(self, full_corpus):
         exams = full_corpus["exams"]
+        strata = {}     # each subject's worst KL grade, -1 when it has none
+        for e in exams:
+            kl = e.grade("KL")
+            strata[e.subject_id] = max(strata.get(e.subject_id, -1), -1 if kl is None else kl)
         for seed in range(100):
             assignment = split_cv(exams, n_folds=5, seed=seed)
             folds_per_subject = {}
@@ -477,8 +479,7 @@ class TestCrossValidationContracts:
             assert all(len(f) == 1 for f in folds_per_subject.values())
             counts = {}
             for subject, fold in assignment.subject_fold.items():
-                stratum = assignment.subject_stratum[subject]
-                counts.setdefault(stratum, [0] * 5)[fold] += 1
+                counts.setdefault(strata[subject], [0] * 5)[fold] += 1
             for stratum, per_fold in counts.items():
                 assert max(per_fold) - min(per_fold) <= 1, (seed, stratum)
         return "750 subjects x 100 seeds"

@@ -102,6 +102,30 @@ def test_import_guard_sees_an_unused_name():
     assert _unused_imports(ast.parse(source)) == ["c", "os"]
 
 
+def _lazy_imports(tree):
+    """(function, line) of each import inside a function body."""
+    return [(fn.name, node.lineno) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_function_imports_a_module():
+    """Every import sits at module level, so an import cycle cannot hide in a body."""
+    lazy = [f"{path.name}:{line} in {fn}" for path in sorted(SRC.glob("*.py"))
+            for fn, line in _lazy_imports(ast.parse(path.read_text(), str(path)))]
+    assert lazy == []
+
+
+def test_lazy_import_guard_sees_an_import_in_a_function_or_method():
+    source = ("import os\n"
+              "def f():\n"
+              "    import json\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        from .config import from_doc\n")
+    assert _lazy_imports(ast.parse(source)) == [("f", 3), ("m", 6)]
+
+
 # ---------------------------------------------------------------------------
 # a writer killed partway through
 

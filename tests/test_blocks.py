@@ -9,7 +9,7 @@ from kneegrade import tensor as T
 from kneegrade.blocks import BlockSpec, PoolHead, PoolingSpec, ResidualBlock, SEGate, StemSpec, Backbone
 from kneegrade.errors import ConfigurationError, NumericsError, UsageError
 
-from gradcheck import check_param_gradients
+from gradcheck import check_param_gradients, float64
 from test_tensor import _LIFT, join_chain, lone_unit, model_units
 
 
@@ -121,12 +121,14 @@ BLOCK_VARIANTS = {
 
 def variant(name, se, dtype=np.float32, seed=1):
     """A training-mode block of kind ``name``, SE gate on or off, with random
-    running statistics, and an input of its shape."""
+    running statistics, and an input of its shape, all in ``dtype``."""
     spec, shape = BLOCK_VARIANTS[name]
     if se:
         spec = BlockSpec(**{**asdict(spec), "se_enabled": True, "se_reduction": 2})
     g = np.random.default_rng(seed)
-    block = ResidualBlock(spec, g, dtype=dtype)
+    block = ResidualBlock(spec, g)
+    if dtype == np.float64:
+        float64(block)
     TestUnits._randomize_stats(block, g)
     return block, g.normal(size=shape).astype(dtype)
 
@@ -146,14 +148,14 @@ class TestSEGate:
         assert np.array_equal(out, np.zeros((1, 8, 4, 4), dtype=np.float32))
 
     def test_matches_numpy_oracle(self, rng):
-        se = SEGate(6, 3, rng, dtype=np.float64)
+        se = float64(SEGate(6, 3, rng))
         x = rng.normal(size=(3, 6, 4, 5))
         got = gated(se, T.Tensor(x, dtype=np.float64))
         want = se_oracle(x, se.squeeze.weight.data, se.excite.weight.data)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_gate_never_amplifies(self, rng):
-        se = SEGate(4, 2, rng, dtype=np.float64)
+        se = float64(SEGate(4, 2, rng))
         x = rng.normal(size=(2, 4, 5, 5))
         out = gated(se, T.Tensor(x, dtype=np.float64))
         assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
@@ -163,7 +165,7 @@ class TestSEGate:
             SEGate(6, 4, rng)
 
     def test_grads(self, rng):
-        se = SEGate(4, 2, rng, dtype=np.float64)
+        se = float64(SEGate(4, 2, rng))
         x = T.Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True, dtype=np.float64)
         # a shortcut of 10 keeps the join's ReLU open, so this is d mean(x * gate)
         lift = T.Tensor(np.full(x.shape, 10.0), dtype=np.float64)
@@ -199,7 +201,7 @@ class TestResidualBlock:
         # A groups=2 middle conv must behave exactly like two half-width convs
         # run side by side and concatenated.
         spec = BlockSpec("bottleneck", 8, 16, groups=2, group_width=4)
-        block = ResidualBlock(spec, rng, dtype=np.float64).eval()
+        block = float64(ResidualBlock(spec, rng)).eval()
         x = rng.normal(size=(2, 8, 5, 5))
         mid_in = T.relu(_bn(block.bn1, block.conv1(T.Tensor(x, dtype=np.float64)))).data
         grouped = T.conv2d(T.Tensor(mid_in, dtype=np.float64), block.conv2.weight,
@@ -221,7 +223,7 @@ class TestResidualBlock:
 
     def test_se_block_grads(self, rng):
         spec = BlockSpec("basic", 4, 4, se_enabled=True, se_reduction=2)
-        block = ResidualBlock(spec, rng, dtype=np.float64)
+        block = float64(ResidualBlock(spec, rng))
         x = T.Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True, dtype=np.float64)
         check_param_gradients(lambda: T.mean_all(block(x)), [x] + block.parameters())
 
@@ -276,7 +278,7 @@ class TestUnits:
 
     def test_bottleneck_grads(self, rng):
         spec = BlockSpec("bottleneck", 4, 8, groups=2, group_width=2, stride=2)
-        block = ResidualBlock(spec, rng, dtype=np.float64)
+        block = float64(ResidualBlock(spec, rng))
         self._randomize_stats(block, rng)
         x = T.Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True, dtype=np.float64)
         check_param_gradients(lambda: T.mean_all(block(x)), [x] + block.parameters())
@@ -469,7 +471,7 @@ class TestPoolHead:
         assert np.allclose(out, x.mean(axis=(2, 3)), atol=1e-12)
 
     def test_gwap_zero_scores_equal_plain_average(self, rng):
-        head = PoolHead(6, PoolingSpec("gwap"), rng, dtype=np.float64)
+        head = float64(PoolHead(6, PoolingSpec("gwap"), rng))
         head.score.weight.data[...] = 0.0
         x = rng.normal(size=(2, 6, 4, 4))
         out = head(T.Tensor(x, dtype=np.float64)).data
@@ -477,14 +479,14 @@ class TestPoolHead:
 
     def test_gwap_weights_sum_to_one(self, rng):
         for kind, hidden in (("gwap", 0), ("gwap_hidden", 3)):
-            head = PoolHead(5, PoolingSpec(kind, hidden), rng, dtype=np.float64)
+            head = float64(PoolHead(5, PoolingSpec(kind, hidden), rng))
             x = T.Tensor(rng.normal(size=(3, 5, 4, 4)), dtype=np.float64)
             w = head.spatial_weights(x).data
             assert np.allclose(w.sum(axis=(2, 3)), 1.0, atol=1e-12)
             assert np.all(w >= 0)
 
     def test_gwap_matches_manual_softmax_average(self, rng):
-        head = PoolHead(4, PoolingSpec("gwap"), rng, dtype=np.float64)
+        head = float64(PoolHead(4, PoolingSpec("gwap"), rng))
         x = rng.normal(size=(2, 4, 3, 3))
         scores = np.einsum("nchw,oc->nohw", x, head.score.weight.data[:, :, 0, 0])
         flat = scores.reshape(2, -1)
@@ -495,7 +497,7 @@ class TestPoolHead:
         assert np.allclose(got, want, atol=1e-12)
 
     def test_gwap_grads(self, rng):
-        head = PoolHead(3, PoolingSpec("gwap"), rng, dtype=np.float64)
+        head = float64(PoolHead(3, PoolingSpec("gwap"), rng))
         x = T.Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=True, dtype=np.float64)
         check_param_gradients(lambda: T.mean_all(head(x)), [x] + head.parameters())
 

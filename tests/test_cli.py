@@ -5,6 +5,8 @@ The pipeline fixtures run at a deliberately tiny scale (32 px, two folds,
 two epochs) so the whole module stays fast.
 """
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -371,6 +373,19 @@ def predictions(workdir):
     return out
 
 
+@pytest.fixture(scope="module")
+def report(workdir, predictions):
+    """The default evaluate's report directory and what it printed."""
+    out = workdir / "report"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_cli("evaluate", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--predictions", str(predictions),
+                       "--out", str(out)) == 0
+    return out, printed.getvalue()
+
+
 class TestPredictEvaluate:
     def test_predictions_cover_every_exam(self, predictions):
         lines = predictions.read_text().strip().split("\n")
@@ -422,21 +437,16 @@ class TestPredictEvaluate:
         assert err.startswith(f"error: DataError: {manifest}: no exam carries all of ['KL',")
         assert not (tmp_path / "report").exists()
 
-    def test_evaluate_emits_report(self, workdir, predictions, capsys):
-        out = workdir / "report"
-        assert run_cli("evaluate", "--config", str(workdir / "config.json"),
-                       "--manifest", str(workdir / "cache" / "manifest.csv"),
-                       "--predictions", str(predictions),
-                       "--out", str(out)) == 0
-        stdout = capsys.readouterr().out
+    def test_evaluate_emits_report(self, report):
+        out, stdout = report
         assert "mean kappa" in stdout
         doc = json.loads((out / "metrics.json").read_text())
         assert set(doc["tasks"]) == {"KL", "FO_L", "FO_M", "TO_L", "TO_M",
                                      "JSN_L", "JSN_M"}
         assert (out / "confusion_KL.csv").exists()
 
-    def test_ci_level_sets_every_interval(self, workdir, predictions, tmp_path):
-        wide = json.loads((workdir / "report" / "metrics.json").read_text())
+    def test_ci_level_sets_every_interval(self, workdir, predictions, report, tmp_path):
+        wide = json.loads((report[0] / "metrics.json").read_text())
         # ci_level is read by evaluate alone, so the predictions still match
         assert run_cli("evaluate", "--config", config_file(tmp_path, ci_level=0.9),
                        "--manifest", str(workdir / "cache" / "manifest.csv"),

@@ -103,7 +103,7 @@ class TestSplitCV:
         for fold in range(5):
             members = [s for s, f in folds.subject_fold.items() if f == fold]
             assert len(members) == 2
-            assert {folds.subject_stratum[s] for s in members} == {0, 4}
+            assert {grades[s] for s in members} == {0, 4}
 
     def test_stratum_deviation_at_most_one(self):
         rng = np.random.default_rng(0)
@@ -112,7 +112,7 @@ class TestSplitCV:
         folds = split_cv(exams, n_folds=5, seed=7)
         for stratum in set(grades.values()):
             counts = [sum(1 for s, f in folds.subject_fold.items()
-                          if f == fold and folds.subject_stratum[s] == stratum)
+                          if f == fold and grades[s] == stratum)
                       for fold in range(5)]
             assert max(counts) - min(counts) <= 1, (stratum, counts)
 

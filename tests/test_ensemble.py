@@ -8,6 +8,7 @@ from kneegrade.ensemble import (
     ensemble_predict,
     predict_probs,
     read_predictions_csv,
+    snapshot_model,
     softmax_probs,
     write_predictions_csv,
 )
@@ -88,7 +89,6 @@ class TestEnsemblePredict:
         snaps, val, images = two_snapshots(tmp_path)
         probs_multi, grades = ensemble_predict([snaps[0], snaps[0], snaps[0]],
                                                val, images)
-        from kneegrade.training import snapshot_model
         single = predict_probs(snapshot_model(snaps[0]), val, images)
         for name in single:
             assert np.array_equal(probs_multi[name], single[name])

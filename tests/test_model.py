@@ -6,19 +6,22 @@ import hashlib
 import numpy as np
 import pytest
 
+from kneegrade import report, training
 from kneegrade import tensor as T
-from kneegrade import training
-from kneegrade.blocks import Backbone, BlockSpec, PoolingSpec, StemSpec
+from kneegrade.blocks import (Backbone, BlockSpec, PoolHead, PoolingSpec, ResidualBlock, SEGate,
+                              StemSpec)
 from kneegrade.config import from_doc
+from kneegrade.data import FoldAssignment
+from kneegrade.ensemble import snapshot_model
 from kneegrade.errors import ConfigurationError, DataError, WeightLoadError
-from kneegrade.model import (BACKBONE_PREFIX, ModelConfig, backbone_checksum, build_model,
-                             config_hash, default_blocks, load_backbone_weights,
+from kneegrade.model import (BACKBONE_PREFIX, ModelConfig, MultiTaskModel, backbone_checksum,
+                             build_model, config_hash, default_blocks, load_backbone_weights,
                              save_backbone_weights, task_names)
-from kneegrade.nn import BatchNorm2d, Conv2d, Dropout
+from kneegrade.nn import BatchNorm2d, Conv2d, Dropout, Linear, Parameter
 from kneegrade.serialize import load_tensors, save_tensors
-from kneegrade.training import Snapshot, snapshot_model
+from kneegrade.training import Snapshot
 
-from gradcheck import check_param_gradients
+from gradcheck import check_param_gradients, float64
 
 
 def tiny_config(include_kl=True, se=True):
@@ -159,6 +162,18 @@ def _knob_calls():
         ("Backbone(in_channels)", lambda: Backbone(StemSpec(), [], rng, in_channels=1)),
         ("Dropout(seed)", lambda: Dropout(0.5, seed=0)),
         ("snapshot_model(dtype)", lambda: snapshot_model(snap, dtype=np.float32)),
+        # modules build in float32; a gradient check casts a built module
+        ("Parameter(dtype)", lambda: Parameter(np.zeros(1), dtype=np.float64)),
+        ("Conv2d(dtype)", lambda: Conv2d(1, 1, 3, rng, dtype=np.float64)),
+        ("BatchNorm2d(dtype)", lambda: BatchNorm2d(1, dtype=np.float64)),
+        ("Linear(dtype)", lambda: Linear(1, 1, rng, dtype=np.float64)),
+        ("SEGate(dtype)", lambda: SEGate(2, 1, rng, dtype=np.float64)),
+        ("ResidualBlock(dtype)",
+         lambda: ResidualBlock(BlockSpec("basic", 1, 1), rng, dtype=np.float64)),
+        ("PoolHead(dtype)", lambda: PoolHead(1, PoolingSpec(), rng, dtype=np.float64)),
+        ("Backbone(dtype)", lambda: Backbone(StemSpec(), [], rng, dtype=np.float64)),
+        ("MultiTaskModel(dtype)", lambda: MultiTaskModel(ModelConfig(), rng, dtype=np.float64)),
+        ("build_model(dtype)", lambda: build_model(ModelConfig(), 0, dtype=np.float64)),
     ]
 
 
@@ -170,12 +185,16 @@ class TestNoDeadKnobs:
 
     @pytest.mark.parametrize("owner, attr", [
         (T.Tensor, "zero_grad"), (Dropout, "reseed"), (training, "predict_grades"),
-        (training, "adam_update")])
+        (training, "adam_update"), (training, "snapshot_model"), (report, "write_sidecar"),
+        (report, "read_sidecar")])
     def test_removed_name_is_gone(self, owner, attr):
         assert not hasattr(owner, attr)
 
     def test_fold_result_has_no_log_path(self):
         assert "log_path" not in {f.name for f in dataclasses.fields(training.FoldResult)}
+
+    def test_fold_assignment_holds_only_the_assignment(self):
+        assert [f.name for f in dataclasses.fields(FoldAssignment)] == ["n_folds", "subject_fold"]
 
 
 class TestHeadIsolation:
@@ -334,7 +353,7 @@ class TestModelGradients:
         cfg = ModelConfig(stem=StemSpec(out_channels=4, kernel=3, pool=0),
                           blocks=(BlockSpec("basic", 4, 4, se_enabled=True, se_reduction=2),),
                           pooling=PoolingSpec("gwap"), dropout_p=0.0)
-        m = build_model(cfg, seed=2, dtype=np.float64)
+        m = float64(build_model(cfg, seed=2))
         x = T.Tensor(np.random.default_rng(0).normal(size=(2, 1, 6, 6)),
                      requires_grad=True, dtype=np.float64)
         targets = [np.random.default_rng(i).integers(0, k, size=2)

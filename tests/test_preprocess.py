@@ -47,6 +47,14 @@ class TestPGM:
         write_pgm16(path, np.array([[0x0102]], dtype=np.uint16))
         assert path.read_bytes().endswith(b"\x01\x02")
 
+    @pytest.mark.parametrize("pixels", [np.zeros((2, 3), dtype=np.int64),
+                                        np.full((2, 3), 0.5)], ids=["int64", "float64"])
+    def test_writer_refuses_pixels_that_are_not_uint16(self, tmp_path, pixels):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(DataError, match="expects uint16 pixels"):
+            write_pgm16(path, pixels)
+        assert not path.exists()
+
     def test_rejects_low_maxval(self, tmp_path):
         from kneegrade.errors import DataError
         path = tmp_path / "img.pgm"
@@ -164,6 +172,11 @@ class TestResize:
         grid = np.tile(np.arange(4, dtype=np.float64), (4, 1))
         out = resize_bilinear_grid(grid, 7)
         assert np.allclose(out, np.tile(np.arange(7) * 0.5, (7, 1)), atol=1e-12)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_target_below_two_is_refused(self, side):
+        with pytest.raises(ConfigurationError, match="must be >= 2"):
+            resize_bilinear_grid(np.zeros((4, 4)), side)
 
     def test_paper_scale_spacing(self):
         # 140 mm at 0.2 mm/px crops to 700 px; resizing to 310 px gives the

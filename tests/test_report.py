@@ -14,12 +14,10 @@ from kneegrade.report import (
     align_predictions,
     binary_target,
     emit_report,
-    read_sidecar,
     write_confusion_csv,
     write_curve_csv,
     write_curve_svg,
     write_history_svg,
-    write_sidecar,
 )
 
 
@@ -75,12 +73,6 @@ class TestTables:
         lines = open(path).read().splitlines()
         assert lines[1] == "0,0,inf"
         assert lines[2] == "1,1,0.25"
-
-    def test_sidecar_round_trip(self, tmp_path):
-        artifact = tmp_path / "table.csv"
-        artifact.write_text("x\n")
-        write_sidecar(artifact, {"config_hash": "ff", "n": 3})
-        assert read_sidecar(artifact) == {"config_hash": "ff", "n": 3}
 
 
 class TestSVG:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kneegrade.errors import WeightLoadError
-from kneegrade.serialize import MAGIC, load_tensors, save_tensors
+from kneegrade.serialize import MAGIC, load_tensors, read_sidecar, save_tensors, write_sidecar
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -93,3 +93,10 @@ def test_zero_size_shape_numpy_cannot_make_rejected(tmp_path, shape):
     path.write_bytes(MAGIC + struct.pack("<IQ", 1, 1) + entry)
     with pytest.raises(WeightLoadError, match=r"w\.bin: truncated or corrupt at tensor 0"):
         load_tensors(path)
+
+
+def test_sidecar_round_trip(tmp_path):
+    artifact = tmp_path / "table.csv"
+    artifact.write_text("x\n")
+    write_sidecar(artifact, {"config_hash": "ff", "n": 3})
+    assert read_sidecar(artifact) == {"config_hash": "ff", "n": 3}

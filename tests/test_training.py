@@ -10,6 +10,7 @@ from kneegrade import tensor as T
 from kneegrade import training
 from kneegrade.blocks import BlockSpec, PoolingSpec, StemSpec
 from kneegrade.data import GradedExam
+from kneegrade.ensemble import snapshot_model
 from kneegrade.errors import ConfigurationError, TrainingError
 from kneegrade.model import (
     ModelConfig,
@@ -37,7 +38,6 @@ from kneegrade.training import (
     schedule_lr,
     select_snapshot,
     severity_bucket,
-    snapshot_model,
     targets_for,
     validation_metrics,
 )
@@ -111,7 +111,7 @@ class TestSchedule:
 class TestAdam:
     @staticmethod
     def one_parameter(theta, grad, lr):
-        p = Parameter(theta.copy(), dtype=np.float64)
+        p = Tensor(theta.copy(), requires_grad=True, dtype=np.float64)
         p.grad = grad
         return p, Adam([("p", p)], lr=lr)
 

@@ -153,7 +153,7 @@ def save_landmarks(path, exam_id, landmarks: LandmarkSet):
 
 def load_landmarks(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         points = {key: tuple(doc[key]) for key in ("knee_center", "plateau_left",
                                                    "plateau_right")}
         for key, point in points.items():

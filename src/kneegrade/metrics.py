@@ -325,30 +325,17 @@ def _iteration_rng(seed, iteration):
 
 
 def resample_indices(strata, seed, iteration):
-    """One stratified resample: draw with replacement inside each stratum.
-
-    Stratum sizes are preserved exactly, strata are visited in sorted label
-    order, and the generator depends only on (seed, iteration), so any
-    execution order reproduces the same index array.
-    """
-    strata = np.asarray(strata)
-    rng = _iteration_rng(seed, iteration)
-    out = np.empty(strata.size, dtype=np.int64)
-    pos = 0
-    for label in np.unique(strata):   # np.unique sorts
-        members = np.nonzero(strata == label)[0]
-        draws = rng.integers(0, members.size, size=members.size)
-        out[pos:pos + members.size] = members[draws]
-        pos += members.size
-    return out
+    """One stratified resample: row 0 of ``resample_matrix(strata, seed, 1, start=iteration)``."""
+    return resample_matrix(strata, seed, 1, start=iteration)[0]
 
 
 def resample_matrix(strata, seed, n_iterations, start=0):
     """Stratified resamples ``start .. start + n_iterations - 1`` as index rows.
 
-    Row i equals ``resample_indices(strata, seed, start + i)``: the same
-    per-iteration generator draws every stratum's indices in one call, which
-    consumes its stream exactly as one call per stratum does.
+    The one rule: a row draws with replacement inside each stratum (sizes
+    kept exactly, strata in sorted label order, members ascending), every
+    stratum in one call of a generator that depends only on ``(seed,
+    start + i)``, so any execution order or block split gives the same rows.
     """
     strata = np.asarray(strata)
     members = np.argsort(strata, kind="stable")   # strata in label order, each ascending
@@ -390,13 +377,11 @@ def bootstrap_ci(statistic, y_true, y_other, n_iterations=100, level=0.95, seed=
                  strata=None, executor=None):
     """Percentile bootstrap CI of ``statistic(y_true, y_other)``.
 
-    Resampling is stratified (default strata: the true labels) and sizes per
-    stratum are preserved exactly. The point estimate always comes from the
-    original sample. Iterations where the statistic raises
-    MetricUndefinedError are dropped; more than ``MAX_FAILURE_FRACTION`` of
-    them is a BootstrapError. Pass a concurrent.futures executor to fan the
-    iterations out; results are identical to the serial run because every
-    iteration seeds its own generator from (seed, iteration).
+    The point estimate comes from the original sample; the interval is
+    bootstrap_rows' with the statistic scored on each resample row (default
+    strata: the true labels), NaN where it raises MetricUndefinedError. An
+    optional concurrent.futures executor scores each block's rows; they are
+    drawn before they are scored, so the result equals the serial run.
     """
     y_true = np.asarray(y_true)
     y_other = np.asarray(y_other)
@@ -409,19 +394,16 @@ def bootstrap_ci(statistic, y_true, y_other, n_iterations=100, level=0.95, seed=
 
     point = float(statistic(y_true, y_other))
 
-    def one(iteration):
-        idx = resample_indices(strata, seed, iteration)
+    def score(row):
         try:
-            return float(statistic(y_true[idx], y_other[idx]))
+            return float(statistic(y_true[row], y_other[row]))
         except MetricUndefinedError:
-            return None
+            return np.nan
 
-    if executor is None:
-        results = [one(i) for i in range(n_iterations)]
-    else:
-        results = list(executor.map(one, range(n_iterations)))
-    values = [v for v in results if v is not None]
-    return _interval(point, values, n_iterations, level)
+    def rows(idx):
+        return list((map if executor is None else executor.map)(score, idx))
+
+    return bootstrap_rows({"ci": (point, rows)}, strata, n_iterations, level, seed)["ci"]
 
 
 # Index rows scored at once by bootstrap_rows: bounds its working memory.
@@ -429,17 +411,17 @@ _BLOCK_BYTES = 1 << 20
 
 
 def bootstrap_rows(statistics, strata, n_iterations=100, level=0.95, seed=0):
-    """bootstrap_ci for several statistics of one sample, scored as arrays.
+    """Percentile bootstrap CIs of several statistics of one sample.
 
     ``statistics`` maps a name to ``(point, rows)``: the statistic on the
     original sample, and a function taking an index matrix [R, n] to the
     statistic on each row's resample, NaN where it is undefined (such as
-    kappa_rows). The resamples are drawn once, as rows of resample_matrix,
-    block by block, and shared by every statistic; each interval is the one
-    bootstrap_ci gives for the same statistic, strata and seed (bit for bit
-    when the rows function shares the statistic's arithmetic, as kappa_rows
-    and balanced_accuracy_rows do; the AUC and AP rows sum in another order).
-    Returns a MetricWithCI per name.
+    kappa_rows). The resamples are resample_matrix's rows, drawn block by
+    block and shared by every statistic. A NaN row counts as failed; more
+    than ``MAX_FAILURE_FRACTION`` of them is a BootstrapError. Rows sharing a
+    statistic's arithmetic (kappa_rows, balanced_accuracy_rows) give
+    bootstrap_ci's interval bit for bit; the AUC and AP rows sum in another
+    order. Returns a MetricWithCI per name.
     """
     strata = np.asarray(strata)
     _check_bootstrap(strata.size, n_iterations, level)

@@ -62,7 +62,7 @@ def write_sidecar(artifact_path, doc):
 def read_sidecar(artifact_path):
     """The JSON object beside ``artifact_path``; DataError if it is not one."""
     path = str(artifact_path) + ".meta.json"
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:       # undecodable bytes or malformed JSON

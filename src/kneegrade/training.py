@@ -342,10 +342,10 @@ def select_snapshot(mean_kappas):
 class Snapshot:
     """One trained fold: full model state plus the context to rebuild it.
 
-    ``path`` is the file it was loaded from, None for one held in memory.
-    A loaded snapshot keeps ``weights`` None and reads them from ``path``
-    whenever they are asked for, so holding snapshots costs their sidecars,
-    not their model states.
+    ``path`` is the file backing it, None for one held in memory. A loaded
+    snapshot, or one run_fold saved, keeps ``weights`` None and reads them
+    from ``path`` whenever they are asked for, so holding snapshots costs
+    their sidecars, not their model states.
     """
     weights: dict | None
     meta: dict
@@ -456,7 +456,8 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
     ``images`` maps exam_id to a preprocessed NormalizedImage covering both
     exam lists. ``meta`` entries (config hash, model config doc, ...) are
     carried into the snapshot sidecar. ``log`` is an optional callable taking
-    one line of text per epoch.
+    one line of text per epoch. With ``out_dir`` the snapshot is saved there,
+    and the one returned is backed by that file, holding no model state.
     """
     if not train_exams or not val_exams:
         raise ConfigurationError("run_fold needs non-empty train and val sets")
@@ -513,7 +514,8 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
         os.makedirs(out_dir, exist_ok=True)
         _log_rows_to_csv(os.path.join(out_dir, f"train_log_fold{fold}.csv"),
                          model.head_names, history)
-        snapshot.save(os.path.join(out_dir, f"snapshot_fold{fold}.kgw"))
+        path = snapshot.save(os.path.join(out_dir, f"snapshot_fold{fold}.kgw"))
+        snapshot = Snapshot(weights=None, meta=snap_meta, path=path)
     return FoldResult(snapshot=snapshot, history=history,
                       lr_by_epoch=lr_by_epoch, backbone_checksums=checksums)
 

@@ -102,6 +102,39 @@ def test_import_guard_sees_an_unused_name():
     assert _unused_imports(ast.parse(source)) == ["c", "os"]
 
 
+def _text_reads_without_encoding(tree):
+    """Line of each text-mode ``open`` or ``read_text`` call that names no encoding."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        keywords = {k.arg for k in node.keywords}
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+            if not binary and len(node.args) < 4 and "encoding" not in keywords:
+                found.append(node.lineno)
+        elif name == "read_text" and not node.args and "encoding" not in keywords:
+            found.append(node.lineno)
+    return found
+
+
+def test_every_text_read_names_its_encoding():
+    """Readers decode UTF-8, as every writer encodes, whatever the locale."""
+    offenders = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in _text_reads_without_encoding(ast.parse(path.read_text(), str(path)))]
+    assert offenders == []
+
+
+def test_encoding_guard_sees_a_text_read_without_one():
+    source = ("open(p); open(p, 'r'); open(p, mode=m); p.read_text()\n"
+              "open(p, 'rb'); open(p, mode='wb'); open(p, encoding='utf-8')\n"
+              "open(p, 'r', -1, 'utf-8'); p.read_text('utf-8'); p.read_text(encoding='utf-8')\n")
+    assert _text_reads_without_encoding(ast.parse(source)) == [1, 1, 1, 1]
+
+
 def _lazy_imports(tree):
     """(function, line) of each import inside a function body."""
     return [(fn.name, node.lineno) for fn in ast.walk(tree)

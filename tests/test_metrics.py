@@ -374,6 +374,17 @@ class TestBootstrap:
             bootstrap_ci(lambda a, b: 0.0, [], [], seed=0)
 
 
+def resample_oracle(strata, seed, iteration):
+    """One stratified resample, longhand: one draw per stratum in sorted label order."""
+    strata = np.asarray(strata)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xb007, iteration]))
+    out = []
+    for label in np.unique(strata):
+        members = np.nonzero(strata == label)[0]
+        out.extend(members[rng.integers(0, members.size, size=members.size)])
+    return np.array(out, dtype=np.int64)
+
+
 def scalar_rows(statistic, a, b, idx):
     """``statistic`` on each resample row, NaN where it is undefined."""
     out = []
@@ -403,7 +414,8 @@ class TestBatchedBootstrap:
         idx = resample_matrix(strata, seed, 40)
         assert idx.shape == (40, strata.size)
         for it in range(40):
-            assert idx[it].tolist() == resample_indices(strata, seed, it).tolist()
+            assert idx[it].tolist() == resample_oracle(strata, seed, it).tolist()
+            assert resample_indices(strata, seed, it).tolist() == idx[it].tolist()
         tail = resample_matrix(strata, seed, 5, start=35)
         assert tail.tolist() == idx[35:].tolist()
 
@@ -499,6 +511,35 @@ class TestBatchedBootstrap:
         whole = bootstrap_rows(stats, t, n_iterations=50, seed=1)
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 40 * 7)   # blocks of 7 rows
         assert bootstrap_rows(stats, t, n_iterations=50, seed=1) == whole
+
+    def test_bootstrap_ci_across_blocks_and_threads(self):
+        # 3,000 samples give 43 rows per block, so 150 iterations span four
+        rng = np.random.default_rng(14)
+        t = rng.integers(0, 4, size=3000)
+        p = np.clip(t + rng.integers(-1, 2, size=3000), 0, 3)
+        assert metrics._BLOCK_BYTES // (8 * t.size) == 43
+
+        def stat(a, b):   # undefined on a resample by its content, not by call order
+            if int((3 * a + b).sum()) % 7 == 0:
+                raise MetricUndefinedError("sum divisible by 7")
+            return float(np.mean(a == b))
+
+        values = []
+        for it in range(150):
+            row = resample_oracle(t, 5, it)
+            try:
+                values.append(stat(t[row], p[row]))
+            except MetricUndefinedError:
+                pass
+        alpha = (1.0 - 0.9) / 2.0
+        lo, hi = np.percentile(values, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+        want = MetricWithCI(point=stat(t, p), lo=float(lo), hi=float(hi), n_bootstrap=150,
+                            level=0.9, n_failed=150 - len(values))
+        assert 0 < want.n_failed < 30
+        assert bootstrap_ci(stat, t, p, n_iterations=150, level=0.9, seed=5) == want
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            assert bootstrap_ci(stat, t, p, n_iterations=150, level=0.9, seed=5,
+                                executor=pool) == want
 
     def test_binary_labels_checked(self):
         with pytest.raises(ConfigurationError):

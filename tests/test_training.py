@@ -20,6 +20,7 @@ from kneegrade.model import (
 )
 from kneegrade.nn import Parameter
 from kneegrade.preprocess import AugmentConfig, NormalizedImage, standardize
+from kneegrade.serialize import load_tensors
 from kneegrade.tensor import Tensor
 from kneegrade.training import (
     AUX_CLASSES,
@@ -481,6 +482,25 @@ class TestRunFold:
         resaved = loaded.save(str(tmp_path / "again.kgw"))
         assert (tmp_path / "again.kgw").read_bytes() == (tmp_path / "snapshot_fold0.kgw").read_bytes()
         assert Snapshot.load(resaved).meta == loaded.meta
+
+    def test_saved_snapshot_is_backed_by_its_file(self, tmp_path):
+        # with out_dir the fold's state lives in its file, not in the result
+        exams, images = fake_dataset(20, seed=6)
+        runs = []
+        for out_dir in (None, str(tmp_path)):
+            model = build_model(tiny_config(), seed=5)
+            runs.append(run_fold(model, exams[:14], exams[14:], images, quick_cfg(), seed=5,
+                                 fold=1, out_dir=out_dir))
+        held, saved = runs[0].snapshot, runs[1].snapshot
+        path = str(tmp_path / "snapshot_fold1.kgw")
+        assert saved.weights is None
+        assert saved.path == path
+        assert saved.meta == held.meta
+        on_disk, read = load_tensors(path), saved.arrays()
+        assert sorted(read) == sorted(on_disk) == sorted(held.weights)
+        for name in on_disk:
+            assert np.array_equal(read[name], on_disk[name])
+            assert np.array_equal(read[name], held.weights[name])
 
     def test_two_runs_identical(self, tmp_path):
         exams, images = fake_dataset(20, seed=6)

@@ -180,7 +180,8 @@ class PoolHead(Module):
 
 
 class Backbone(Module):
-    """Stem unit (+ optional pool) followed by the configured residual blocks."""
+    """Stem unit (+ optional pool) followed by the configured residual blocks,
+    whose channels chain as ``ModelConfig`` checks."""
 
     def __init__(self, stem: StemSpec, blocks, rng):
         super().__init__()
@@ -188,17 +189,12 @@ class Backbone(Module):
         self.conv = Conv2d(1, stem.out_channels, stem.kernel, rng, stride=stem.stride,
                            padding=stem.kernel // 2)
         self.bn = BatchNorm2d(stem.out_channels)
-        prev = stem.out_channels
         self.blocks = []
         for i, spec in enumerate(blocks):
-            if spec.in_channels != prev:
-                raise ConfigurationError(
-                    f"block {i}: in_channels={spec.in_channels} but upstream provides {prev}")
             block = ResidualBlock(spec, rng)
             self.add_child(f"block{i}", block)
             self.blocks.append(block)
-            prev = spec.out_channels
-        self.out_channels = prev
+        self.out_channels = blocks[-1].out_channels
 
     def stem_bytes(self, h, w):
         """Bytes of the stem conv's output for one h x w input image."""

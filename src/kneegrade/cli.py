@@ -44,9 +44,9 @@ from .errors import (
     WeightLoadError,
 )
 from .imageio import read_pgm16
-from .model import build_model, load_backbone_weights
+from .model import build_model, load_backbone_weights, save_backbone_weights
 from .preprocess import RawImage, load_image_cache, preprocess_exam, save_image_cache
-from .report import align_predictions, emit_report, write_history_svg
+from .report import align_predictions, emit_report, write_history_csv, write_history_svg
 from .serialize import read_sidecar, write_sidecar
 from .training import Snapshot, pretrain_backbone, run_fold
 
@@ -173,9 +173,8 @@ def _load_inputs(args, cfg):
 def cmd_pretrain(args, artifacts):
     cfg = _config_from_args(args)
     exams, images = _load_inputs(args, cfg)
-    artifacts.add(args.out)
-    pretrain_backbone(exams, images, cfg.model, cfg.pretrain, cfg.seed,
-                      args.out, log=_say)
+    model = pretrain_backbone(exams, images, cfg.model, cfg.pretrain, cfg.seed, log=_say)
+    save_backbone_weights(model, artifacts.add(args.out))
     write_sidecar(args.out, {"config_hash": cfg.stage_hash("pretrain"), "seed": cfg.seed,
                              "n_exams": len(exams)})
     _say(f"pretrain: backbone -> {args.out}")
@@ -196,31 +195,35 @@ def cmd_train(args, artifacts):
                       "backbone", args.force)
     assignment = split_cv(exams, n_folds=cfg.n_folds, seed=cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    run_meta = {"config_hash": cfg.stage_hash("train")}
+    folds = list(range(cfg.n_folds))
+    # every fold's files are registered before any is written, so a failed
+    # run leaves no mix of old and new folds
+    paths = [{stem: artifacts.add(os.path.join(args.out, f"{stem}_fold{fold}.{ext}"))
+              for stem, ext in (("snapshot", "kgw"), ("train_log", "csv"), ("curves", "svg"))}
+             for fold in folds]
 
     def train_fold(fold):
+        """Train and save one fold; returns its history and snapshot meta, so
+        only one fold's weights are held per worker."""
         train_exams, val_exams = assignment.split(exams, fold)
         model = build_model(cfg.model, _fold_seed(cfg.seed, fold))
         if args.pretrained:
             load_backbone_weights(model, args.pretrained)
-        return run_fold(model, train_exams, val_exams, images, cfg.train,
-                        seed=cfg.seed, fold=fold, out_dir=args.out,
-                        meta=run_meta, log=_say)
+        res = run_fold(model, train_exams, val_exams, images, cfg.train,
+                       seed=cfg.seed, fold=fold, log=_say)
+        res.snapshot.meta["config_hash"] = cfg.stage_hash("train")
+        write_history_csv(paths[fold]["train_log"], model.head_names, res.history)
+        res.snapshot.save(paths[fold]["snapshot"])
+        return res.history, res.snapshot.meta
 
-    folds = list(range(cfg.n_folds))
-    for fold in folds:
-        artifacts.add(os.path.join(args.out, f"snapshot_fold{fold}.kgw"))
-        artifacts.add(os.path.join(args.out, f"train_log_fold{fold}.csv"))
-        artifacts.add(os.path.join(args.out, f"curves_fold{fold}.svg"))
     if args.parallel_folds and cfg.n_folds > 1:
         with concurrent.futures.ThreadPoolExecutor(
                 max_workers=max_workers(cfg.n_folds)) as pool:
             results = list(pool.map(train_fold, folds))
     else:
         results = [train_fold(fold) for fold in folds]
-    for fold, res in zip(folds, results):
-        write_history_svg(os.path.join(args.out, f"curves_fold{fold}.svg"), res.history)
-        best = res.snapshot.meta
+    for fold, (history, best) in zip(folds, results):
+        write_history_svg(paths[fold]["curves"], history)
         _say(f"train: fold {fold} best epoch {best['epoch']} "
              f"mean_kappa {best['metrics']['mean_kappa']:.4f}")
     _say(f"train: {cfg.n_folds} snapshots -> {args.out}")

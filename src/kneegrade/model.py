@@ -50,6 +50,11 @@ class ModelConfig:
     def __post_init__(self):
         if not self.blocks:
             raise ConfigurationError("model needs at least one residual block")
+        upstream = [self.stem.out_channels] + [spec.out_channels for spec in self.blocks]
+        for i, (spec, prev) in enumerate(zip(self.blocks, upstream)):
+            if spec.in_channels != prev:
+                raise ConfigurationError(
+                    f"block {i}: in_channels={spec.in_channels} but upstream provides {prev}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigurationError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
 

@@ -158,6 +158,20 @@ def write_curve_svg(path, x, y, xlabel, ylabel, title, diagonal=False):
     write_atomic(path, "\n".join(parts) + "\n")
 
 
+def write_history_csv(path, head_names, history):
+    """Training log: one row per epoch, its rate, loss and validation metrics."""
+    cols = ["epoch", "lr", "train_loss"]
+    cols += [f"kappa_{n}" for n in head_names]
+    cols += [f"ba_{n}" for n in head_names]
+    cols += ["mean_kappa"]
+    lines = [",".join(cols)]
+    for row in history:
+        cells = [str(row["epoch"]), repr(row["lr"])]
+        cells += [f"{row[c]:.6f}" for c in cols[2:]]
+        lines.append(",".join(cells))
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
 def write_history_svg(path, history):
     """Training curves: loss on the top panel, mean kappa on the bottom."""
     if not history:
@@ -223,9 +237,10 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
     os.makedirs(out_dir, exist_ok=True)
     n = None
     for name, _ in head_specs:
-        for source, label in ((truths, "truth"), (preds, "prediction")):
+        for source, label in ((truths, "truth grades"), (preds, "prediction grades"),
+                              (probs, "probabilities")):
             if name not in source:
-                raise ConfigurationError(f"missing {label} grades for head {name!r}")
+                raise ConfigurationError(f"missing {label} for head {name!r}")
         if n is None:
             n = len(truths[name])
         if len(truths[name]) != n or len(preds[name]) != n or len(probs[name]) != n:

@@ -17,7 +17,6 @@ full state is kept as the fold snapshot.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,9 +25,9 @@ from . import tensor as T
 from .data import SAMPLERS, epoch_indices
 from .errors import ConfigurationError, DataError, MetricUndefinedError, TrainingError
 from .metrics import balanced_accuracy, cohen_kappa
-from .model import OARSI_TASKS, backbone_checksum, build_model, save_backbone_weights
+from .model import OARSI_TASKS, backbone_checksum, build_model
 from .preprocess import AugmentConfig, augment, standardize
-from .serialize import load_tensors, read_sidecar, save_tensors, write_atomic, write_sidecar
+from .serialize import load_tensors, read_sidecar, save_tensors, write_sidecar
 from .tensor import Tensor
 
 AUX_HEAD = "aux"
@@ -343,9 +342,9 @@ class Snapshot:
     """One trained fold: full model state plus the context to rebuild it.
 
     ``path`` is the file backing it, None for one held in memory. A loaded
-    snapshot, or one run_fold saved, keeps ``weights`` None and reads them
-    from ``path`` whenever they are asked for, so holding snapshots costs
-    their sidecars, not their model states.
+    snapshot keeps ``weights`` None and reads them from ``path`` whenever
+    they are asked for, so holding snapshots costs their sidecars, not their
+    model states.
     """
     weights: dict | None
     meta: dict
@@ -395,14 +394,11 @@ class Snapshot:
 class FoldResult:
     snapshot: Snapshot
     history: list
-    lr_by_epoch: list
     backbone_checksums: list
 
-
-def _epoch_rngs(seed, fold, epoch, stream=5):
-    sampler = np.random.default_rng(np.random.SeedSequence([seed, stream, fold, epoch, 0]))
-    aug = np.random.default_rng(np.random.SeedSequence([seed, stream, fold, epoch, 1]))
-    return sampler, aug
+    @property
+    def lr_by_epoch(self):
+        return [row["lr"] for row in self.history]
 
 
 def _train_step(model, opt, x, targets, weights):
@@ -421,43 +417,43 @@ def _train_step(model, opt, x, targets, weights):
     return float(loss.data)
 
 
-def _train_one_epoch(model, opt, exams, images, targets, weights, cfg, rng_sampler, rng_aug):
-    model.train()
-    idxs = epoch_indices(exams, cfg.sampler, rng_sampler)
+def _fit(model, exams, images, cfg, seed, fold, stream, weights):
+    """The one epoch loop: train ``model`` on ``exams``, yielding
+    ``(epoch, lr, mean train loss)`` after each of ``cfg.epochs`` epochs.
+
+    Each epoch takes its rate and, under the transfer schedule, the
+    backbone's trainability from ``schedule_lr``, and draws its sample order
+    and augmentation from streams keyed by (seed, stream, fold, epoch). The
+    caller runs between epochs (validation, snapshots) with the model as the
+    epoch left it.
+    """
+    opt = Adam(model.named_parameters(), lr=cfg.lr_scratch, beta1=cfg.beta1,   # lr: per epoch
+               beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
+    targets = targets_for(exams, model.head_names)
     aug_cfg = cfg.aug if cfg.augment else None
-    total = 0.0
-    seen = 0
-    for start in range(0, len(idxs), cfg.batch_size):
-        batch = idxs[start:start + cfg.batch_size]
-        x = Tensor(batch_images(images, exams, batch, rng_aug, aug_cfg))
-        loss = _train_step(model, opt, x, [t[batch] for t in targets], weights)
-        total += loss * len(batch)
-        seen += len(batch)
-    return total / seen
+    for epoch in range(1, cfg.epochs + 1):
+        opt.lr, trainable = schedule_lr(cfg, epoch)
+        if cfg.schedule == "transfer":
+            model.backbone.set_trainable(trainable)
+        rng_sampler, rng_aug = (np.random.default_rng(np.random.SeedSequence(
+            [seed, stream, fold, epoch, k])) for k in (0, 1))
+        model.train()
+        idxs = epoch_indices(exams, cfg.sampler, rng_sampler)
+        total = 0.0
+        for start in range(0, len(idxs), cfg.batch_size):
+            batch = idxs[start:start + cfg.batch_size]
+            x = Tensor(batch_images(images, exams, batch, rng_aug, aug_cfg))
+            total += _train_step(model, opt, x, [t[batch] for t in targets], weights) * len(batch)
+        del x   # the caller validates next; it holds no training batch meanwhile
+        yield epoch, opt.lr, total / len(idxs)
 
 
-def _log_rows_to_csv(path, head_names, history):
-    cols = ["epoch", "lr", "train_loss"]
-    cols += [f"kappa_{n}" for n in head_names]
-    cols += [f"ba_{n}" for n in head_names]
-    cols += ["mean_kappa"]
-    lines = [",".join(cols)]
-    for row in history:
-        cells = [str(row["epoch"]), repr(row["lr"])]
-        cells += [f"{row[c]:.6f}" for c in cols[2:]]
-        lines.append(",".join(cells))
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
-             out_dir=None, meta=None, log=None):
-    """Train one fold end to end and return its best-epoch snapshot.
+def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0, log=None):
+    """Train one fold end to end and return its best-epoch snapshot, in memory.
 
     ``images`` maps exam_id to a preprocessed NormalizedImage covering both
-    exam lists. ``meta`` entries (config hash, model config doc, ...) are
-    carried into the snapshot sidecar. ``log`` is an optional callable taking
-    one line of text per epoch. With ``out_dir`` the snapshot is saved there,
-    and the one returned is backed by that file, holding no model state.
+    exam lists. ``log`` is an optional callable taking one line of text per
+    epoch.
     """
     if not train_exams or not val_exams:
         raise ConfigurationError("run_fold needs non-empty train and val sets")
@@ -465,29 +461,17 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
     seed = int(seed)
     model.reseed_dropout(
         int(np.random.SeedSequence([seed, 4, fold]).generate_state(1)[0]))
-    opt = Adam(model.named_parameters(), lr=cfg.lr_late, beta1=cfg.beta1,
-               beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
-    train_targets = targets_for(train_exams, model.head_names)
     weights = [cfg.weight_for(name) for name in model.head_names]
 
     history = []
-    lr_by_epoch = []
     checksums = []
     best_idx = -1
     best_weights = None
-    for epoch in range(1, cfg.epochs + 1):
-        lr, trainable = schedule_lr(cfg, epoch)
-        if cfg.schedule == "transfer":
-            model.backbone.set_trainable(trainable)
-        opt.lr = lr
-        rng_sampler, rng_aug = _epoch_rngs(seed, fold, epoch)
-        train_loss = _train_one_epoch(model, opt, train_exams, images, train_targets,
-                                      weights, cfg, rng_sampler, rng_aug)
+    for epoch, lr, train_loss in _fit(model, train_exams, images, cfg, seed, fold, 5, weights):
         metrics = validation_metrics(model, val_exams, images, cfg.batch_size)
         row = {"epoch": epoch, "lr": lr, "train_loss": train_loss}
         row.update(metrics)
         history.append(row)
-        lr_by_epoch.append(lr)
         checksums.append(backbone_checksum(model))
         if select_snapshot([r["mean_kappa"] for r in history]) == epoch - 1:
             best_idx = epoch - 1
@@ -506,23 +490,12 @@ def run_fold(model, train_exams, val_exams, images, cfg, seed, fold=0,
         "heads": [list(spec) for spec in model.head_specs()],
         "metrics": {k: v for k, v in best.items() if k not in ("epoch", "lr")},
     }
-    if meta:
-        snap_meta.update(meta)
-    snapshot = Snapshot(weights=best_weights, meta=snap_meta)
-
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _log_rows_to_csv(os.path.join(out_dir, f"train_log_fold{fold}.csv"),
-                         model.head_names, history)
-        path = snapshot.save(os.path.join(out_dir, f"snapshot_fold{fold}.kgw"))
-        snapshot = Snapshot(weights=None, meta=snap_meta, path=path)
-    return FoldResult(snapshot=snapshot, history=history,
-                      lr_by_epoch=lr_by_epoch, backbone_checksums=checksums)
+    return FoldResult(snapshot=Snapshot(weights=best_weights, meta=snap_meta),
+                      history=history, backbone_checksums=checksums)
 
 
-def pretrain_backbone(exams, images, model_config, cfg, seed, out_path,
-                      log=None):
-    """Train the auxiliary single-head task and save the backbone weights.
+def pretrain_backbone(exams, images, model_config, cfg, seed, log=None):
+    """Train the auxiliary single-head task; returns the trained model.
 
     The head predicts the severity bucket (see severity_bucket) so the
     backbone learns joint-space and margin texture before the real heads
@@ -535,15 +508,7 @@ def pretrain_backbone(exams, images, model_config, cfg, seed, out_path,
         raise ConfigurationError("pretraining needs a non-empty exam list")
     seed = int(seed)
     model = build_model(model_config, seed, heads_override=[(AUX_HEAD, AUX_CLASSES)])
-    opt = Adam(model.named_parameters(), lr=cfg.lr_scratch, beta1=cfg.beta1,
-               beta2=cfg.beta2, eps=cfg.eps, weight_decay=cfg.weight_decay)
-    targets = targets_for(exams, model.head_names)
-    for epoch in range(1, cfg.epochs + 1):
-        opt.lr, _ = schedule_lr(cfg, epoch)
-        rng_sampler, rng_aug = _epoch_rngs(seed, 0, epoch, stream=6)
-        loss = _train_one_epoch(model, opt, exams, images, targets, None, cfg,
-                                rng_sampler, rng_aug)
+    for epoch, lr, loss in _fit(model, exams, images, cfg, seed, 0, 6, None):
         if log is not None:
-            log(f"pretrain epoch {epoch}/{cfg.epochs} lr={opt.lr:g} loss={loss:.4f}")
-    save_backbone_weights(model, out_path)
+            log(f"pretrain epoch {epoch}/{cfg.epochs} lr={lr:g} loss={loss:.4f}")
     return model

@@ -29,7 +29,7 @@ from kneegrade.ensemble import ensemble_predict, predict_probs, snapshot_model
 from kneegrade.imageio import read_pgm16
 from kneegrade.metrics import (balanced_accuracy, bootstrap_ci, cohen_kappa, f1_macro,
                                mse_grades, resample_indices, roc_auc)
-from kneegrade.model import ModelConfig, build_model, load_backbone_weights
+from kneegrade.model import ModelConfig, build_model, load_backbone_weights, save_backbone_weights
 from kneegrade.preprocess import (PreprocessConfig, RawImage, crop_roi, normalize,
                                   preprocess_exam, rotate_align, standardize)
 from kneegrade.training import TrainConfig, multi_task_loss, pretrain_backbone, run_fold
@@ -116,8 +116,8 @@ def pretrained_backbone(full_corpus, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("backbone") / "backbone.kgw")
     cfg = TrainConfig(schedule="scratch", epochs=10, lr_scratch=1e-3,
                       batch_size=32, augment=False, sampler="none")
-    pretrain_backbone(full_corpus["train"], full_corpus["images"], ModelConfig(),
-                      cfg, seed=7, out_path=path)
+    save_backbone_weights(pretrain_backbone(full_corpus["train"], full_corpus["images"],
+                                            ModelConfig(), cfg, seed=7), path)
     return {"path": path, "seconds": time.monotonic() - t0}
 
 
@@ -314,8 +314,8 @@ def schedule_runs(small_corpus, tmp_path_factory):
     backbone = str(root / "tiny_backbone.kgw")
     pre = TrainConfig(schedule="scratch", epochs=1, lr_scratch=1e-3,
                       batch_size=16, augment=False, sampler="none")
-    pretrain_backbone(small_corpus["train"], small_corpus["images"], TINY_MODEL,
-                      pre, seed=3, out_path=backbone)
+    save_backbone_weights(pretrain_backbone(small_corpus["train"], small_corpus["images"],
+                                            TINY_MODEL, pre, seed=3), backbone)
     results = {}
     for schedule in ("transfer", "scratch"):
         cfg = TrainConfig(schedule=schedule, epochs=20, batch_size=16,

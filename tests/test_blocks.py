@@ -503,11 +503,6 @@ class TestPoolHead:
 
 
 class TestBackbone:
-    def test_channel_chain_validated(self, rng):
-        blocks = [BlockSpec("basic", 16, 16), BlockSpec("basic", 32, 32)]
-        with pytest.raises(ConfigurationError, match="block 1"):
-            Backbone(StemSpec(out_channels=16), blocks, rng)
-
     def test_spatial_flow(self, rng):
         blocks = [BlockSpec("basic", 8, 8), BlockSpec("basic", 8, 16, stride=2)]
         bb = Backbone(StemSpec(out_channels=8, pool=2), blocks, rng).eval()

@@ -17,10 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kneegrade import cli
+from kneegrade import cli, training
+from kneegrade.config import load_run_config
+from kneegrade.data import load_manifest, split_cv
 from kneegrade.errors import TrainingError
+from kneegrade.model import build_model
 from kneegrade.preprocess import load_image_cache, standardize
-from kneegrade.training import Snapshot
+from kneegrade.report import write_history_csv
+from kneegrade.training import Snapshot, run_fold
 
 CONFIG = {
     "seed": 9,
@@ -294,6 +298,25 @@ class TestHashGuards:
         assert not (tmp_path / "preds.csv").exists()
 
 
+class TestPretrain:
+    def test_interrupt_keeps_the_existing_backbone(self, workdir, backbone, tmp_path,
+                                                   monkeypatch):
+        out = tmp_path / "backbone.kgw"
+        shutil.copy(backbone, out)
+        shutil.copy(f"{backbone}.meta.json", f"{out}.meta.json")
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(training, "_train_step", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("pretrain", "--config", str(workdir / "config.json"),
+                    "--manifest", str(workdir / "cache" / "manifest.csv"),
+                    "--images", str(workdir / "cache"), "--out", str(out))
+        assert out.read_bytes() == backbone.read_bytes()
+        assert Path(f"{out}.meta.json").read_bytes() == \
+            Path(f"{backbone}.meta.json").read_bytes()
+
+
 class TestTrain:
     def test_fold_artifacts_exist(self, workdir):
         for fold in range(2):
@@ -331,6 +354,26 @@ class TestTrain:
         for fold in range(2):
             snap = Snapshot.load(str(tmp_path / "folds" / f"snapshot_fold{fold}.kgw"))
             assert snap.meta["schedule"] == "scratch"
+
+    def test_saved_snapshot_matches_an_in_memory_fold(self, workdir, tmp_path):
+        # the saved fold is run_fold's snapshot and history, stamped with the config hash
+        cfg = load_run_config(str(workdir / "config.json"))
+        exams = load_manifest(str(workdir / "cache" / "manifest.csv"))
+        images, _ = load_image_cache(str(workdir / "cache" / "images.kgw"))
+        train, val = split_cv(exams, n_folds=cfg.n_folds, seed=cfg.seed).split(exams, 1)
+        model = build_model(cfg.model, cli._fold_seed(cfg.seed, 1))
+        held = run_fold(model, train, val, images, cfg.train, seed=cfg.seed, fold=1)
+        saved = Snapshot.load(str(workdir / "folds" / "snapshot_fold1.kgw"))
+        assert saved.weights is None
+        stamped = dict(held.snapshot.meta, config_hash=cfg.stage_hash("train"))
+        assert saved.meta == json.loads(json.dumps(stamped))
+        read = saved.arrays()
+        assert sorted(read) == sorted(held.snapshot.weights)
+        for name in read:
+            assert np.array_equal(read[name], held.snapshot.weights[name])
+        write_history_csv(str(tmp_path / "log.csv"), model.head_names, held.history)
+        assert (tmp_path / "log.csv").read_bytes() == \
+            (workdir / "folds" / "train_log_fold1.csv").read_bytes()
 
     def test_interrupt_discards_written_snapshots(self, workdir, tmp_path, monkeypatch):
         out = tmp_path / "folds"

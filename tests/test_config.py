@@ -7,6 +7,7 @@ import pytest
 
 from kneegrade import cli
 from kneegrade.config import STAGE_KEYS, RunConfig, from_doc, load_run_config
+from kneegrade.blocks import BlockSpec, StemSpec
 from kneegrade.data import SynthConfig
 from kneegrade.errors import ConfigurationError
 from kneegrade.model import ModelConfig, config_hash
@@ -49,6 +50,8 @@ BAD_DOCS = [
     ({"ci_level": 0.4}, r"^ci_level 0\.4 outside \(0\.5, 1\)$"),
     ({"model": {"blocks": [dict(BLOCK, stride=3)]}},
      r"^model\.blocks\[0\]: block stride must be 1 or 2, got 3$"),
+    ({"model": {"stem": {"out_channels": 8}}},
+     r"^model: block 0: in_channels=16 but upstream provides 8$"),
     ({"train": {"augment": False, "aug": {"crop_ratio": 2.0}}},
      r"^train\.aug: crop_ratio must lie in \(0, 1\], got 2\.0$"),
     ({"train": {"drop_factor": 0}}, r"^train: drop_factor must be positive$"),
@@ -94,6 +97,13 @@ def test_invalid_config_cannot_be_built():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigurationError, match=r"^n_folds must be >= 2$"):
         replace(RunConfig(), n_folds=1)
+
+
+def test_channel_chain_validated():
+    blocks = (BlockSpec("basic", 16, 16), BlockSpec("basic", 32, 32))
+    with pytest.raises(ConfigurationError,
+                       match=r"^block 1: in_channels=32 but upstream provides 16$"):
+        ModelConfig(stem=StemSpec(out_channels=16), blocks=blocks)
 
 
 def test_int_is_stored_as_float():

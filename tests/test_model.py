@@ -174,6 +174,12 @@ def _knob_calls():
         ("Backbone(dtype)", lambda: Backbone(StemSpec(), [], rng, dtype=np.float64)),
         ("MultiTaskModel(dtype)", lambda: MultiTaskModel(ModelConfig(), rng, dtype=np.float64)),
         ("build_model(dtype)", lambda: build_model(ModelConfig(), 0, dtype=np.float64)),
+        # the command line writes a run's files; training returns them in memory
+        ("run_fold(out_dir)",
+         lambda: training.run_fold(None, [], [], {}, None, 0, out_dir="folds")),
+        ("run_fold(meta)", lambda: training.run_fold(None, [], [], {}, None, 0, meta={})),
+        ("pretrain_backbone(out_path)",
+         lambda: training.pretrain_backbone([], {}, None, None, 0, out_path="b.kgw")),
     ]
 
 
@@ -186,7 +192,7 @@ class TestNoDeadKnobs:
     @pytest.mark.parametrize("owner, attr", [
         (T.Tensor, "zero_grad"), (Dropout, "reseed"), (training, "predict_grades"),
         (training, "adam_update"), (training, "snapshot_model"), (report, "write_sidecar"),
-        (report, "read_sidecar")])
+        (report, "read_sidecar"), (training, "_train_one_epoch"), (training, "_log_rows_to_csv")])
     def test_removed_name_is_gone(self, owner, attr):
         assert not hasattr(owner, attr)
 

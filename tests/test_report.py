@@ -156,6 +156,17 @@ class TestEmitReport:
                           n_bootstrap=10, seed=0)
         assert doc["binary"]["FO_L_ge1"] == {"skipped": "single class in truth"}
 
+    @pytest.mark.parametrize("which, message", [
+        (1, "missing truth grades for head 'FO_L'"),
+        (2, "missing prediction grades for head 'FO_L'"),
+        (3, "missing probabilities for head 'FO_L'")])
+    def test_missing_head_array_named(self, tmp_path, which, message):
+        args = list(sample(seed=4, n=30))
+        del args[which]["FO_L"]
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            emit_report(str(tmp_path / "r"), *args, n_bootstrap=5, seed=0)
+        assert not os.listdir(tmp_path / "r")
+
     def test_misaligned_arrays_rejected(self, tmp_path):
         specs, truths, preds, probs = sample(seed=5, n=30)
         preds["KL"] = preds["KL"][:-1]

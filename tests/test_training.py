@@ -17,19 +17,20 @@ from kneegrade.model import (
     backbone_checksum,
     build_model,
     load_backbone_weights,
+    save_backbone_weights,
 )
 from kneegrade.nn import Parameter
 from kneegrade.preprocess import AugmentConfig, NormalizedImage, standardize
-from kneegrade.serialize import load_tensors
+from kneegrade.report import write_history_csv
 from kneegrade.tensor import Tensor
 from kneegrade.training import (
     AUX_CLASSES,
     AUX_HEAD,
     Adam,
-    FoldResult,
+    PretrainConfig,
     Snapshot,
     TrainConfig,
-    _train_one_epoch,
+    _fit,
     _train_step,
     batch_images,
     batched_logits,
@@ -332,12 +333,10 @@ class TestTrainStep:
 
     @staticmethod
     def _epoch_runner(model, n, side):
+        """One epoch of the training loop over ``n`` images, every parameter trainable."""
         exams, images = fake_dataset(n, side=side)
-        cfg = TrainConfig(batch_size=32, sampler="none", augment=False)
-        opt = Adam(model.named_parameters(), lr=1e-3)
-        targets = targets_for(exams, model.head_names)
-        rngs = np.random.default_rng(0), np.random.default_rng(1)
-        return lambda: _train_one_epoch(model, opt, exams, images, targets, None, cfg, *rngs)
+        cfg = PretrainConfig(epochs=1, batch_size=32, sampler="none", augment=False)
+        return lambda: list(_fit(model, exams, images, cfg, 0, 0, 5, None))
 
     @staticmethod
     def _closure_refs(loss):
@@ -430,15 +429,16 @@ class TestRunFold:
         exams, images = fake_dataset(24, seed=3)
         model = build_model(tiny_config(), seed=0)
         cfg = quick_cfg()
-        res = run_fold(model, exams[:16], exams[16:], images, cfg, seed=0,
-                       fold=0, out_dir=str(tmp_path))
+        res = run_fold(model, exams[:16], exams[16:], images, cfg, seed=0, fold=0)
         assert len(res.history) == 4
         assert res.lr_by_epoch == [1e-2, 1e-2, 1e-3, 1e-4]
-        text = (tmp_path / "train_log_fold0.csv").read_text().splitlines()
+        write_history_csv(str(tmp_path / "log.csv"), model.head_names, res.history)
+        text = (tmp_path / "log.csv").read_text().splitlines()
         assert text[0].startswith("epoch,lr,train_loss,kappa_KL,")
         assert text[0].endswith(",mean_kappa")
         assert len(text) == 5
         assert text[1].split(",")[0] == "1"
+        assert [float(line.split(",")[1]) for line in text[1:]] == res.lr_by_epoch
 
     def test_frozen_backbone_is_bit_identical_then_moves(self, tmp_path):
         exams, images = fake_dataset(20, seed=4)
@@ -454,14 +454,13 @@ class TestRunFold:
     def test_snapshot_matches_best_epoch_metrics(self, tmp_path):
         exams, images = fake_dataset(24, seed=5)
         model = build_model(tiny_config(), seed=2)
-        res = run_fold(model, exams[:16], exams[16:], images, quick_cfg(), seed=2,
-                       fold=3, out_dir=str(tmp_path))
+        res = run_fold(model, exams[:16], exams[16:], images, quick_cfg(), seed=2, fold=3)
         kappas = [r["mean_kappa"] for r in res.history]
         best = select_snapshot(kappas)
         assert res.snapshot.meta["epoch"] == best + 1
         assert res.snapshot.meta["fold"] == 3
         # reload from disk and re-evaluate: identical metrics
-        loaded = Snapshot.load(str(tmp_path / "snapshot_fold3.kgw"))
+        loaded = Snapshot.load(res.snapshot.save(str(tmp_path / "snapshot.kgw")))
         rebuilt = snapshot_model(loaded)
         again = validation_metrics(rebuilt, exams[16:], images, 8)
         assert again["mean_kappa"] == pytest.approx(
@@ -471,36 +470,18 @@ class TestRunFold:
         # a held snapshot costs its sidecar: the state is read per rebuild
         exams, images = fake_dataset(20, seed=6)
         model = build_model(tiny_config(), seed=4)
-        res = run_fold(model, exams[:14], exams[14:], images, quick_cfg(), seed=4,
-                       fold=0, out_dir=str(tmp_path))
-        loaded = Snapshot.load(str(tmp_path / "snapshot_fold0.kgw"))
+        res = run_fold(model, exams[:14], exams[14:], images, quick_cfg(), seed=4, fold=0)
+        path = res.snapshot.save(str(tmp_path / "snapshot.kgw"))
+        loaded = Snapshot.load(path)
         assert loaded.weights is None
-        held, read = res.snapshot.arrays(), loaded.arrays()
+        assert loaded.path == path
+        held, read = res.snapshot.weights, loaded.arrays()
         assert sorted(read) == sorted(held)
         for name in held:
             assert np.array_equal(read[name], held[name])
         resaved = loaded.save(str(tmp_path / "again.kgw"))
-        assert (tmp_path / "again.kgw").read_bytes() == (tmp_path / "snapshot_fold0.kgw").read_bytes()
+        assert (tmp_path / "again.kgw").read_bytes() == (tmp_path / "snapshot.kgw").read_bytes()
         assert Snapshot.load(resaved).meta == loaded.meta
-
-    def test_saved_snapshot_is_backed_by_its_file(self, tmp_path):
-        # with out_dir the fold's state lives in its file, not in the result
-        exams, images = fake_dataset(20, seed=6)
-        runs = []
-        for out_dir in (None, str(tmp_path)):
-            model = build_model(tiny_config(), seed=5)
-            runs.append(run_fold(model, exams[:14], exams[14:], images, quick_cfg(), seed=5,
-                                 fold=1, out_dir=out_dir))
-        held, saved = runs[0].snapshot, runs[1].snapshot
-        path = str(tmp_path / "snapshot_fold1.kgw")
-        assert saved.weights is None
-        assert saved.path == path
-        assert saved.meta == held.meta
-        on_disk, read = load_tensors(path), saved.arrays()
-        assert sorted(read) == sorted(on_disk) == sorted(held.weights)
-        for name in on_disk:
-            assert np.array_equal(read[name], on_disk[name])
-            assert np.array_equal(read[name], held.weights[name])
 
     def test_two_runs_identical(self, tmp_path):
         exams, images = fake_dataset(20, seed=6)
@@ -533,11 +514,14 @@ class TestRunFold:
     def test_meta_carried_into_snapshot(self):
         exams, images = fake_dataset(16, seed=9)
         model = build_model(tiny_config(), seed=3)
-        res = run_fold(model, exams[:12], exams[12:], images, quick_cfg(), seed=3,
-                       meta={"config_hash": "beef", "model_config": tiny_config().to_dict()})
-        assert res.snapshot.meta["config_hash"] == "beef"
-        assert res.snapshot.meta["schedule"] == "transfer"
-        assert res.snapshot.meta["seed"] == 3
+        res = run_fold(model, exams[:12], exams[12:], images, quick_cfg(), seed=3, fold=2)
+        meta = res.snapshot.meta
+        assert meta["schedule"] == "transfer"
+        assert meta["seed"] == 3 and meta["fold"] == 2
+        assert meta["model_config"] == tiny_config().to_dict()
+        assert meta["heads"] == [list(spec) for spec in model.head_specs()]
+        assert meta["metrics"] == {k: v for k, v in res.history[meta["epoch"] - 1].items()
+                                   if k not in ("epoch", "lr")}
 
 
 class TestPretrain:
@@ -546,8 +530,9 @@ class TestPretrain:
         cfg = TrainConfig(schedule="scratch", epochs=2, batch_size=8,
                           sampler="none", augment=False)
         out = str(tmp_path / "pre.kgw")
-        model = pretrain_backbone(exams, images, tiny_config(), cfg, seed=5, out_path=out)
+        model = pretrain_backbone(exams, images, tiny_config(), cfg, seed=5)
         assert model.head_names == [AUX_HEAD]
+        save_backbone_weights(model, out)
         fresh = build_model(tiny_config(), seed=99)
         before = backbone_checksum(fresh)
         load_backbone_weights(fresh, out)
@@ -558,15 +543,15 @@ class TestPretrain:
         exams, images = fake_dataset(8, seed=11)
         cfg = quick_cfg()   # transfer
         with pytest.raises(ConfigurationError):
-            pretrain_backbone(exams, images, tiny_config(), cfg, seed=0, out_path="x")
+            pretrain_backbone(exams, images, tiny_config(), cfg, seed=0)
 
     def test_transfer_run_starts_from_pretrained_backbone(self, tmp_path):
         exams, images = fake_dataset(20, seed=12)
         pre_cfg = TrainConfig(schedule="scratch", epochs=1, batch_size=8,
                               sampler="none", augment=False)
         out = str(tmp_path / "pre.kgw")
-        pretrained = pretrain_backbone(exams[:12], images, tiny_config(), pre_cfg,
-                                       seed=6, out_path=out)
+        pretrained = pretrain_backbone(exams[:12], images, tiny_config(), pre_cfg, seed=6)
+        save_backbone_weights(pretrained, out)
         model = build_model(tiny_config(), seed=7)
         load_backbone_weights(model, out)
         res = run_fold(model, exams[:14], exams[14:], images, quick_cfg(), seed=7)

@@ -4,8 +4,10 @@ Every command takes an optional JSON config file; flags override single
 fields *inside the document*, so the hash of the config keys a stage reads
 (``config.STAGE_KEYS``), stamped on its artifacts, always reflects what
 actually ran. Every file is written through ``serialize.write_atomic``, so
-each is replaced whole or not at all. A command that fails, on any exception
-including Ctrl-C, removes the files it had already written. An expected
+each is replaced whole or not at all. A command runs inside
+``serialize.rollback``: if it fails, on any exception including Ctrl-C, the
+files it wrote are removed; ``train`` first removes its old fold set, so it
+never leaves a mix of old and new folds. An expected
 failure (a ``KneeGradeError`` or ``OSError``) then prints one line to stderr
 (``error: <kind>: <message>``); any other exception propagates. Exit codes:
 0 success, 2 for configuration, usage, or input-data problems, 1 for
@@ -47,7 +49,7 @@ from .imageio import read_pgm16
 from .model import build_model, load_backbone_weights, save_backbone_weights
 from .preprocess import RawImage, load_image_cache, preprocess_exam, save_image_cache
 from .report import align_predictions, emit_report, write_history_csv, write_history_svg
-from .serialize import read_sidecar, write_sidecar
+from .serialize import read_sidecar, rollback, write_sidecar
 from .training import Snapshot, pretrain_backbone, run_fold
 
 _USER_FAULT = (UsageError, ConfigurationError, DataError, WeightLoadError)
@@ -56,26 +58,6 @@ _USER_FAULT = (UsageError, ConfigurationError, DataError, WeightLoadError)
 def max_workers(n_tasks):
     """Pool size for ``n_tasks``: cpu count, capped by OARSI_MT_THREADS."""
     return max(1, min(int(n_tasks), thread_cap() or os.cpu_count() or 1))
-
-
-class Artifacts:
-    """Files created by the running command, removed if it fails."""
-
-    def __init__(self):
-        self.paths = []
-
-    def add(self, path):
-        self.paths.append(str(path))
-        return str(path)
-
-    def discard_all(self):
-        for p in self.paths:
-            for target in (p, p + ".meta.json"):
-                if os.path.isfile(target):
-                    try:
-                        os.remove(target)
-                    except OSError:
-                        pass
 
 
 def _say(text):
@@ -117,10 +99,12 @@ def _fold_seed(seed, fold):
 # commands
 
 
-def cmd_synth(args, artifacts):
+def cmd_synth(args):
+    for flag, count in (("--subjects", args.subjects),
+                        ("--exams-per-subject", args.exams_per_subject)):
+        if count < 1:
+            raise UsageError(f"{flag} must be >= 1, got {count}")
     cfg = _config_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
-    artifacts.add(os.path.join(args.out, "manifest.csv"))
     manifest, exams = synth_generate(args.out, args.subjects,
                                      exams_per_subject=args.exams_per_subject,
                                      seed=cfg.seed, cfg=cfg.synth)
@@ -129,7 +113,7 @@ def cmd_synth(args, artifacts):
     _say(f"synth: wrote {len(exams)} exams to {manifest}")
 
 
-def cmd_preprocess(args, artifacts):
+def cmd_preprocess(args):
     cfg = _config_from_args(args)
     kept, excluded = load_and_filter(args.manifest)
     if not kept:
@@ -138,18 +122,21 @@ def cmd_preprocess(args, artifacts):
     images = {}
     for exam in kept:
         pixels = read_pgm16(_resolve(base, exam.image_path))
-        _, landmarks = load_landmarks(_resolve(base, exam.landmark_path))
+        landmark_path = _resolve(base, exam.landmark_path)
+        exam_id, landmarks = load_landmarks(landmark_path)
+        if (exam_id, landmarks.side) != (exam.exam_id, exam.side):
+            raise DataError(f"{landmark_path}: landmarks of exam {exam_id} side {landmarks.side}, "
+                            f"but its manifest row is exam {exam.exam_id} side {exam.side}")
         raw = RawImage(pixels=pixels, spacing_mm=exam.spacing_mm)
         images[exam.exam_id] = preprocess_exam(raw, landmarks, cfg.preprocess)
     os.makedirs(args.out, exist_ok=True)
-    cache = artifacts.add(os.path.join(args.out, "images.kgw"))
+    cache = os.path.join(args.out, "images.kgw")
     save_image_cache(cache, images, meta={
         "config_hash": cfg.stage_hash("preprocess"),
         "target_side": cfg.preprocess.target_side,
         "excluded": excluded,
     })
-    out_manifest = artifacts.add(os.path.join(args.out, "manifest.csv"))
-    save_manifest(out_manifest, kept)
+    save_manifest(os.path.join(args.out, "manifest.csv"), kept)
     dropped = sum(excluded.values())
     if dropped:
         detail = " ".join(f"{col}={n}" for col, n in sorted(excluded.items()) if n)
@@ -170,17 +157,17 @@ def _load_inputs(args, cfg):
     return exams, images
 
 
-def cmd_pretrain(args, artifacts):
+def cmd_pretrain(args):
     cfg = _config_from_args(args)
     exams, images = _load_inputs(args, cfg)
     model = pretrain_backbone(exams, images, cfg.model, cfg.pretrain, cfg.seed, log=_say)
-    save_backbone_weights(model, artifacts.add(args.out))
+    save_backbone_weights(model, args.out)
     write_sidecar(args.out, {"config_hash": cfg.stage_hash("pretrain"), "seed": cfg.seed,
                              "n_exams": len(exams)})
     _say(f"pretrain: backbone -> {args.out}")
 
 
-def cmd_train(args, artifacts):
+def cmd_train(args):
     overrides = {}
     if args.schedule:
         overrides.setdefault("train", {})["schedule"] = args.schedule
@@ -196,11 +183,14 @@ def cmd_train(args, artifacts):
     assignment = split_cv(exams, n_folds=cfg.n_folds, seed=cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     folds = list(range(cfg.n_folds))
-    # every fold's files are registered before any is written, so a failed
-    # run leaves no mix of old and new folds
-    paths = [{stem: artifacts.add(os.path.join(args.out, f"{stem}_fold{fold}.{ext}"))
+    paths = [{stem: os.path.join(args.out, f"{stem}_fold{fold}.{ext}")
               for stem, ext in (("snapshot", "kgw"), ("train_log", "csv"), ("curves", "svg"))}
              for fold in folds]
+    # the old fold set goes first, so a failed run leaves no mix of old and new folds
+    for fold_paths in paths:
+        for target in [*fold_paths.values(), fold_paths["snapshot"] + ".meta.json"]:
+            if os.path.isfile(target):
+                os.remove(target)
 
     def train_fold(fold):
         """Train and save one fold; returns its history and snapshot meta, so
@@ -245,14 +235,13 @@ def _load_snapshots(args, cfg):
     return snaps, paths, snap_hash
 
 
-def cmd_predict(args, artifacts):
+def cmd_predict(args):
     cfg = _config_from_args(args)
     snaps, paths, snap_hash = _load_snapshots(args, cfg)
     exams, images = _load_inputs(args, cfg)
     probs, grades = ensemble_predict(snaps, exams, images,
                                      batch_size=cfg.train.batch_size)
     head_specs = [tuple(h) for h in snaps[0].meta["heads"]]
-    artifacts.add(args.out)
     write_predictions_csv(args.out, [e.exam_id for e in exams], head_specs,
                           probs, grades)
     write_sidecar(args.out, {
@@ -264,7 +253,7 @@ def cmd_predict(args, artifacts):
     _say(f"predict: {len(exams)} exams x {len(snaps)} snapshots -> {args.out}")
 
 
-def cmd_evaluate(args, artifacts):
+def cmd_evaluate(args):
     cfg = _config_from_args(args)
     exam_ids, head_specs, probs, grades = read_predictions_csv(args.predictions)
     pred_hash = _recorded_hash(args.predictions)
@@ -279,17 +268,11 @@ def cmd_evaluate(args, artifacts):
               for name in task_names}
     preds = {name: grades[name][order] for name in task_names}
     aligned_probs = {name: probs[name][order] for name in task_names}
-    os.makedirs(args.out, exist_ok=True)
-    before = set(os.listdir(args.out))
-    try:
-        doc = emit_report(args.out, head_specs, truths, preds, aligned_probs,
-                          meta={"config_hash": pred_hash or train_hash,
-                                "n_exams": len(kept),
-                                "excluded": {k: v for k, v in excluded.items() if v}},
-                          n_bootstrap=cfg.n_bootstrap, seed=cfg.seed, ci_level=cfg.ci_level)
-    finally:    # discarded only if the command fails, Ctrl-C included
-        for name in set(os.listdir(args.out)) - before:
-            artifacts.add(os.path.join(args.out, name))
+    doc = emit_report(args.out, head_specs, truths, preds, aligned_probs,
+                      meta={"config_hash": pred_hash or train_hash,
+                            "n_exams": len(kept),
+                            "excluded": {k: v for k, v in excluded.items() if v}},
+                      n_bootstrap=cfg.n_bootstrap, seed=cfg.seed, ci_level=cfg.ci_level)
     _say(f"evaluate: mean kappa {doc['mean_kappa']:.4f} over {len(kept)} exams "
          f"-> {os.path.join(args.out, 'metrics.json')}")
 
@@ -369,14 +352,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    artifacts = Artifacts()
     try:
-        thread_cap()    # a malformed cap fails every command, not only a pool's
-        args.func(args, artifacts)
-    except BaseException as exc:    # Ctrl-C and bugs too: discard, then re-raise
-        artifacts.discard_all()
-        if not isinstance(exc, (KneeGradeError, OSError)):
-            raise
+        with rollback():    # any exception, Ctrl-C and bugs too, removes what was written
+            thread_cap()    # a malformed cap fails every command, not only a pool's
+            args.func(args)
+    except (KneeGradeError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2 if isinstance(exc, _USER_FAULT + (OSError,)) else 1

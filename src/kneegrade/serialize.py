@@ -14,6 +14,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -25,6 +26,8 @@ from .errors import DataError, WeightLoadError
 MAGIC = b"KGWB"
 VERSION = 1
 
+_written = None     # paths write_atomic replaced inside rollback(), else None
+
 
 def write_atomic(path, data):
     """Replace ``path`` whole with ``data``, or leave it as it was.
@@ -32,8 +35,9 @@ def write_atomic(path, data):
     ``data`` is a str (written as UTF-8), bytes, or a sequence of bytes-like
     pieces written in order, never joined. They go to a dot-named temp file
     in the same directory, renamed over ``path`` once complete and removed
-    on any failure; an ``OSError`` names ``path``. There is no fsync: this
-    holds against a killed process, not against a power cut.
+    on any failure; an ``OSError`` names ``path``. :func:`rollback` records
+    the write once renamed. No fsync: this holds against a killed process,
+    not against a power cut.
     """
     head, name = os.path.split(path)
     partial = os.path.join(head, f".{name}.{os.getpid()}.tmp")
@@ -44,12 +48,31 @@ def write_atomic(path, data):
             for piece in [data] if isinstance(data, bytes) else data:
                 fh.write(piece)
         os.replace(partial, path)
+        if (record := _written) is not None:     # one read: rollback may end meanwhile
+            record.append(path)
     except OSError as exc:          # name the artifact, not its temp file
         exc.filename, exc.filename2 = os.fspath(path), None
         raise
     finally:
         if os.path.exists(partial):
             os.remove(partial)
+
+
+@contextlib.contextmanager
+def rollback():
+    """On any exception in the block, Ctrl-C included, remove each file that
+    write_atomic replaced in it, from any thread, then re-raise."""
+    global _written
+    _written = []
+    try:
+        yield
+    except BaseException:
+        for path in _written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    finally:
+        _written = None
 
 
 def write_sidecar(artifact_path, doc):

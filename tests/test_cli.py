@@ -19,8 +19,9 @@ import pytest
 
 from kneegrade import cli, training
 from kneegrade.config import load_run_config
-from kneegrade.data import load_manifest, split_cv
-from kneegrade.errors import TrainingError
+from kneegrade.data import load_manifest, save_landmarks, split_cv
+from kneegrade.errors import BootstrapError, TrainingError
+from kneegrade.metrics import bootstrap_rows
 from kneegrade.model import build_model
 from kneegrade.preprocess import load_image_cache, standardize
 from kneegrade.report import write_history_csv
@@ -89,6 +90,12 @@ def config_file(tmp_path, **changes):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def tree_bytes(root):
+    """Relative path -> bytes of every file under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in Path(root).rglob("*")
+            if p.is_file()}
 
 
 def blank_grades(manifest, cells):
@@ -170,6 +177,51 @@ class TestSynthPreprocess:
         assert a != b
         sidecar = json.loads((tmp_path / "other" / "manifest.csv.meta.json").read_text())
         assert sidecar["seed"] == 10
+
+    @pytest.mark.parametrize("flag,count", [("--subjects", "0"), ("--exams-per-subject", "-2")])
+    def test_synth_refuses_an_empty_cohort(self, workdir, tmp_path, capsys, flag, count):
+        argv = {"--subjects": "2", "--exams-per-subject": "2", flag: count}
+        code = run_cli("synth", "--config", str(workdir / "config.json"),
+                       "--out", str(tmp_path / "data"), *[a for kv in argv.items() for a in kv])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: UsageError: {flag} must be >= 1, got {count}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def _interrupt_third_landmarks(self, monkeypatch):
+        written = []
+
+        def interrupt(path, *args):
+            written.append(str(Path(path).relative_to(Path(path).parent.parent)))
+            if len(written) == 3:
+                raise KeyboardInterrupt
+            save_landmarks(path, *args)
+        monkeypatch.setattr("kneegrade.data.save_landmarks", interrupt)
+        return written
+
+    def test_interrupted_synth_keeps_the_dataset_it_did_not_replace(self, workdir, tmp_path,
+                                                                    monkeypatch):
+        out = tmp_path / "data"
+        shutil.copytree(workdir / "data", out)
+        before = tree_bytes(out)
+        tried = self._interrupt_third_landmarks(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("synth", "--config", str(workdir / "config.json"), "--seed", "10",
+                    "--out", str(out), "--subjects", "14")
+        after = tree_bytes(out)
+        # the three images and two landmark files it wrote are gone, the rest untouched
+        wrote = {p.replace("landmarks", "images").replace(".json", ".pgm") for p in tried}
+        assert set(before) - set(after) == wrote | set(tried[:2])
+        assert after.items() <= before.items()
+        assert {"manifest.csv", "manifest.csv.meta.json"} <= set(after)
+
+    def test_interrupted_synth_into_a_fresh_directory_leaves_no_file(self, workdir, tmp_path,
+                                                                     monkeypatch):
+        self._interrupt_third_landmarks(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("synth", "--config", str(workdir / "config.json"),
+                    "--out", str(tmp_path / "data"), "--subjects", "14")
+        assert tree_bytes(tmp_path / "data") == {}
 
     def test_cache_matches_config(self, workdir):
         images, meta = load_image_cache(str(workdir / "cache" / "images.kgw"))
@@ -392,6 +444,24 @@ class TestTrain:
             assert f"train_log_fold{fold}.csv" in seen
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel_folds"])
+    def test_failed_train_leaves_no_fold_file(self, workdir, tmp_path, monkeypatch, parallel):
+        out = tmp_path / "folds"
+        shutil.copytree(workdir / "folds", out)
+
+        def fold_one_fails(*args, fold, **kwargs):
+            if fold == 1:
+                raise TrainingError("planted")
+            return run_fold(*args, fold=fold, **kwargs)
+        monkeypatch.setattr(cli, "run_fold", fold_one_fails)
+        monkeypatch.setenv("OARSI_MT_THREADS", "2")
+        code = run_cli("train", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"), "--out", str(out),
+                       *(["--parallel-folds"] if parallel else []))
+        assert code == 1
+        assert list(out.iterdir()) == []
+
     def test_parallel_folds_match_serial(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("OARSI_MT_THREADS", "2")
         assert run_cli("train", "--config", str(workdir / "config.json"),
@@ -487,6 +557,36 @@ class TestPredictEvaluate:
         assert set(doc["tasks"]) == {"KL", "FO_L", "FO_M", "TO_L", "TO_M",
                                      "JSN_L", "JSN_M"}
         assert (out / "confusion_KL.csv").exists()
+
+    def test_failed_evaluate_keeps_or_removes_each_report_file(self, workdir, predictions,
+                                                               tmp_path, capsys, monkeypatch):
+        # the existing report comes from fold 0's snapshot alone, so its files differ
+        cfg = str(workdir / "config.json")
+        manifest = str(workdir / "cache" / "manifest.csv")
+        one = tmp_path / "one.csv"
+        out = tmp_path / "report"
+        assert run_cli("predict", "--config", cfg, "--manifest", manifest,
+                       "--images", str(workdir / "cache"),
+                       "--snapshots", str(workdir / "folds" / "snapshot_fold0.kgw"),
+                       "--out", str(one)) == 0
+        assert run_cli("evaluate", "--config", cfg, "--manifest", manifest,
+                       "--predictions", str(one), "--out", str(out)) == 0
+        before = tree_bytes(out)
+        calls = []
+
+        def second_head_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise BootstrapError("planted")
+            return bootstrap_rows(*args, **kwargs)
+        monkeypatch.setattr("kneegrade.report.bootstrap_rows", second_head_fails)
+        capsys.readouterr()
+        code = run_cli("evaluate", "--config", cfg, "--manifest", manifest,
+                       "--predictions", str(predictions), "--out", str(out))
+        assert (code, capsys.readouterr().err) == (1, "error: BootstrapError: planted\n")
+        after = tree_bytes(out)
+        assert after.items() <= before.items()
+        assert "metrics.json" in after and "roc_KL_ge2.csv" not in after
 
     def test_ci_level_sets_every_interval(self, workdir, predictions, report, tmp_path):
         wide = json.loads((report[0] / "metrics.json").read_text())
@@ -592,14 +692,14 @@ class TestCorruptInputs:
                        "--predictions", str(path), "--out", str(tmp_path / "report"))
         self._expect(capsys, code, "DataError", f"{path}.meta.json")
 
-    def _preprocess_corrupt(self, workdir, tmp_path, capsys, corrupt):
+    def _preprocess_corrupt(self, workdir, tmp_path, capsys, corrupt, *fragments):
         data = tmp_path / "data"
         shutil.copytree(workdir / "data", data)
         bad = corrupt(data)
         code = run_cli("preprocess", "--config", str(workdir / "config.json"),
                        "--manifest", str(data / "manifest.csv"),
                        "--out", str(tmp_path / "cache"))
-        self._expect(capsys, code, "DataError", str(bad))
+        self._expect(capsys, code, "DataError", str(bad), *fragments)
         assert not (tmp_path / "cache" / "images.kgw").exists()
 
     def test_manifest_row_missing_cells(self, workdir, tmp_path, capsys):
@@ -618,8 +718,11 @@ class TestCorruptInputs:
             return f"{path}: no exam has a complete set of grades"
         self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
 
-    @pytest.mark.parametrize("key,value", [("knee_center", [5]), ("side", "X")],
-                             ids=["point_not_a_pair", "side_not_l_or_r"])
+    # the first landmark file is exam S00000_L_000's
+    @pytest.mark.parametrize("key,value", [("knee_center", [5]), ("side", "X"),
+                                           ("exam_id", "S00000_R_000"), ("side", "R")],
+                             ids=["point_not_a_pair", "side_not_l_or_r",
+                                  "exam_id_of_another_exam", "side_of_the_other_knee"])
     def test_landmark_field(self, workdir, tmp_path, capsys, key, value):
         def corrupt(data):
             path = sorted((data / "landmarks").glob("*.json"))[0]
@@ -628,6 +731,15 @@ class TestCorruptInputs:
             path.write_text(json.dumps(doc))
             return path
         self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt)
+
+    def test_manifest_row_names_another_exams_landmarks(self, workdir, tmp_path, capsys):
+        def corrupt(data):
+            path = data / "manifest.csv"
+            path.write_text(path.read_text().replace("landmarks/S00000_R_000.json",
+                                                     "landmarks/S00000_L_000.json"))
+            return data / "landmarks" / "S00000_L_000.json"
+        self._preprocess_corrupt(workdir, tmp_path, capsys, corrupt, "exam S00000_L_000 side L",
+                                 "manifest row is exam S00000_R_000 side R")
 
     @pytest.mark.parametrize("command,kind", [("synth", "ConfigurationError"),
                                               ("preprocess", "DataError"),

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from kneegrade import report, training
+from kneegrade import cli, report, training
 from kneegrade import tensor as T
 from kneegrade.blocks import (Backbone, BlockSpec, PoolHead, PoolingSpec, ResidualBlock, SEGate,
                               StemSpec)
@@ -192,7 +192,8 @@ class TestNoDeadKnobs:
     @pytest.mark.parametrize("owner, attr", [
         (T.Tensor, "zero_grad"), (Dropout, "reseed"), (training, "predict_grades"),
         (training, "adam_update"), (training, "snapshot_model"), (report, "write_sidecar"),
-        (report, "read_sidecar"), (training, "_train_one_epoch"), (training, "_log_rows_to_csv")])
+        (report, "read_sidecar"), (training, "_train_one_epoch"), (training, "_log_rows_to_csv"),
+        (cli, "Artifacts")])
     def test_removed_name_is_gone(self, owner, attr):
         assert not hasattr(owner, attr)
 

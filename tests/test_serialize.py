@@ -1,10 +1,14 @@
+import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from kneegrade.errors import WeightLoadError
-from kneegrade.serialize import MAGIC, load_tensors, read_sidecar, save_tensors, write_sidecar
+from kneegrade.serialize import (MAGIC, load_tensors, read_sidecar, rollback, save_tensors,
+                                 write_atomic, write_sidecar)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -100,3 +104,54 @@ def test_sidecar_round_trip(tmp_path):
     artifact.write_text("x\n")
     write_sidecar(artifact, {"config_hash": "ff", "n": 3})
     assert read_sidecar(artifact) == {"config_hash": "ff", "n": 3}
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_rollback_removes_what_was_written_in_it(tmp_path, exc):
+    (tmp_path / "untouched").write_bytes(b"old")
+    (tmp_path / "overwritten").write_bytes(b"old")
+    with pytest.raises(exc), rollback():
+        write_atomic(tmp_path / "new", b"new")
+        write_atomic(tmp_path / "overwritten", b"new")
+        worker = threading.Thread(target=write_atomic, args=(tmp_path / "threaded", b"new"))
+        worker.start()
+        worker.join()
+        assert len(os.listdir(tmp_path)) == 4
+        raise exc
+    assert os.listdir(tmp_path) == ["untouched"]
+    assert (tmp_path / "untouched").read_bytes() == b"old"
+
+
+def test_rollback_records_every_write_of_many_threads(tmp_path):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(RuntimeError), rollback():
+            workers = [threading.Thread(target=lambda t=t: [
+                write_atomic(tmp_path / f"{t}_{i}", b"x") for i in range(25)]) for t in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+            assert len(os.listdir(tmp_path)) == 150
+            raise RuntimeError
+    finally:
+        sys.setswitchinterval(interval)
+    assert os.listdir(tmp_path) == []
+
+
+def test_rollback_keeps_what_a_passing_block_wrote(tmp_path):
+    with rollback():
+        write_sidecar(tmp_path / "table.csv", {"n": 1})
+    assert read_sidecar(tmp_path / "table.csv") == {"n": 1}
+
+
+def test_nothing_is_recorded_outside_rollback(tmp_path):
+    write_atomic(tmp_path / "before", b"kept")
+    with pytest.raises(RuntimeError), rollback():
+        raise RuntimeError
+    write_atomic(tmp_path / "after", b"kept")
+    with pytest.raises(RuntimeError), rollback():
+        raise RuntimeError
+    assert sorted(os.listdir(tmp_path)) == ["after", "before"]

@@ -15,33 +15,15 @@ __version__ = "0.1.0"
 import os as _os
 import sys as _sys
 
-from .errors import ConfigurationError
-
-
-def thread_cap():
-    """OARSI_MT_THREADS as an int >= 1, None when unset; malformed is a ConfigurationError."""
-    cap = _os.environ.get("OARSI_MT_THREADS", "").strip()
-    if not cap:
-        return None
-    if not cap.isdecimal() or int(cap) < 1:
-        raise ConfigurationError(f"OARSI_MT_THREADS={cap!r} is not an integer >= 1")
-    return int(cap)
-
 
 def _cap_blas_threads():
-    """Let OARSI_MT_THREADS also size BLAS's own pool, which is fixed when numpy loads.
-
-    Sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to the cap
-    unless the user set them. Once numpy is imported it is too late, so
-    nothing is changed then.
-    """
-    try:
-        cap = thread_cap()
-    except ConfigurationError:
-        return      # changes nothing; every command refuses it (cli.main)
-    if cap is not None and "numpy" not in _sys.modules:
+    """Run BLAS on one thread, as its sums follow its thread count, and leave
+    the cores to the fold pool: set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+    MKL_NUM_THREADS to 1 unless the user set them. BLAS fixes its pool when
+    numpy loads, so once numpy is imported nothing is changed."""
+    if "numpy" not in _sys.modules:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            _os.environ.setdefault(var, str(cap))
+            _os.environ.setdefault(var, "1")
 
 
 _cap_blas_threads()

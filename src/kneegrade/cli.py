@@ -12,22 +12,22 @@ failure (a ``KneeGradeError`` or ``OSError``) then prints one line to stderr
 (``error: <kind>: <message>``); any other exception propagates. Exit codes:
 0 success, 2 for configuration, usage, or input-data problems, 1 for
 runtime failures. The environment variable OARSI_MT_THREADS sizes the
-``train --parallel-folds`` pool and BLAS's threads (the package sets them
-before numpy loads); ``evaluate`` runs serially. Every command refuses a
-malformed cap with exit 2.
+``train --parallel-folds`` pool, and only that: BLAS runs one thread (the
+package sets it before numpy loads), so the cap changes no output byte;
+``evaluate`` runs serially. Every command refuses a malformed cap with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import glob
 import os
+import re
 import sys
 
 import numpy as np
 
-from . import __version__, thread_cap
+from . import __version__
 from .config import load_run_config
 from .data import (
     load_and_filter,
@@ -49,10 +49,24 @@ from .imageio import read_pgm16
 from .model import build_model, load_backbone_weights, save_backbone_weights
 from .preprocess import RawImage, load_image_cache, preprocess_exam, save_image_cache
 from .report import align_predictions, emit_report, write_history_csv, write_history_svg
-from .serialize import read_sidecar, rollback, write_sidecar
+from .serialize import make_dirs, read_sidecar, rollback, write_sidecar
 from .training import Snapshot, pretrain_backbone, run_fold
 
 _USER_FAULT = (UsageError, ConfigurationError, DataError, WeightLoadError)
+
+# every file a train fold writes, for any fold number; group 1 is a snapshot
+_FOLD_FILE = re.compile(r"(snapshot_fold[0-9]+\.kgw)|snapshot_fold[0-9]+\.kgw\.meta\.json"
+                        r"|train_log_fold[0-9]+\.csv|curves_fold[0-9]+\.svg")
+
+
+def thread_cap():
+    """OARSI_MT_THREADS as an int >= 1, None when unset; malformed is a ConfigurationError."""
+    cap = os.environ.get("OARSI_MT_THREADS", "").strip()
+    if not cap:
+        return None
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ConfigurationError(f"OARSI_MT_THREADS={cap!r} is not an integer >= 1")
+    return int(cap)
 
 
 def max_workers(n_tasks):
@@ -129,7 +143,7 @@ def cmd_preprocess(args):
                             f"but its manifest row is exam {exam.exam_id} side {exam.side}")
         raw = RawImage(pixels=pixels, spacing_mm=exam.spacing_mm)
         images[exam.exam_id] = preprocess_exam(raw, landmarks, cfg.preprocess)
-    os.makedirs(args.out, exist_ok=True)
+    make_dirs(args.out)
     cache = os.path.join(args.out, "images.kgw")
     save_image_cache(cache, images, meta={
         "config_hash": cfg.stage_hash("preprocess"),
@@ -181,16 +195,15 @@ def cmd_train(args):
         _check_config(_recorded_hash(args.pretrained), cfg.stage_hash("pretrain"),
                       "backbone", args.force)
     assignment = split_cv(exams, n_folds=cfg.n_folds, seed=cfg.seed)
-    os.makedirs(args.out, exist_ok=True)
+    make_dirs(args.out)
     folds = list(range(cfg.n_folds))
     paths = [{stem: os.path.join(args.out, f"{stem}_fold{fold}.{ext}")
               for stem, ext in (("snapshot", "kgw"), ("train_log", "csv"), ("curves", "svg"))}
              for fold in folds]
-    # the old fold set goes first, so a failed run leaves no mix of old and new folds
-    for fold_paths in paths:
-        for target in [*fold_paths.values(), fold_paths["snapshot"] + ".meta.json"]:
-            if os.path.isfile(target):
-                os.remove(target)
+    # the whole old fold set goes first, so no run leaves a mix of old and new folds
+    for name in os.listdir(args.out):
+        if _FOLD_FILE.fullmatch(name) and os.path.isfile(old := os.path.join(args.out, name)):
+            os.remove(old)
 
     def train_fold(fold):
         """Train and save one fold; returns its history and snapshot meta, so
@@ -220,8 +233,9 @@ def cmd_train(args):
 
 
 def _load_snapshots(args, cfg):
-    if len(args.snapshots) == 1 and os.path.isdir(args.snapshots[0]):
-        paths = sorted(glob.glob(os.path.join(args.snapshots[0], "snapshot_fold*.kgw")))
+    if len(args.snapshots) == 1 and os.path.isdir(folder := args.snapshots[0]):
+        paths = sorted(os.path.join(folder, name) for name in os.listdir(folder)
+                       if (match := _FOLD_FILE.fullmatch(name)) and match[1])
     else:
         paths = list(args.snapshots)
     if not paths:

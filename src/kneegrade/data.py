@@ -28,7 +28,7 @@ from .errors import ConfigurationError, DataError
 from .imageio import write_pgm16
 from .model import TASK_CLASSES, task_names
 from .preprocess import LandmarkSet, RawImage, mirror_horizontal, rotate_image, rotate_point
-from .serialize import write_atomic
+from .serialize import make_dirs, write_atomic
 
 GRADE_COLUMNS = list(task_names())
 GRADE_RANGES = {name: (0, TASK_CLASSES[name] - 1) for name in GRADE_COLUMNS}
@@ -398,8 +398,8 @@ def synth_generate(out_dir, n_subjects, exams_per_subject=2, seed=0,
     is reproducible from (seed, subject index, exam index).
     """
     out = Path(out_dir)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    (out / "landmarks").mkdir(parents=True, exist_ok=True)
+    make_dirs(out / "images")
+    make_dirs(out / "landmarks")
     exams = []
     for si in range(n_subjects):
         subject = f"S{si:05d}"

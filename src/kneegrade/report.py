@@ -32,7 +32,7 @@ from .metrics import (
 )
 # bootstrap_ci is not called here; bench/tracing.py times it under this name.
 from .metrics import bootstrap_ci  # noqa: F401
-from .serialize import write_atomic
+from .serialize import make_dirs, write_atomic
 
 KL_POSITIVE_GRADE = 2    # KL >= 2 is the accepted definition of radiographic disease
 OARSI_POSITIVE_GRADE = 1
@@ -234,7 +234,7 @@ def emit_report(out_dir, head_specs, truths, preds, probs, meta=None,
     replaced whole or not at all. Returns the report document (identical to
     what lands in metrics.json).
     """
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     n = None
     for name, _ in head_specs:
         for source, label in ((truths, "truth grades"), (preds, "prediction grades"),

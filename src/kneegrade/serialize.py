@@ -26,7 +26,7 @@ from .errors import DataError, WeightLoadError
 MAGIC = b"KGWB"
 VERSION = 1
 
-_written = None     # paths write_atomic replaced inside rollback(), else None
+_written = None     # paths write_atomic replaced or make_dirs made inside rollback(), else None
 
 
 def write_atomic(path, data):
@@ -58,18 +58,34 @@ def write_atomic(path, data):
             os.remove(partial)
 
 
+def make_dirs(path):
+    """Make directory ``path`` and its missing parents, like ``os.makedirs``
+    with ``exist_ok``. :func:`rollback` records each one that was missing,
+    before it is made, so one made before a failure partway counts too."""
+    missing = []
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    if (record := _written) is not None:
+        record.extend(reversed(missing))    # parents first, as they are made
+    os.makedirs(path, exist_ok=True)
+
+
 @contextlib.contextmanager
 def rollback():
-    """On any exception in the block, Ctrl-C included, remove each file that
-    write_atomic replaced in it, from any thread, then re-raise."""
+    """On any exception in the block, Ctrl-C included, undo what it recorded
+    from any thread, newest first, then re-raise: remove each file that
+    write_atomic replaced and each directory that make_dirs made, if empty.
+    A directory that was there before the block is kept."""
     global _written
     _written = []
     try:
         yield
     except BaseException:
-        for path in _written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
+        for path in reversed(_written):     # a directory after everything made in it
+            with contextlib.suppress(OSError):      # a directory not empty stays
+                (os.rmdir if os.path.isdir(path) else os.remove)(path)
         raise
     finally:
         _written = None

@@ -31,8 +31,8 @@ from kneegrade.serialize import load_tensors, save_tensors, write_atomic
 SRC = Path(kneegrade.__file__).resolve().parent
 
 
-def _file_writes(tree):
-    """(enclosing function, line) of each call that opens a file for writing."""
+def _calls(tree):
+    """(enclosing function, call node) of each call in ``tree``."""
     found = []
 
     def visit(node, function):
@@ -41,18 +41,35 @@ def _file_writes(tree):
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                mode = child.args[1] if len(child.args) > 1 else next(
-                    (k.value for k in child.keywords if k.arg == "mode"), None)
-                # a mode that is not a literal may write, so it counts too
-                writes_mode = mode is not None and not (
-                    isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax"))
-                if name in ("write_text", "write_bytes") or (name == "open" and writes_mode):
-                    found.append((function, child.lineno))
+                found.append((function, child))
             visit(child, function)
 
     visit(tree, "<module>")
     return found
+
+
+def _name(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _file_writes(tree):
+    """(enclosing function, line) of each call that opens a file for writing."""
+    found = []
+    for function, call in _calls(tree):
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        # a mode that is not a literal may write, so it counts too
+        writes_mode = mode is not None and not (
+            isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax"))
+        if _name(call) in ("write_text", "write_bytes") or (_name(call) == "open" and writes_mode):
+            found.append((function, call.lineno))
+    return found
+
+
+def _dir_makes(tree):
+    """(enclosing function, line) of each ``makedirs`` or ``mkdir`` call."""
+    return [(function, call.lineno) for function, call in _calls(tree)
+            if _name(call) in ("makedirs", "mkdir")]
 
 
 def test_write_atomic_is_the_only_writer():
@@ -70,6 +87,24 @@ def test_guard_sees_each_kind_of_write():
               "    p.write_text('a'); p.write_bytes(b'a')\n"
               "    open(p); open(p, 'rb')\n")
     assert _file_writes(ast.parse(source)) == [("f", 2)] * 4 + [("f", 3)] * 2
+
+
+def test_make_dirs_is_the_only_directory_maker():
+    # so serialize.rollback knows every directory a failed command made
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for function, line in _dir_makes(ast.parse(path.read_text(), str(path))):
+            if (path.name, function) != ("serialize.py", "make_dirs"):
+                offenders.append(f"{path.name}:{line} in {function}")
+    assert offenders == []
+
+
+def test_guard_sees_each_kind_of_directory_make():
+    source = ("def f(p):\n"
+              "    os.makedirs(p); os.mkdir(p); makedirs(p, exist_ok=True)\n"
+              "    p.mkdir(); Path(p).mkdir(parents=True)\n"
+              "    os.path.isdir(p); os.listdir(p)\n")
+    assert _dir_makes(ast.parse(source)) == [("f", 2)] * 3 + [("f", 3)] * 2
 
 
 # The benchmark patches these two names in the modules that import them.

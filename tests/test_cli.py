@@ -220,8 +220,8 @@ class TestSynthPreprocess:
         self._interrupt_third_landmarks(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
             run_cli("synth", "--config", str(workdir / "config.json"),
-                    "--out", str(tmp_path / "data"), "--subjects", "14")
-        assert tree_bytes(tmp_path / "data") == {}
+                    "--out", str(tmp_path / "new" / "data"), "--subjects", "14")
+        assert list(tmp_path.iterdir()) == []     # nor any directory it made
 
     def test_cache_matches_config(self, workdir):
         images, meta = load_image_cache(str(workdir / "cache" / "images.kgw"))
@@ -442,7 +442,7 @@ class TestTrain:
         for fold in range(2):
             assert f"snapshot_fold{fold}.kgw" in seen
             assert f"train_log_fold{fold}.csv" in seen
-        assert list(out.iterdir()) == []
+        assert not out.exists()     # train made it, so it goes too
 
     @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel_folds"])
     def test_failed_train_leaves_no_fold_file(self, workdir, tmp_path, monkeypatch, parallel):
@@ -461,6 +461,24 @@ class TestTrain:
                        *(["--parallel-folds"] if parallel else []))
         assert code == 1
         assert list(out.iterdir()) == []
+
+    def test_train_replaces_the_whole_old_fold_set(self, workdir, tmp_path, capsys):
+        out = tmp_path / "folds"
+        train = ("train", "--manifest", str(workdir / "cache" / "manifest.csv"),
+                 "--images", str(workdir / "cache"), "--out", str(out))
+        assert run_cli(*train, "--config", config_file(tmp_path, n_folds=3)) == 0
+        assert (out / "curves_fold2.svg").exists()
+        (out / "snapshot_fold_old.kgw").write_bytes(b"not a fold of this run")
+        assert run_cli(*train, "--config", str(workdir / "config.json")) == 0
+        assert tree_bytes(out) == dict(tree_bytes(workdir / "folds"),
+                                       **{"snapshot_fold_old.kgw": b"not a fold of this run"})
+        capsys.readouterr()
+        assert run_cli("predict", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--images", str(workdir / "cache"), "--snapshots", str(out),
+                       "--out", str(tmp_path / "preds.csv")) == 0, capsys.readouterr().err
+        assert json.loads((tmp_path / "preds.csv.meta.json").read_text())["snapshots"] == \
+            ["snapshot_fold0.kgw", "snapshot_fold1.kgw"]
 
     def test_parallel_folds_match_serial(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("OARSI_MT_THREADS", "2")
@@ -587,6 +605,22 @@ class TestPredictEvaluate:
         after = tree_bytes(out)
         assert after.items() <= before.items()
         assert "metrics.json" in after and "roc_KL_ge2.csv" not in after
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_empty_out"])
+    def test_failed_evaluate_removes_only_a_directory_it_made(self, workdir, predictions,
+                                                              tmp_path, monkeypatch, existed):
+        out = tmp_path / "report"
+        if existed:
+            out.mkdir()
+
+        def fails(*args, **kwargs):
+            raise BootstrapError("planted")
+        monkeypatch.setattr("kneegrade.report.bootstrap_rows", fails)
+        assert run_cli("evaluate", "--config", str(workdir / "config.json"),
+                       "--manifest", str(workdir / "cache" / "manifest.csv"),
+                       "--predictions", str(predictions), "--out", str(out)) == 1
+        assert list(tmp_path.iterdir()) == ([out] if existed else [])
+        assert not existed or list(out.iterdir()) == []
 
     def test_ci_level_sets_every_interval(self, workdir, predictions, report, tmp_path):
         wide = json.loads((report[0] / "metrics.json").read_text())
@@ -850,32 +884,69 @@ class TestCorruptInputs:
 
 
 class TestThreadCap:
-    """OARSI_MT_THREADS sizes BLAS's pool when kneegrade is imported before numpy."""
+    """BLAS runs one thread when kneegrade is imported before numpy, whatever
+    OARSI_MT_THREADS says, so the cap sizes only the fold pool."""
 
     VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    def _blas_env(self, cap, preset=None, numpy_first=False):
+    def _env(self, cap, preset=None):
+        """This environment without BLAS settings, with ``cap`` (None unsets it)."""
         import kneegrade
-        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS + ("OARSI_MT_THREADS",)}
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kneegrade.__file__))
-        env["OARSI_MT_THREADS"] = cap
+        if cap is not None:
+            env["OARSI_MT_THREADS"] = cap
         env.update(preset or {})
+        return env
+
+    def _blas_env(self, cap, preset=None, numpy_first=False):
         code = ("import numpy\n" if numpy_first else "") + (
             "import os, kneegrade\n"
             f"print(','.join(os.environ.get(v, '-') for v in {self.VARS!r}))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], env=self._env(cap, preset),
+                              capture_output=True, text=True, check=True)
         return proc.stdout.strip().split(",")
 
     def test_cap_sets_every_blas_variable(self):
-        assert self._blas_env("3") == ["3", "3", "3"]
+        assert self._blas_env(None) == ["1", "1", "1"]
+        assert self._blas_env("3") == ["1", "1", "1"]
 
     def test_user_settings_win(self):
-        assert self._blas_env("3", {"OMP_NUM_THREADS": "2"}) == ["3", "2", "3"]
+        assert self._blas_env("3", {"OMP_NUM_THREADS": "2"}) == ["1", "2", "1"]
 
     def test_too_late_once_numpy_is_loaded(self):
         assert self._blas_env("3", numpy_first=True) == ["-", "-", "-"]
 
     def test_invalid_cap_left_to_the_cli(self):
-        assert self._blas_env("0") == ["-", "-", "-"]
-        assert self._blas_env("abc") == ["-", "-", "-"]
+        assert self._blas_env("0") == ["1", "1", "1"]
+        assert self._blas_env("abc") == ["1", "1", "1"]
+
+    def test_the_cap_changes_no_byte_of_a_train(self, tmp_path):
+        # a fresh interpreter per run: BLAS's thread count is fixed when numpy loads
+        (tmp_path / "config.json").write_text(json.dumps({
+            "seed": 3, "n_folds": 2, "synth": {"image_side": 32},
+            "preprocess": {"target_side": 32},
+            "train": {"schedule": "scratch", "epochs": 2, "batch_size": 8}}))
+        cfg = str(tmp_path / "config.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("synth", "--config", cfg, "--out", str(tmp_path / "data"),
+                           "--subjects", "10", "--exams-per-subject", "2") == 0
+            assert run_cli("preprocess", "--config", cfg,
+                           "--manifest", str(tmp_path / "data" / "manifest.csv"),
+                           "--out", str(tmp_path / "cache")) == 0
+        runs = {}
+        for cap, extra in ((None, []), ("1", []), ("2", []), ("2", ["--parallel-folds"])):
+            out = tmp_path / f"folds_{cap}_{len(extra)}"
+            subprocess.run([sys.executable, "-c",
+                            "import sys, kneegrade.cli as cli; sys.exit(cli.main(sys.argv[1:]))",
+                            "train", "--config", cfg, "--out", str(out),
+                            "--manifest", str(tmp_path / "cache" / "manifest.csv"),
+                            "--images", str(tmp_path / "cache"), *extra],
+                           env=self._env(cap), capture_output=True, check=True, timeout=300)
+            runs[f"OARSI_MT_THREADS={cap} {' '.join(extra)}"] = {
+                name: data for name, data in tree_bytes(out).items()
+                if name.startswith(("snapshot_fold", "train_log_fold"))}
+        first = next(iter(runs.values()))
+        assert len(first) == 6      # two snapshots, their sidecars and two logs
+        for run, files in runs.items():
+            assert files == first, run

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from kneegrade.errors import WeightLoadError
-from kneegrade.serialize import (MAGIC, load_tensors, read_sidecar, rollback, save_tensors,
-                                 write_atomic, write_sidecar)
+from kneegrade.serialize import (MAGIC, load_tensors, make_dirs, read_sidecar, rollback,
+                                 save_tensors, write_atomic, write_sidecar)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -141,10 +141,26 @@ def test_rollback_records_every_write_of_many_threads(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_rollback_removes_each_directory_it_made_once_empty(tmp_path):
+    (tmp_path / "old").mkdir()
+    with pytest.raises(KeyboardInterrupt), rollback():
+        make_dirs(tmp_path / "new" / "a" / "b")
+        write_atomic(tmp_path / "new" / "a" / "b" / "f", b"new")
+        make_dirs(tmp_path / "new" / "a")
+        make_dirs(tmp_path / "new" / "kept")
+        (tmp_path / "new" / "kept" / "foreign").write_bytes(b"not written by the block")
+        make_dirs(tmp_path / "old" / "c")
+        write_atomic(tmp_path / "old" / "f", b"new")
+        raise KeyboardInterrupt
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == \
+        ["new", "new/kept", "new/kept/foreign", "old"]
+
+
 def test_rollback_keeps_what_a_passing_block_wrote(tmp_path):
     with rollback():
-        write_sidecar(tmp_path / "table.csv", {"n": 1})
-    assert read_sidecar(tmp_path / "table.csv") == {"n": 1}
+        make_dirs(tmp_path / "dir")
+        write_sidecar(tmp_path / "dir" / "table.csv", {"n": 1})
+    assert read_sidecar(tmp_path / "dir" / "table.csv") == {"n": 1}
 
 
 def test_nothing_is_recorded_outside_rollback(tmp_path):
